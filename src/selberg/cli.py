@@ -14,9 +14,8 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import heat as heat_mod
@@ -85,14 +84,11 @@ def _parse_grid(text: str) -> list[complex]:
         if len(bits) != 3:
             raise ValidationError(f"grid axis {part!r} is not start:stop:step")
         start, stop, step = (float(b) for b in bits)
-        if step <= 0:
-            raise ValidationError("grid step must be positive")
-        out = []
-        x = start
-        while x <= stop + 1e-12 * max(1.0, abs(stop)):
-            out.append(x)
-            x += step
-        return out
+        if not (step > 0 and all(map(math.isfinite, (start, stop, step)))):
+            raise ValidationError("grid bounds must be finite and the step positive")
+        # point i is start + i*step; the count is fixed once, so no drift
+        count = math.floor((stop + 1e-12 * max(1.0, abs(stop)) - start) / step) + 1
+        return [start + i * step for i in range(count)]
 
     parts = text.split(",")
     if len(parts) == 1:
@@ -100,21 +96,6 @@ def _parse_grid(text: str) -> list[complex]:
     if len(parts) != 2:
         raise ValidationError("grid must be one or two start:stop:step triples")
     return [complex(re, im) for im in axis(parts[1]) for re in axis(parts[0])]
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValidationError("thread count must be at least 1")
-        return args.threads
-    return max(1, int(os.environ.get("SELBERG_THREADS", "1")))
-
-
-def _parallel_map(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_context(args) -> zeta_mod.ZetaTermContext:
@@ -243,17 +224,14 @@ def cmd_zeta_eval(args, out: _Output) -> None:
     if args.validate:
         out.line("ok")
         return
-
-    def one(s: complex):
-        logz = zeta_mod.log_zeta_truncated(s, ctx)
-        return s, logz
-
-    rows = _parallel_map(one, grid, _threads(args))
     out.line("re_s,im_s,re_logZ,im_logZ,abs_Z")
-    for s, logz in rows:
+    for s, logz in zip(grid, zeta_mod.log_zeta_truncated(grid, ctx)):
+        try:
+            abs_z = abs(cmath.exp(logz))
+        except OverflowError:
+            abs_z = math.inf
         out.line(
-            f"{fmt(s.real)},{fmt(s.imag)},{fmt(logz.real)},{fmt(logz.imag)},"
-            f"{fmt(abs(cmath.exp(logz)))}"
+            f"{fmt(s.real)},{fmt(s.imag)},{fmt(logz.real)},{fmt(logz.imag)},{fmt(abs_z)}"
         )
 
 
@@ -264,8 +242,7 @@ def cmd_zeta_xi(args, out: _Output) -> None:
         out.line("ok")
         return
     out.line("re_s,im_s,re_xi,im_xi")
-    for s in points:
-        value = zeta_mod.xi_correction(s, ctx)
+    for s, value in zip(points, zeta_mod.xi_correction(points, ctx)):
         out.line(f"{fmt(s.real)},{fmt(s.imag)},{fmt(value.real)},{fmt(value.imag)}")
 
 
@@ -277,11 +254,8 @@ def cmd_zeta_heat_terms(args, out: _Output) -> None:
     if args.validate:
         out.line("ok")
         return
-    rows = _parallel_map(
-        lambda t: (t, zeta_mod.geometric_heat_terms(t, ctx)), times, _threads(args)
-    )
     out.line("t,re_I,im_I,re_E,im_E,re_H,im_H")
-    for t, terms in rows:
+    for t, terms in zip(times, zeta_mod.geometric_heat_terms(times, ctx)):
         out.line(
             f"{fmt(t)},{fmt(terms.identity.real)},{fmt(terms.identity.imag)},"
             f"{fmt(terms.elliptic.real)},{fmt(terms.elliptic.imag)},"
@@ -319,12 +293,9 @@ def cmd_heat_trace(args, out: _Output) -> None:
     if args.validate:
         out.line("ok")
         return
-    values = _parallel_map(
-        lambda t: heat_mod.heat_trace(model, t), times, _threads(args)
-    )
     out.line("t,trace")
-    for t, v in zip(times, values):
-        out.line(f"{fmt(t)},{fmt(v)}")
+    for t in times:
+        out.line(f"{fmt(t)},{fmt(heat_mod.heat_trace(model, t))}")
 
 
 def cmd_heat_fit(args, out: _Output) -> None:
@@ -377,8 +348,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.add_argument("--validate", action="store_true", help="check inputs and exit")
     p.add_argument("--config", help="JSON file with default argument values")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: SELBERG_THREADS or 1)")
 
 
 def _zeta_common(p: argparse.ArgumentParser) -> None:

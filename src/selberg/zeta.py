@@ -16,8 +16,12 @@ Character convention: the zeta sum uses tr sigma(m) unconjugated, the heat
 term uses the conjugate, matching each formula's own display; the
 ``conjugate_sigma_trace`` switch flips both for sensitivity analysis.
 
-Sums accumulate with compensated (exact) summation in a canonical record
-order, so results do not depend on how work is partitioned.
+Every public evaluator takes one point or a sequence of them.  The
+point-independent factors of each class (characters, adjoint determinants,
+twists) are built into arrays once per call, and each point is then one
+array expression over the classes.  Sums accumulate with compensated
+(exact) summation in a canonical record order, so results do not depend on
+how work is partitioned.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,29 +94,70 @@ class ZetaTermContext:
 
 def _csum(values) -> complex:
     """Compensated complex sum in the iteration order given."""
-    vals = list(values)
-    return complex(
-        math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals)
+    vals = np.asarray(values, dtype=complex)
+    return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+
+
+def _points(x) -> tuple[list, bool]:
+    """The points of a scalar or 1-D sequence argument, and whether it was a scalar."""
+    scalar = np.ndim(x) == 0
+    return ([x] if scalar else list(x)), scalar
+
+
+def _exp(value: complex, s) -> complex:
+    """cmath.exp, with overflow reported as a numerical guard at point s."""
+    try:
+        return cmath.exp(value)
+    except OverflowError:
+        raise NumericalGuardError(f"exponential overflows at s = {s}") from None
+
+
+class _ClassArrays(NamedTuple):
+    """Point-independent per-class factors, in canonical record order."""
+
+    length: np.ndarray
+    num: np.ndarray  # tr chi * v * tr sigma
+    den: np.ndarray  # power * e^{n l} * D
+    heat: np.ndarray  # tr chi * v * l0 / (2 pi D) * conj(tr sigma)
+
+
+def _class_arrays(ctx: ZetaTermContext, flipped: bool) -> _ClassArrays:
+    """Per-class arrays for sigma, or for its flip w0 sigma when ``flipped``;
+    the character runs once per class."""
+    recs = sorted(ctx.spectrum.hyperbolic(), key=lambda r: (r.length, r.angles, r.word))
+
+    def column(f, dtype=float):
+        return np.array([f(r) for r in recs], dtype=dtype)
+
+    sigma = w0_flip(ctx.sigma) if flipped else ctx.sigma
+    trace = column(lambda r: weyl_character(sigma, EllipticAngles(tuple(r.angles))), complex)
+    if ctx.conjugate_sigma_trace:
+        trace = trace.conj()
+    chi_v = column(lambda r: r.tr_chi * float(r.v), complex)
+    return _ClassArrays(
+        length=column(lambda r: r.length),
+        num=chi_v * trace,
+        den=column(lambda r: r.power * (math.exp(ctx.n * r.length) * r.D)),
+        # conjugate of the zeta-side convention, whichever way the flag points
+        heat=chi_v * column(lambda r: r.primitive_length)
+        / (2.0 * math.pi * column(lambda r: r.D)) * trace.conj(),
     )
 
 
-def _sorted_hyperbolic(ctx: ZetaTermContext) -> list[ConjClassRecord]:
-    recs = ctx.spectrum.hyperbolic()
-    if any(r.ambiguous for r in recs) and not ctx.allow_ambiguous:
+def _log_zeta_values(ctx: ZetaTermContext, points: list, flipped: bool) -> list[complex]:
+    """log Z at each point, one row of class terms at a time."""
+    if not ctx.allow_ambiguous and any(r.ambiguous for r in ctx.spectrum.hyperbolic()):
         raise AmbiguousClassError(
             "spectrum contains flagged-ambiguity classes; rerun with "
             "allow_ambiguous to include them"
         )
-    return sorted(recs, key=lambda r: (r.length, r.angles, r.word))
-
-
-def _sigma_trace(ctx: ZetaTermContext, record: ConjClassRecord, flipped: bool) -> complex:
-    sigma = w0_flip(ctx.sigma) if flipped else ctx.sigma
-    angles = EllipticAngles(tuple(record.angles))
-    value = weyl_character(sigma, angles)
-    if ctx.conjugate_sigma_trace:
-        value = value.conjugate()
-    return value
+    arrays = _class_arrays(ctx, flipped)
+    if not len(arrays.length):
+        return [0j] * len(points)
+    return [
+        -_csum(arrays.num * np.exp(-(s + ctx.n) * arrays.length) / arrays.den)
+        for s in points
+    ]
 
 
 def epsilon_sigma(sigma: WeightVector) -> int:
@@ -162,68 +208,64 @@ class AbscissaEstimate:
     conservative: bool
 
 
-def log_zeta_truncated(s: complex, ctx: ZetaTermContext) -> complex:
-    """log Z over the cutoff spectrum.
+def log_zeta_truncated(s, ctx: ZetaTermContext) -> complex | list[complex]:
+    """log Z over the cutoff spectrum at a point s, or at each point of a
+    sequence (returning a list).
 
     An empty spectrum gives 0 (so Z = 1) with a warning.  Evaluation left of
-    the estimated abscissa of convergence also warns but still computes.
+    the estimated abscissa of convergence also warns, once per call, but
+    still computes.
     """
-    recs = _sorted_hyperbolic(ctx)
-    if not recs:
+    points, scalar = _points(s)
+    values = _log_zeta_values(ctx, points, flipped=False)
+    if not ctx.spectrum.hyperbolic():
         warnings.warn("empty hyperbolic spectrum; Z = 1", stacklevel=2)
-        return 0j
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        est = convergence_abscissa_estimate(ctx)
-    if complex(s).real <= est.c:
-        warnings.warn(
-            f"Re(s) = {complex(s).real:g} is at or below the estimated "
-            f"abscissa {est.c:g}; the truncated sum may be far from converged",
-            stacklevel=2,
-        )
-    n = ctx.n
-    terms = []
-    for r in recs:
-        adj_det = math.exp(n * r.length) * r.D
-        trace = _sigma_trace(ctx, r, flipped=False)
-        terms.append(
-            r.tr_chi
-            * float(r.v)
-            * trace
-            * cmath.exp(-(s + n) * r.length)
-            / (r.power * adj_det)
-        )
-    return -_csum(terms)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = convergence_abscissa_estimate(ctx)
+        below = [complex(p).real for p in points if complex(p).real <= est.c]
+        if below:
+            warnings.warn(
+                f"{len(below)} of {len(points)} points have Re(s) at or below "
+                f"the estimated abscissa {est.c:g} (lowest Re(s) = {min(below):g}); "
+                "the truncated sum may be far from converged",
+                stacklevel=2,
+            )
+    return values[0] if scalar else values
 
 
-def symmetric_zeta(s: complex, ctx: ZetaTermContext) -> complex:
-    """Z(s, sigma) Z(s, w0 sigma), collapsing to Z when the flip fixes sigma."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        z = cmath.exp(log_zeta_truncated(s, ctx))
-        if epsilon_sigma(ctx.sigma) == 1:
-            return z
-        zf = cmath.exp(log_zeta_truncated(s, ctx.with_sigma(w0_flip(ctx.sigma))))
-    return z * zf
+def symmetric_zeta(s, ctx: ZetaTermContext) -> complex | list[complex]:
+    """Z(s, sigma) Z(s, w0 sigma), collapsing to Z when the flip fixes sigma;
+    a list for a sequence of points."""
+    points, scalar = _points(s)
+    values = [_exp(v, p) for p, v in zip(points, _log_zeta_values(ctx, points, False))]
+    if epsilon_sigma(ctx.sigma) == 2:
+        flipped = _log_zeta_values(ctx, points, True)
+        values = [z * _exp(v, p) for p, z, v in zip(points, values, flipped)]
+    return values[0] if scalar else values
 
 
-def antisymmetric_zeta(s: complex, ctx: ZetaTermContext) -> complex:
-    """Z(s, sigma) / Z(s, w0 sigma); defined only when the flip moves sigma."""
+def antisymmetric_zeta(s, ctx: ZetaTermContext) -> complex | list[complex]:
+    """Z(s, sigma) / Z(s, w0 sigma); defined only when the flip moves sigma.
+    A list for a sequence of points."""
     if epsilon_sigma(ctx.sigma) == 1:
         raise ValidationError(
             "antisymmetric zeta needs a weight moved by the flip "
             "(last coordinate nonzero)"
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        z = cmath.exp(log_zeta_truncated(s, ctx))
-        zf = cmath.exp(log_zeta_truncated(s, ctx.with_sigma(w0_flip(ctx.sigma))))
-    if zf == 0 or not (cmath.isfinite(z) and cmath.isfinite(zf)):
-        raise NumericalGuardError(
-            "zeta value at the flipped weight vanished or overflowed; "
-            "the antisymmetric ratio is undefined here"
-        )
-    return z / zf
+    points, scalar = _points(s)
+    flipped = _log_zeta_values(ctx, points, True)
+    values = []
+    for p, v, vf in zip(points, _log_zeta_values(ctx, points, False), flipped):
+        z, zf = _exp(v, p), _exp(vf, p)
+        if zf == 0 or not (cmath.isfinite(z) and cmath.isfinite(zf)):
+            raise NumericalGuardError(
+                f"zeta value at the flipped weight vanished or overflowed at s = {p}; "
+                "the antisymmetric ratio is undefined here"
+            )
+        values.append(z / zf)
+    return values[0] if scalar else values
 
 
 @dataclass(frozen=True)
@@ -233,8 +275,9 @@ class HeatTerms:
     hyperbolic: complex
 
 
-def geometric_heat_terms(t: float, ctx: ZetaTermContext) -> HeatTerms:
-    """Identity, elliptic and hyperbolic heat-side contributions at time t.
+def geometric_heat_terms(t, ctx: ZetaTermContext) -> HeatTerms | list[HeatTerms]:
+    """Identity, elliptic and hyperbolic heat-side contributions at time t,
+    or a list of them for a sequence of times.
 
     The identity term integrates the rank-1 Plancherel polynomial against a
     Gaussian; the elliptic term does the same with each class's orbital
@@ -245,7 +288,8 @@ def geometric_heat_terms(t: float, ctx: ZetaTermContext) -> HeatTerms:
 
     in closed form, with the conjugated character pair attached.
     """
-    if t <= 0:
+    times, scalar = _points(t)
+    if any(x <= 0 for x in times):
         raise ValidationError("heat time must be positive")
     if ctx.n != 1:
         raise UnsupportedRankError(
@@ -253,56 +297,43 @@ def geometric_heat_terms(t: float, ctx: ZetaTermContext) -> HeatTerms:
         )
     eps = epsilon_sigma(ctx.sigma)
     p_plancherel = plancherel_polynomial(ctx.sigma, ctx.n)
-    ident = eps * ctx.chi_dim * ctx.vol * p_plancherel.gaussian_transform(t)
-
-    ell_terms = []
+    ell = []
     for j, rec in enumerate(ctx.elliptic):
-        poly = orbital_polynomial(
-            ctx.sigma, EllipticAngles(tuple(rec.angles)), ctx.n
+        poly = orbital_polynomial(ctx.sigma, EllipticAngles(tuple(rec.angles)), ctx.n)
+        ell.append((rec.tr_chi * ctx.elliptic_volume(j), poly))
+    arrays = _class_arrays(ctx, flipped=False)
+    coeff = arrays.heat
+    if eps == 2:
+        coeff = coeff + _class_arrays(ctx, flipped=True).heat
+    values = [
+        HeatTerms(
+            eps * ctx.chi_dim * ctx.vol * p_plancherel.gaussian_transform(x),
+            eps * _csum([c * poly.gaussian_transform(x) for c, poly in ell]),
+            _csum(coeff * (math.sqrt(math.pi / x) * np.exp(-arrays.length**2 / (4.0 * x)))),
         )
-        ell_terms.append(
-            rec.tr_chi * ctx.elliptic_volume(j) * poly.gaussian_transform(t)
-        )
-    elliptic = eps * _csum(ell_terms)
-
-    hyp_terms = []
-    for r in sorted(ctx.spectrum.hyperbolic(), key=lambda r: (r.length, r.angles, r.word)):
-        # conjugate of the zeta-side convention, whichever way the flag points
-        trace = _sigma_trace(ctx, r, flipped=False).conjugate()
-        if eps == 2:
-            trace += _sigma_trace(ctx, r, flipped=True).conjugate()
-        gauss = math.sqrt(math.pi / t) * math.exp(-r.length**2 / (4.0 * t))
-        hyp_terms.append(
-            r.tr_chi
-            * float(r.v)
-            * r.primitive_length
-            / (2.0 * math.pi * r.D)
-            * trace
-            * gauss
-        )
-    return HeatTerms(ident, elliptic, _csum(hyp_terms))
+        for x in times
+    ]
+    return values[0] if scalar else values
 
 
-def xi_correction(s: complex, ctx: ZetaTermContext) -> complex:
+def xi_correction(s, ctx: ZetaTermContext) -> complex | list[complex]:
     """Symmetric zeta times the exponential of polynomial antiderivatives
-    that absorbs the identity and elliptic contributions."""
+    that absorbs the identity and elliptic contributions; a list for a
+    sequence of points."""
+    points, scalar = _points(s)
     p_plancherel = plancherel_polynomial(ctx.sigma, ctx.n)
     eps = epsilon_sigma(ctx.sigma)
-    exponent = (
-        -2.0
-        * math.pi
-        * eps
-        * ctx.chi_dim
-        * ctx.vol
-        * p_plancherel.antiderivative(s)
-    )
     ell = []
     for j, rec in enumerate(ctx.elliptic):
         poly = orbital_polynomial(ctx.sigma, EllipticAngles(tuple(rec.angles)), ctx.n)
         volume = ctx.elliptic_volume(j) if ctx.include_elliptic_vol_in_xi else 1.0
-        ell.append(rec.tr_chi * volume * poly.antiderivative(s))
-    exponent -= 2.0 * eps * _csum(ell)
-    return cmath.exp(exponent) * symmetric_zeta(s, ctx)
+        ell.append((rec.tr_chi * volume, poly))
+    values = []
+    for p, z in zip(points, symmetric_zeta(points, ctx)):
+        exponent = -2.0 * math.pi * eps * ctx.chi_dim * ctx.vol * p_plancherel.antiderivative(p)
+        exponent -= 2.0 * eps * _csum([c * poly.antiderivative(p) for c, poly in ell])
+        values.append(_exp(exponent, p) * z)
+    return values[0] if scalar else values
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from selberg.cli import run
+from selberg.cli import _parse_grid, run
 from selberg.geometry import LengthSpectrum
 from selberg.lie import EllipticAngles, WeightVector
 from selberg.orbital import orbital_polynomial
@@ -139,7 +139,7 @@ def test_zeta_eval_roundtrip_bitwise(capsys, group_file, tmp_path):
     out1 = tmp_path / "eval1.csv"
     out2 = tmp_path / "eval2.csv"
     code1, _, _ = invoke(capsys, *args, "--out", str(out1))
-    code2, _, _ = invoke(capsys, *args, "--out", str(out2), "--threads", "3")
+    code2, _, _ = invoke(capsys, *args, "--out", str(out2))
     assert code1 == code2 == 0
     assert out1.read_bytes() == out2.read_bytes()
     header, *rows = out1.read_text().splitlines()
@@ -262,3 +262,44 @@ def test_exit_code_validation_error(capsys):
     code, _, err = invoke(capsys, "lie", "delta-m", "--n", "0")
     assert code == 2
     assert "error:" in err
+
+
+def test_parse_grid_has_no_drift():
+    grid = _parse_grid("0:10000:0.1")
+    assert len(grid) == 100_001
+    assert grid[-1] == 10000.0
+    assert _parse_grid("2:4:0.5") == [2.0, 2.5, 3.0, 3.5, 4.0]
+    assert len(_parse_grid("1:2:0.5,0:1:0.25")) == 15
+
+
+def overflow_spectrum(tmp_path):
+    """Five classes, l = 0.1..0.5, D = l^2, tr chi = -1e6, theta = 1: Re log Z
+    lies far beyond the largest finite exponential."""
+    lines = ["# selberg-spectrum spec_hash=overflow cutoff=1 max_word_len=0 "
+             "model=H3-complex-2x2",
+             "kind,l,l0,power,theta,D,v,re_trchi,im_trchi,word"]
+    for i in range(1, 6):
+        l = 0.1 * i
+        lines.append(f"hyperbolic,{l!r},{l!r},1,1.0,{l * l!r},1,-1000000.0,0.0,{i}")
+    path = tmp_path / "overflow.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_zeta_eval_prints_inf_when_abs_z_overflows(capsys, tmp_path):
+    spec = overflow_spectrum(tmp_path)
+    code, out, _ = invoke(capsys, "zeta", "eval", "--spectrum", spec, "--sigma", "0",
+                          "--s-grid", "4:5:1")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["4", "5"]
+    for r in rows:
+        assert math.isfinite(float(r[2])) and float(r[2]) > 1000
+        assert r[4] == "inf"
+
+
+def test_zeta_xi_overflow_is_numerical_guard(capsys, tmp_path):
+    spec = overflow_spectrum(tmp_path)
+    code, _, err = invoke(capsys, "zeta", "xi", "--spectrum", spec, "--sigma", "1", "--s", "4")
+    assert code == 3
+    assert "s = (4+0j)" in err

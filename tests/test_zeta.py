@@ -6,9 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import cyclic_h3_spec, random_angles
+from conftest import (
+    brute_orbital_value,
+    cyclic_h3_spec,
+    random_angles,
+    random_flip_moved_dominant,
+)
 from selberg.errors import (
     AmbiguousClassError,
+    NumericalGuardError,
     UnsupportedRankError,
     ValidationError,
 )
@@ -454,3 +460,216 @@ def test_conjugate_sigma_trace_flag():
     ha = geometric_heat_terms(0.7, base).hyperbolic
     hb = geometric_heat_terms(0.7, flipped).hyperbolic
     assert ha == pytest.approx(hb.conjugate(), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# grid evaluation against an independent per-class loop
+#
+# The reference shares no code with the package's class arrays: characters
+# come from closed forms, orbital polynomials from the pointwise Weyl sum in
+# conftest, and their integrals from Gauss quadrature.  Grid and loop must
+# agree within GRID_TOL * sum|terms| (for exponentials, relatively, plus a
+# few ulp for the exponential's own rounding).
+
+GRID_TOL = 1e-13
+EXP_ULPS = 1e-15
+
+
+def closed_form_character(sigma, angles) -> complex:
+    """tr sigma at a rotation: e^{i k theta} for SO(2); for SO(4), which is
+    SU(2) x SU(2) / {+-1}, the product of two SU(2) characters
+    sin(m x) / sin(x) at the half-sum and half-difference of the angles."""
+    k = [float(c) for c in sigma.coords]
+    if len(k) == 1:
+        return cmath.exp(1j * k[0] * angles[0])
+    a, b = k
+    x, y = (angles[0] + angles[1]) / 2, (angles[0] - angles[1]) / 2
+    return math.sin((a + b + 1) * x) / math.sin(x) * math.sin((a - b + 1) * y) / math.sin(y)
+
+
+def loop_log_zeta(recs, sigma, n, s, conj):
+    total, size = 0j, 0.0
+    for r in recs:
+        trace = closed_form_character(sigma, r.angles)
+        if conj:
+            trace = trace.conjugate()
+        term = (r.tr_chi * float(r.v) * trace * cmath.exp(-(s + n) * r.length)
+                / (r.power * math.exp(n * r.length) * r.D))
+        total += term
+        size += abs(term)
+    return -total, size
+
+
+def loop_zeta_pair(recs, sigma, n, s, conj):
+    """(Z(s, sigma), Z(s, w0 sigma), sum|terms| over both)."""
+    a, size_a = loop_log_zeta(recs, sigma, n, s, conj)
+    b, size_b = loop_log_zeta(recs, w0_flip(sigma), n, s, conj)
+    return cmath.exp(a), cmath.exp(b), size_a + size_b
+
+
+def regular_spectrum(rng, n, count=7, power_every=3):
+    """Random classes whose rotation parts keep the SO(4) closed form well
+    conditioned, i.e. |sin((a +- b)/2)| bounded away from 0."""
+    recs = []
+    while len(recs) < count:
+        angles = tuple(rng.uniform(0.3, 5.9) for _ in range(n))
+        if n == 2 and min(abs(math.sin((angles[0] + s * angles[1]) / 2)) for s in (1, -1)) < 0.2:
+            continue
+        power = 2 if len(recs) % power_every == 0 else 1
+        chi = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        recs.append(hyp_record(rng.uniform(0.6, 3.0), angles, power=power, tr_chi=chi,
+                               v=rng.choice((1, 2)), n=n))
+    return recs
+
+
+def grid_cases(rng):
+    """(n, sigma, conjugate flag) over a flip-moved and a flip-fixed weight."""
+    for n in (1, 2):
+        fixed = WeightVector.from_coords([rng.randrange(0, 4)] + [0] * (n - 1))
+        for sigma in (random_flip_moved_dominant(rng, n), fixed):
+            for conj in (False, True):
+                yield n, sigma, conj
+
+
+def complex_grid(rng, count=6):
+    return [complex(rng.uniform(1.0, 4.0), rng.uniform(-2.0, 2.0)) for _ in range(count)]
+
+
+def test_log_zeta_grid_matches_loop_and_scalar(rng):
+    for n, sigma, conj in grid_cases(rng):
+        recs = regular_spectrum(rng, n)
+        ctx = make_ctx(recs, sigma, n=n, conjugate_sigma_trace=conj)
+        grid = complex_grid(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            values = log_zeta_truncated(grid, ctx)
+            assert values == [log_zeta_truncated(s, ctx) for s in grid]
+        assert len(values) == len(grid)
+        for s, got in zip(grid, values):
+            want, size = loop_log_zeta(recs, sigma, n, s, conj)
+            assert abs(got - want) <= GRID_TOL * size, (n, sigma, conj, s)
+
+
+def test_symmetric_and_antisymmetric_grid_match_loop_and_scalar(rng):
+    for n, sigma, conj in grid_cases(rng):
+        recs = regular_spectrum(rng, n)
+        ctx = make_ctx(recs, sigma, n=n, conjugate_sigma_trace=conj)
+        grid = tuple(complex_grid(rng))
+        sym = symmetric_zeta(grid, ctx)
+        assert sym == [symmetric_zeta(s, ctx) for s in grid]
+        moved = epsilon_sigma(sigma) == 2
+        if moved:
+            anti = antisymmetric_zeta(grid, ctx)
+            assert anti == [antisymmetric_zeta(s, ctx) for s in grid]
+        for i, s in enumerate(grid):
+            z, zf, size = loop_zeta_pair(recs, sigma, n, s, conj)
+            want = z * zf if moved else z
+            assert abs(sym[i] - want) <= (GRID_TOL * size + EXP_ULPS) * abs(want)
+            if moved:
+                assert abs(anti[i] - z / zf) <= (GRID_TOL * size + EXP_ULPS) * abs(z / zf)
+
+
+def orbital_antiderivative(sigma, angles, s):
+    """int_0^s of the pointwise orbital Weyl sum along the segment, by
+    Gauss-Legendre (exact for the polynomial degrees at n = 1)."""
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    u = (nodes + 1) / 2
+    return sum(w / 2 * s * brute_orbital_value(sigma, angles, 1, s * x)
+               for x, w in zip(u, weights))
+
+
+def orbital_gaussian(sigma, angles, t):
+    """int_R P(nu) e^{-t nu^2} d nu by Gauss-Hermite, P the pointwise Weyl sum."""
+    nodes, weights = np.polynomial.hermite.hermgauss(6)
+    return sum(w * brute_orbital_value(sigma, angles, 1, x / math.sqrt(t))
+               for x, w in zip(nodes, weights)) / math.sqrt(t)
+
+
+def rank1_case(rng, sigma, conj):
+    recs = regular_spectrum(rng, 1)
+    ell = [ell_record((rng.uniform(0.3, 5.9),), tr_chi=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+           for _ in range(3)]
+    vols = [rng.uniform(0.2, 1.5) for _ in ell]
+    ctx = make_ctx(recs, sigma, elliptic=ell, elliptic_vols=vols, vol=rng.uniform(0.5, 2.0),
+                   chi_dim=2, conjugate_sigma_trace=conj)
+    return recs, ell, vols, ctx
+
+
+def test_xi_grid_matches_loop_and_scalar(rng):
+    for sigma in (WeightVector.from_coords([2]), WeightVector.from_coords([0])):
+        for conj in (False, True):
+            recs, ell, vols, ctx = rank1_case(rng, sigma, conj)
+            k = float(sigma.coords[0])
+            eps = epsilon_sigma(sigma)
+            grid = [complex(rng.uniform(0.5, 2.5), rng.uniform(-1.0, 1.0)) for _ in range(5)]
+            values = xi_correction(grid, ctx)
+            assert values == [xi_correction(s, ctx) for s in grid]
+            for s, got in zip(grid, values):
+                z, zf, size = loop_zeta_pair(recs, sigma, 1, s, conj)
+                ident = -2 * math.pi * eps * 2 * ctx.vol * (k * k * s + s**3 / 3) / (4 * math.pi**2)
+                ell_terms = [-2 * eps * r.tr_chi * v * orbital_antiderivative(sigma, r.angles, s)
+                             for r, v in zip(ell, vols)]
+                size += abs(ident) + sum(abs(x) for x in ell_terms)
+                want = cmath.exp(ident + sum(ell_terms)) * (z * zf if eps == 2 else z)
+                assert abs(got - want) <= (GRID_TOL * size + EXP_ULPS) * abs(want), (sigma, conj, s)
+
+
+def test_heat_terms_grid_matches_loop_and_scalar(rng):
+    for sigma in (WeightVector.from_coords([3]), WeightVector.from_coords([0])):
+        for conj in (False, True):
+            recs, ell, vols, ctx = rank1_case(rng, sigma, conj)
+            k = float(sigma.coords[0])
+            eps = epsilon_sigma(sigma)
+            times = [0.05, 0.3, 1.0, 2.7]
+            values = geometric_heat_terms(times, ctx)
+            assert values == [geometric_heat_terms(t, ctx) for t in times]
+            for t, got in zip(times, values):
+                ident = eps * 2 * ctx.vol / (4 * math.pi**2) * (
+                    k * k * math.sqrt(math.pi / t) + math.sqrt(math.pi) / (2 * t**1.5))
+                assert abs(got.identity - ident) <= GRID_TOL * abs(ident)
+                ell_terms = [eps * r.tr_chi * v * orbital_gaussian(sigma, r.angles, t)
+                             for r, v in zip(ell, vols)]
+                size = sum(abs(x) for x in ell_terms)
+                assert abs(got.elliptic - sum(ell_terms)) <= GRID_TOL * size
+                hyp_terms = []
+                for r in recs:
+                    # the heat side conjugates the zeta side's trace
+                    weights = [sigma, w0_flip(sigma)][:eps]
+                    pair = [closed_form_character(w, r.angles) for w in weights]
+                    trace = sum(pair) if conj else sum(p.conjugate() for p in pair)
+                    hyp_terms.append(r.tr_chi * float(r.v) * r.primitive_length / (2 * math.pi * r.D)
+                                     * trace * math.sqrt(math.pi / t) * math.exp(-r.length**2 / (4 * t)))
+                size = sum(abs(x) for x in hyp_terms)
+                assert abs(got.hyperbolic - sum(hyp_terms)) <= GRID_TOL * size, (sigma, conj, t)
+
+
+def test_grid_left_of_abscissa_warns_once(rng):
+    ctx = make_ctx(regular_spectrum(rng, 1), SIGMA1)
+    grid = [complex(-3.0 + 0.25 * i, 0.5) for i in range(5)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        log_zeta_truncated(grid, ctx)
+    assert len(caught) == 1
+    assert issubclass(caught[0].category, UserWarning)
+    assert "5 of 5" in str(caught[0].message) and "-3" in str(caught[0].message)
+
+
+def overflow_ctx(sigma):
+    """Five classes with l = 0.1..0.5, D = l^2 and a large negative twist:
+    Re log Z is far beyond the largest finite exponential."""
+    recs = []
+    for i in range(1, 6):
+        rec = hyp_record(0.1 * i, (1.0,), tr_chi=-1e6)
+        rec.D = (0.1 * i) ** 2
+        recs.append(rec)
+    return make_ctx(recs, sigma)
+
+
+def test_overflowing_zeta_raises_numerical_guard():
+    ctx = overflow_ctx(SIGMA1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert math.isfinite(log_zeta_truncated(4.0, ctx).real)
+    for fn in (symmetric_zeta, antisymmetric_zeta, xi_correction):
+        with pytest.raises(NumericalGuardError, match="s = 4"):
+            fn(4.0, ctx)
