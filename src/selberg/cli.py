@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands mirror the library layout: ``lie``, ``orbital``, ``spectrum``,
-``zeta``, ``heat``, plus ``selftest`` for the randomized property suite.
+``zeta`` and ``heat``.
 All output is plain CSV-ish text with full-precision (17 significant digit)
 floats and no locale dependence; identical configuration and inputs give
 bitwise-identical artifacts.
@@ -40,7 +40,9 @@ from .orbital import (
     plancherel_polynomial,
     weyl_A_invariance_gap,
 )
-from .selftest import run_selftest
+
+#: most points a zeta grid may hold
+MAX_GRID_POINTS = 10**6
 
 
 def fmt(x: float) -> str:
@@ -77,25 +79,34 @@ def _parse_values(text: str) -> list[float]:
 
 def _parse_grid(text: str) -> list[complex]:
     """``re0:re1:step,im0:im1:step`` inclusive grids; the imaginary triple
-    may be omitted for a real grid."""
+    may be omitted for a real grid.  Grids of more than MAX_GRID_POINTS
+    points are refused before any point is built."""
 
-    def axis(part: str) -> list[float]:
+    def axis(part: str) -> tuple[float, float, int]:
         bits = part.split(":")
         if len(bits) != 3:
             raise ValidationError(f"grid axis {part!r} is not start:stop:step")
         start, stop, step = (float(b) for b in bits)
         if not (step > 0 and all(map(math.isfinite, (start, stop, step)))):
             raise ValidationError("grid bounds must be finite and the step positive")
-        # point i is start + i*step; the count is fixed once, so no drift
-        count = math.floor((stop + 1e-12 * max(1.0, abs(stop)) - start) / step) + 1
-        return [start + i * step for i in range(count)]
+        # point i is start + i*step; the count is fixed once, so no drift.
+        # The cap keeps a huge or infinite span countable; it still fails below.
+        span = min((stop + 1e-12 * max(1.0, abs(stop)) - start) / step, MAX_GRID_POINTS)
+        return start, step, max(math.floor(span) + 1, 0)
 
     parts = text.split(",")
-    if len(parts) == 1:
-        return [complex(x, 0.0) for x in axis(parts[0])]
-    if len(parts) != 2:
+    if len(parts) > 2:
         raise ValidationError("grid must be one or two start:stop:step triples")
-    return [complex(re, im) for im in axis(parts[1]) for re in axis(parts[0])]
+    axes = [axis(part) for part in parts]
+    if math.prod(count for _, _, count in axes) > MAX_GRID_POINTS:
+        raise ValidationError(f"grid has more than {MAX_GRID_POINTS} points")
+    # a real grid has the single imaginary part 0
+    (re0, re_step, re_count), (im0, im_step, im_count) = (axes + [(0.0, 0.0, 1)])[:2]
+    return [
+        complex(re0 + i * re_step, im0 + j * im_step)
+        for j in range(im_count)
+        for i in range(re_count)
+    ]
 
 
 def _load_context(args) -> zeta_mod.ZetaTermContext:
@@ -331,15 +342,6 @@ def cmd_heat_weyl(args, out: _Output) -> None:
     )
 
 
-def cmd_selftest(args, out: _Output) -> None:
-    if args.validate:
-        out.line("ok")
-        return
-    failures = run_selftest(seed=args.seed, emit=out.line)
-    if failures:
-        raise NumericalGuardError(f"{failures} selftest check(s) failed")
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -467,11 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rmax", type=float, required=True)
         p.set_defaults(func=fn)
         _add_common(p)
-
-    p = sub.add_parser("selftest", help="randomized property checks")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_selftest)
-    _add_common(p)
 
     return parser
 

@@ -393,7 +393,6 @@ def _invariant_key(c: Classification) -> tuple:
 def conjugacy_reduce(
     elements: list[GroupElement],
     spec: GroupSpec,
-    rank: int = 1,
     torsion_ball: list[GroupElement] | None = None,
     compute_v: bool = True,
 ) -> list[ConjClassRecord]:
@@ -451,7 +450,7 @@ def conjugacy_reduce(
                 witness, wc, member_keys, cand_hyper
             )
             if wc.kind == "hyperbolic":
-                d_val = weight_D(wc.length, (wc.angle,) * rank, rank)
+                d_val = weight_D(wc.length, (wc.angle,), 1)
             else:
                 d_val = None
             if compute_v and wc.kind == "hyperbolic":
@@ -680,7 +679,6 @@ def build_length_spectrum(
     spec: GroupSpec,
     max_word_len: int,
     cutoff: float,
-    rank: int = 1,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> LengthSpectrum:
     """Enumerate, classify and reduce a group into a cutoff length spectrum."""
@@ -694,7 +692,7 @@ def build_length_spectrum(
             generators=[spec.word_matrix(w) for w in spec.torsion_free_words],
         )
         torsion_ball = enumerate_elements(sub, max_word_len, element_cap=element_cap)
-    records = conjugacy_reduce(ball, spec, rank=rank, torsion_ball=torsion_ball)
+    records = conjugacy_reduce(ball, spec, torsion_ball=torsion_ball)
     kept = [
         r
         for r in records

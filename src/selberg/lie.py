@@ -9,11 +9,20 @@ combined with an even number of sign changes.
 Weights are stored as doubled integers so half-integral (spin-type) weights
 stay exact; all Weyl-group arithmetic is exact integer arithmetic, and
 floating point appears only when a character is evaluated at rotation
-angles.  Characters use the unimodular convention
+angles.  Torus characters use the unimodular convention
 
     xi_Omega(angles) = exp(i * sum_j k_j * phi_j),
 
 so that SO(2) blocks give the standard circle characters.
+
+Irreducible characters are the bialternant A_{lambda+delta} / A_delta
+(Fulton & Harris, *Representation Theory*, Lecture 24).  Splitting the
+alternating sum over W(D_n) by the parity of the sign changes gives
+
+    A_mu(phi) = 1/2 [det(2 cos(mu_j phi_i)) + det(2i sin(mu_j phi_i))],
+    A_delta(phi) = prod_{i<j} (2 cos phi_i - 2 cos phi_j),
+
+so characters enumerate no Weyl-group element and have no rank limit.
 """
 
 from __future__ import annotations
@@ -25,6 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from typing import Sequence
+
+import numpy as np
 
 from .errors import NonRegularElementError, ValidationError
 
@@ -33,7 +45,11 @@ TWO_PI = 2.0 * math.pi
 #: Denominators smaller than this trip the non-regular-element guard.
 REGULARITY_TOL = 1e-12
 
+#: largest rank whose Weyl group is enumerated (2^5 6! = 23040 elements)
 MAX_WEYL_RANK = 6
+
+#: i^n, indexed by n mod 4
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 @dataclass(frozen=True)
@@ -70,9 +86,6 @@ class WeightVector:
     @property
     def coords(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(d, 2) for d in self.doubled)
-
-    def is_zero(self) -> bool:
-        return all(d == 0 for d in self.doubled)
 
     def is_dominant(self) -> bool:
         """k_2 >= ... >= k_n >= |k_{n+1}| (vacuous for rank 1)."""
@@ -319,28 +332,36 @@ def torus_character(weight: WeightVector, angles: EllipticAngles) -> complex:
     return cmath.exp(1j * phase)
 
 
-def weyl_character(weight: WeightVector, angles: EllipticAngles) -> complex:
+def weyl_character(
+    weight: WeightVector, angles: "EllipticAngles | Sequence[EllipticAngles]"
+) -> complex | list[complex]:
     """Trace of the irreducible SO(2n)-representation with highest weight
-    ``weight`` at the rotation with the given angles, by the Weyl character
-    formula (alternating sums over W(D_n)).
+    ``weight`` at the rotation with the given angles, or a list of traces
+    for a sequence of rotations.
 
-    Requires a regular rotation; a vanishing denominator raises
+    The bialternant A_{weight+delta} / A_delta of the module docstring,
+    with one stacked determinant for the whole sequence.  Requires regular
+    rotations: a denominator below REGULARITY_TOL raises
     :class:`NonRegularElementError`.
     """
+    scalar = isinstance(angles, EllipticAngles)
+    batch = [angles] if scalar else list(angles)
     n = weight.rank
-    if len(angles) != n:
+    if any(len(a) != n for a in batch):
         raise ValidationError("rank mismatch between weight and angles")
-    delta = half_sum_positive_roots(n)
-    shifted = weight + delta
-    num = 0j
-    den = 0j
-    for s in weyl_group(n):
-        d = s.det()
-        num += d * torus_character(s.apply(shifted), angles)
-        den += d * torus_character(s.apply(delta), angles)
-    if abs(den) < REGULARITY_TOL:
+    phi = np.array([a.angles for a in batch], dtype=float).reshape(len(batch), n)
+    x = 2.0 * np.cos(phi)
+    upper, lower = np.triu_indices(n, 1)
+    den = np.prod(x[:, upper] - x[:, lower], axis=1)
+    singular = np.flatnonzero(np.abs(den) < REGULARITY_TOL)
+    if singular.size:
+        k = int(singular[0])
         raise NonRegularElementError(
-            f"non-regular element: character denominator {abs(den):.3e} below "
-            f"{REGULARITY_TOL:g}; perturb the angles or use a limit"
+            f"non-regular element at angles {batch[k]}: character denominator "
+            f"{abs(den[k]):.3e} below {REGULARITY_TOL:g}; perturb the angles or use a limit"
         )
-    return num / den
+    mu = 0.5 * np.array((weight + half_sum_positive_roots(n)).doubled, dtype=float)
+    arg = phi[:, :, None] * mu  # arg[b, i, j] = mu_j phi_i
+    num = np.linalg.det(2.0 * np.cos(arg)) + _I_POWERS[n % 4] * np.linalg.det(2.0 * np.sin(arg))
+    values = (0.5 * num / den).tolist()
+    return values[0] if scalar else values

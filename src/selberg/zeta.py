@@ -64,7 +64,6 @@ class ZetaTermContext:
     elliptic_vols: list[float] | None = None
     conjugate_sigma_trace: bool = False
     allow_ambiguous: bool = False
-    include_elliptic_vol_in_xi: bool = True
 
     def __post_init__(self):
         if self.vol <= 0:
@@ -80,16 +79,6 @@ class ZetaTermContext:
 
     def with_sigma(self, sigma: WeightVector) -> "ZetaTermContext":
         return replace(self, sigma=sigma)
-
-    def elliptic_volume(self, index: int) -> float:
-        if self.elliptic_vols is None:
-            warnings.warn(
-                "no centralizer volumes supplied for elliptic classes; "
-                "defaulting to 1",
-                stacklevel=3,
-            )
-            return 1.0
-        return self.elliptic_vols[index]
 
 
 def _csum(values) -> complex:
@@ -112,6 +101,13 @@ def _exp(value: complex, s) -> complex:
         raise NumericalGuardError(f"exponential overflows at s = {s}") from None
 
 
+def _finite(value: complex, s) -> complex:
+    """The value itself; a numerical guard at point s if it is not finite."""
+    if not cmath.isfinite(value):
+        raise NumericalGuardError(f"zeta product is not finite at s = {s}")
+    return value
+
+
 class _ClassArrays(NamedTuple):
     """Point-independent per-class factors, in canonical record order."""
 
@@ -122,15 +118,22 @@ class _ClassArrays(NamedTuple):
 
 
 def _class_arrays(ctx: ZetaTermContext, flipped: bool) -> _ClassArrays:
-    """Per-class arrays for sigma, or for its flip w0 sigma when ``flipped``;
-    the character runs once per class."""
+    """Per-class arrays for sigma, or for its flip w0 sigma when ``flipped``,
+    with one character call for all classes.  Refuses flagged-ambiguity
+    classes unless the context allows them."""
     recs = sorted(ctx.spectrum.hyperbolic(), key=lambda r: (r.length, r.angles, r.word))
+    if not ctx.allow_ambiguous and any(r.ambiguous for r in recs):
+        raise AmbiguousClassError(
+            "spectrum contains flagged-ambiguity classes; rerun with "
+            "allow_ambiguous to include them"
+        )
 
     def column(f, dtype=float):
         return np.array([f(r) for r in recs], dtype=dtype)
 
     sigma = w0_flip(ctx.sigma) if flipped else ctx.sigma
-    trace = column(lambda r: weyl_character(sigma, EllipticAngles(tuple(r.angles))), complex)
+    angles = [EllipticAngles(tuple(r.angles)) for r in recs]
+    trace = np.array(weyl_character(sigma, angles), dtype=complex)
     if ctx.conjugate_sigma_trace:
         trace = trace.conj()
     chi_v = column(lambda r: r.tr_chi * float(r.v), complex)
@@ -146,17 +149,25 @@ def _class_arrays(ctx: ZetaTermContext, flipped: bool) -> _ClassArrays:
 
 def _log_zeta_values(ctx: ZetaTermContext, points: list, flipped: bool) -> list[complex]:
     """log Z at each point, one row of class terms at a time."""
-    if not ctx.allow_ambiguous and any(r.ambiguous for r in ctx.spectrum.hyperbolic()):
-        raise AmbiguousClassError(
-            "spectrum contains flagged-ambiguity classes; rerun with "
-            "allow_ambiguous to include them"
-        )
     arrays = _class_arrays(ctx, flipped)
     if not len(arrays.length):
         return [0j] * len(points)
     return [
         -_csum(arrays.num * np.exp(-(s + ctx.n) * arrays.length) / arrays.den)
         for s in points
+    ]
+
+
+def _elliptic_terms(ctx: ZetaTermContext) -> list:
+    """(tr chi * centralizer volume, orbital polynomial) for each elliptic class."""
+    if ctx.elliptic_vols is None and ctx.elliptic:
+        warnings.warn(
+            "no centralizer volumes supplied for elliptic classes; defaulting to 1", stacklevel=3
+        )
+    vols = ctx.elliptic_vols or [1.0] * len(ctx.elliptic)
+    return [
+        (rec.tr_chi * vol, orbital_polynomial(ctx.sigma, EllipticAngles(tuple(rec.angles)), ctx.n))
+        for rec, vol in zip(ctx.elliptic, vols)
     ]
 
 
@@ -242,7 +253,7 @@ def symmetric_zeta(s, ctx: ZetaTermContext) -> complex | list[complex]:
     values = [_exp(v, p) for p, v in zip(points, _log_zeta_values(ctx, points, False))]
     if epsilon_sigma(ctx.sigma) == 2:
         flipped = _log_zeta_values(ctx, points, True)
-        values = [z * _exp(v, p) for p, z, v in zip(points, values, flipped)]
+        values = [_finite(z * _exp(v, p), p) for p, z, v in zip(points, values, flipped)]
     return values[0] if scalar else values
 
 
@@ -296,15 +307,12 @@ def geometric_heat_terms(t, ctx: ZetaTermContext) -> HeatTerms | list[HeatTerms]
             "the identity heat term needs the rank-1 Plancherel polynomial"
         )
     eps = epsilon_sigma(ctx.sigma)
-    p_plancherel = plancherel_polynomial(ctx.sigma, ctx.n)
-    ell = []
-    for j, rec in enumerate(ctx.elliptic):
-        poly = orbital_polynomial(ctx.sigma, EllipticAngles(tuple(rec.angles)), ctx.n)
-        ell.append((rec.tr_chi * ctx.elliptic_volume(j), poly))
     arrays = _class_arrays(ctx, flipped=False)
     coeff = arrays.heat
     if eps == 2:
         coeff = coeff + _class_arrays(ctx, flipped=True).heat
+    p_plancherel = plancherel_polynomial(ctx.sigma, ctx.n)
+    ell = _elliptic_terms(ctx)
     values = [
         HeatTerms(
             eps * ctx.chi_dim * ctx.vol * p_plancherel.gaussian_transform(x),
@@ -323,16 +331,12 @@ def xi_correction(s, ctx: ZetaTermContext) -> complex | list[complex]:
     points, scalar = _points(s)
     p_plancherel = plancherel_polynomial(ctx.sigma, ctx.n)
     eps = epsilon_sigma(ctx.sigma)
-    ell = []
-    for j, rec in enumerate(ctx.elliptic):
-        poly = orbital_polynomial(ctx.sigma, EllipticAngles(tuple(rec.angles)), ctx.n)
-        volume = ctx.elliptic_volume(j) if ctx.include_elliptic_vol_in_xi else 1.0
-        ell.append((rec.tr_chi * volume, poly))
+    ell = _elliptic_terms(ctx)
     values = []
     for p, z in zip(points, symmetric_zeta(points, ctx)):
         exponent = -2.0 * math.pi * eps * ctx.chi_dim * ctx.vol * p_plancherel.antiderivative(p)
         exponent -= 2.0 * eps * _csum([c * poly.antiderivative(p) for c, poly in ell])
-        values.append(_exp(exponent, p) * z)
+        values.append(_finite(_exp(exponent, p) * z, p))
     return values[0] if scalar else values
 
 

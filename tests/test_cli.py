@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from selberg.cli import _parse_grid, run
+from selberg.cli import MAX_GRID_POINTS, _parse_grid, run
+from selberg.errors import ValidationError
 from selberg.geometry import LengthSpectrum
 from selberg.lie import EllipticAngles, WeightVector
 from selberg.orbital import orbital_polynomial
@@ -173,6 +174,21 @@ def test_zeta_eval_refuses_ambiguous_without_flag(capsys, group_file, tmp_path):
     assert "ambig" in err.lower()
 
 
+def test_zeta_heat_terms_refuses_ambiguous_without_flag(capsys, group_file, tmp_path):
+    spec_path = tmp_path / "spec.csv"
+    invoke(
+        capsys, "spectrum", "enumerate", "--group", group_file,
+        "--max-word-len", "3", "--cutoff", "7", "--out", str(spec_path),
+    )
+    assert "# ambiguous=0.1.2.3.4.5" in spec_path.read_text()
+    args = ("zeta", "heat-terms", "--spectrum", str(spec_path), "--sigma", "0", "--t", "0.5")
+    code, out, err = invoke(capsys, *args)
+    assert code == 3 and out == ""
+    assert "ambig" in err.lower()
+    code, _, _ = invoke(capsys, *args, "--allow-ambiguous")
+    assert code == 0
+
+
 def test_zeta_heat_terms_output(capsys, group_file, tmp_path):
     spec_path = tmp_path / "spec.csv"
     invoke(
@@ -252,12 +268,6 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert "unknown config key" in err
 
 
-def test_selftest_runs_clean(capsys):
-    code, out, _ = invoke(capsys, "selftest", "--seed", "7")
-    assert code == 0
-    assert all(line.startswith("ok ") for line in out.splitlines())
-
-
 def test_exit_code_validation_error(capsys):
     code, _, err = invoke(capsys, "lie", "delta-m", "--n", "0")
     assert code == 2
@@ -272,18 +282,34 @@ def test_parse_grid_has_no_drift():
     assert len(_parse_grid("1:2:0.5,0:1:0.25")) == 15
 
 
-def overflow_spectrum(tmp_path):
-    """Five classes, l = 0.1..0.5, D = l^2, tr chi = -1e6, theta = 1: Re log Z
-    lies far beyond the largest finite exponential."""
+@pytest.mark.parametrize("grid", ["0:1e9:1e-9", "0:1000:1,0:1000:1", "-1e308:1e308:1e-300"])
+def test_parse_grid_refuses_too_many_points(grid):
+    with pytest.raises(ValidationError, match="more than 1000000 points"):
+        _parse_grid(grid)
+    assert len(_parse_grid("0:999:1,0:999:1")) == MAX_GRID_POINTS == 10**6
+
+
+def overflow_spectrum(tmp_path, tr_chi=-1e6):
+    """Five classes, l = 0.1..0.5, D = l^2, theta = 1.  Each class adds
+    -tr_chi * 35.1 to Re log Z at s = 4 for sigma = 1: at the default, far
+    beyond the largest finite exponential."""
     lines = ["# selberg-spectrum spec_hash=overflow cutoff=1 max_word_len=0 "
              "model=H3-complex-2x2",
              "kind,l,l0,power,theta,D,v,re_trchi,im_trchi,word"]
     for i in range(1, 6):
         l = 0.1 * i
-        lines.append(f"hyperbolic,{l!r},{l!r},1,1.0,{l * l!r},1,-1000000.0,0.0,{i}")
+        lines.append(f"hyperbolic,{l!r},{l!r},1,1.0,{l * l!r},1,{tr_chi!r},0.0,{i}")
     path = tmp_path / "overflow.csv"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def test_zeta_eval_refuses_huge_grid(capsys, tmp_path):
+    spec = overflow_spectrum(tmp_path)
+    code, out, err = invoke(capsys, "zeta", "eval", "--spectrum", spec, "--sigma", "0",
+                            "--s-grid", "0:1e9:1e-9")
+    assert code == 2 and out == ""
+    assert "more than 1000000 points" in err
 
 
 def test_zeta_eval_prints_inf_when_abs_z_overflows(capsys, tmp_path):
@@ -303,3 +329,24 @@ def test_zeta_xi_overflow_is_numerical_guard(capsys, tmp_path):
     code, _, err = invoke(capsys, "zeta", "xi", "--spectrum", spec, "--sigma", "1", "--s", "4")
     assert code == 3
     assert "s = (4+0j)" in err
+
+
+def test_zeta_xi_product_overflow_is_numerical_guard(capsys, tmp_path):
+    # at s = 4, Re log Z = 527 at sigma = 1 and at its flip: each zeta factor
+    # is finite, their product is not
+    spec = overflow_spectrum(tmp_path, tr_chi=-15.0)
+    code, out, _ = invoke(capsys, "zeta", "eval", "--spectrum", spec, "--sigma", "1",
+                          "--s-grid", "4:4:1")
+    assert code == 0
+    assert 500 < float(out.splitlines()[1].split(",")[2]) < 709
+    code, out, err = invoke(capsys, "zeta", "xi", "--spectrum", spec, "--sigma", "1",
+                            "--s", "4")
+    assert code == 3 and out == ""
+    assert "not finite at s = (4+0j)" in err
+    # at s = -4, Z(s, sigma) Z(s, w0 sigma) = e^{442} and the Plancherel
+    # factor e^{403} are each finite, their product is not
+    spec = overflow_spectrum(tmp_path, tr_chi=-2.0)
+    code, out, err = invoke(capsys, "zeta", "xi", "--spectrum", spec, "--sigma", "1",
+                            "--vol", "50", "--s", "-4")
+    assert code == 3 and out == ""
+    assert "not finite at s = (-4+0j)" in err

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from itertools import permutations, product
 
+import mpmath
 import pytest
 
 from conftest import block_rotation_trace, random_angles, random_dominant
@@ -191,6 +192,78 @@ def test_weyl_character_conjugation_invariance(rng):
 def test_weyl_character_non_regular_error():
     with pytest.raises(NonRegularElementError):
         weyl_character(WeightVector.from_coords([1, 0]), EllipticAngles((1.3, 1.3)))
+
+
+def mp_weyl_alternant(mu, phi) -> mpmath.mpc:
+    """Oracle: sum over W(D_n) of det(w) exp(i <w mu, phi>) in mpmath,
+    with W(D_n) built here from itertools."""
+    n = len(mu)
+    total = mpmath.mpc(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        for signs in product((1, -1), repeat=n):
+            if signs.count(-1) % 2 == 0:
+                phase = mpmath.fsum(e * mu[p] * f for e, p, f in zip(signs, perm, phi))
+                total += (-1) ** inversions * mpmath.expj(phase)
+    return total
+
+
+def test_weyl_character_matches_mpmath_weyl_sum_at_clustered_angles(rng):
+    # all angles within 10^-2.5..10^-1 of one centre, some mirrored to
+    # 2pi - phi (equal cosines): regular, but the alternating sums cancel
+    # heavily; kept only when the exact denominator clears 1e-10
+    hits = 0
+    with mpmath.workdps(40):
+        while hits < 30:
+            n = rng.choice((3, 4))
+            lam = random_dominant(rng, n)
+            centre = rng.uniform(0.3, math.pi - 0.3)
+            spread = 10 ** rng.uniform(-2.5, -1.0)
+            phi = [centre + spread * rng.uniform(-1.0, 1.0) for _ in range(n)]
+            phi = [2 * math.pi - a if rng.random() < 0.3 else a for a in phi]
+            exact = [mpmath.mpf(a) for a in phi]
+            delta = [n - 1 - j for j in range(n)]
+            den = mp_weyl_alternant(delta, exact)
+            if abs(den) < 1e-10:
+                continue
+            mu = [mpmath.mpf(d) / 2 + dj for d, dj in zip(lam.doubled, delta)]
+            ref = complex(mp_weyl_alternant(mu, exact) / den)
+            val = weyl_character(lam, EllipticAngles(tuple(phi)))
+            assert abs(val - ref) <= 1e-8 * max(1.0, abs(ref)), (lam, phi)
+            hits += 1
+
+
+def test_weyl_character_standard_rep_rank_7(rng):
+    # one angle in each seventh of (0, pi), some mirrored to 2pi - phi: the
+    # cosines stay apart, so the rotation is far from singular
+    std = WeightVector.from_coords([1] + [0] * 6)
+    for _ in range(50):
+        phi = [(i + rng.uniform(0.2, 0.8)) * math.pi / 7 for i in range(7)]
+        rng.shuffle(phi)
+        g = EllipticAngles(tuple(2 * math.pi - a if rng.random() < 0.5 else a for a in phi))
+        assert abs(weyl_character(std, g) - block_rotation_trace(g)) < 1e-10
+
+
+def test_weyl_character_batch_matches_scalar_bitwise(rng):
+    for n in (1, 2, 3, 4, 5, 7):
+        lam = random_dominant(rng, n)
+        batch = [random_angles(rng, n) for _ in range(17)]
+        values = weyl_character(lam, batch)
+        assert isinstance(values, list) and len(values) == len(batch)
+        singles = [weyl_character(lam, g) for g in batch]
+        assert all(type(v) is complex for v in singles)
+        assert values == singles
+        assert weyl_character(lam, batch[:1]) == singles[:1]
+    assert weyl_character(WeightVector.from_coords([1, 0]), []) == []
+
+
+def test_weyl_character_batch_with_one_non_regular_rotation(rng):
+    batch = [random_angles(rng, 2) for _ in range(5)]
+    batch.insert(3, EllipticAngles((1.3, 2 * math.pi - 1.3)))  # equal cosines
+    with pytest.raises(NonRegularElementError, match="1.3"):
+        weyl_character(WeightVector.from_coords([2, 1]), batch)
+    with pytest.raises(ValidationError):
+        weyl_character(WeightVector.from_coords([2, 1]), batch[:2] + [EllipticAngles((0.5,))])
 
 
 def test_weight_parse_print_roundtrip():
