@@ -40,7 +40,6 @@ from .heat import (
 )
 from .lie import (
     EllipticAngles,
-    SignedPermutation,
     WeightVector,
     half_sum_positive_roots,
     torus_character,
@@ -50,7 +49,6 @@ from .lie import (
 )
 from .orbital import (
     EvenPolynomial,
-    StabilizerRootData,
     orbital_polynomial,
     plancherel_polynomial,
     stabilizer_roots,

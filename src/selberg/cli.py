@@ -150,17 +150,17 @@ def cmd_lie_delta_m(args, out: _Output) -> None:
 
 
 def cmd_lie_weyl(args, out: _Output) -> None:
-    group = weyl_group(args.n)
+    perm, signs, det = weyl_group(args.n)
     if args.validate:
         out.line("ok")
         return
     if args.count:
-        out.line(str(len(group)))
+        out.line(str(len(det)))
         return
-    for s in group:
-        perm = ".".join(str(p) for p in s.perm)
-        signs = ".".join("+" if x == 1 else "-" for x in s.signs)
-        out.line(f"{perm};{signs};{s.det()}")
+    for p, s, d in zip(perm.tolist(), signs.tolist(), det.tolist()):
+        perm_text = ".".join(str(x) for x in p)
+        signs_text = ".".join("+" if x == 1 else "-" for x in s)
+        out.line(f"{perm_text};{signs_text};{d}")
 
 
 def cmd_lie_character(args, out: _Output) -> None:

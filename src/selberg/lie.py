@@ -4,7 +4,9 @@ Coordinates are the standard basis functionals e_2, ..., e_{n+1} on the
 compact Cartan subalgebra of so(2n) sitting inside so(1,2n+1); the extra
 noncompact functional e_1 never enters here (the orbital layer handles it
 symbolically).  The Weyl group is type D_n: permutations of the coordinates
-combined with an even number of sign changes.
+combined with an even number of sign changes.  ``weyl_group`` lists it as
+integer permutation, sign and determinant arrays, one row per element, for
+callers that sum over all of W at once.
 
 Weights are stored as doubled integers so half-integral (spin-type) weights
 stay exact; all Weyl-group arithmetic is exact integer arithmetic, and
@@ -133,101 +135,6 @@ def format_half_integer(f: Fraction) -> str:
 
 
 @dataclass(frozen=True)
-class SignedPermutation:
-    """Element of W(D_n): a permutation plus an even sign-change mask.
-
-    ``perm[i]`` is the target slot of source coordinate i (0-based), and
-    ``signs[j]`` is the sign attached to target slot j, so the action on a
-    coordinate vector w is (s.w)[j] = signs[j] * w[perm^{-1}(j)].
-    """
-
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)) or len(self.signs) != n:
-            raise ValidationError("malformed signed permutation")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValidationError("signs must be +-1")
-        if self.signs.count(-1) % 2 != 0:
-            raise ValidationError("type D requires an even number of sign changes")
-
-    @property
-    def rank(self) -> int:
-        return len(self.perm)
-
-    @classmethod
-    def identity(cls, n: int) -> "SignedPermutation":
-        return cls(tuple(range(n)), (1,) * n)
-
-    def det(self) -> int:
-        # With an even flip count, det = sign(perm) * prod(signs) = sign(perm).
-        return _perm_sign(self.perm)
-
-    def inverse(self) -> "SignedPermutation":
-        n = self.rank
-        inv = [0] * n
-        for i, t in enumerate(self.perm):
-            inv[t] = i
-        signs = tuple(self.signs[self.perm[j]] for j in range(n))
-        return SignedPermutation(tuple(inv), signs)
-
-    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        """Composition self o other (apply ``other`` first)."""
-        if self.rank != other.rank:
-            raise ValidationError("rank mismatch in composition")
-        n = self.rank
-        perm = tuple(self.perm[other.perm[i]] for i in range(n))
-        inv_self = [0] * n
-        for i, t in enumerate(self.perm):
-            inv_self[t] = i
-        signs = tuple(self.signs[j] * other.signs[inv_self[j]] for j in range(n))
-        return SignedPermutation(perm, signs)
-
-    def apply(self, w: WeightVector) -> WeightVector:
-        if self.rank != w.rank:
-            raise ValidationError("rank mismatch between permutation and weight")
-        n = self.rank
-        inv = [0] * n
-        for i, t in enumerate(self.perm):
-            inv[t] = i
-        return WeightVector(
-            tuple(self.signs[j] * w.doubled[inv[j]] for j in range(n))
-        )
-
-    def apply_angles(self, angles: "EllipticAngles") -> "EllipticAngles":
-        """Act on a rotation-angle tuple (sign flip = angle negation mod 2pi)."""
-        if self.rank != len(angles.angles):
-            raise ValidationError("rank mismatch between permutation and angles")
-        n = self.rank
-        inv = [0] * n
-        for i, t in enumerate(self.perm):
-            inv[t] = i
-        moved = []
-        for j in range(n):
-            a = angles.angles[inv[j]]
-            moved.append(a if self.signs[j] == 1 else (-a) % TWO_PI)
-        return EllipticAngles(tuple(moved))
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
-@dataclass(frozen=True)
 class EllipticAngles:
     """Rotation angles of an elliptic normal form, ordered e_2..e_{n+1}.
 
@@ -301,16 +208,30 @@ def half_sum_positive_roots(n: int) -> WeightVector:
 
 
 @lru_cache(maxsize=None)
-def weyl_group(n: int) -> tuple[SignedPermutation, ...]:
-    """All 2^{n-1} n! elements of W(D_n), in a fixed deterministic order."""
+def weyl_group(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All 2^{n-1} n! elements of W(D_n) as read-only integer arrays
+    ``(perm, signs, det)`` of shapes (|W|, n), (|W|, n) and (|W|,).
+
+    Row w acts on a coordinate vector x by (w.x)[perm[w, i]] =
+    signs[w, perm[w, i]] * x[i]: coordinate i moves to slot perm[w, i], and
+    signs[w] (an even number of -1) is attached to the target slots, so
+    det = sign(perm).  Rows list the permutations in ``itertools.permutations``
+    order and, inside each, the even sign patterns in ``product((1, -1))``
+    order.
+    """
     if not 1 <= n <= MAX_WEYL_RANK:
         raise ValidationError(f"rank must be between 1 and {MAX_WEYL_RANK}, got {n}")
-    out = []
-    for perm in permutations(range(n)):
-        for signs in product((1, -1), repeat=n):
-            if signs.count(-1) % 2 == 0:
-                out.append(SignedPermutation(perm, signs))
-    return tuple(out)
+    perms = np.array(list(permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    patterns = np.array(list(product((1, -1), repeat=n)), dtype=np.int64)
+    patterns = patterns[np.count_nonzero(patterns < 0, axis=1) % 2 == 0]
+    perm = np.repeat(perms, len(patterns), axis=0)
+    signs = np.tile(patterns, (len(perms), 1))
+    upper, lower = np.triu_indices(n, 1)
+    inversions = np.count_nonzero(perm[:, upper] > perm[:, lower], axis=1)
+    det = np.where(inversions % 2 == 0, 1, -1)
+    for a in (perm, signs, det):
+        a.flags.writeable = False
+    return perm, signs, det
 
 
 def w0_flip(w: WeightVector) -> WeightVector:
@@ -337,7 +258,7 @@ def weyl_character(
 ) -> complex | list[complex]:
     """Trace of the irreducible SO(2n)-representation with highest weight
     ``weight`` at the rotation with the given angles, or a list of traces
-    for a sequence of rotations.
+    for a sequence of rotations.  ``weight`` must be dominant.
 
     The bialternant A_{weight+delta} / A_delta of the module docstring,
     with one stacked determinant for the whole sequence.  Requires regular
@@ -349,6 +270,8 @@ def weyl_character(
     n = weight.rank
     if any(len(a) != n for a in batch):
         raise ValidationError("rank mismatch between weight and angles")
+    if not weight.is_dominant():
+        raise ValidationError(f"weight {weight} is not dominant")
     phi = np.array([a.angles for a in batch], dtype=float).reshape(len(batch), n)
     x = 2.0 * np.cos(phi)
     upper, lower = np.triu_indices(n, 1)

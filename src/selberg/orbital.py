@@ -6,7 +6,9 @@ spectral parameter nu.  It is built from an alternating sum over the type-D
 Weyl group: each summand is the product of the pairings of the shifted,
 reflected weight (with its symbolic -i*nu*e_1 component) against the roots
 along which the rotation fails to be regular, times the torus character of
-the reflected weight.
+the reflected weight.  The sum runs over all of W in one pass on the arrays
+of ``lie.weyl_group``: one row of coefficients per element, with the rows
+added in order, so the result does not depend on how a BLAS splits work.
 
 Roots of so(1,2n+1) are e_i +- e_j for 1 <= i < j <= n+1; a root belongs to
 the stabilizer of a rotation exactly when its pairing with the angle vector
@@ -18,7 +20,6 @@ verified numerically on every construction.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,6 @@ from .lie import (
     EllipticAngles,
     WeightVector,
     half_sum_positive_roots,
-    torus_character,
     w0_flip,
     weyl_group,
 )
@@ -110,24 +110,9 @@ class EvenPolynomial:
         return max(abs(x - y) for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class StabilizerRootData:
-    """Positive roots of so(1,2n+1) fixed by a rotation.
-
-    Each root is a coefficient tuple over (e_1, ..., e_{n+1}) with entries
-    in {0, +-1}; exactly two entries are nonzero.
-    """
-
-    roots: tuple[tuple[int, ...], ...]
-    rank: int
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.roots)
-
-
-def ambient_positive_roots(n: int) -> tuple[tuple[int, ...], ...]:
-    """e_i +- e_j, 1 <= i < j <= n+1, as coefficient tuples of length n+1."""
+def ambient_positive_roots(n: int) -> np.ndarray:
+    """e_i +- e_j, 1 <= i < j <= n+1, as rows of coefficients over
+    (e_1, ..., e_{n+1})."""
     roots = []
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
@@ -135,23 +120,20 @@ def ambient_positive_roots(n: int) -> tuple[tuple[int, ...], ...]:
                 vec = [0] * (n + 1)
                 vec[i] = 1
                 vec[j] = sign
-                roots.append(tuple(vec))
-    return tuple(roots)
+                roots.append(vec)
+    return np.array(roots, dtype=np.int64).reshape(-1, n + 1)
 
 
-def stabilizer_roots(angles: EllipticAngles, n: int) -> StabilizerRootData:
-    """All positive ambient roots whose pairing with (0, phi_2, ..., phi_{n+1})
-    lies in 2*pi*Z; these are the directions along which the rotation fails
-    to be regular."""
+def stabilizer_roots(angles: EllipticAngles, n: int) -> np.ndarray:
+    """The rows of ``ambient_positive_roots`` whose pairing with
+    (0, phi_2, ..., phi_{n+1}) lies in 2*pi*Z; these are the directions
+    along which the rotation fails to be regular."""
     if len(angles) != n:
         raise ValidationError("angle tuple must have length n")
-    vec = (0.0,) + tuple(angles.angles)
-    fixed = []
-    for root in ambient_positive_roots(n):
-        pairing = sum(c * v for c, v in zip(root, vec))
-        if abs(pairing - TWO_PI * round(pairing / TWO_PI)) < STABILIZER_TOL:
-            fixed.append(root)
-    return StabilizerRootData(tuple(fixed), n)
+    roots = ambient_positive_roots(n)
+    pairing = roots[:, 1:] @ np.array(angles.angles)
+    fixed = np.abs(pairing - TWO_PI * np.round(pairing / TWO_PI)) < STABILIZER_TOL
+    return roots[fixed]
 
 
 def orbital_polynomial(
@@ -174,26 +156,22 @@ def orbital_polynomial(
         raise ValidationError("weight, angles and rank must agree")
     if not sigma.is_dominant():
         raise ValidationError(f"weight {sigma} is not dominant")
-    delta = half_sum_positive_roots(n)
-    shifted = sigma + delta
-    roots = stabilizer_roots(angles, n).roots
-
-    total = np.zeros(len(roots) + 1, dtype=complex)
-    for s in weyl_group(n):
-        k = s.apply(shifted)
-        kf = [d / 2.0 for d in k.doubled]
-        # product over stabilizer roots of <-k - i*nu*e_1, alpha>,
-        # as a polynomial in nu
-        poly = np.ones(1, dtype=complex)
-        for root in roots:
-            const = -sum(c * kc for c, kc in zip(root[1:], kf))
-            if root[0] != 0:
-                factor = np.array([const, root[0] * -1j], dtype=complex)
-            else:
-                factor = np.array([const], dtype=complex)
-            poly = np.convolve(poly, factor)
-        weight_factor = s.det() * torus_character(-k, angles)
-        total[: len(poly)] += weight_factor * poly
+    mu = np.array((sigma + half_sum_positive_roots(n)).doubled) / 2.0
+    roots = stabilizer_roots(angles, n)
+    perm, signs, det = weyl_group(n)
+    # (s.mu)[j] = signs[j] * mu[perm^{-1}(j)]
+    k = signs * mu[np.argsort(perm, axis=1)]
+    # <-k - i*nu*e_1, alpha> = const - i*nu*alpha_1 with alpha_1 in {0, 1};
+    # each const is a sum of two half-integers, so exact
+    consts = -(k @ roots[:, 1:].T)
+    noncompact = roots[:, 0] != 0
+    # cols[j] holds the coefficient of (-i*nu)^j, so the products stay real
+    cols = [consts[:, ~noncompact].prod(axis=1)]
+    for c in consts[:, noncompact].T:
+        cols = [x * c + y for x, y in zip(cols + [0.0], [0.0] + cols)]
+    weights = det * np.exp(-1j * np.einsum("wj,j->w", k, np.array(angles.angles)))
+    total = (weights[:, None] * np.column_stack(cols)).sum(axis=0, initial=0)
+    total *= (-1j) ** np.arange(len(total))
 
     scale = float(np.max(np.abs(total)))
     if scale == 0.0:

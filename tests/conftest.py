@@ -2,8 +2,8 @@
 
 Oracles here deliberately avoid the package's code paths: characters come
 from explicit rotation matrices, orbital sums from pointwise complex
-products, distances from upper-half-space minimization, dedup counts from
-pairwise comparison.
+products over a W(D_n) listed from itertools, distances from
+upper-half-space minimization, dedup counts from pairwise comparison.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from selberg.lie import (
     WeightVector,
     half_sum_positive_roots,
     w0_flip,
-    weyl_group,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -110,10 +110,31 @@ def random_angles(
 # oracles
 
 
-def brute_orbital_value(sigma: WeightVector, angles, n: int, nu: float) -> complex:
-    """Pointwise Weyl-sum evaluation: numeric inner products, no expansion."""
+def weyl_dn(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """W(D_n) from itertools: (perm, signs, det) for every permutation and
+    even sign pattern, permutations outermost; det = (-1)^inversions."""
+    out = []
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        for signs in product((1, -1), repeat=n):
+            if signs.count(-1) % 2 == 0:
+                out.append((perm, signs, (-1) ** inversions))
+    return out
+
+
+def weyl_act(perm, signs, w) -> tuple:
+    """Coordinate i of w moves to slot perm[i], which carries signs[perm[i]]."""
+    out = [0] * len(w)
+    for i, t in enumerate(perm):
+        out[t] = signs[t] * w[i]
+    return tuple(out)
+
+
+def brute_orbital_values(sigma: WeightVector, angles, n: int, nus) -> list[complex]:
+    """Pointwise Weyl-sum evaluation at each nu: numeric inner products, no
+    expansion, over the W(D_n) of ``weyl_dn``."""
     delta = half_sum_positive_roots(n)
-    shifted = sigma + delta
+    shifted = [d / 2.0 for d in (sigma + delta).doubled]
     vec = (0.0,) + tuple(angles)
     roots = []
     for i in range(n + 1):
@@ -125,16 +146,21 @@ def brute_orbital_value(sigma: WeightVector, angles, n: int, nu: float) -> compl
                 pairing = sum(c * v for c, v in zip(root, vec))
                 if abs(pairing - TWO_PI * round(pairing / TWO_PI)) < 1e-9:
                     roots.append(tuple(root))
-    total = 0j
-    for s in weyl_group(n):
-        k = [d / 2.0 for d in s.apply(shifted).doubled]
-        w = [-1j * nu] + [-x for x in k]
-        prod = 1 + 0j
-        for root in roots:
-            prod *= sum(c * wc for c, wc in zip(root, w))
+    totals = [0j] * len(nus)
+    for perm, signs, det in weyl_dn(n):
+        k = weyl_act(perm, signs, shifted)
         char = cmath.exp(-1j * sum(x * a for x, a in zip(k, tuple(angles))))
-        total += s.det() * prod * char
-    return total
+        for m, nu in enumerate(nus):
+            w = [-1j * nu] + [-x for x in k]
+            prod = 1 + 0j
+            for root in roots:
+                prod *= sum(c * wc for c, wc in zip(root, w))
+            totals[m] += det * prod * char
+    return totals
+
+
+def brute_orbital_value(sigma: WeightVector, angles, n: int, nu: float) -> complex:
+    return brute_orbital_values(sigma, angles, n, [nu])[0]
 
 
 def block_rotation_trace(angles) -> float:

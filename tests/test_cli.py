@@ -1,9 +1,11 @@
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
 
+from conftest import weyl_dn
 from selberg.cli import MAX_GRID_POINTS, _parse_grid, run
 from selberg.errors import ValidationError
 from selberg.geometry import LengthSpectrum
@@ -58,6 +60,38 @@ def test_weyl_count_output(capsys):
     code, out, _ = invoke(capsys, "lie", "weyl", "--n", "3", "--count")
     assert code == 0
     assert out.strip() == "24"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_weyl_listing_matches_itertools(capsys, n):
+    code, out, _ = invoke(capsys, "lie", "weyl", "--n", str(n))
+    assert code == 0
+    want = "".join(
+        f"{'.'.join(map(str, perm))};{'.'.join('+' if x == 1 else '-' for x in signs)};{det}\n"
+        for perm, signs, det in weyl_dn(n)
+    )
+    assert out == want
+
+
+def test_weyl_rejects_rank_7(capsys):
+    code, _, err = invoke(capsys, "lie", "weyl", "--n", "7")
+    assert code == 2
+    assert "between 1 and 6" in err
+
+
+def test_character_rejects_non_dominant_weight(capsys):
+    weight, angles = "3,2,1,-1,0", "0.1,0.5,1,2,3"
+    code, out, err = invoke(capsys, "lie", "character", "--weight", weight, "--angles", angles)
+    assert code == 2 and out == ""
+    assert "not dominant" in err
+    # the plain torus character takes any weight
+    code, out, _ = invoke(
+        capsys, "lie", "character", "--weight", weight, "--angles", angles, "--xi"
+    )
+    assert code == 0
+    re, im = (float(x) for x in out.strip().split(","))
+    want = cmath.exp(1j * (0.3 + 1.0 + 1.0 - 2.0))
+    assert complex(re, im) == pytest.approx(want, abs=1e-14)
 
 
 def test_character_output(capsys):

@@ -1,16 +1,20 @@
 import cmath
 import math
 from fractions import Fraction
-from itertools import permutations, product
 
 import mpmath
 import pytest
 
-from conftest import block_rotation_trace, random_angles, random_dominant
+from conftest import (
+    block_rotation_trace,
+    random_angles,
+    random_dominant,
+    weyl_act,
+    weyl_dn,
+)
 from selberg.errors import NonRegularElementError, ValidationError
 from selberg.lie import (
     EllipticAngles,
-    SignedPermutation,
     WeightVector,
     half_sum_positive_roots,
     parse_angle,
@@ -31,30 +35,25 @@ def test_half_sum_examples():
 
 def brute_force_weyl_actions(n):
     """Oracle: all signed permutations with even flip count, as actions."""
-    actions = set()
     basis = [tuple(2 if j == i else 0 for j in range(n)) for i in range(n)]
-    for perm in permutations(range(n)):
-        for signs in product((1, -1), repeat=n):
-            if signs.count(-1) % 2:
-                continue
-            inv = [0] * n
-            for i, t in enumerate(perm):
-                inv[t] = i
-            images = tuple(
-                tuple(signs[j] * b[inv[j]] for j in range(n)) for b in basis
-            )
-            actions.add(images)
-    return actions
+    return {tuple(weyl_act(p, s, b) for b in basis) for p, s, _ in weyl_dn(n)}
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 24), (4, 192)])
 def test_weyl_group_count(n, count):
-    group = weyl_group(n)
-    assert len(group) == count == 2 ** (n - 1) * math.factorial(n)
-    basis = [WeightVector(tuple(2 if j == i else 0 for j in range(n))) for i in range(n)]
-    actions = {tuple(s.apply(b).doubled for b in basis) for s in group}
+    perm, signs, det = weyl_group(n)
+    assert count == 2 ** (n - 1) * math.factorial(n)
+    assert perm.shape == signs.shape == (count, n) and det.shape == (count,)
+    basis = [tuple(2 if j == i else 0 for j in range(n)) for i in range(n)]
+    actions = {
+        tuple(weyl_act(p, s, b) for b in basis)
+        for p, s in zip(perm.tolist(), signs.tolist())
+    }
     assert len(actions) == count, "duplicate coordinate actions"
     assert actions == brute_force_weyl_actions(n)
+    for a in (perm, signs, det):
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def test_weyl_group_rank_guard():
@@ -62,46 +61,6 @@ def test_weyl_group_rank_guard():
         weyl_group(0)
     with pytest.raises(ValidationError):
         weyl_group(7)
-
-
-def test_apply_examples():
-    ident = SignedPermutation.identity(2)
-    w = WeightVector.from_coords([1, 0])
-    assert ident.apply(w) == w
-    swap_flip = SignedPermutation((1, 0), (-1, -1))
-    assert swap_flip.apply(w).coords == (0, -1)
-    zero = WeightVector.from_coords([0, 0, 0])
-    for s in weyl_group(3):
-        assert s.apply(zero) == zero
-
-
-def test_apply_inverse_roundtrip(rng):
-    for _ in range(50):
-        n = rng.choice((2, 3, 4))
-        s = rng.choice(weyl_group(n))
-        w = WeightVector(tuple(rng.randrange(-8, 9) * 2 for _ in range(n)))
-        assert s.apply(s.inverse().apply(w)) == w
-        assert s.inverse().apply(s.apply(w)) == w
-
-
-def test_det_multiplicative(rng):
-    for _ in range(60):
-        n = rng.choice((2, 3))
-        s, t = rng.choice(weyl_group(n)), rng.choice(weyl_group(n))
-        assert (s * t).det() == s.det() * t.det()
-
-
-def test_composition_matches_action(rng):
-    for _ in range(40):
-        n = rng.choice((2, 3))
-        s, t = rng.choice(weyl_group(n)), rng.choice(weyl_group(n))
-        w = WeightVector(tuple(rng.randrange(-5, 6) * 2 for _ in range(n)))
-        assert (s * t).apply(w) == s.apply(t.apply(w))
-
-
-def test_signed_permutation_evenness_enforced():
-    with pytest.raises(ValidationError):
-        SignedPermutation((0, 1), (-1, 1))
 
 
 def test_w0_flip():
@@ -184,9 +143,16 @@ def test_weyl_character_conjugation_invariance(rng):
             base = weyl_character(lam, g)
         except NonRegularElementError:
             continue
-        s = rng.choice(weyl_group(n))
-        moved = weyl_character(lam, s.apply_angles(g))
+        perm = rng.sample(range(n), n)
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        signs[-1] *= math.prod(signs)  # an even number of sign changes
+        moved = weyl_character(lam, EllipticAngles(weyl_act(perm, signs, g.angles)))
         assert abs(base - moved) < 1e-10 * max(1.0, abs(base))
+
+
+def test_weyl_character_rejects_non_dominant():
+    with pytest.raises(ValidationError, match="not dominant"):
+        weyl_character(WeightVector.from_coords([0, 1]), EllipticAngles((0.3, 0.9)))
 
 
 def test_weyl_character_non_regular_error():
@@ -195,16 +161,12 @@ def test_weyl_character_non_regular_error():
 
 
 def mp_weyl_alternant(mu, phi) -> mpmath.mpc:
-    """Oracle: sum over W(D_n) of det(w) exp(i <w mu, phi>) in mpmath,
-    with W(D_n) built here from itertools."""
-    n = len(mu)
+    """Oracle: sum of det(w) exp(i <w mu, phi>) in mpmath over the
+    itertools listing of W(D_n) in conftest."""
     total = mpmath.mpc(0)
-    for perm in permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        for signs in product((1, -1), repeat=n):
-            if signs.count(-1) % 2 == 0:
-                phase = mpmath.fsum(e * mu[p] * f for e, p, f in zip(signs, perm, phi))
-                total += (-1) ** inversions * mpmath.expj(phase)
+    for perm, signs, det in weyl_dn(len(mu)):
+        phase = mpmath.fsum(e * mu[p] * f for e, p, f in zip(signs, perm, phi))
+        total += det * mpmath.expj(phase)
     return total
 
 

@@ -5,12 +5,15 @@ import pytest
 
 from conftest import (
     brute_orbital_value,
+    brute_orbital_values,
     random_angles,
     random_dominant,
     random_flip_moved_dominant,
+    weyl_act,
+    weyl_dn,
 )
 from selberg.errors import UnsupportedRankError, ValidationError
-from selberg.lie import EllipticAngles, WeightVector, w0_flip, weyl_group
+from selberg.lie import EllipticAngles, WeightVector, half_sum_positive_roots, w0_flip
 from selberg.orbital import (
     EvenPolynomial,
     orbital_polynomial,
@@ -24,26 +27,26 @@ E1P_E2 = (1, 1, 0)
 E2M_E3 = (0, 1, -1)
 
 
+def root_set(angles, n):
+    return {tuple(r) for r in stabilizer_roots(angles, n).tolist()}
+
+
 def test_stabilizer_roots_regular():
-    data = stabilizer_roots(EllipticAngles((0.7, 2.3)), 2)
-    assert data.cardinality == 0
+    assert stabilizer_roots(EllipticAngles((0.7, 2.3)), 2).shape == (0, 3)
 
 
 def test_stabilizer_roots_zero_angle():
-    data = stabilizer_roots(EllipticAngles((0.0, 1.234)), 2)
-    assert set(data.roots) == {E1M_E2, E1P_E2}
+    assert root_set(EllipticAngles((0.0, 1.234)), 2) == {E1M_E2, E1P_E2}
 
 
 def test_stabilizer_roots_equal_angles():
-    data = stabilizer_roots(EllipticAngles((1.234, 1.234)), 2)
-    assert set(data.roots) == {E2M_E3}
+    assert root_set(EllipticAngles((1.234, 1.234)), 2) == {E2M_E3}
 
 
 def test_stabilizer_roots_supplementary_angles():
     # angles summing to 2 pi fix exactly the compact sum root
     theta = 1.1
-    data = stabilizer_roots(EllipticAngles((theta, 2 * math.pi - theta)), 2)
-    assert set(data.roots) == {(0, 1, 1)}
+    assert root_set(EllipticAngles((theta, 2 * math.pi - theta)), 2) == {(0, 1, 1)}
 
 
 def test_orbital_rank1_ratio():
@@ -81,30 +84,26 @@ def test_orbital_degree_law(rng):
         n = rng.choice((1, 2, 3))
         sigma = random_dominant(rng, n)
         angles = random_angles(rng, n, zero_slots=rng.choice((0, 1, n)))
-        noncompact = sum(
-            1 for r in stabilizer_roots(angles, n).roots if r[0] != 0
-        )
+        noncompact = sum(1 for r in stabilizer_roots(angles, n) if r[0] != 0)
         poly = orbital_polynomial(sigma, angles, n)
         assert poly.degree == noncompact
 
 
 def test_orbital_regular_limit(rng):
     # regular angles: constant polynomial equal to the bare alternating sum
-    from selberg.lie import half_sum_positive_roots, torus_character
-
     for _ in range(30):
         n = rng.choice((2, 3))
         sigma = random_dominant(rng, n)
         angles = random_angles(rng, n)
-        if stabilizer_roots(angles, n).cardinality:
+        if len(stabilizer_roots(angles, n)):
             continue
         poly = orbital_polynomial(sigma, angles, n)
         assert poly.degree == 0
-        shifted = sigma + half_sum_positive_roots(n)
-        bare = sum(
-            s.det() * torus_character(-s.apply(shifted), angles)
-            for s in weyl_group(n)
-        )
+        shifted = [d / 2 for d in (sigma + half_sum_positive_roots(n)).doubled]
+        bare = 0j
+        for perm, signs, det in weyl_dn(n):
+            k = weyl_act(perm, signs, shifted)
+            bare += det * cmath.exp(-1j * math.fsum(x * a for x, a in zip(k, angles)))
         assert abs(poly.coeffs[0] - bare) < 1e-12 * max(1.0, abs(bare))
 
 
@@ -130,6 +129,28 @@ def test_orbital_brute_force_oracle(rng):
             got = poly(nu)
             worst = max(worst, abs(got - want) / max(abs(want), 1.0))
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("n,shape", [
+    (4, "one-zero"), (4, "two-zero"), (4, "equal-pair"), (4, "all-zero"),
+    (5, "one-zero"), (5, "two-zero"), (5, "equal-pair"),
+    (6, "one-zero"), (6, "two-zero"), (6, "equal-pair"),
+])
+def test_orbital_higher_rank_oracle(rng, n, shape):
+    sigma = random_dominant(rng, n)
+    phi = list(random_angles(rng, n).angles)
+    if shape == "all-zero":
+        phi = [0.0] * n
+    elif shape == "equal-pair":
+        phi[2] = phi[0]
+    else:
+        for slot in rng.sample(range(n), 1 if shape == "one-zero" else 2):
+            phi[slot] = 0.0
+    angles = EllipticAngles(tuple(phi))
+    poly = orbital_polynomial(sigma, angles, n)
+    nus = (0.3, 1.1, 2.7)
+    for nu, want in zip(nus, brute_orbital_values(sigma, angles.angles, n, nus)):
+        assert abs(poly(nu) - want) <= 1e-10 * abs(want), (sigma, phi, nu)
 
 
 def test_flip_invariance_fixed_weight(rng):
