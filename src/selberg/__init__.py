@@ -25,13 +25,12 @@ from .geometry import (
     classify,
     conjugacy_reduce,
     enumerate_elements,
-    v_factor,
     weight_D,
 )
 from .heat import (
     FlatOrbifoldModel,
     HeatFit,
-    calibrate_plancherel,
+    eigenvalue_count,
     exact_spectrum,
     fit_expansion,
     heat_trace,
@@ -56,14 +55,12 @@ from .orbital import (
 )
 from .zeta import (
     HeatTerms,
-    RegularizationSet,
     ZetaTermContext,
     antisymmetric_zeta,
     convergence_abscissa_estimate,
     epsilon_sigma,
     geometric_heat_terms,
     log_zeta_truncated,
-    partial_fraction_coeffs,
     symmetric_zeta,
     xi_correction,
 )

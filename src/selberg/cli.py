@@ -6,7 +6,9 @@ All output is plain CSV-ish text with full-precision (17 significant digit)
 floats and no locale dependence; identical configuration and inputs give
 bitwise-identical artifacts.
 
-Exit codes: 0 success, 2 validation error, 3 numerical-guard error.
+Exit codes: 0 success, 2 validation error, 3 numerical-guard error.  A
+radius, side, rmax or heat time that is not finite and positive is a
+validation error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import cmath
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import heat as heat_mod
 from . import zeta as zeta_mod
@@ -133,7 +134,6 @@ def _load_context(args) -> zeta_mod.ZetaTermContext:
         elliptic=elliptic,
         vol=args.vol,
         elliptic_vols=vols,
-        conjugate_sigma_trace=args.conjugate_sigma_trace,
         allow_ambiguous=args.allow_ambiguous,
     )
 
@@ -260,8 +260,8 @@ def cmd_zeta_xi(args, out: _Output) -> None:
 def cmd_zeta_heat_terms(args, out: _Output) -> None:
     ctx = _load_context(args)
     times = _parse_values(args.t)
-    if any(t <= 0 for t in times):
-        raise ValidationError("heat times must be positive")
+    if not all(0 < t < math.inf for t in times):
+        raise ValidationError("heat times must be finite and positive")
     if args.validate:
         out.line("ok")
         return
@@ -274,33 +274,11 @@ def cmd_zeta_heat_terms(args, out: _Output) -> None:
         )
 
 
-def cmd_zeta_pfrac(args, out: _Output) -> None:
-    tokens = [x.strip() for x in args.s.split(",") if x.strip()]
-    points = []
-    exact = True
-    for tok in tokens:
-        try:
-            points.append(Fraction(tok))
-        except ValueError:
-            exact = False
-            break
-    if not exact:
-        points = [complex(tok) for tok in tokens]
-    if args.validate:
-        out.line("ok")
-        return
-    reg = zeta_mod.partial_fraction_coeffs(points)
-    if exact:
-        out.line(",".join(str(c) for c in reg.c_coeffs))
-    else:
-        out.line(",".join(fmt_complex(c) for c in reg.c_coeffs))
-
-
 def cmd_heat_trace(args, out: _Output) -> None:
     model = heat_mod.make_model(args.model, radius=args.radius, sides=args.sides_pair)
     times = _parse_values(args.t)
-    if any(t <= 0 for t in times):
-        raise ValidationError("heat times must be positive")
+    if not all(0 < t < math.inf for t in times):
+        raise ValidationError("heat times must be finite and positive")
     if args.validate:
         out.line("ok")
         return
@@ -329,8 +307,8 @@ def cmd_heat_fit(args, out: _Output) -> None:
 
 def cmd_heat_weyl(args, out: _Output) -> None:
     model = heat_mod.make_model(args.model, radius=args.radius, sides=args.sides_pair)
-    if args.rmax <= 0:
-        raise ValidationError("rmax must be positive")
+    if not 0 < args.rmax < math.inf:
+        raise ValidationError("rmax must be finite and positive")
     if args.validate:
         out.line("ok")
         return
@@ -362,8 +340,6 @@ def _zeta_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--elliptic-vols", dest="elliptic_vols", default=None,
                    help="comma-separated centralizer volumes per elliptic class")
     p.add_argument("--allow-ambiguous", action="store_true", dest="allow_ambiguous")
-    p.add_argument("--conjugate-sigma-trace", action="store_true",
-                   dest="conjugate_sigma_trace")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,10 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     _zeta_common(p)
     p.add_argument("--t", required=True, help="comma-separated times")
     p.set_defaults(func=cmd_zeta_heat_terms)
-    _add_common(p)
-    p = zeta_sub.add_parser("pfrac", help="partial fraction coefficients")
-    p.add_argument("--s", required=True, help="comma-separated shift points")
-    p.set_defaults(func=cmd_zeta_pfrac)
     _add_common(p)
 
     heat = sub.add_parser("heat", help="flat orbifold models")

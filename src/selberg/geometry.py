@@ -559,27 +559,6 @@ def _v_factor_impl(
     return frac * torsion_count, False
 
 
-def v_factor(
-    record: ConjClassRecord,
-    spec: GroupSpec,
-    ball: list[GroupElement],
-    torsion_ball: list[GroupElement] | None = None,
-) -> Fraction:
-    """Centralizer index correction for one class, evaluated in the ball.
-
-    The centralizer of a hyperbolic element is a rank-1 translation group
-    times a finite rotation group; the index of the torsion-free centralizer
-    is the primitive-length ratio times the torsion count, both read off
-    from the enumerated ball.  Returns 1 (with the record's default flag)
-    when no torsion-free subgroup was specified.
-    """
-    if spec.torsion_free_words is None:
-        return Fraction(1)
-    witness = GroupElement(spec.word_matrix(record.word), record.word)
-    value, _ = _v_factor_impl(witness, spec, ball, torsion_ball)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # length spectrum container and CSV round trip
 

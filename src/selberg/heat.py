@@ -1,5 +1,5 @@
 """Exactly solvable flat orbifold models: heat traces, small-time expansion
-fits, eigenvalue counting, and the rank-1 Plancherel calibration.
+fits and closed-form eigenvalue counting.
 
 Three models, all with explicitly known spectra, stand in for the general
 small-time parametrix machinery:
@@ -23,11 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IllConditionedFitError,
-    UnsupportedRankError,
-    ValidationError,
-)
+from .errors import IllConditionedFitError, ValidationError
 
 #: exponent used to bound spectral tails: exp(-TAIL_EXPONENT) ~ 3e-20,
 #: with a safety factor of 10 on top of the raw bound
@@ -54,21 +50,34 @@ class FlatOrbifoldModel:
     rank_e: int = 1
 
 
+def _finite_positive(what: str, x: float) -> float:
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise ValidationError(f"{what} must be finite and positive, got {x!r}")
+    return x
+
+
 def make_model(name: str, radius: float = 1.0, sides=(2.0 * math.pi, 2.0 * math.pi)) -> FlatOrbifoldModel:
     if name == "circle":
+        radius = _finite_positive("circle radius", radius)
         return FlatOrbifoldModel(name, 1, 2.0 * math.pi * radius, (), radius=radius)
     if name == "circle-reflection":
+        radius = _finite_positive("circle radius", radius)
         return FlatOrbifoldModel(
             name, 1, math.pi * radius, ((0, 2), (0, 2)), radius=radius
         )
     if name == "pillowcase":
-        sides = (float(sides[0]), float(sides[1]))
-        if sides[0] <= 0 or sides[1] <= 0:
-            raise ValidationError("pillowcase sides must be positive")
+        sides = (_finite_positive("pillowcase side", sides[0]),
+                 _finite_positive("pillowcase side", sides[1]))
         return FlatOrbifoldModel(
             name, 2, sides[0] * sides[1] / 2.0, ((0, 2),) * 4, sides=sides
         )
     raise ValidationError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
+
+
+def _lattice_scales(model: FlatOrbifoldModel) -> tuple[float, float]:
+    """Pillowcase eigenvalues are ax p^2 + ay q^2 over the lattice (p, q)."""
+    return (2.0 * math.pi / model.sides[0]) ** 2, (2.0 * math.pi / model.sides[1]) ** 2
 
 
 def exact_spectrum(model: FlatOrbifoldModel, cutoff: float) -> list[tuple[float, int]]:
@@ -91,8 +100,7 @@ def exact_spectrum(model: FlatOrbifoldModel, cutoff: float) -> list[tuple[float,
             m += 1
         return out
     if model.name == "pillowcase":
-        ax = (2.0 * math.pi / model.sides[0]) ** 2
-        ay = (2.0 * math.pi / model.sides[1]) ** 2
+        ax, ay = _lattice_scales(model)
         counts: dict[float, int] = {}
         pmax = int(math.floor(math.sqrt(cutoff / ax)))
         for p in range(0, pmax + 1):
@@ -111,8 +119,8 @@ def heat_trace(model: FlatOrbifoldModel, t: float) -> float:
 
     Mode cutoffs come from a Gaussian tail bound with a safety factor.
     """
-    if t <= 0:
-        raise ValidationError("heat time must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValidationError("heat time must be finite and positive")
     r = model.radius
     if model.name in ("circle", "circle-reflection"):
         m_max = int(math.ceil(r * math.sqrt(TAIL_EXPONENT / t))) + int(TAIL_SAFETY)
@@ -122,8 +130,7 @@ def heat_trace(model: FlatOrbifoldModel, t: float) -> float:
             return float(math.fsum(2.0 * w for w in weights[1:]) + weights[0])
         return float(math.fsum(weights))
     if model.name == "pillowcase":
-        ax = (2.0 * math.pi / model.sides[0]) ** 2
-        ay = (2.0 * math.pi / model.sides[1]) ** 2
+        ax, ay = _lattice_scales(model)
         pmax = int(math.ceil(math.sqrt(TAIL_EXPONENT / (t * ax)))) + int(TAIL_SAFETY)
         qmax = int(math.ceil(math.sqrt(TAIL_EXPONENT / (t * ay)))) + int(TAIL_SAFETY)
         pieces = []
@@ -169,7 +176,7 @@ def fit_expansion(model: FlatOrbifoldModel, t_grid) -> HeatFit:
     design matrix is an error rather than a silent bad fit.
     """
     t = np.asarray(sorted(float(x) for x in t_grid), dtype=float)
-    if t.size == 0 or t[0] <= 0:
+    if t.size == 0 or not np.all(t > 0):
         raise ValidationError("t grid must contain positive times")
     if t[-1] > 0.05:
         raise ValidationError(
@@ -199,6 +206,50 @@ def fit_expansion(model: FlatOrbifoldModel, t_grid) -> HeatFit:
     )
 
 
+def eigenvalue_count(model: FlatOrbifoldModel, bounds) -> np.ndarray:
+    """N(b), the number of eigenvalues <= b with multiplicity, for each bound b.
+
+    Closed form in O(sqrt(b)) per bound: a square-root estimate of the last
+    mode, corrected by whole steps.  Every boundary mode is decided by the
+    same float expression ``exact_spectrum`` tests, so the counts equal its
+    cumulative multiplicities.
+    """
+    bounds = [float(b) for b in bounds]
+    if not all(0.0 <= b < math.inf for b in bounds):
+        raise ValidationError("count bounds must be finite and nonnegative")
+    if model.name not in MODEL_NAMES:
+        raise ValidationError(f"unknown model {model.name!r}")
+    return np.array([_count_below(model, b) for b in bounds], dtype=np.int64)
+
+
+def _count_below(model: FlatOrbifoldModel, b: float) -> int:
+    if model.name != "pillowcase":
+        # last mode m with (m / r)^2 <= b; (m / r)^2 grows with m
+        r = model.radius
+        m = math.floor(r * math.sqrt(b))
+        while m > 0 and (m / r) ** 2 > b:
+            m -= 1
+        while ((m + 1) / r) ** 2 <= b:
+            m += 1
+        return 1 + 2 * m if model.name == "circle" else m + 1
+    ax, ay = _lattice_scales(model)
+    pmax = math.floor(math.sqrt(b / ax))
+    while pmax > 0 and ax * pmax * pmax > b:
+        pmax -= 1
+    while ax * (pmax + 1) * (pmax + 1) <= b:
+        pmax += 1
+    # rows p = 0..pmax hold |q| <= q[p]; q = 0 always fits, since ax p^2 <= b
+    p = np.arange(pmax + 1, dtype=float)
+    row = ax * p * p
+    q = np.floor(np.sqrt((b - row) / ay))
+    while np.any(over := row + ay * q * q > b):
+        q[over] -= 1
+    while np.any(under := row + ay * (q + 1) * (q + 1) <= b):
+        q[under] += 1
+    # the sign symmetry (p, q) ~ (-p, -q) leaves q >= 0 in the p = 0 row
+    return int(q[0] + 1 + np.sum(2 * q[1:] + 1))
+
+
 @dataclass(frozen=True)
 class WeylSlopeReport:
     fitted: float
@@ -209,17 +260,13 @@ class WeylSlopeReport:
 
 def weyl_counting_check(model: FlatOrbifoldModel, r_max: float) -> WeylSlopeReport:
     """Fit N(r) ~ A r^{d/2} and compare A with the Weyl-law constant."""
-    spectrum = exact_spectrum(model, r_max)
-    count = sum(m for _, m in spectrum)
+    count = int(eigenvalue_count(model, [r_max])[0])
     if count < 200:
         raise ValidationError(
             f"only {count} eigenvalues up to {r_max:g}; need at least 200"
         )
-    lam = np.array([x for x, _ in spectrum])
-    mult = np.array([m for _, m in spectrum], dtype=float)
-    cum = np.cumsum(mult)
     probes = np.linspace(r_max / 2.0, r_max, 48)
-    counts = np.array([float(cum[np.searchsorted(lam, p, side="right") - 1]) for p in probes])
+    counts = eigenvalue_count(model, probes).astype(float)
     basis = probes ** (model.dim / 2.0)
     fitted = float(np.dot(counts, basis) / np.dot(basis, basis))
     d = model.dim
@@ -227,26 +274,4 @@ def weyl_counting_check(model: FlatOrbifoldModel, r_max: float) -> WeylSlopeRepo
         (4.0 * math.pi) ** (d / 2.0) * math.gamma(d / 2.0 + 1.0)
     )
     rel = abs(fitted - predicted) / predicted
-    return WeylSlopeReport(fitted, predicted, rel, int(count))
-
-
-def calibrate_plancherel(n: int = 1) -> float:
-    """Constant making the rank-1 Plancherel density reproduce the free
-    leading heat coefficient (4 pi t)^{-3/2}.
-
-    The Gaussian second moment gives int nu^2 e^{-t nu^2} d nu
-    = (sqrt(pi)/2) t^{-3/2}, so the constant is t-independent; it is
-    evaluated on a spread of times and checked for exact cancellation.
-    """
-    if n != 1:
-        raise UnsupportedRankError("calibration is a rank-1 statement")
-    values = []
-    for t in (0.1, 1.0, 10.0):
-        moment = 0.5 * math.sqrt(math.pi) * t**-1.5
-        values.append((4.0 * math.pi * t) ** -1.5 / moment)
-    spread = max(values) - min(values)
-    if spread > 1e-14 * values[0]:
-        raise ValidationError(
-            f"calibration constant varied with t by {spread:.3e}"
-        )
-    return values[0]
+    return WeylSlopeReport(fitted, predicted, rel, count)

@@ -195,8 +195,8 @@ def plancherel_polynomial(sigma: WeightVector, n: int) -> EvenPolynomial:
     """Plancherel density polynomial for the identity contribution.
 
     Supported for n = 1 only, where the density attached to the SO(2)
-    character of weight k is (nu^2 + k^2) / (4 pi^2); the normalization is
-    calibrated against the leading heat coefficient (see the heat module).
+    character of weight k is (nu^2 + k^2) / (4 pi^2); at k = 0 its Gaussian
+    transform is the free leading heat coefficient (4 pi t)^{-3/2}.
     """
     if n != 1:
         raise UnsupportedRankError(

@@ -13,8 +13,7 @@ Gaussian (identity and elliptic contributions) and evaluate the hyperbolic
 line's Fourier integral in closed form.
 
 Character convention: the zeta sum uses tr sigma(m) unconjugated, the heat
-term uses the conjugate, matching each formula's own display; the
-``conjugate_sigma_trace`` switch flips both for sensitivity analysis.
+term uses the conjugate, matching each formula's own display.
 
 Every public evaluator takes one point or a sequence of them.  The
 point-independent factors of each class (characters, adjoint determinants,
@@ -30,7 +29,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +60,6 @@ class ZetaTermContext:
     elliptic: list[ConjClassRecord] = field(default_factory=list)
     vol: float = 1.0
     elliptic_vols: list[float] | None = None
-    conjugate_sigma_trace: bool = False
     allow_ambiguous: bool = False
 
     def __post_init__(self):
@@ -134,14 +131,11 @@ def _class_arrays(ctx: ZetaTermContext, flipped: bool) -> _ClassArrays:
     sigma = w0_flip(ctx.sigma) if flipped else ctx.sigma
     angles = [EllipticAngles(tuple(r.angles)) for r in recs]
     trace = np.array(weyl_character(sigma, angles), dtype=complex)
-    if ctx.conjugate_sigma_trace:
-        trace = trace.conj()
     chi_v = column(lambda r: r.tr_chi * float(r.v), complex)
     return _ClassArrays(
         length=column(lambda r: r.length),
         num=chi_v * trace,
         den=column(lambda r: r.power * (math.exp(ctx.n * r.length) * r.D)),
-        # conjugate of the zeta-side convention, whichever way the flag points
         heat=chi_v * column(lambda r: r.primitive_length)
         / (2.0 * math.pi * column(lambda r: r.D)) * trace.conj(),
     )
@@ -300,8 +294,8 @@ def geometric_heat_terms(t, ctx: ZetaTermContext) -> HeatTerms | list[HeatTerms]
     in closed form, with the conjugated character pair attached.
     """
     times, scalar = _points(t)
-    if any(x <= 0 for x in times):
-        raise ValidationError("heat time must be positive")
+    if not all(0 < x < math.inf for x in times):
+        raise ValidationError("heat time must be finite and positive")
     if ctx.n != 1:
         raise UnsupportedRankError(
             "the identity heat term needs the rank-1 Plancherel polynomial"
@@ -338,56 +332,3 @@ def xi_correction(s, ctx: ZetaTermContext) -> complex | list[complex]:
         exponent -= 2.0 * eps * _csum([c * poly.antiderivative(p) for c, poly in ell])
         values.append(_finite(_exp(exponent, p) * z, p))
     return values[0] if scalar else values
-
-
-@dataclass(frozen=True)
-class RegularizationSet:
-    """Shift points s_i with pairwise distinct squares and the partial
-    fraction coefficients c_i = prod_{j != i} 1/(s_j^2 - s_i^2)."""
-
-    s_points: tuple
-    c_coeffs: tuple
-
-    def lhs(self, z) -> complex:
-        return sum(c / (s * s + z) for s, c in zip(self.s_points, self.c_coeffs))
-
-    def rhs(self, z) -> complex:
-        out = 1.0 + 0j
-        for s in self.s_points:
-            out /= s * s + z
-        return out
-
-
-def partial_fraction_coeffs(s_points) -> RegularizationSet:
-    """Coefficients resolving prod 1/(s_i^2 + z) into simple fractions.
-
-    Exact over rationals when every point is rational; complex otherwise.
-    """
-    pts = list(s_points)
-    if not pts:
-        raise ValidationError("need at least one shift point")
-    exact = all(isinstance(p, (int, Fraction)) for p in pts)
-    if exact:
-        squares = [Fraction(p) ** 2 for p in pts]
-    else:
-        pts = [complex(p) for p in pts]
-        squares = [p * p for p in pts]
-    scale = max(abs(complex(q)) for q in squares) or 1.0
-    for i in range(len(squares)):
-        for j in range(i + 1, len(squares)):
-            if exact:
-                distinct = squares[i] != squares[j]
-            else:
-                distinct = abs(squares[i] - squares[j]) > 1e-14 * scale
-            if not distinct:
-                raise ValidationError(
-                    f"shift points {pts[i]} and {pts[j]} have equal squares"
-                )
-    coeffs = []
-    for i in range(len(squares)):
-        c = Fraction(1) if exact else 1.0 + 0j
-        for j in range(len(squares)):
-            if j != i:
-                c /= squares[j] - squares[i]
-        coeffs.append(c)
-    return RegularizationSet(tuple(pts), tuple(coeffs))

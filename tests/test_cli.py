@@ -44,18 +44,6 @@ def test_delta_m_output(capsys):
     assert out == "2,1,0\n"
 
 
-def test_pfrac_output(capsys):
-    code, out, _ = invoke(capsys, "zeta", "pfrac", "--s", "1,2")
-    assert code == 0
-    assert out == "1/3,-1/3\n"
-
-
-def test_pfrac_rejects_equal_squares(capsys):
-    code, _, err = invoke(capsys, "zeta", "pfrac", "--s", "2,-2")
-    assert code == 2
-    assert "equal squares" in err
-
-
 def test_weyl_count_output(capsys):
     code, out, _ = invoke(capsys, "lie", "weyl", "--n", "3", "--count")
     assert code == 0
@@ -276,6 +264,62 @@ def test_heat_weyl_output(capsys):
 def test_heat_rejects_nonpositive_time(capsys):
     code, _, err = invoke(capsys, "heat", "trace", "--model", "circle", "--t", "-1")
     assert code == 2
+
+
+# rows frozen from the lattice-enumerating count (cumulative exact_spectrum multiplicities)
+HEAT_WEYL_FROZEN = [
+    (("--model", "pillowcase", "--rmax", "1e6"),
+     "1.5707909711684371,1.5707963267948966,3.4094976974846567e-06,1570775"),
+    (("--model", "pillowcase", "--rmax", "1e4"),
+     "1.5707833080424887,1.5707963267948966,8.2879951944205301e-06,15709"),
+    (("--model", "pillowcase", "--sides", "6.910885,5.80936", "--rmax", "1e3"),
+     "1.5980193474962063,1.5974309574207699,0.00036833521517978487,1602"),
+    (("--model", "circle", "--rmax", "4e4"),
+     "2.0000541094153972,2,2.705470769859275e-05,401"),
+    (("--model", "circle-reflection", "--rmax", "4e4"),
+     "1.0028995563728162,1,0.0028995563728162477,201"),
+]
+
+
+@pytest.mark.parametrize("argv,row", HEAT_WEYL_FROZEN, ids=[
+    "pillowcase-1e6", "pillowcase-1e4", "pillowcase-sides-1e3", "circle-4e4", "circle-reflection-4e4",
+])
+def test_heat_weyl_frozen_output(capsys, argv, row):
+    code, out, _ = invoke(capsys, "heat", "weyl", *argv)
+    assert code == 0
+    assert out == f"fitted,predicted,relative_error,eigenvalues\n{row}\n"
+
+
+BAD_HEAT_INPUTS = {
+    "weyl-circle-rmax-inf": ("weyl", "--model", "circle", "--rmax", "inf"),
+    "weyl-pillowcase-rmax-inf": ("weyl", "--model", "pillowcase", "--rmax", "inf"),
+    "weyl-rmax-nan": ("weyl", "--model", "pillowcase", "--rmax", "nan"),
+    "weyl-radius-0": ("weyl", "--model", "circle", "--radius", "0", "--rmax", "4e4"),
+    "weyl-radius-negative": ("weyl", "--model", "circle-reflection", "--radius", "-1", "--rmax", "4e4"),
+    "trace-radius-negative": ("trace", "--model", "circle", "--radius", "-1", "--t", "0.1"),
+    "trace-t-inf": ("trace", "--model", "circle", "--t", "inf"),
+    "fit-t-grid-nan": ("fit", "--model", "circle", "--t-grid", "nan,0.001,0.002,0.003,0.004"),
+    "weyl-side-nan": ("weyl", "--model", "pillowcase", "--sides", "nan,6", "--rmax", "1e4"),
+}
+
+
+@pytest.mark.parametrize("argv", BAD_HEAT_INPUTS.values(), ids=BAD_HEAT_INPUTS.keys())
+def test_heat_rejects_non_finite_or_nonpositive_input(capsys, argv):
+    code, out, err = invoke(capsys, "heat", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("zeta", "pfrac", "--s", "1,2"), "invalid choice: 'pfrac'"),
+    (("zeta", "eval", "--spectrum", "x.csv", "--sigma", "1", "--s-grid", "2:3:1",
+      "--conjugate-sigma-trace"), "unrecognized arguments: --conjugate-sigma-trace"),
+], ids=["pfrac", "conjugate-sigma-trace"])
+def test_removed_zeta_options_are_rejected(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path):

@@ -32,7 +32,6 @@ from selberg.geometry import (
     conjugacy_reduce,
     enumerate_elements,
     projective_key,
-    v_factor,
     weight_D,
 )
 from selberg.geometry import _inv2

@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from selberg.errors import (
-    IllConditionedFitError,
-    UnsupportedRankError,
-    ValidationError,
-)
+from selberg.errors import IllConditionedFitError, ValidationError
 from selberg.heat import (
-    calibrate_plancherel,
+    eigenvalue_count,
     exact_spectrum,
     fit_expansion,
     heat_trace,
@@ -189,22 +185,46 @@ def test_weyl_counting_needs_enough_eigenvalues():
         weyl_counting_check(make_model("circle"), 100.0)
 
 
-def test_calibration_constant():
-    c = calibrate_plancherel(1)
-    assert c == pytest.approx(1.0 / (4.0 * math.pi**2), rel=1e-12)
-    with pytest.raises(UnsupportedRankError):
-        calibrate_plancherel(2)
+def cumulative_count(spectrum, bound):
+    return sum(m for lam, m in spectrum if lam <= bound)
 
 
-def test_calibration_quadrature_oracle():
-    from scipy.integrate import quad
+@pytest.mark.parametrize("sides", [(TWO_PI, TWO_PI), (TWO_PI, math.pi)])
+def test_eigenvalue_count_pillowcase_matches_orbit_oracle(sides):
+    # 1, 4, 5 and 25 are eigenvalues of both lattices (p^2 + q^2, p^2 + 4 q^2)
+    bounds = [0.0, 0.5, 1.0, 1.5, 2.0, 4.0, 4.999, 5.0, 5.001, 17.3, 24.999, 25.0, 26.0]
+    oracle = pillowcase_orbit_spectrum(30.0, sides)
+    model = make_model("pillowcase", sides=sides)
+    want = [cumulative_count(oracle, b) for b in bounds]
+    assert eigenvalue_count(model, bounds).tolist() == want
 
-    c = calibrate_plancherel(1)
-    for t in (0.1, 1.0, 10.0):
-        integral, _ = quad(
-            lambda nu: c * nu * nu * math.exp(-t * nu * nu),
-            -np.inf,
-            np.inf,
-            epsabs=1e-14,
-        )
-        assert integral == pytest.approx((4 * math.pi * t) ** -1.5, rel=1e-10)
+
+@pytest.mark.parametrize("name,weight", [("circle", 2), ("circle-reflection", 1)])
+def test_eigenvalue_count_circle_at_exact_eigenvalues(name, weight):
+    r = 1.7
+    bounds = [(m / r) ** 2 for m in (0, 1, 2, 7, 40, 341)]
+    bounds += [math.nextafter(b, 0.0) for b in bounds[1:]]
+    want = [
+        sum(weight if m else 1 for m in range(400) if (m / r) ** 2 <= b)
+        for b in bounds
+    ]
+    assert eigenvalue_count(make_model(name, radius=r), bounds).tolist() == want
+
+
+def test_eigenvalue_count_matches_exact_spectrum():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        sides = tuple(rng.uniform(1.0, 9.0, 2))
+        model = make_model("pillowcase", sides=sides)
+        cutoff = float(rng.uniform(50.0, 2000.0))
+        spectrum = exact_spectrum(model, cutoff)
+        # the largest eigenvalues sit on the cutoff's boundary points
+        bounds = [cutoff] + [lam for lam, _ in spectrum[-5:]]
+        want = [cumulative_count(spectrum, b) for b in bounds]
+        assert eigenvalue_count(model, bounds).tolist() == want
+
+
+def test_eigenvalue_count_guards():
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            eigenvalue_count(make_model("pillowcase"), [1.0, bad])

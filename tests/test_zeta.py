@@ -18,7 +18,7 @@ from selberg.errors import (
     UnsupportedRankError,
     ValidationError,
 )
-from selberg.geometry import ConjClassRecord, LengthSpectrum, weight_D
+from selberg.geometry import ConjClassRecord, LengthSpectrum, build_length_spectrum, weight_D
 from selberg.lie import EllipticAngles, WeightVector, w0_flip
 from selberg.zeta import (
     ZetaTermContext,
@@ -27,7 +27,6 @@ from selberg.zeta import (
     epsilon_sigma,
     geometric_heat_terms,
     log_zeta_truncated,
-    partial_fraction_coeffs,
     symmetric_zeta,
     xi_correction,
 )
@@ -311,8 +310,9 @@ def test_heat_term_vanishes_fast():
 
 def test_heat_terms_guards():
     ctx = make_ctx([], SIGMA0)
-    with pytest.raises(ValidationError):
-        geometric_heat_terms(0.0, ctx)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            geometric_heat_terms([0.5, bad], ctx)
     ctx2 = make_ctx([], WeightVector.from_coords([0, 0]), n=2)
     with pytest.raises(UnsupportedRankError):
         geometric_heat_terms(0.5, ctx2)
@@ -348,44 +348,6 @@ def test_xi_prefactor_is_odd_in_s(rng):
         plus = xi_correction(s, ctx) / symmetric_zeta(s, ctx)
         minus = xi_correction(-s, ctx) / symmetric_zeta(-s, ctx)
     assert plus * minus == pytest.approx(1.0 + 0j, rel=1e-12)
-
-
-def test_partial_fractions_exact_pair():
-    reg = partial_fraction_coeffs([Fraction(1), Fraction(2)])
-    assert reg.c_coeffs == (Fraction(1, 3), Fraction(-1, 3))
-    # check at z = 0: 1/3 - (1/3)(1/4) = 1/4 = 1/(1*4)
-    assert reg.lhs(0) == pytest.approx(0.25)
-    assert reg.rhs(0) == pytest.approx(0.25)
-
-
-def test_partial_fractions_single_point():
-    reg = partial_fraction_coeffs([Fraction(5)])
-    assert reg.c_coeffs == (Fraction(1),)
-
-
-def test_partial_fractions_identity_random(rng):
-    for count in (2, 3, 4, 5):
-        pts = []
-        while len(pts) < count:
-            cand = complex(rng.uniform(0.5, 3.0), rng.uniform(-1.5, 1.5))
-            if all(abs(cand * cand - p * p) > 0.1 for p in pts):
-                pts.append(cand)
-        reg = partial_fraction_coeffs(pts)
-        checked = 0
-        while checked < 20:
-            z = complex(rng.uniform(-1.0, 4.0), rng.uniform(-2.0, 2.0))
-            if any(abs(p * p + z) < 0.1 for p in pts):
-                continue
-            lhs, rhs = reg.lhs(z), reg.rhs(z)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-            checked += 1
-
-
-def test_partial_fractions_rejects_equal_squares():
-    with pytest.raises(ValidationError):
-        partial_fraction_coeffs([Fraction(2), Fraction(-2)])
-    with pytest.raises(ValidationError):
-        partial_fraction_coeffs([1.0 + 0j, -1.0 + 0j])
 
 
 def test_abscissa_estimate_small_spectrum_defaults():
@@ -446,22 +408,6 @@ def test_context_validation():
         make_ctx([], SIGMA0, elliptic=[ell_record((0.5,))], elliptic_vols=[1.0, 2.0])
 
 
-def test_conjugate_sigma_trace_flag():
-    rec = hyp_record(1.2, (0.9,))
-    sigma = WeightVector.from_coords([1])
-    base = make_ctx([rec], sigma)
-    flipped = make_ctx([rec], sigma, conjugate_sigma_trace=True)
-    s = 3.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        a = log_zeta_truncated(s, base)
-        b = log_zeta_truncated(s, flipped)
-    assert a == pytest.approx(b.conjugate(), rel=1e-14)
-    ha = geometric_heat_terms(0.7, base).hyperbolic
-    hb = geometric_heat_terms(0.7, flipped).hyperbolic
-    assert ha == pytest.approx(hb.conjugate(), rel=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # grid evaluation against an independent per-class loop
 #
@@ -487,12 +433,10 @@ def closed_form_character(sigma, angles) -> complex:
     return math.sin((a + b + 1) * x) / math.sin(x) * math.sin((a - b + 1) * y) / math.sin(y)
 
 
-def loop_log_zeta(recs, sigma, n, s, conj):
+def loop_log_zeta(recs, sigma, n, s):
     total, size = 0j, 0.0
     for r in recs:
         trace = closed_form_character(sigma, r.angles)
-        if conj:
-            trace = trace.conjugate()
         term = (r.tr_chi * float(r.v) * trace * cmath.exp(-(s + n) * r.length)
                 / (r.power * math.exp(n * r.length) * r.D))
         total += term
@@ -500,10 +444,10 @@ def loop_log_zeta(recs, sigma, n, s, conj):
     return -total, size
 
 
-def loop_zeta_pair(recs, sigma, n, s, conj):
+def loop_zeta_pair(recs, sigma, n, s):
     """(Z(s, sigma), Z(s, w0 sigma), sum|terms| over both)."""
-    a, size_a = loop_log_zeta(recs, sigma, n, s, conj)
-    b, size_b = loop_log_zeta(recs, w0_flip(sigma), n, s, conj)
+    a, size_a = loop_log_zeta(recs, sigma, n, s)
+    b, size_b = loop_log_zeta(recs, w0_flip(sigma), n, s)
     return cmath.exp(a), cmath.exp(b), size_a + size_b
 
 
@@ -523,12 +467,11 @@ def regular_spectrum(rng, n, count=7, power_every=3):
 
 
 def grid_cases(rng):
-    """(n, sigma, conjugate flag) over a flip-moved and a flip-fixed weight."""
+    """(n, sigma) over a flip-moved and a flip-fixed weight."""
     for n in (1, 2):
         fixed = WeightVector.from_coords([rng.randrange(0, 4)] + [0] * (n - 1))
         for sigma in (random_flip_moved_dominant(rng, n), fixed):
-            for conj in (False, True):
-                yield n, sigma, conj
+            yield n, sigma
 
 
 def complex_grid(rng, count=6):
@@ -536,9 +479,9 @@ def complex_grid(rng, count=6):
 
 
 def test_log_zeta_grid_matches_loop_and_scalar(rng):
-    for n, sigma, conj in grid_cases(rng):
+    for n, sigma in grid_cases(rng):
         recs = regular_spectrum(rng, n)
-        ctx = make_ctx(recs, sigma, n=n, conjugate_sigma_trace=conj)
+        ctx = make_ctx(recs, sigma, n=n)
         grid = complex_grid(rng)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -546,14 +489,14 @@ def test_log_zeta_grid_matches_loop_and_scalar(rng):
             assert values == [log_zeta_truncated(s, ctx) for s in grid]
         assert len(values) == len(grid)
         for s, got in zip(grid, values):
-            want, size = loop_log_zeta(recs, sigma, n, s, conj)
-            assert abs(got - want) <= GRID_TOL * size, (n, sigma, conj, s)
+            want, size = loop_log_zeta(recs, sigma, n, s)
+            assert abs(got - want) <= GRID_TOL * size, (n, sigma, s)
 
 
 def test_symmetric_and_antisymmetric_grid_match_loop_and_scalar(rng):
-    for n, sigma, conj in grid_cases(rng):
+    for n, sigma in grid_cases(rng):
         recs = regular_spectrum(rng, n)
-        ctx = make_ctx(recs, sigma, n=n, conjugate_sigma_trace=conj)
+        ctx = make_ctx(recs, sigma, n=n)
         grid = tuple(complex_grid(rng))
         sym = symmetric_zeta(grid, ctx)
         assert sym == [symmetric_zeta(s, ctx) for s in grid]
@@ -562,7 +505,7 @@ def test_symmetric_and_antisymmetric_grid_match_loop_and_scalar(rng):
             anti = antisymmetric_zeta(grid, ctx)
             assert anti == [antisymmetric_zeta(s, ctx) for s in grid]
         for i, s in enumerate(grid):
-            z, zf, size = loop_zeta_pair(recs, sigma, n, s, conj)
+            z, zf, size = loop_zeta_pair(recs, sigma, n, s)
             want = z * zf if moved else z
             assert abs(sym[i] - want) <= (GRID_TOL * size + EXP_ULPS) * abs(want)
             if moved:
@@ -585,62 +528,89 @@ def orbital_gaussian(sigma, angles, t):
                for x, w in zip(nodes, weights)) / math.sqrt(t)
 
 
-def rank1_case(rng, sigma, conj):
+def rank1_case(rng, sigma):
     recs = regular_spectrum(rng, 1)
     ell = [ell_record((rng.uniform(0.3, 5.9),), tr_chi=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
            for _ in range(3)]
     vols = [rng.uniform(0.2, 1.5) for _ in ell]
     ctx = make_ctx(recs, sigma, elliptic=ell, elliptic_vols=vols, vol=rng.uniform(0.5, 2.0),
-                   chi_dim=2, conjugate_sigma_trace=conj)
+                   chi_dim=2)
     return recs, ell, vols, ctx
 
 
 def test_xi_grid_matches_loop_and_scalar(rng):
     for sigma in (WeightVector.from_coords([2]), WeightVector.from_coords([0])):
-        for conj in (False, True):
-            recs, ell, vols, ctx = rank1_case(rng, sigma, conj)
-            k = float(sigma.coords[0])
-            eps = epsilon_sigma(sigma)
-            grid = [complex(rng.uniform(0.5, 2.5), rng.uniform(-1.0, 1.0)) for _ in range(5)]
-            values = xi_correction(grid, ctx)
-            assert values == [xi_correction(s, ctx) for s in grid]
-            for s, got in zip(grid, values):
-                z, zf, size = loop_zeta_pair(recs, sigma, 1, s, conj)
-                ident = -2 * math.pi * eps * 2 * ctx.vol * (k * k * s + s**3 / 3) / (4 * math.pi**2)
-                ell_terms = [-2 * eps * r.tr_chi * v * orbital_antiderivative(sigma, r.angles, s)
-                             for r, v in zip(ell, vols)]
-                size += abs(ident) + sum(abs(x) for x in ell_terms)
-                want = cmath.exp(ident + sum(ell_terms)) * (z * zf if eps == 2 else z)
-                assert abs(got - want) <= (GRID_TOL * size + EXP_ULPS) * abs(want), (sigma, conj, s)
+        recs, ell, vols, ctx = rank1_case(rng, sigma)
+        k = float(sigma.coords[0])
+        eps = epsilon_sigma(sigma)
+        grid = [complex(rng.uniform(0.5, 2.5), rng.uniform(-1.0, 1.0)) for _ in range(5)]
+        values = xi_correction(grid, ctx)
+        assert values == [xi_correction(s, ctx) for s in grid]
+        for s, got in zip(grid, values):
+            z, zf, size = loop_zeta_pair(recs, sigma, 1, s)
+            ident = -2 * math.pi * eps * 2 * ctx.vol * (k * k * s + s**3 / 3) / (4 * math.pi**2)
+            ell_terms = [-2 * eps * r.tr_chi * v * orbital_antiderivative(sigma, r.angles, s)
+                         for r, v in zip(ell, vols)]
+            size += abs(ident) + sum(abs(x) for x in ell_terms)
+            want = cmath.exp(ident + sum(ell_terms)) * (z * zf if eps == 2 else z)
+            assert abs(got - want) <= (GRID_TOL * size + EXP_ULPS) * abs(want), (sigma, s)
 
 
 def test_heat_terms_grid_matches_loop_and_scalar(rng):
     for sigma in (WeightVector.from_coords([3]), WeightVector.from_coords([0])):
-        for conj in (False, True):
-            recs, ell, vols, ctx = rank1_case(rng, sigma, conj)
-            k = float(sigma.coords[0])
-            eps = epsilon_sigma(sigma)
-            times = [0.05, 0.3, 1.0, 2.7]
-            values = geometric_heat_terms(times, ctx)
-            assert values == [geometric_heat_terms(t, ctx) for t in times]
-            for t, got in zip(times, values):
-                ident = eps * 2 * ctx.vol / (4 * math.pi**2) * (
-                    k * k * math.sqrt(math.pi / t) + math.sqrt(math.pi) / (2 * t**1.5))
-                assert abs(got.identity - ident) <= GRID_TOL * abs(ident)
-                ell_terms = [eps * r.tr_chi * v * orbital_gaussian(sigma, r.angles, t)
-                             for r, v in zip(ell, vols)]
-                size = sum(abs(x) for x in ell_terms)
-                assert abs(got.elliptic - sum(ell_terms)) <= GRID_TOL * size
-                hyp_terms = []
-                for r in recs:
-                    # the heat side conjugates the zeta side's trace
-                    weights = [sigma, w0_flip(sigma)][:eps]
-                    pair = [closed_form_character(w, r.angles) for w in weights]
-                    trace = sum(pair) if conj else sum(p.conjugate() for p in pair)
-                    hyp_terms.append(r.tr_chi * float(r.v) * r.primitive_length / (2 * math.pi * r.D)
-                                     * trace * math.sqrt(math.pi / t) * math.exp(-r.length**2 / (4 * t)))
-                size = sum(abs(x) for x in hyp_terms)
-                assert abs(got.hyperbolic - sum(hyp_terms)) <= GRID_TOL * size, (sigma, conj, t)
+        recs, ell, vols, ctx = rank1_case(rng, sigma)
+        k = float(sigma.coords[0])
+        eps = epsilon_sigma(sigma)
+        times = [0.05, 0.3, 1.0, 2.7]
+        values = geometric_heat_terms(times, ctx)
+        assert values == [geometric_heat_terms(t, ctx) for t in times]
+        for t, got in zip(times, values):
+            ident = eps * 2 * ctx.vol / (4 * math.pi**2) * (
+                k * k * math.sqrt(math.pi / t) + math.sqrt(math.pi) / (2 * t**1.5))
+            assert abs(got.identity - ident) <= GRID_TOL * abs(ident)
+            ell_terms = [eps * r.tr_chi * v * orbital_gaussian(sigma, r.angles, t)
+                         for r, v in zip(ell, vols)]
+            size = sum(abs(x) for x in ell_terms)
+            assert abs(got.elliptic - sum(ell_terms)) <= GRID_TOL * size
+            hyp_terms = []
+            for r in recs:
+                # the heat side conjugates the zeta side's trace
+                weights = [sigma, w0_flip(sigma)][:eps]
+                pair = [closed_form_character(w, r.angles) for w in weights]
+                trace = sum(p.conjugate() for p in pair)
+                hyp_terms.append(r.tr_chi * float(r.v) * r.primitive_length / (2 * math.pi * r.D)
+                                 * trace * math.sqrt(math.pi / t) * math.exp(-r.length**2 / (4 * t)))
+            size = sum(abs(x) for x in hyp_terms)
+            assert abs(got.hyperbolic - sum(hyp_terms)) <= GRID_TOL * size, (sigma, t)
+
+
+@pytest.mark.parametrize("coords", [[1], [0]])
+def test_heat_terms_laplace_transform_is_zeta_log_derivative(coords):
+    """int_0^inf e^{-t s^2} H(t) dt = (1/2s) sum_{sigma, w0 sigma} d/ds log Z(s - 2n).
+
+    Termwise, int_0^inf e^{-t s^2} sqrt(pi/t) e^{-l^2/4t} dt = (pi/s) e^{-l s};
+    the zeta side carries the class term at s - 2n, n = 1 here."""
+    from scipy.integrate import quad
+
+    spectrum = build_length_spectrum(cyclic_h3_spec(1.3, 0.7), 8, 12.0)
+    sigma = WeightVector.from_coords(coords)
+    ctx = ZetaTermContext(n=1, sigma=sigma, chi_dim=1, spectrum=spectrum, allow_ambiguous=True)
+    weights = {sigma, w0_flip(sigma)}
+    h = 1e-5
+    for s in (1.5, 2.5):
+        integral, _ = quad(
+            lambda t: math.exp(-t * s * s) * geometric_heat_terms(t, ctx).hyperbolic.real,
+            0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            derivative = sum(
+                (log_zeta_truncated(s - 2 + h, ctx.with_sigma(w))
+                 - log_zeta_truncated(s - 2 - h, ctx.with_sigma(w))) / (2 * h)
+                for w in weights
+            )
+        want = derivative / (2 * s)
+        assert abs(integral - want) <= 1e-8 * abs(want), (coords, s, integral, want)
 
 
 def test_grid_left_of_abscissa_warns_once(rng):
