@@ -7,8 +7,9 @@ floats and no locale dependence; identical configuration and inputs give
 bitwise-identical artifacts.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-guard error.  A
-radius, side, rmax or heat time that is not finite and positive is a
-validation error.
+radius, side, rmax, heat time, cutoff or volume that is not finite and
+positive is a validation error, and so is a chi dimension or element cap
+below 1.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ def _parse_grid(text: str) -> list[complex]:
 def _load_context(args) -> zeta_mod.ZetaTermContext:
     spectrum = LengthSpectrum.read_csv(args.spectrum)
     if args.cutoff is not None:
-        if args.cutoff <= 0:
-            raise ValidationError("cutoff must be positive")
+        if not 0 < args.cutoff < math.inf:
+            raise ValidationError("cutoff must be finite and positive")
         spectrum.records = [
             r
             for r in spectrum.records

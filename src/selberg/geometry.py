@@ -3,17 +3,22 @@
 Groups are given by unit-determinant 2x2 generator matrices in one of two
 models: real matrices acting on the hyperbolic plane, or complex matrices
 acting on hyperbolic 3-space (the rank-1 case of the ambient theory).
-Elements are enumerated as reduced words up to a length bound, deduplicated
-projectively (g and -g are the same isometry), classified through their
+Elements are enumerated as reduced words up to a length bound, one word
+length at a time as a stack of products, classified through their
 eigenvalues, and collected into conjugacy classes with all the per-class
 quantities the zeta and trace-formula layers consume: geodesic length,
 primitive length and power, rotation angle, the adjoint-determinant weight
 D, the centralizer index correction v, and the twist trace.
 
+"Same isometry" is decided only by ``projectively_close``, relative to the
+size of the product compared.  Products are not rescaled to determinant 1,
+which would only add rounding: generator determinants are 1 to 1e-10.
+
 Conjugacy is decided by invariants plus an explicit conjugator search
-inside the enumerated ball; full conjugacy decision is undecidable in
-general, so classes with equal invariants but no certifying conjugator are
-flagged ambiguous rather than merged or dropped.
+inside the enumerated ball, one stacked product h g h^-1 over the ball per
+class representative; full conjugacy decision is undecidable in general,
+so classes with equal invariants but no certifying conjugator are flagged
+ambiguous rather than merged or dropped.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import cmath
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,11 +41,12 @@ from .errors import (
 
 MODELS = ("H2-real-2x2", "H3-complex-2x2")
 
-#: quantization grid for projective hash keys
+#: quantization grid of ``projective_key``
 KEY_GRID = 1e-7
-#: tolerance for matrix-level comparisons after word products
-MATRIX_TOL = 1e-6
-#: tolerance for classification invariants
+#: relative tolerance of ``projectively_close``, times a bound on the size
+#: of the product compared
+MATRIX_TOL = 1e-12
+#: tolerance for classification invariants, relative for lengths and angles
 CLASSIFY_TOL = 1e-8
 
 DEFAULT_MAX_WORD_LEN = 14
@@ -89,10 +95,6 @@ class GroupSpec:
                     raise ValidationError("chi matrices must be square")
                 if not np.isfinite(np.linalg.cond(m)) or np.linalg.cond(m) > 1e12:
                     raise ValidationError("chi matrix is numerically singular")
-
-    @property
-    def chi_dim(self) -> int:
-        return 1 if self.chi is None else self.chi[0].shape[0]
 
     def spec_hash(self) -> str:
         """Stable 16-hex-digit digest of the defining data."""
@@ -178,20 +180,38 @@ def _matrix_from_rows(rows):
     return np.array(flat, dtype=complex).reshape(side, side)
 
 
-def _inv2(m: np.ndarray) -> np.ndarray:
-    # unit determinant: adjugate
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+def _inv2(m):
+    """Inverse of unit-determinant 2x2 matrices (the adjugate), over leading axes."""
+    m = np.asarray(m, dtype=complex)
+    adjugate = np.stack([m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]], -1)
+    return adjugate.reshape(m.shape)
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over broadcast leading axes, in explicit entry arithmetic so that
+    no BLAS call (and no BLAS thread count) can change a bit."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
+    return out
+
+
+def _size(m: np.ndarray) -> np.ndarray:
+    """Largest entry modulus, over leading axes."""
+    return np.abs(m).max(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
-# projective deduplication
+# projective comparison
 
 
 def projective_key(m: np.ndarray) -> tuple:
     """Quantized key identifying m and -m.
 
     The sign is canonicalized at the first entry of significant magnitude,
-    then all entries are rounded to the KEY_GRID lattice.
+    then all entries are rounded to the KEY_GRID lattice.  The package does
+    not use it: a conjugate can fall on either side of a grid edge.
     """
     flat = [m[0, 0], m[0, 1], m[1, 0], m[1, 1]]
     for x in flat:
@@ -204,21 +224,36 @@ def projective_key(m: np.ndarray) -> tuple:
     )
 
 
-def projectively_close(a: np.ndarray, b: np.ndarray, tol: float = MATRIX_TOL) -> bool:
-    return bool(
-        np.max(np.abs(a - b)) < tol or np.max(np.abs(a + b)) < tol
-    )
+def projectively_close(a, b, tol):
+    """Whether a = +-b within ``tol`` in every entry, over broadcast leading
+    axes.  ``tol`` is MATRIX_TOL times a bound on the size of the product:
+    max(1, max|m|) for a ball product m, max|h|^2 max|g| for a conjugate
+    h g h^-1, max|p| for a power p and max|h w| for a commutator."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.minimum(_size(a - b), _size(a + b)) < tol
+
+
+def _matches(queries: np.ndarray, tols: np.ndarray, refs: np.ndarray):
+    """Index pairs (i, j) with queries[i] projectively close to refs[j] at
+    tols[i].  A match moves the Frobenius norm by at most 2 tol (four
+    entries), so only refs in that window of the sorted norms are compared."""
+    ref_norm = np.linalg.norm(refs, axis=(-2, -1))
+    order = np.argsort(ref_norm, kind="stable")
+    ref_norm = ref_norm[order]
+    norm = np.linalg.norm(queries, axis=(-2, -1))
+    lo = np.searchsorted(ref_norm, norm - 2.0 * tols, side="left")
+    counts = np.searchsorted(ref_norm, norm + 2.0 * tols, side="right") - lo
+    qi = np.repeat(np.arange(len(queries)), counts)
+    offset = np.arange(len(qi)) - np.repeat(np.cumsum(counts) - counts, counts)
+    rj = order[np.repeat(lo, counts) + offset]
+    hit = projectively_close(queries[qi], refs[rj], tols[qi])
+    return qi[hit], rj[hit]
 
 
 @dataclass
 class GroupElement:
     matrix: np.ndarray
     word: tuple
-    key: tuple = field(default=None)
-
-    def __post_init__(self):
-        if self.key is None:
-            self.key = projective_key(self.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -228,57 +263,41 @@ class GroupElement:
 def enumerate_elements(
     spec: GroupSpec,
     max_word_len: int,
-    word_len_limit: int = DEFAULT_MAX_WORD_LEN,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> list[GroupElement]:
     """All distinct reduced generator words up to the length bound,
-    deduplicated up to overall matrix sign, in deterministic order."""
-    if max_word_len < 0:
-        raise ValidationError("max_word_len must be nonnegative")
-    if max_word_len > word_len_limit:
+    deduplicated up to overall matrix sign, in (length, word) order; each
+    word length is one stack of frontier x letter products."""
+    if not 0 <= max_word_len <= DEFAULT_MAX_WORD_LEN:
         raise ValidationError(
-            f"max_word_len {max_word_len} exceeds the configured limit {word_len_limit}"
+            f"max_word_len must be between 0 and {DEFAULT_MAX_WORD_LEN}, got {max_word_len}"
         )
-    steps = []
-    for i, g in enumerate(spec.generators, start=1):
-        steps.append((i, g))
-        steps.append((-i, _inv2(g)))
-
-    identity = GroupElement(np.eye(2, dtype=complex), ())
-    buckets: dict[tuple, list[GroupElement]] = {identity.key: [identity]}
-    ordered = [identity]
-    frontier = [identity]
-
-    def seen(matrix, key) -> bool:
-        bucket = buckets.get(key)
-        if bucket is None:
-            return False
-        # exact-comparison fallback on key collisions
-        return any(projectively_close(matrix, el.matrix) for el in bucket)
-
+    if element_cap < 1:
+        raise ValidationError("element cap must be at least 1")
+    gens = np.array(spec.generators, dtype=complex).reshape(-1, 2, 2)
+    steps = np.stack([gens, _inv2(gens)], 1).reshape(-1, 2, 2)
+    letters = np.repeat(np.arange(1, len(gens) + 1), 2) * np.tile([1, -1], len(gens))
+    levels, words, last = [np.eye(2, dtype=complex)[None]], [()], np.zeros(1, dtype=int)
     for _ in range(max_word_len):
-        new_frontier = []
-        for el in frontier:
-            for letter, step in steps:
-                if el.word and el.word[-1] == -letter:
-                    continue  # reduced words only
-                m = el.matrix @ step
-                det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-                m = m / cmath.sqrt(det)  # keep det drift from accumulating
-                key = projective_key(m)
-                if seen(m, key):
-                    continue
-                new = GroupElement(m, el.word + (letter,), key)
-                buckets.setdefault(key, []).append(new)
-                ordered.append(new)
-                new_frontier.append(new)
-                if len(ordered) > element_cap:
-                    raise EnumerationExplosionError(
-                        f"enumeration exceeded the cap of {element_cap} elements"
-                    )
-        frontier = new_frontier
-    ordered.sort(key=lambda e: (len(e.word), e.word))
-    return ordered
+        # frontier-major, letter-minor; reduced words only
+        f, k = np.nonzero(letters[None, :] != -last[:, None])
+        cand = _mul(levels[-1][f], steps[k])
+        tols = MATRIX_TOL * np.maximum(1.0, _size(cand))
+        # drop a product equal to a ball element or to an earlier product
+        qi, rj = _matches(cand, tols, np.concatenate(levels + [cand]))
+        keep = np.ones(len(cand), dtype=bool)
+        keep[qi[rj < len(words) + qi]] = False
+        if len(words) + int(keep.sum()) > element_cap:
+            raise EnumerationExplosionError(
+                f"enumeration exceeded the cap of {element_cap} elements"
+            )
+        last = letters[k[keep]]
+        start = len(words) - len(levels[-1])  # the frontier's words
+        words += [words[start + i] + (x,) for i, x in zip(f[keep].tolist(), last.tolist())]
+        levels.append(cand[keep])
+    mats = np.concatenate(levels)
+    order = sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
+    return [GroupElement(mats[i], words[i]) for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -290,29 +309,28 @@ class Classification:
     kind: str  # identity | elliptic | hyperbolic
     length: float
     angle: float
-    eigenvalue: complex
 
 
-def classify(matrix, model: str, tol: float = CLASSIFY_TOL) -> Classification:
+def classify(matrix, model: str) -> Classification:
     """Classify an isometry through its eigenvalue of largest modulus.
 
     Hyperbolic: |lambda| > 1, translation length 2*ln|lambda| and rotation
     angle 2*arg(lambda) mod 2pi (the orientation induced by the translation
-    direction makes this stable under lift sign and inversion).  Elliptic:
-    |lambda| = 1 and not +-identity, rotation angle from the eigenvalue in
-    the upper half plane of the given lift; the opposite lift carries the
-    complementary label 2pi - theta for the same projective class.  A trace
-    within 1e-8 of +-2 on a non-identity element means a (numerically)
-    defective parabolic, which is rejected: the groups of interest act
-    cocompactly.
+    direction makes this stable under lift sign and inversion).  Elliptic in
+    H2: the angle is 2*acos(tr/2) of the lift whose lower-left entry is
+    positive, so neither the lift nor conjugation changes it, and g and g^-1
+    get the labels theta and 2pi - theta.  Elliptic in H3: the angle comes
+    from the eigenvalue in the upper half plane of the given lift; the
+    opposite lift carries the complementary label 2pi - theta for the same
+    projective class.  A trace within 1e-8 of +-2 on a non-identity element
+    means a (numerically) defective parabolic, which is rejected: the groups
+    of interest act cocompactly.
     """
-    if isinstance(matrix, GroupElement):
-        matrix = matrix.matrix
     m = np.asarray(matrix, dtype=complex)
-    if projectively_close(m, np.eye(2), tol):
-        return Classification("identity", 0.0, 0.0, 1.0 + 0j)
+    if projectively_close(m, np.eye(2), CLASSIFY_TOL):
+        return Classification("identity", 0.0, 0.0)
     tr = m[0, 0] + m[1, 1]
-    if min(abs(tr - 2.0), abs(tr + 2.0)) < tol:
+    if min(abs(tr - 2.0), abs(tr + 2.0)) < CLASSIFY_TOL:
         raise ParabolicElementError(
             "parabolic element detected (trace within tolerance of +-2 on a "
             "non-identity element); the group does not act cocompactly"
@@ -322,16 +340,19 @@ def classify(matrix, model: str, tol: float = CLASSIFY_TOL) -> Classification:
     other = (tr - disc) / 2.0
     if abs(other) > abs(lam):
         lam, other = other, lam
-    if abs(lam) > 1.0 + tol:
+    if abs(lam) > 1.0 + CLASSIFY_TOL:
         length = 2.0 * math.log(abs(lam))
         angle = (2.0 * cmath.phase(lam)) % (2.0 * math.pi)
-        if min(angle, 2.0 * math.pi - angle) < tol:
+        if min(angle, 2.0 * math.pi - angle) < CLASSIFY_TOL:
             angle = 0.0
-        return Classification("hyperbolic", length, angle, lam)
+        return Classification("hyperbolic", length, angle)
+    if model == "H2-real-2x2":
+        half_trace = tr.real / 2.0 if m[1, 0].real > 0 else -tr.real / 2.0
+        return Classification("elliptic", 0.0, 2.0 * math.acos(min(1.0, max(-1.0, half_trace))))
     if lam.imag < 0:
         lam = other
     angle = (2.0 * cmath.phase(lam)) % (2.0 * math.pi)
-    return Classification("elliptic", 0.0, angle, lam)
+    return Classification("elliptic", 0.0, angle)
 
 
 def weight_D(length: float, angles, n: int) -> float:
@@ -346,8 +367,6 @@ def weight_D(length: float, angles, n: int) -> float:
     """
     if length <= 0:
         raise ValidationError("weight D is defined for hyperbolic classes only")
-    if isinstance(angles, (int, float)):
-        angles = (float(angles),)
     angles = tuple(angles)
     if len(angles) != n:
         raise ValidationError(f"need {n} rotation angles, got {len(angles)}")
@@ -382,80 +401,73 @@ class ConjClassRecord:
         return self.angles[0] if self.angles else 0.0
 
 
-def _invariant_key(c: Classification) -> tuple:
-    return (
-        c.kind,
-        int(round(c.length / CLASSIFY_TOL)),
-        int(round(c.angle / CLASSIFY_TOL)),
-    )
+def _chain(indices: list, value) -> list[list]:
+    """Sort indices by value and cut wherever neighbours differ by more than
+    CLASSIFY_TOL relative."""
+    vals = sorted((value(i), i) for i in indices)
+    gaps = [b - a > CLASSIFY_TOL * max(1.0, abs(b)) for (a, _), (b, _) in zip(vals, vals[1:])]
+    cuts = [j + 1 for j, gap in enumerate(gaps) if gap]
+    return [[i for _, i in vals[a:b]] for a, b in zip([0] + cuts, cuts + [len(vals)])]
 
 
 def conjugacy_reduce(
     elements: list[GroupElement],
     spec: GroupSpec,
     torsion_ball: list[GroupElement] | None = None,
-    compute_v: bool = True,
 ) -> list[ConjClassRecord]:
     """Collect enumerated elements into conjugacy classes.
 
-    Classes are keyed by (kind, length, angle) within tolerance and
-    confirmed by explicit conjugator search within the ball; each class gets
-    a minimal-word witness, a primitive decomposition, the weight D, the
-    centralizer correction v and the twist trace.
+    Elements are bucketed by (kind, length, angle) within the invariant
+    tolerance; a bucket of several elements is split into classes by a
+    conjugator search over the whole ball.  Each class gets a minimal-word
+    witness, a primitive decomposition, the weight D, the centralizer
+    correction v and the twist trace.
     """
-    classified = [(el, classify(el, spec.model)) for el in elements]
-    buckets: dict[tuple, list[tuple[GroupElement, Classification]]] = {}
-    for el, c in classified:
-        if c.kind == "identity":
-            continue
-        buckets.setdefault(_invariant_key(c), []).append((el, c))
+    mats = np.array([el.matrix for el in elements], dtype=complex).reshape(-1, 2, 2)
+    words = [el.word for el in elements]
+    classes = [classify(m, spec.model) for m in mats]
+    buckets = []
+    for kind in ("elliptic", "hyperbolic"):
+        same_kind = [i for i, c in enumerate(classes) if c.kind == kind]
+        for chain in _chain(same_kind, lambda i: classes[i].length):
+            buckets += _chain(chain, lambda i: classes[i].angle)
 
-    candidates = classified
+    cand_mats, cand_classes, torsion_mats = mats, classes, None
     if torsion_ball is not None:
-        candidates = [(el, classify(el, spec.model)) for el in torsion_ball]
-    cand_hyper = sorted(
-        ((c.length, el) for el, c in candidates if c.kind == "hyperbolic"),
-        key=lambda t: t[0],
-    )
-    inverses = None  # computed lazily, only if a multi-member bucket shows up
+        torsion_mats = cand_mats = np.array([el.matrix for el in torsion_ball]).reshape(-1, 2, 2)
+        cand_classes = [classify(m, spec.model) for m in cand_mats]
+    hyper = sorted((c.length, i) for i, c in enumerate(cand_classes) if c.kind == "hyperbolic")
+    cand_len = np.array([length for length, _ in hyper])
+    cand_mats = cand_mats[[i for _, i in hyper]]
+    inverses = _inv2(mats)
+    size = _size(mats)
 
     records: list[ConjClassRecord] = []
-    for inv_key in sorted(buckets):
-        members = sorted(buckets[inv_key], key=lambda mc: (len(mc[0].word), mc[0].word))
-        if len(members) == 1:
-            class_groups = [members]
-        else:
-            if inverses is None:
-                inverses = [_inv2(el.matrix) for el in elements]
-            unassigned = {m[0].key: m for m in members}
-            class_groups = []
-            while unassigned:
-                rep_key = next(iter(unassigned))
-                rep, rep_cls = unassigned.pop(rep_key)
-                group = [(rep, rep_cls)]
-                # spread the class through every available conjugator
-                for h, hinv in zip(elements, inverses):
-                    if not unassigned:
-                        break
-                    img = h.matrix @ rep.matrix @ hinv
-                    k = projective_key(img)
-                    if k in unassigned:
-                        group.append(unassigned.pop(k))
-                class_groups.append(group)
+    for bucket in buckets:
+        unassigned = sorted(bucket, key=lambda i: (len(words[i]), words[i]))
+        class_groups = []
+        while unassigned:
+            rep, rest = unassigned[0], unassigned[1:]
+            found = set()
+            if rest:
+                # spread the class through every conjugator in the ball at once
+                images = _mul(_mul(mats, mats[rep]), inverses)
+                tols = MATRIX_TOL * size**2 * size[rep]
+                found = set(_matches(images, tols, mats[rest])[1].tolist())
+            class_groups.append([rep] + [m for j, m in enumerate(rest) if j in found])
+            unassigned = [m for j, m in enumerate(rest) if j not in found]
         ambiguous = len(class_groups) > 1
         for group in class_groups:
-            witness, wc = min(group, key=lambda mc: (len(mc[0].word), mc[0].word))
-            member_keys = {m[0].key for m in group}
-            power, prim_len = _primitive_decomposition(
-                witness, wc, member_keys, cand_hyper
-            )
+            witness = group[0]  # the members are in (length, word) order
+            wc = classes[witness]
             if wc.kind == "hyperbolic":
+                power, prim_len = _primitive_decomposition(
+                    wc.length, mats[group], cand_len, cand_mats
+                )
                 d_val = weight_D(wc.length, (wc.angle,), 1)
+                v_val, defaulted = _v_factor_impl(mats[witness], spec, mats, torsion_mats)
             else:
-                d_val = None
-            if compute_v and wc.kind == "hyperbolic":
-                v_val, defaulted = _v_factor_impl(witness, spec, elements, torsion_ball)
-            else:
+                power, prim_len, d_val = 1, wc.length, None
                 v_val, defaulted = Fraction(1), spec.torsion_free_words is None
             records.append(
                 ConjClassRecord(
@@ -466,8 +478,8 @@ def conjugacy_reduce(
                     angles=(wc.angle,),
                     D=d_val,
                     v=v_val,
-                    tr_chi=spec.chi_trace(witness.word),
-                    word=witness.word,
+                    tr_chi=spec.chi_trace(words[witness]),
+                    word=words[witness],
                     ambiguous=ambiguous,
                     v_defaulted=defaulted,
                 )
@@ -480,70 +492,51 @@ _KIND_ORDER = {"identity": 0, "elliptic": 1, "hyperbolic": 2}
 
 
 def _primitive_decomposition(
-    witness: GroupElement,
-    wc: Classification,
-    member_keys: set,
-    cand_hyper: list,
+    length: float,
+    members: np.ndarray,
+    cand_len: np.ndarray,
+    cand_mats: np.ndarray,
 ) -> tuple[int, float]:
-    """Largest m with witness conjugate to p^m for p in the candidate ball.
-
-    Candidates come from the torsion-free subgroup ball when one was given,
-    so the returned power is the one relative to that subgroup.
-    """
-    if wc.kind != "hyperbolic" or not cand_hyper:
-        return 1, wc.length
-    l_min = cand_hyper[0][0]
-    max_m = int(math.floor(wc.length / max(l_min, 1e-12) + 1e-9))
+    """Largest m with p^m a member of the class for a candidate p, and the
+    length of the first such p.  Candidates come from the torsion-free
+    subgroup ball when one was given, so the power is relative to it."""
+    max_m = int(length / max(cand_len[0], 1e-12) + 1e-9) if len(cand_len) else 1
     for m in range(max_m, 1, -1):
-        target = wc.length / m
-        for length, el in cand_hyper:
-            if length > target + 1e-7:
-                break
-            if abs(length - target) > 1e-7:
-                continue
-            p = np.linalg.matrix_power(el.matrix, m)
-            if projective_key(p) in member_keys or projectively_close(
-                p, witness.matrix
-            ):
-                return m, length
-    return 1, wc.length
+        target, win = length / m, CLASSIFY_TOL * max(1.0, length / m)
+        lo, hi = np.searchsorted(cand_len, [target - win, target + win])
+        p = base = cand_mats[lo:hi]
+        for _ in range(m - 1):
+            p = _mul(p, base)
+        hit = projectively_close(
+            p[:, None], members[None], MATRIX_TOL * _size(p)[:, None]
+        ).any(axis=1)
+        if hit.any():
+            return m, float(cand_len[lo + int(np.argmax(hit))])
+    return 1, length
 
 
 # ---------------------------------------------------------------------------
 # centralizer index correction
 
 
-def _commutes_projectively(a: np.ndarray, b: np.ndarray) -> bool:
-    left = a @ b
-    right = b @ a
-    scale = max(1.0, float(np.max(np.abs(left))))
-    return bool(
-        np.max(np.abs(left - right)) < MATRIX_TOL * scale
-        or np.max(np.abs(left + right)) < MATRIX_TOL * scale
-    )
-
-
 def _v_factor_impl(
-    witness: GroupElement,
+    w: np.ndarray,
     spec: GroupSpec,
-    ball: list[GroupElement],
-    torsion_ball: list[GroupElement] | None,
+    ball: np.ndarray,
+    torsion_ball: np.ndarray | None,
 ) -> tuple[Fraction, bool]:
     if spec.torsion_free_words is None or torsion_ball is None:
         return Fraction(1), True
-    w = witness.matrix
-    cent = [el for el in ball if _commutes_projectively(el.matrix, w)]
-    cent_classes = [classify(el, spec.model) for el in cent]
-    torsion_count = len(
-        {el.key for el, c in zip(cent, cent_classes) if c.kind != "hyperbolic"}
-    )
-    hyper = [c.length for c in cent_classes if c.kind == "hyperbolic"]
-    cent_sub = [el for el in torsion_ball if _commutes_projectively(el.matrix, w)]
-    hyper_sub = [
-        c.length
-        for c in (classify(el, spec.model) for el in cent_sub)
-        if c.kind == "hyperbolic"
-    ]
+    found = []
+    for stack in (ball, torsion_ball):
+        hw = _mul(stack, w)
+        commuting = projectively_close(hw, _mul(w, stack), MATRIX_TOL * _size(hw))
+        found.append([classify(h, spec.model) for h in stack[commuting]])
+    cent, cent_sub = found
+    # the ball holds each element once, so this counts distinct elements
+    torsion_count = sum(1 for c in cent if c.kind != "hyperbolic")
+    hyper = [c.length for c in cent if c.kind == "hyperbolic"]
+    hyper_sub = [c.length for c in cent_sub if c.kind == "hyperbolic"]
     if not hyper or not hyper_sub:
         raise UndeterminedVFactorError(
             "ball too small to certify the centralizer index",
@@ -661,8 +654,8 @@ def build_length_spectrum(
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> LengthSpectrum:
     """Enumerate, classify and reduce a group into a cutoff length spectrum."""
-    if cutoff <= 0:
-        raise ValidationError("cutoff must be positive")
+    if not 0 < cutoff < math.inf:
+        raise ValidationError("cutoff must be finite and positive")
     ball = enumerate_elements(spec, max_word_len, element_cap=element_cap)
     torsion_ball = None
     if spec.torsion_free_words is not None:

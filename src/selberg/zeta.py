@@ -63,10 +63,12 @@ class ZetaTermContext:
     allow_ambiguous: bool = False
 
     def __post_init__(self):
-        if self.vol <= 0:
-            raise ValidationError("orbifold volume must be positive")
-        if self.spectrum.cutoff <= 0:
-            raise ValidationError("spectrum cutoff must be positive")
+        if not 0 < self.vol < math.inf:
+            raise ValidationError("orbifold volume must be finite and positive")
+        if not 0 < self.spectrum.cutoff < math.inf:
+            raise ValidationError("spectrum cutoff must be finite and positive")
+        if self.chi_dim < 1:
+            raise ValidationError("chi dimension must be at least 1")
         if self.sigma.rank != self.n:
             raise ValidationError("sigma rank must equal n")
         if self.elliptic_vols is not None and len(self.elliptic_vols) != len(

@@ -310,6 +310,35 @@ def test_heat_rejects_non_finite_or_nonpositive_input(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
 
 
+BAD_SPECTRUM_INPUTS = {
+    "enumerate-cutoff-nan": ("spectrum", "enumerate", "--group", "{group}",
+                             "--max-word-len", "2", "--cutoff", "nan"),
+    "enumerate-element-cap-negative": ("spectrum", "enumerate", "--group", "{group}",
+                                       "--max-word-len", "2", "--cutoff", "5",
+                                       "--element-cap", "-5"),
+    "eval-cutoff-nan": ("zeta", "eval", "--s-grid", "2:3:1", "--cutoff", "nan"),
+    "eval-chi-dim-negative": ("zeta", "eval", "--s-grid", "2:3:1", "--chi-dim", "-3"),
+    "heat-terms-vol-nan": ("zeta", "heat-terms", "--t", "0.5", "--vol", "nan"),
+    "heat-terms-vol-inf": ("zeta", "heat-terms", "--t", "0.5", "--vol", "inf"),
+    "xi-vol-inf": ("zeta", "xi", "--s", "3", "--vol", "inf"),
+}
+
+
+@pytest.mark.parametrize("argv", BAD_SPECTRUM_INPUTS.values(), ids=BAD_SPECTRUM_INPUTS.keys())
+def test_spectrum_and_zeta_reject_non_finite_or_nonpositive_input(capsys, group_file, tmp_path, argv):
+    spec_path = tmp_path / "spec.csv"
+    invoke(
+        capsys, "spectrum", "enumerate", "--group", group_file,
+        "--max-word-len", "3", "--cutoff", "7", "--out", str(spec_path),
+    )
+    argv = [a.format(group=group_file) for a in argv]
+    if argv[0] == "zeta":
+        argv[2:2] = ["--spectrum", str(spec_path), "--sigma", "1", "--allow-ambiguous"]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+
+
 @pytest.mark.parametrize("argv,message", [
     (("zeta", "pfrac", "--s", "1,2"), "invalid choice: 'pfrac'"),
     (("zeta", "eval", "--spectrum", "x.csv", "--sigma", "1", "--s-grid", "2:3:1",

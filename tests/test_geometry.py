@@ -31,7 +31,7 @@ from selberg.geometry import (
     classify,
     conjugacy_reduce,
     enumerate_elements,
-    projective_key,
+    projectively_close,
     weight_D,
 )
 from selberg.geometry import _inv2
@@ -107,13 +107,13 @@ def test_classification_conjugation_stable(rng):
     for _ in range(60):
         a = rng.choice(ball)
         h = rng.choice(ball)
-        ca = classify(a, tri.model)
+        ca = classify(a.matrix, tri.model)
         cb = classify(h.matrix @ a.matrix @ _inv2(h.matrix), tri.model)
         assert ca.kind == cb.kind
         assert ca.length == pytest.approx(cb.length, abs=1e-8)
-        # elliptic angle labels are lift dependent; lengths and kinds are not
-        if ca.kind == "hyperbolic":
-            assert ca.angle == pytest.approx(cb.angle, abs=1e-8)
+        # in H2 the angle label depends neither on the conjugate nor on the lift
+        assert ca.angle == pytest.approx(cb.angle, abs=1e-8)
+        assert classify(-a.matrix, tri.model).angle == pytest.approx(ca.angle, abs=1e-12)
 
 
 def test_conjugacy_merges_explicit_conjugates():
@@ -122,11 +122,90 @@ def test_conjugacy_merges_explicit_conjugates():
     g = next(e for e in ball if len(e.word) == 1)
     h = next(e for e in ball if len(e.word) == 2)
     conj = GroupElement(h.matrix @ g.matrix @ _inv2(h.matrix), h.word + g.word + tuple(-x for x in reversed(h.word)))
-    recs = conjugacy_reduce([g, conj, h], tri, compute_v=False)
-    same = [r for r in recs if abs(r.length - classify(g, tri.model).length) < 1e-8
-            and r.kind == classify(g, tri.model).kind
+    recs = conjugacy_reduce([g, conj, h], tri)
+    same = [r for r in recs if abs(r.length - classify(g.matrix, tri.model).length) < 1e-8
+            and r.kind == classify(g.matrix, tri.model).kind
             and not r.ambiguous]
     assert any(r.word == g.word for r in same)
+
+
+def test_triangle_elliptic_classes_are_exact():
+    # (2,3,7): x, y, y^-1 and (xy)^k for k = 1..6, one record each
+    ls = build_length_spectrum(triangle_237_spec(), 10, cutoff=5.0)
+    want = sorted([math.pi, 2 * math.pi / 3, 4 * math.pi / 3]
+                  + [2 * math.pi * k / 7 for k in range(1, 7)])
+    assert len(ls.elliptic()) == 9
+    assert not any(r.ambiguous for r in ls.elliptic())
+    assert sorted(r.theta for r in ls.elliptic()) == pytest.approx(want, abs=1e-10)
+
+
+def _rotation(a):
+    return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+
+
+def conjugated_free_spec(lam, tau, a, b) -> GroupSpec:
+    """diag(lam, 1/lam) and its quarter-turn conjugate, both conjugated by
+    R(a) diag(e^{tau/2}, e^{-tau/2}) R(b)."""
+    gen = np.diag([lam, 1.0 / lam])
+    c = _rotation(a) @ np.diag([math.exp(tau / 2), math.exp(-tau / 2)]) @ _rotation(b)
+    q = _rotation(math.pi / 4)
+    gens = [gen, q @ gen @ np.linalg.inv(q)]
+    return GroupSpec(model="H2-real-2x2", generators=[c @ g @ np.linalg.inv(c) for g in gens])
+
+
+def free_class_count(max_len: int) -> int:
+    """Nontrivial conjugacy classes of F_2 of cyclic length <= max_len:
+    sum_{k<=L} (1/k) sum_{d|k} phi(k/d) (3^d + 2 + (-1)^d)."""
+    def phi(n):
+        return sum(1 for j in range(1, n + 1) if math.gcd(j, n) == 1)
+
+    total = sum(
+        Fraction(sum(phi(k // d) * (3**d + 2 + (-1) ** d) for d in range(1, k + 1) if k % d == 0), k)
+        for k in range(1, max_len + 1)
+    )
+    assert total.denominator == 1
+    return int(total)
+
+
+FREE_CASES = [
+    ((3.663170, 0.421549, 0.948864, 3.604418), 6),
+    ((3.916891, 0.853142, 1.441763, 0.219035), 6),
+    ((3.933694, 0.916994, 2.353356, 2.458080), 7),
+]
+
+
+@pytest.mark.parametrize("params,max_len", FREE_CASES)
+def test_conjugated_free_group_has_one_record_per_class(params, max_len):
+    spec = conjugated_free_spec(*params)
+    ls = build_length_spectrum(spec, max_len, cutoff=4 * max_len * math.log(params[0]) + 1)
+    assert len(ls.records) == free_class_count(max_len)
+    necklaces = set()
+    for r in ls.records:
+        w = r.word
+        assert r.kind == "hyperbolic" and 0 < len(w) <= max_len
+        assert all(w[i] != -w[i - 1] for i in range(len(w)))  # cyclically reduced
+        necklaces.add(min(w[i:] + w[:i] for i in range(len(w))))
+        period = next(p for p in range(1, len(w) + 1) if w == w[p:] + w[:p])
+        assert r.power == len(w) // period
+    assert len(necklaces) == len(ls.records)
+
+
+def test_free_ball_matches_exact_products():
+    spec = conjugated_free_spec(*FREE_CASES[2][0])
+    letters = {}
+    for i, g in enumerate(spec.generators, start=1):
+        (p, q), (r, s) = [[Fraction(float(x.real)) for x in row] for row in g]
+        letters[i], letters[-i] = ((p, q), (r, s)), ((s, -q), (-r, p))  # adjugate
+    exact = {(): ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))}
+    ball = enumerate_elements(spec, 7)
+    assert len(ball) == 1 + 4 * (3**7 - 1) // 2
+    for el in ball:
+        if el.word:
+            (a, b), (c, d) = exact[el.word[:-1]]  # a first-found word's prefix is in the ball
+            (p, q), (r, s) = letters[el.word[-1]]
+            exact[el.word] = ((a * p + b * r, a * q + b * s), (c * p + d * r, c * q + d * s))
+        want = np.array(exact[el.word], dtype=float)
+        assert np.max(np.abs(el.matrix - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_conjugacy_power_decomposition():
@@ -143,7 +222,7 @@ def test_conjugacy_elliptic_distinct_angles():
         GroupElement(np.asarray(m, dtype=complex), (1,)),
         GroupElement(np.asarray(m @ m, dtype=complex), (1, 1)),
     ]
-    recs = conjugacy_reduce(els, spec, compute_v=False)
+    recs = conjugacy_reduce(els, spec)
     angles = sorted(r.theta for r in recs)
     assert angles == pytest.approx([2 * math.pi / 3, 4 * math.pi / 3], abs=1e-10)
     assert all(r.kind == "elliptic" and r.length == 0.0 for r in recs)
@@ -236,14 +315,15 @@ def test_tr_chi_is_class_function(rng):
     ]
     spec = schottky_spec(chi=chi)
     ball = enumerate_elements(spec, 4)
-    by_key = {e.key: e for e in ball}
+    mats = np.array([e.matrix for e in ball])
     samples = 0
     for el in ball[1:40]:
         for h in (ball[3], ball[7], ball[11]):
             conj = h.matrix @ el.matrix @ _inv2(h.matrix)
-            partner = by_key.get(projective_key(conj))
-            if partner is None:
+            close = projectively_close(mats, conj, 1e-9 * np.max(np.abs(conj)))
+            if not close.any():
                 continue
+            partner = ball[int(np.argmax(close))]
             t1 = spec.chi_trace(el.word)
             t2 = spec.chi_trace(partner.word)
             assert abs(t1 - t2) < 1e-8
