@@ -6,10 +6,18 @@ All output is plain CSV-ish text with full-precision (17 significant digit)
 floats and no locale dependence; identical configuration and inputs give
 bitwise-identical artifacts.
 
+Each invocation builds the parser for the subcommand its argv names: the
+top level lists every group, but only the invoked group gets its
+subcommands and only the invoked subcommand its arguments.  Help, usage and
+error text are those of the full tree.  A ``--config`` file's values are
+parsed like flags placed before the command line, so they pass the same
+types and choices and explicit flags win.
+
 Exit codes: 0 success, 2 validation error, 3 numerical-guard error.  A
 radius, side, rmax, heat time, cutoff or volume that is not finite and
 positive is a validation error, and so is a chi dimension or element cap
-below 1.
+below 1.  So are a missing or unwritable file, malformed JSON and a list or
+grid item that is not a number; each prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -75,8 +83,24 @@ class _Output:
             sys.stdout.write(payload)
 
 
-def _parse_values(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _number(text: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"cannot parse number {text.strip()!r}") from None
+
+
+def _parse_values(text: str, kind=float) -> list:
+    """Comma-separated numbers of type ``kind``; empty items are skipped."""
+    return [_number(x, kind) for x in text.split(",") if x.strip()]
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _parse_grid(text: str) -> list[complex]:
@@ -88,7 +112,7 @@ def _parse_grid(text: str) -> list[complex]:
         bits = part.split(":")
         if len(bits) != 3:
             raise ValidationError(f"grid axis {part!r} is not start:stop:step")
-        start, stop, step = (float(b) for b in bits)
+        start, stop, step = map(_number, bits)
         if not (step > 0 and all(map(math.isfinite, (start, stop, step)))):
             raise ValidationError("grid bounds must be finite and the step positive")
         # point i is start + i*step; the count is fixed once, so no drift.
@@ -221,7 +245,7 @@ def cmd_spectrum_enumerate(args, out: _Output) -> None:
 
 def cmd_spectrum_classify(args, out: _Output) -> None:
     spec = GroupSpec.from_file(args.group)
-    word = tuple(int(x) for x in args.word.split(",") if x.strip())
+    word = tuple(_parse_values(args.word, int))
     if args.validate:
         out.line("ok")
         return
@@ -325,161 +349,156 @@ def cmd_heat_weyl(args, out: _Output) -> None:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--validate", action="store_true", help="check inputs and exit")
-    p.add_argument("--config", help="JSON file with default argument values")
+def _arg(flag: str, **kwargs) -> tuple[str, dict]:
+    return flag, kwargs
 
 
-def _zeta_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--spectrum", required=True, help="length-spectrum CSV file")
-    p.add_argument("--sigma", required=True, help="weight, e.g. '1' or '1,0'")
-    p.add_argument("--vol", type=float, default=1.0, help="orbifold volume")
-    p.add_argument("--chi-dim", type=int, default=1, dest="chi_dim")
-    p.add_argument("--cutoff", type=float, default=None,
-                   help="drop hyperbolic classes above this length")
-    p.add_argument("--elliptic-vols", dest="elliptic_vols", default=None,
-                   help="comma-separated centralizer volumes per elliptic class")
-    p.add_argument("--allow-ambiguous", action="store_true", dest="allow_ambiguous")
+_COMMON = (
+    _arg("--out", help="write output to this file instead of stdout"),
+    _arg("--validate", action="store_true", help="check inputs and exit"),
+    _arg("--config", help="JSON file with default argument values"),
+)
+_N = _arg("--n", type=int, required=True)
+_SIGMA = _arg("--sigma", required=True)
+_ANGLES = _arg("--angles", required=True)
+_ZETA = (
+    _arg("--spectrum", required=True, help="length-spectrum CSV file"),
+    _arg("--sigma", required=True, help="weight, e.g. '1' or '1,0'"),
+    _arg("--vol", type=float, default=1.0, help="orbifold volume"),
+    _arg("--chi-dim", type=int, default=1),
+    _arg("--cutoff", type=float, default=None,
+         help="drop hyperbolic classes above this length"),
+    _arg("--elliptic-vols", default=None,
+         help="comma-separated centralizer volumes per elliptic class"),
+    _arg("--allow-ambiguous", action="store_true"),
+)
+_HEAT = (
+    _arg("--model", required=True, choices=heat_mod.MODEL_NAMES),
+    _arg("--radius", type=float, default=1.0),
+    _arg("--sides", default=None, help="pillowcase side lengths, e.g. '6.2832,6.2832'"),
+)
+
+#: group -> (help, {subcommand: (help or None, handler, arguments before _COMMON)})
+_COMMANDS = {
+    "lie": ("root system, Weyl group and characters", {
+        "delta-m": ("half-sum of positive roots", cmd_lie_delta_m, (_N,)),
+        "weyl": ("enumerate the Weyl group", cmd_lie_weyl,
+                 (_N, _arg("--count", action="store_true"))),
+        "character": ("irreducible or torus character", cmd_lie_character, (
+            _arg("--weight", required=True), _ANGLES,
+            _arg("--xi", action="store_true", help="plain torus character"))),
+    }),
+    "orbital": ("orbital-integral polynomials", {
+        "poly": ("elliptic orbital polynomial coefficients", cmd_orbital_poly,
+                 (_N, _SIGMA, _ANGLES)),
+        "plancherel": ("rank-1 Plancherel polynomial", cmd_orbital_plancherel, (_SIGMA,)),
+        "gap": ("flip-invariance gap of the polynomial", cmd_orbital_gap,
+                (_N, _SIGMA, _ANGLES)),
+    }),
+    "spectrum": ("group enumeration and length spectra", {
+        "enumerate": ("build a cutoff length spectrum", cmd_spectrum_enumerate, (
+            _arg("--group", required=True, help="group spec JSON file"),
+            _arg("--max-word-len", type=int, required=True),
+            _arg("--cutoff", type=float, required=True),
+            _arg("--element-cap", type=int, default=200_000))),
+        "classify": ("classify one word", cmd_spectrum_classify, (
+            _arg("--group", required=True),
+            _arg("--word", required=True, help="comma-separated signed indices"))),
+    }),
+    "zeta": ("truncated zeta functions and heat terms", {
+        "eval": ("log Z on a grid of s values", cmd_zeta_eval,
+                 _ZETA + (_arg("--s-grid", required=True, help="re0:re1:step[,im0:im1:step]"),)),
+        "xi": ("corrected symmetric zeta", cmd_zeta_xi,
+               _ZETA + (_arg("--s", required=True, help="comma-separated real s values"),)),
+        "heat-terms": ("identity/elliptic/hyperbolic terms", cmd_zeta_heat_terms,
+                       _ZETA + (_arg("--t", required=True, help="comma-separated times"),)),
+    }),
+    "heat": ("flat orbifold models", {
+        "trace": (None, cmd_heat_trace, _HEAT + (_arg("--t", required=True),)),
+        "fit": (None, cmd_heat_fit, _HEAT + (_arg("--t-grid", default=None),)),
+        "weyl": (None, cmd_heat_weyl, _HEAT + (_arg("--rmax", type=float, required=True),)),
+    }),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _named(argv: list[str]) -> tuple[str | None, str | None, int]:
+    """The group and subcommand that ``argv`` invokes, and the index just
+    past the subcommand.  Only ``-h`` precedes them as an option, so each is
+    the first token that names one."""
+    group = next((a for a in argv if a in _COMMANDS), None)
+    at = argv.index(group) + 1 if group else 0
+    leaves = _COMMANDS[group][1] if group else {}
+    leaf = next((a for a in argv[at:] if a in leaves), None)
+    return group, leaf, argv.index(leaf, at) + 1 if leaf else at
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The top-level parser with every group; only the group that ``argv``
+    names gets its subcommands, and only the subcommand it names gets its
+    arguments.  Help and error text are those of the full tree."""
+    group, leaf, _ = _named(list(argv))
     parser = argparse.ArgumentParser(
         prog="selberg",
         description="geometric side of the trace formula and truncated zeta "
         "functions on compact hyperbolic orbifolds",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    lie = sub.add_parser("lie", help="root system, Weyl group and characters")
-    lie_sub = lie.add_subparsers(dest="subcommand", required=True)
-    p = lie_sub.add_parser("delta-m", help="half-sum of positive roots")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_lie_delta_m)
-    _add_common(p)
-    p = lie_sub.add_parser("weyl", help="enumerate the Weyl group")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", action="store_true")
-    p.set_defaults(func=cmd_lie_weyl)
-    _add_common(p)
-    p = lie_sub.add_parser("character", help="irreducible or torus character")
-    p.add_argument("--weight", required=True)
-    p.add_argument("--angles", required=True)
-    p.add_argument("--xi", action="store_true", help="plain torus character")
-    p.set_defaults(func=cmd_lie_character)
-    _add_common(p)
-
-    orb = sub.add_parser("orbital", help="orbital-integral polynomials")
-    orb_sub = orb.add_subparsers(dest="subcommand", required=True)
-    p = orb_sub.add_parser("poly", help="elliptic orbital polynomial coefficients")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--angles", required=True)
-    p.set_defaults(func=cmd_orbital_poly)
-    _add_common(p)
-    p = orb_sub.add_parser("plancherel", help="rank-1 Plancherel polynomial")
-    p.add_argument("--sigma", required=True)
-    p.set_defaults(func=cmd_orbital_plancherel)
-    _add_common(p)
-    p = orb_sub.add_parser("gap", help="flip-invariance gap of the polynomial")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--angles", required=True)
-    p.set_defaults(func=cmd_orbital_gap)
-    _add_common(p)
-
-    spec = sub.add_parser("spectrum", help="group enumeration and length spectra")
-    spec_sub = spec.add_subparsers(dest="subcommand", required=True)
-    p = spec_sub.add_parser("enumerate", help="build a cutoff length spectrum")
-    p.add_argument("--group", required=True, help="group spec JSON file")
-    p.add_argument("--max-word-len", type=int, required=True, dest="max_word_len")
-    p.add_argument("--cutoff", type=float, required=True)
-    p.add_argument("--element-cap", type=int, default=200_000, dest="element_cap")
-    p.set_defaults(func=cmd_spectrum_enumerate)
-    _add_common(p)
-    p = spec_sub.add_parser("classify", help="classify one word")
-    p.add_argument("--group", required=True)
-    p.add_argument("--word", required=True, help="comma-separated signed indices")
-    p.set_defaults(func=cmd_spectrum_classify)
-    _add_common(p)
-
-    zet = sub.add_parser("zeta", help="truncated zeta functions and heat terms")
-    zeta_sub = zet.add_subparsers(dest="subcommand", required=True)
-    p = zeta_sub.add_parser("eval", help="log Z on a grid of s values")
-    _zeta_common(p)
-    p.add_argument("--s-grid", required=True, dest="s_grid",
-                   help="re0:re1:step[,im0:im1:step]")
-    p.set_defaults(func=cmd_zeta_eval)
-    _add_common(p)
-    p = zeta_sub.add_parser("xi", help="corrected symmetric zeta")
-    _zeta_common(p)
-    p.add_argument("--s", required=True, help="comma-separated real s values")
-    p.set_defaults(func=cmd_zeta_xi)
-    _add_common(p)
-    p = zeta_sub.add_parser("heat-terms", help="identity/elliptic/hyperbolic terms")
-    _zeta_common(p)
-    p.add_argument("--t", required=True, help="comma-separated times")
-    p.set_defaults(func=cmd_zeta_heat_terms)
-    _add_common(p)
-
-    heat = sub.add_parser("heat", help="flat orbifold models")
-    heat_sub = heat.add_subparsers(dest="subcommand", required=True)
-    for name, fn, extra in (
-        ("trace", cmd_heat_trace, ("--t",)),
-        ("fit", cmd_heat_fit, ("--t-grid",)),
-        ("weyl", cmd_heat_weyl, ("--rmax",)),
-    ):
-        p = heat_sub.add_parser(name)
-        p.add_argument("--model", required=True, choices=heat_mod.MODEL_NAMES)
-        p.add_argument("--radius", type=float, default=1.0)
-        p.add_argument("--sides", default=None,
-                       help="pillowcase side lengths, e.g. '6.2832,6.2832'")
-        if "--t" in extra:
-            p.add_argument("--t", required=True)
-        if "--t-grid" in extra:
-            p.add_argument("--t-grid", dest="t_grid", default=None)
-        if "--rmax" in extra:
-            p.add_argument("--rmax", type=float, required=True)
-        p.set_defaults(func=fn)
-        _add_common(p)
-
+    groups = parser.add_subparsers(dest="command", required=True)
+    for name, (text, leaves) in _COMMANDS.items():
+        p = groups.add_parser(name, help=text)
+        if name != group:
+            continue
+        subs = p.add_subparsers(dest="subcommand", required=True)
+        for sub, (text, fn, arguments) in leaves.items():
+            q = subs.add_parser(sub, **({} if text is None else {"help": text}))
+            if sub == leaf:
+                for flag, kwargs in arguments + _COMMON:
+                    q.add_argument(flag, **kwargs)
+                q.set_defaults(func=fn)
     return parser
 
 
-def _apply_config(args, argv: list[str]) -> None:
-    if not getattr(args, "config", None):
-        return
-    with open(args.config, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def _config_tokens(args) -> list[str]:
+    """The config file's values as option tokens of the invoked subcommand:
+    ``--key=value``, or ``--key`` for a flag set to true."""
+    data = _read_json(args.config)
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
+    options = dict(_COMMANDS[args.command][1][args.subcommand][2] + _COMMON)
+    tokens = []
     for key, value in data.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        kwargs = options.get(f"--{key}")
+        if kwargs is None:
             raise ValidationError(f"unknown config key {key!r}")
-        # explicit command-line flags win over config values
-        if f"--{key}" not in argv and f"--{dest}" not in argv:
-            setattr(args, dest, value)
+        # a flag takes a boolean, a typed option a number, any other option
+        # a number or a string
+        flag = kwargs.get("action") == "store_true"
+        kinds = bool if flag else (int, float) if "type" in kwargs else (int, float, str)
+        if not isinstance(value, kinds) or (isinstance(value, bool) and not flag):
+            raise ValidationError(f"config key {key!r} has a value of the wrong type")
+        tokens += [f"--{key}"] * value if flag else [f"--{key}={value}"]
+    return tokens
 
 
 def run(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, list(argv))
+        if args.config:
+            # config values go before argv, so explicit flags win
+            at = _named(argv)[2]
+            args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
         if getattr(args, "sides", None):
             args.sides_pair = tuple(_parse_values(args.sides))
             if len(args.sides_pair) != 2:
                 raise ValidationError("--sides needs exactly two lengths")
         elif hasattr(args, "sides"):
             args.sides_pair = (6.283185307179586, 6.283185307179586)
-        out = _Output(getattr(args, "out", None))
+        out = _Output(args.out)
         args.func(args, out)
         out.finish()
         return 0
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalGuardError as exc:

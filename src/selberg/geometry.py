@@ -135,7 +135,10 @@ class GroupSpec:
     @classmethod
     def from_file(cls, path) -> "GroupSpec":
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise ValidationError(f"{path} is not valid JSON: {exc}") from None
         return cls.from_dict(data)
 
     @classmethod
@@ -599,13 +602,27 @@ class LengthSpectrum:
 
     @classmethod
     def read_csv(cls, path) -> "LengthSpectrum":
+        """Read a spectrum written by ``to_csv``, in one pass over the rows.
+
+        The header must give ``spec_hash``, ``cutoff`` and ``max_word_len``.
+        Every row has ten fields that parse, the kind ``hyperbolic`` or
+        ``elliptic``, finite angles and tr chi, and a positive v.  A
+        hyperbolic row also has finite positive l, l0 and D and an integer
+        power of at least 1; an elliptic row has an empty D.  Anything else is
+        a ValidationError naming the file and line.
+        """
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
+            lines = fh.read().splitlines()
         if not lines or not lines[0].startswith("# selberg-spectrum"):
             raise ValidationError(f"{path} is not a length-spectrum file")
-        meta = dict(
-            kv.split("=", 1) for kv in lines[0][len("# selberg-spectrum ") :].split()
-        )
+        try:
+            meta = dict(kv.split("=", 1) for kv in lines[0][len("# selberg-spectrum ") :].split())
+            spec_hash, cutoff = meta["spec_hash"], float(meta["cutoff"])
+            max_word_len = int(meta["max_word_len"])
+        except (KeyError, ValueError):
+            raise ValidationError(
+                f"{path} line 1: header needs spec_hash, cutoff and max_word_len"
+            ) from None
         flagged: set[int] = set()
         body = 1
         if len(lines) > 1 and lines[1].startswith("# ambiguous="):
@@ -615,34 +632,50 @@ class LengthSpectrum:
             body = 2
         header = "kind,l,l0,power,theta,D,v,re_trchi,im_trchi,word"
         if len(lines) <= body or lines[body] != header:
-            raise ValidationError("unexpected length-spectrum header")
+            raise ValidationError(f"{path} line {body + 1}: unexpected length-spectrum header")
         records = []
-        for ln in lines[body + 1 :]:
+        fractions: dict[str, Fraction] = {}  # each distinct v text is parsed once
+        isfinite, inf = math.isfinite, math.inf
+        for lineno, ln in enumerate(lines[body + 1 :], body + 2):
             if not ln:
                 continue
-            parts = ln.split(",")
-            if len(parts) != 10:
-                raise ValidationError(f"malformed spectrum row: {ln!r}")
-            kind, l, l0, power, theta, d, v, re_t, im_t, word = parts
-            records.append(
-                ConjClassRecord(
-                    kind=kind,
-                    length=float(l),
-                    primitive_length=float(l0),
-                    power=int(power),
-                    angles=tuple(float(a) for a in theta.split("|")) if theta else (),
-                    D=float(d) if d else None,
-                    v=Fraction(v),
-                    tr_chi=complex(float(re_t), float(im_t)),
-                    word=tuple(int(x) for x in word.split(".")) if word else (),
-                    ambiguous=len(records) in flagged,
-                )
-            )
+            problem = None
+            try:
+                kind, l, l0, power, theta, d, v, re_t, im_t, word = ln.split(",")
+                length, prim, re_t, im_t = map(float, (l, l0, re_t, im_t))
+                power = int(power)
+                angles = tuple(map(float, theta.split("|"))) if theta else ()
+                dval = float(d) if d else None
+                word = tuple(map(int, word.split("."))) if word else ()
+                frac = fractions.get(v)
+                if frac is None:
+                    frac = fractions[v] = Fraction(v)
+                    if frac <= 0:
+                        problem = "v must be positive"
+            except (ValueError, ZeroDivisionError):
+                raise ValidationError(f"{path} line {lineno}: malformed spectrum row {ln!r}") from None
+            tr_chi = complex(re_t, im_t)
+            if kind == "hyperbolic":
+                if not (0 < length < inf and 0 < prim < inf and power >= 1
+                        and dval is not None and 0 < dval < inf):
+                    problem = "a hyperbolic row needs finite positive l, l0 and D and power >= 1"
+            elif kind != "elliptic":
+                problem = f"unknown class kind {kind!r}"
+            elif d:
+                problem = "an elliptic row needs an empty D"
+            if not (cmath.isfinite(tr_chi) and all(map(isfinite, angles))):
+                problem = "a row needs finite angles and tr chi"
+            if problem:
+                raise ValidationError(f"{path} line {lineno}: {problem}")
+            records.append(ConjClassRecord(
+                kind, length, prim, power, angles, dval, frac, tr_chi, word,
+                len(records) in flagged,
+            ))
         return cls(
             records=records,
-            spec_hash=meta["spec_hash"],
-            cutoff=float(meta["cutoff"]),
-            max_word_len=int(meta["max_word_len"]),
+            spec_hash=spec_hash,
+            cutoff=cutoff,
+            max_word_len=max_word_len,
             model=meta.get("model", "H3-complex-2x2"),
         )
 

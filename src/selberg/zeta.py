@@ -17,10 +17,12 @@ term uses the conjugate, matching each formula's own display.
 
 Every public evaluator takes one point or a sequence of them.  The
 point-independent factors of each class (characters, adjoint determinants,
-twists) are built into arrays once per call, and each point is then one
-array expression over the classes.  Sums accumulate with compensated
-(exact) summation in a canonical record order, so results do not depend on
-how work is partitioned.
+twists) are built into arrays once per call: one class-array build serves
+both sigma and w0 sigma, with one character call per weight.  Each point is
+then one array expression over the classes, its exponential row shared by
+the two weights.  Sums accumulate with compensated (exact) summation in a
+canonical record order, so results do not depend on how work is
+partitioned.
 """
 
 from __future__ import annotations
@@ -108,50 +110,54 @@ def _finite(value: complex, s) -> complex:
 
 
 class _ClassArrays(NamedTuple):
-    """Point-independent per-class factors, in canonical record order."""
+    """Point-independent per-class factors, in canonical record order.
+    ``num`` and ``heat`` hold one array per weight: sigma, then w0 sigma
+    when both were asked for."""
 
     length: np.ndarray
-    num: np.ndarray  # tr chi * v * tr sigma
     den: np.ndarray  # power * e^{n l} * D
-    heat: np.ndarray  # tr chi * v * l0 / (2 pi D) * conj(tr sigma)
+    num: list  # tr chi * v * tr sigma
+    heat: list  # tr chi * v * l0 / (2 pi D) * conj(tr sigma)
 
 
-def _class_arrays(ctx: ZetaTermContext, flipped: bool) -> _ClassArrays:
-    """Per-class arrays for sigma, or for its flip w0 sigma when ``flipped``,
-    with one character call for all classes.  Refuses flagged-ambiguity
-    classes unless the context allows them."""
+def _class_arrays(ctx: ZetaTermContext, both: bool) -> _ClassArrays:
+    """Per-class arrays for sigma, and for its flip w0 sigma too when
+    ``both``: one pass over the classes, then one character call per weight.
+    Refuses flagged-ambiguity classes unless the context allows them."""
     recs = sorted(ctx.spectrum.hyperbolic(), key=lambda r: (r.length, r.angles, r.word))
     if not ctx.allow_ambiguous and any(r.ambiguous for r in recs):
         raise AmbiguousClassError(
             "spectrum contains flagged-ambiguity classes; rerun with "
             "allow_ambiguous to include them"
         )
-
-    def column(f, dtype=float):
-        return np.array([f(r) for r in recs], dtype=dtype)
-
-    sigma = w0_flip(ctx.sigma) if flipped else ctx.sigma
+    cols = np.array([(r.length, r.primitive_length, r.D, r.power * (math.exp(ctx.n * r.length) * r.D),
+                      r.tr_chi * float(r.v)) for r in recs], dtype=complex).reshape(-1, 5).T
+    length, l0, d, den = cols[:4].real.copy()  # den with math.exp, as the printed digits need
+    chi_v = cols[4].copy()
     angles = [EllipticAngles(tuple(r.angles)) for r in recs]
-    trace = np.array(weyl_character(sigma, angles), dtype=complex)
-    chi_v = column(lambda r: r.tr_chi * float(r.v), complex)
+    weights = [ctx.sigma, w0_flip(ctx.sigma)] if both else [ctx.sigma]
+    traces = [np.array(weyl_character(w, angles), dtype=complex) for w in weights]
+    heat = chi_v * l0 / (2.0 * math.pi * d)
     return _ClassArrays(
-        length=column(lambda r: r.length),
-        num=chi_v * trace,
-        den=column(lambda r: r.power * (math.exp(ctx.n * r.length) * r.D)),
-        heat=chi_v * column(lambda r: r.primitive_length)
-        / (2.0 * math.pi * column(lambda r: r.D)) * trace.conj(),
+        length=length,
+        den=den,
+        num=[chi_v * trace for trace in traces],
+        heat=[heat * trace.conj() for trace in traces],
     )
 
 
-def _log_zeta_values(ctx: ZetaTermContext, points: list, flipped: bool) -> list[complex]:
-    """log Z at each point, one row of class terms at a time."""
-    arrays = _class_arrays(ctx, flipped)
+def _log_zeta_values(ctx: ZetaTermContext, points: list, both: bool) -> list[list[complex]]:
+    """log Z at each point for sigma, and for w0 sigma too when ``both``;
+    one exponential row of the classes per point serves both weights."""
+    arrays = _class_arrays(ctx, both)
     if not len(arrays.length):
-        return [0j] * len(points)
-    return [
-        -_csum(arrays.num * np.exp(-(s + ctx.n) * arrays.length) / arrays.den)
-        for s in points
-    ]
+        return [[0j] * len(points) for _ in arrays.num]
+    values = [[] for _ in arrays.num]
+    for s in points:
+        decay = np.exp(-(s + ctx.n) * arrays.length)
+        for row, num in zip(values, arrays.num):
+            row.append(-_csum(num * decay / arrays.den))
+    return values
 
 
 def _elliptic_terms(ctx: ZetaTermContext) -> list:
@@ -224,7 +230,7 @@ def log_zeta_truncated(s, ctx: ZetaTermContext) -> complex | list[complex]:
     still computes.
     """
     points, scalar = _points(s)
-    values = _log_zeta_values(ctx, points, flipped=False)
+    values = _log_zeta_values(ctx, points, both=False)[0]
     if not ctx.spectrum.hyperbolic():
         warnings.warn("empty hyperbolic spectrum; Z = 1", stacklevel=2)
     else:
@@ -246,10 +252,11 @@ def symmetric_zeta(s, ctx: ZetaTermContext) -> complex | list[complex]:
     """Z(s, sigma) Z(s, w0 sigma), collapsing to Z when the flip fixes sigma;
     a list for a sequence of points."""
     points, scalar = _points(s)
-    values = [_exp(v, p) for p, v in zip(points, _log_zeta_values(ctx, points, False))]
-    if epsilon_sigma(ctx.sigma) == 2:
-        flipped = _log_zeta_values(ctx, points, True)
-        values = [_finite(z * _exp(v, p), p) for p, z, v in zip(points, values, flipped)]
+    moved = epsilon_sigma(ctx.sigma) == 2
+    logs = _log_zeta_values(ctx, points, both=moved)
+    values = [_exp(v, p) for p, v in zip(points, logs[0])]
+    if moved:
+        values = [_finite(z * _exp(v, p), p) for p, z, v in zip(points, values, logs[1])]
     return values[0] if scalar else values
 
 
@@ -262,9 +269,8 @@ def antisymmetric_zeta(s, ctx: ZetaTermContext) -> complex | list[complex]:
             "(last coordinate nonzero)"
         )
     points, scalar = _points(s)
-    flipped = _log_zeta_values(ctx, points, True)
     values = []
-    for p, v, vf in zip(points, _log_zeta_values(ctx, points, False), flipped):
+    for p, v, vf in zip(points, *_log_zeta_values(ctx, points, both=True)):
         z, zf = _exp(v, p), _exp(vf, p)
         if zf == 0 or not (cmath.isfinite(z) and cmath.isfinite(zf)):
             raise NumericalGuardError(
@@ -303,10 +309,8 @@ def geometric_heat_terms(t, ctx: ZetaTermContext) -> HeatTerms | list[HeatTerms]
             "the identity heat term needs the rank-1 Plancherel polynomial"
         )
     eps = epsilon_sigma(ctx.sigma)
-    arrays = _class_arrays(ctx, flipped=False)
-    coeff = arrays.heat
-    if eps == 2:
-        coeff = coeff + _class_arrays(ctx, flipped=True).heat
+    arrays = _class_arrays(ctx, both=eps == 2)
+    coeff = sum(arrays.heat[1:], arrays.heat[0])
     p_plancherel = plancherel_polynomial(ctx.sigma, ctx.n)
     ell = _elliptic_terms(ctx)
     values = [

@@ -232,6 +232,31 @@ def reduced_words(alphabet_size: int, max_len: int):
     return out
 
 
+def small_h3_spectrum_csv(seed: int = 8, classes: int = 40) -> str:
+    """A seeded rank-1 H^3 length-spectrum file: ``classes`` hyperbolic rows
+    with powers 1-2, v in {1, 2, 1/2} and D = 2 (cosh l - cos theta), plus
+    elliptic rows at the angles pi and 2 pi / 3."""
+    gen = np.random.default_rng(seed)
+    lines = [
+        "# selberg-spectrum spec_hash=small cutoff=4 max_word_len=0 model=H3-complex-2x2",
+        "kind,l,l0,power,theta,D,v,re_trchi,im_trchi,word",
+        f"elliptic,0,0,1,{math.pi!r},,1,0.75,0.25,-1",
+        f"elliptic,0,0,1,{2 * math.pi / 3!r},,1,-0.5,1.0,-2",
+    ]
+    length = np.sort(gen.uniform(0.5, 3.0, classes)).tolist()
+    for i, l in enumerate(length):
+        power = int(gen.integers(1, 3))
+        theta = float(gen.uniform(0.0, TWO_PI))
+        tr = 1.5 * cmath.exp(0.3 * l + 1j * float(gen.uniform(0.0, TWO_PI)))
+        v = ("1", "2", "1/2")[i % 3]
+        d = 2.0 * (math.cosh(l) - math.cos(theta))
+        lines.append(
+            f"hyperbolic,{l!r},{l / power!r},{power},{theta!r},{d!r},{v},"
+            f"{tr.real!r},{tr.imag!r},{i + 1}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260809)

@@ -1,11 +1,13 @@
 import cmath
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import weyl_dn
+from conftest import small_h3_spectrum_csv, weyl_dn
 from selberg.cli import MAX_GRID_POINTS, _parse_grid, run
 from selberg.errors import ValidationError
 from selberg.geometry import LengthSpectrum
@@ -457,3 +459,139 @@ def test_zeta_xi_product_overflow_is_numerical_guard(capsys, tmp_path):
                             "--vol", "50", "--s", "-4")
     assert code == 3 and out == ""
     assert "not finite at s = (-4+0j)" in err
+
+
+# help, usage and error text and zeta output frozen from the code before the
+# parser was built per invocation (Python 3.11 argparse, COLUMNS=80)
+FROZEN = json.loads((Path(__file__).parent / "frozen_cli.json").read_text())
+frozen_argparse = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="text frozen from Python 3.11's argparse"
+)
+
+
+def exit_code(argv) -> int:
+    """run's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return run(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@frozen_argparse
+@pytest.mark.parametrize("argv", FROZEN["help"])
+def test_help_text_is_frozen(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert exit_code(argv.split()) == 0
+    assert capsys.readouterr().out == FROZEN["help"][argv]
+
+
+@frozen_argparse
+@pytest.mark.parametrize("argv", FROZEN["errors"])
+def test_usage_errors_are_frozen(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = exit_code(argv.split())
+    captured = capsys.readouterr()
+    assert [code, captured.out, captured.err] == FROZEN["errors"][argv]
+
+
+@pytest.mark.parametrize("key", FROZEN["zeta"])
+def test_zeta_output_is_frozen(capsys, tmp_path, key):
+    spec = tmp_path / "small.csv"
+    spec.write_text(small_h3_spectrum_csv())
+    extra = {
+        "eval": ["--s-grid", "3:4:0.5,0:1:1"],
+        "xi": ["--s", "3,3.5,5"],
+        "heat-terms": ["--t", "0.1,0.5,2"],
+    }
+    name, sigma = key.split(" sigma=")
+    code, out, _ = invoke(capsys, "zeta", name, "--sigma", sigma, "--spectrum", str(spec),
+                          "--vol", "1.5", "--elliptic-vols", "0.5,0.75", *extra[name])
+    assert code == 0
+    assert out == FROZEN["zeta"][key]
+
+
+SPECTRUM_HEADER = "# selberg-spectrum spec_hash=x cutoff=5 max_word_len=0 model=H3-complex-2x2"
+BAD_SPECTRA = {  # name -> (first line, first class row); exactly one of them is bad
+    "D-zero": (SPECTRUM_HEADER, "hyperbolic,1.0,1.0,1,0.5,0,1,1.0,0.0,1"),
+    "power-zero": (SPECTRUM_HEADER, "hyperbolic,1.0,1.0,0,0.5,1.3,1,1.0,0.0,1"),
+    "unknown-kind": (SPECTRUM_HEADER, "parabolic,1.0,1.0,1,0.5,1.3,1,1.0,0.0,1"),
+    "l-nan": (SPECTRUM_HEADER, "hyperbolic,nan,1.0,1,0.5,1.3,1,1.0,0.0,1"),
+    "D-empty": (SPECTRUM_HEADER, "hyperbolic,1.0,1.0,1,0.5,,1,1.0,0.0,1"),
+    "l-text": (SPECTRUM_HEADER, "hyperbolic,abc,1.0,1,0.5,1.3,1,1.0,0.0,1"),
+    "v-text": (SPECTRUM_HEADER, "hyperbolic,1.0,1.0,1,0.5,1.3,x,1.0,0.0,1"),
+    "v-zero": (SPECTRUM_HEADER, "hyperbolic,1.0,1.0,1,0.5,1.3,0,1.0,0.0,1"),
+    "trchi-inf": (SPECTRUM_HEADER, "hyperbolic,1.0,1.0,1,0.5,1.3,1,inf,0.0,1"),
+    "elliptic-with-D": (SPECTRUM_HEADER, "elliptic,0,0,1,3.14,1.3,1,1.0,0.0,-1"),
+    "elliptic-angle-nan": (SPECTRUM_HEADER, "elliptic,0,0,1,nan,,1,1.0,0.0,-1"),
+    "eleven-fields": (SPECTRUM_HEADER, "hyperbolic,1.0,1.0,1,0.5,1.3,1,1.0,0.0,1,9"),
+    "no-spec-hash": ("# selberg-spectrum cutoff=5 max_word_len=0",
+                     "hyperbolic,1.0,1.0,1,0.5,1.3,1,1.0,0.0,1"),
+}
+
+
+@pytest.mark.parametrize("first,row", BAD_SPECTRA.values(), ids=BAD_SPECTRA.keys())
+def test_zeta_rejects_malformed_spectrum(capsys, tmp_path, first, row):
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join([first, "kind,l,l0,power,theta,D,v,re_trchi,im_trchi,word", row,
+                               "hyperbolic,2.0,2.0,1,0.5,7.4,1,1.0,0.0,2"]) + "\n")
+    code, out, err = invoke(capsys, "zeta", "eval", "--spectrum", str(path), "--sigma", "1",
+                            "--s-grid", "3:4:1")
+    line = 3 if first == SPECTRUM_HEADER else 1
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} line {line}: ") and err.count("\n") == 1
+
+
+BAD_CLI_INPUTS = {
+    "missing-spectrum": ("zeta", "xi", "--spectrum", "{tmp}/none.csv", "--sigma", "1", "--s", "3"),
+    "missing-group": ("spectrum", "classify", "--group", "{tmp}/none.json", "--word", "1"),
+    "missing-config": ("lie", "delta-m", "--n", "2", "--config", "{tmp}/none.json"),
+    "out-in-missing-dir": ("lie", "delta-m", "--n", "2", "--out", "{tmp}/no/such/out.txt"),
+    "group-bad-json": ("spectrum", "classify", "--group", "{bad_json}", "--word", "1"),
+    "config-bad-json": ("lie", "delta-m", "--n", "2", "--config", "{bad_json}"),
+    "xi-s-text": ("zeta", "xi", "--spectrum", "{spec}", "--sigma", "1", "--s", "abc"),
+    "heat-terms-t-text": ("zeta", "heat-terms", "--spectrum", "{spec}", "--sigma", "1",
+                          "--t", "1,x"),
+    "elliptic-vols-text": ("zeta", "xi", "--spectrum", "{spec}", "--sigma", "1", "--s", "3",
+                           "--elliptic-vols", "a,b,c,d"),
+    "sides-text": ("heat", "fit", "--model", "pillowcase", "--sides", "a,b"),
+    "s-grid-text": ("zeta", "eval", "--spectrum", "{spec}", "--sigma", "1", "--s-grid", "a:b:c"),
+    "word-text": ("spectrum", "classify", "--group", "{group}", "--word", "a"),
+}
+
+
+@pytest.mark.parametrize("argv", BAD_CLI_INPUTS.values(), ids=BAD_CLI_INPUTS.keys())
+def test_malformed_input_exits_2_with_one_line(capsys, group_file, tmp_path, argv):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"n": 3,')
+    spec = tmp_path / "small.csv"
+    spec.write_text(small_h3_spectrum_csv())
+    names = {"tmp": tmp_path, "bad_json": bad_json, "spec": spec, "group": group_file}
+    code, out, err = invoke(capsys, *(a.format(**names) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("config", [{"vol": "2"}, {"chi-dim": 2.5}, {"func": 1}],
+                         ids=["vol-string", "chi-dim-fraction", "func"])
+def test_config_values_go_through_the_parser(capsys, tmp_path, config):
+    spec = tmp_path / "small.csv"
+    spec.write_text(small_h3_spectrum_csv())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = exit_code(["zeta", "xi", "--spectrum", str(spec), "--sigma", "1", "--s", "3",
+                      "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_config_flag_and_value_tokens(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"count": False, "n": 2}))
+    code, out, _ = invoke(capsys, "lie", "weyl", "--n", "3", "--config", str(cfg))
+    assert code == 0 and len(out.splitlines()) == 24  # false leaves --count out
+    cfg.write_text(json.dumps({"vol": 1.5, "elliptic-vols": "0.5,0.75", "sigma": 0}))
+    spec = tmp_path / "small.csv"
+    spec.write_text(small_h3_spectrum_csv())
+    code, out, _ = invoke(capsys, "zeta", "xi", "--spectrum", str(spec), "--sigma", "1",
+                          "--s", "3,3.5,5", "--config", str(cfg))
+    assert code == 0 and out == FROZEN["zeta"]["xi sigma=1"]

@@ -371,6 +371,32 @@ def test_spectrum_csv_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_spectrum_csv_roundtrip_is_equal(tmp_path):
+    """Elliptic rows, flagged rows and v in {1, 2, 1/2} come back equal."""
+    def record(kind, length, power, angles, v, ambiguous=False):
+        hyper = kind == "hyperbolic"
+        return ConjClassRecord(
+            kind, length, length / power, power, angles,
+            2.0 * (math.cosh(length) - math.cos(angles[0])) if hyper else None,
+            Fraction(v), complex(0.3 * length, -1.0 / 3.0), (1, -2) if hyper else (-1,),
+            ambiguous,
+        )
+
+    spectrum = LengthSpectrum(
+        records=[
+            record("elliptic", 0.0, 1, (math.pi,), 1),
+            record("elliptic", 0.0, 1, (2.0 * math.pi / 3.0, 0.1), 1),
+            record("hyperbolic", 0.7, 1, (0.25,), 1),
+            record("hyperbolic", 1.3, 2, (1.0 / 3.0,), 2, ambiguous=True),
+            record("hyperbolic", 2.9, 1, (5.5,), "1/2", ambiguous=True),
+        ],
+        spec_hash="roundtrip", cutoff=3.5, max_word_len=4,
+    )
+    path = tmp_path / "spectrum.csv"
+    spectrum.write_csv(path)
+    assert LengthSpectrum.read_csv(path) == spectrum
+
+
 def test_group_spec_file_parsing(tmp_path):
     payload = """
     {

@@ -11,6 +11,7 @@ from conftest import (
     cyclic_h3_spec,
     random_angles,
     random_flip_moved_dominant,
+    small_h3_spectrum_csv,
 )
 from selberg.errors import (
     AmbiguousClassError,
@@ -207,6 +208,20 @@ def test_antisymmetric_rejects_fixed_weight():
     ctx = make_ctx([hyp_record(1.0)], SIGMA0)
     with pytest.raises(ValidationError):
         antisymmetric_zeta(3.0, ctx)
+
+
+def test_antisymmetric_values_are_frozen(tmp_path):
+    """Z(s, 1) / Z(s, -1) on the seeded small H^3 spectrum, frozen from the
+    code that built the class arrays once per weight."""
+    path = tmp_path / "small.csv"
+    path.write_text(small_h3_spectrum_csv())
+    spectrum = LengthSpectrum.read_csv(path)
+    ctx = ZetaTermContext(n=1, sigma=WeightVector.parse("1"), chi_dim=1, spectrum=spectrum,
+                          elliptic=spectrum.elliptic(), vol=1.5)
+    assert antisymmetric_zeta([3.0, complex(3.5, 1.0)], ctx) == [
+        complex(1.0537832604310629, 0.17275598305813689),
+        complex(1.1103358643581456, 0.08244283512591796),
+    ]
 
 
 def test_antisymmetric_single_class_scalar_crosscheck():
