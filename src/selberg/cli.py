@@ -11,7 +11,7 @@ top level lists every group, but only the invoked group gets its
 subcommands and only the invoked subcommand its arguments.  Help, usage and
 error text are those of the full tree.  A ``--config`` file's values are
 parsed like flags placed before the command line, so they pass the same
-types and choices and explicit flags win.
+types and choices, may supply a required option, and explicit flags win.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-guard error.  A
 radius, side, rmax, heat time, cutoff or volume that is not finite and
@@ -299,8 +299,18 @@ def cmd_zeta_heat_terms(args, out: _Output) -> None:
         )
 
 
+def _model(args) -> heat_mod.FlatOrbifoldModel:
+    """The flat model that ``--model``, ``--radius`` and ``--sides`` name."""
+    if not args.sides:
+        return heat_mod.make_model(args.model, radius=args.radius)
+    sides = _parse_values(args.sides)
+    if len(sides) != 2:
+        raise ValidationError("--sides needs exactly two lengths")
+    return heat_mod.make_model(args.model, radius=args.radius, sides=sides)
+
+
 def cmd_heat_trace(args, out: _Output) -> None:
-    model = heat_mod.make_model(args.model, radius=args.radius, sides=args.sides_pair)
+    model = _model(args)
     times = _parse_values(args.t)
     if not all(0 < t < math.inf for t in times):
         raise ValidationError("heat times must be finite and positive")
@@ -313,7 +323,7 @@ def cmd_heat_trace(args, out: _Output) -> None:
 
 
 def cmd_heat_fit(args, out: _Output) -> None:
-    model = heat_mod.make_model(args.model, radius=args.radius, sides=args.sides_pair)
+    model = _model(args)
     if args.t_grid:
         grid = _parse_values(args.t_grid)
     else:
@@ -331,7 +341,7 @@ def cmd_heat_fit(args, out: _Output) -> None:
 
 
 def cmd_heat_weyl(args, out: _Output) -> None:
-    model = heat_mod.make_model(args.model, radius=args.radius, sides=args.sides_pair)
+    model = _model(args)
     if not 0 < args.rmax < math.inf:
         raise ValidationError("rmax must be finite and positive")
     if args.validate:
@@ -457,13 +467,28 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     return parser
 
 
-def _config_tokens(args) -> list[str]:
-    """The config file's values as option tokens of the invoked subcommand:
-    ``--key=value``, or ``--key`` for a flag set to true."""
-    data = _read_json(args.config)
+def _with_config(argv: list[str]) -> list[str]:
+    """``argv`` with the values of the ``--config`` file it names put before
+    the subcommand's arguments, so explicit flags win: ``--key=value``, or
+    ``--key`` for a flag set to true.  The file is found before any option
+    is required, so that it can supply a required one."""
+    group, leaf, at = _named(argv)
+    flags = (a.partition("=")[0] for a in argv[at:])
+    # argparse takes --config and its prefixes from --c, each with or without =value
+    if leaf is None or not any(len(f) > 2 and "--config".startswith(f) for f in flags):
+        return argv
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    try:
+        path = finder.parse_known_args(argv[at:])[0].config
+    except argparse.ArgumentError:  # the full parser reports it
+        return argv
+    if not path:
+        return argv
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
-    options = dict(_COMMANDS[args.command][1][args.subcommand][2] + _COMMON)
+    options = dict(_COMMANDS[group][1][leaf][2] + _COMMON)
     tokens = []
     for key, value in data.items():
         kwargs = options.get(f"--{key}")
@@ -476,24 +501,14 @@ def _config_tokens(args) -> list[str]:
         if not isinstance(value, kinds) or (isinstance(value, bool) and not flag):
             raise ValidationError(f"config key {key!r} has a value of the wrong type")
         tokens += [f"--{key}"] * value if flag else [f"--{key}={value}"]
-    return tokens
+    return argv[:at] + tokens + argv[at:]
 
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser(argv)
-    args = parser.parse_args(argv)
     try:
-        if args.config:
-            # config values go before argv, so explicit flags win
-            at = _named(argv)[2]
-            args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
-        if getattr(args, "sides", None):
-            args.sides_pair = tuple(_parse_values(args.sides))
-            if len(args.sides_pair) != 2:
-                raise ValidationError("--sides needs exactly two lengths")
-        elif hasattr(args, "sides"):
-            args.sides_pair = (6.283185307179586, 6.283185307179586)
+        args = parser.parse_args(_with_config(argv))
         out = _Output(args.out)
         args.func(args, out)
         out.finish()

@@ -608,11 +608,17 @@ class LengthSpectrum:
         Every row has ten fields that parse, the kind ``hyperbolic`` or
         ``elliptic``, finite angles and tr chi, and a positive v.  A
         hyperbolic row also has finite positive l, l0 and D and an integer
-        power of at least 1; an elliptic row has an empty D.  Anything else is
-        a ValidationError naming the file and line.
+        power of at least 1; an elliptic row has an empty D.  The optional
+        ``# ambiguous=`` line lists row indices that exist.  The file must be
+        UTF-8.  Anything else is a ValidationError naming the file and line.
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            lines = raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            line = raw[: exc.start].count(b"\n") + 1
+            raise ValidationError(f"{path} line {line}: not UTF-8 text") from None
         if not lines or not lines[0].startswith("# selberg-spectrum"):
             raise ValidationError(f"{path} is not a length-spectrum file")
         try:
@@ -626,9 +632,10 @@ class LengthSpectrum:
         flagged: set[int] = set()
         body = 1
         if len(lines) > 1 and lines[1].startswith("# ambiguous="):
-            flagged = {
-                int(i) for i in lines[1][len("# ambiguous=") :].split(".") if i
-            }
+            try:
+                flagged = {int(i) for i in lines[1][len("# ambiguous=") :].split(".") if i}
+            except ValueError:
+                raise ValidationError(f"{path} line 2: malformed ambiguous indices") from None
             body = 2
         header = "kind,l,l0,power,theta,D,v,re_trchi,im_trchi,word"
         if len(lines) <= body or lines[body] != header:
@@ -671,6 +678,9 @@ class LengthSpectrum:
                 kind, length, prim, power, angles, dval, frac, tr_chi, word,
                 len(records) in flagged,
             ))
+        stray = flagged.difference(range(len(records)))
+        if stray:
+            raise ValidationError(f"{path} line 2: ambiguous index {min(stray)} names no row")
         return cls(
             records=records,
             spec_hash=spec_hash,

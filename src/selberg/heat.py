@@ -1,14 +1,21 @@
 """Exactly solvable flat orbifold models: heat traces, small-time expansion
 fits and closed-form eigenvalue counting.
 
-Three models, all with explicitly known spectra, stand in for the general
-small-time parametrix machinery:
+Each model is a flat torus T = R^d / (2 pi r_1 Z x ... x 2 pi r_d Z) or its
+quotient T / iota by the involution iota: v -> -v:
 
-* ``circle``: S^1 of circumference 2*pi*R, the smooth control case;
-* ``circle-reflection``: S^1 / Z_2, an interval with two mirror points of
-  isotropy order 2 (cosine spectrum);
-* ``pillowcase``: T^2 / Z_2 with four isotropy-2 corner points
-  (sign-symmetrized lattice spectrum).
+* ``circle``: S^1 of radius r, the smooth control case;
+* ``circle-reflection``: S^1 / iota, an interval whose two ends are mirror
+  points of isotropy order 2;
+* ``pillowcase``: T^2 / iota, whose four corners are cone points of
+  isotropy order 2.
+
+The torus spectrum is sum_i (v_i / r_i)^2 over v in Z^d, so its heat trace
+is Theta(t) = prod_i theta(t / r_i^2) with theta(tau) = sum_{m in Z}
+exp(-tau m^2).  The quotient keeps one eigenfunction per orbit {v, -v}, and
+its trace (Theta + 1) / 2 is the orbifold trace formula in its smallest
+exact case: Theta / 2 is the identity term and 1 / 2 the elliptic term of
+iota, which fixes only v = 0 and whose 2^d fixed points carry 2^{-d-1} each.
 
 Because the spectra are exact, the fitted expansion coefficients can be
 checked against the predicted leading term (4 pi)^{-d/2} * vol, the
@@ -20,6 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,19 +44,26 @@ MODEL_NAMES = ("circle", "circle-reflection", "pillowcase")
 
 @dataclass(frozen=True)
 class FlatOrbifoldModel:
-    """One exactly solvable model.
-
-    ``strata`` lists the singular strata as (dimension, isotropy order)
-    pairs; the smooth control model has none.
+    """A flat torus with one radius per axis (one or two axes) or, when
+    ``folded``, its quotient by v -> -v, which keeps one eigenfunction per
+    lattice orbit {v, -v}.  ``strata`` lists the singular strata as
+    (dimension, isotropy order): the 2^d fixed points of v -> -v if folded.
     """
 
     name: str
-    dim: int
     vol: float
-    strata: tuple[tuple[int, int], ...]
-    radius: float = 1.0
-    sides: tuple[float, float] = (2.0 * math.pi, 2.0 * math.pi)
-    rank_e: int = 1
+    radii: tuple[float, ...]
+    folded: bool
+    #: the Laplacian acts on functions, a line bundle
+    rank_e: ClassVar[int] = 1
+
+    @property
+    def dim(self) -> int:
+        return len(self.radii)
+
+    @property
+    def strata(self) -> tuple[tuple[int, int], ...]:
+        return ((0, 2),) * 2**self.dim if self.folded else ()
 
 
 def _finite_positive(what: str, x: float) -> float:
@@ -58,60 +74,37 @@ def _finite_positive(what: str, x: float) -> float:
 
 
 def make_model(name: str, radius: float = 1.0, sides=(2.0 * math.pi, 2.0 * math.pi)) -> FlatOrbifoldModel:
-    if name == "circle":
-        radius = _finite_positive("circle radius", radius)
-        return FlatOrbifoldModel(name, 1, 2.0 * math.pi * radius, (), radius=radius)
-    if name == "circle-reflection":
-        radius = _finite_positive("circle radius", radius)
-        return FlatOrbifoldModel(
-            name, 1, math.pi * radius, ((0, 2), (0, 2)), radius=radius
-        )
+    if name in ("circle", "circle-reflection"):
+        r = _finite_positive("circle radius", radius)
+        folded = name == "circle-reflection"
+        return FlatOrbifoldModel(name, math.pi * r if folded else 2.0 * math.pi * r, (r,), folded)
     if name == "pillowcase":
-        sides = (_finite_positive("pillowcase side", sides[0]),
-                 _finite_positive("pillowcase side", sides[1]))
-        return FlatOrbifoldModel(
-            name, 2, sides[0] * sides[1] / 2.0, ((0, 2),) * 4, sides=sides
-        )
+        a, b = (_finite_positive("pillowcase side", s) for s in sides[:2])
+        radii = (a / (2.0 * math.pi), b / (2.0 * math.pi))
+        return FlatOrbifoldModel(name, a * b / 2.0, radii, True)
     raise ValidationError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
 
 
-def _lattice_scales(model: FlatOrbifoldModel) -> tuple[float, float]:
-    """Pillowcase eigenvalues are ax p^2 + ay q^2 over the lattice (p, q)."""
-    return (2.0 * math.pi / model.sides[0]) ** 2, (2.0 * math.pi / model.sides[1]) ** 2
+def _squares(r: float, bound: float) -> np.ndarray:
+    """(m / r)^2 <= bound for m = 0, 1, ...; every eigenvalue test sums these
+    in axis order, so listing and counting decide boundary points alike."""
+    sq = (np.arange(math.floor(r * math.sqrt(bound)) + 2, dtype=float) / r) ** 2
+    return sq[sq <= bound]
 
 
 def exact_spectrum(model: FlatOrbifoldModel, cutoff: float) -> list[tuple[float, int]]:
     """Eigenvalues up to and including the cutoff, with multiplicities."""
     if cutoff <= 0:
         raise ValidationError("cutoff must be positive")
-    r = model.radius
-    if model.name == "circle":
-        out = [(0.0, 1)]
-        m = 1
-        while (m / r) ** 2 <= cutoff:
-            out.append(((m / r) ** 2, 2))
-            m += 1
-        return out
-    if model.name == "circle-reflection":
-        out = []
-        m = 0
-        while (m / r) ** 2 <= cutoff:
-            out.append(((m / r) ** 2, 1))
-            m += 1
-        return out
-    if model.name == "pillowcase":
-        ax, ay = _lattice_scales(model)
-        counts: dict[float, int] = {}
-        pmax = int(math.floor(math.sqrt(cutoff / ax)))
-        for p in range(0, pmax + 1):
-            qmax = int(math.floor(math.sqrt(max(cutoff - ax * p * p, 0.0) / ay)))
-            qmin = 0 if p == 0 else -qmax
-            for q in range(qmin, qmax + 1):
-                lam = ax * p * p + ay * q * q
-                if lam <= cutoff:
-                    counts[lam] = counts.get(lam, 0) + 1
-        return sorted(counts.items())
-    raise ValidationError(f"unknown model {model.name!r}")
+    lam = np.zeros(1)
+    for r in model.radii:
+        sq = _squares(r, cutoff)
+        lam = (lam[:, None] + np.concatenate([sq[:0:-1], sq])).ravel()
+    values, counts = np.unique(lam[lam <= cutoff], return_counts=True)
+    if model.folded:
+        # a positive eigenvalue holds whole orbits {v, -v}; 0 holds v = 0
+        counts = (counts + 1) // 2
+    return [(float(v), int(c)) for v, c in zip(values, counts)]
 
 
 def heat_trace(model: FlatOrbifoldModel, t: float) -> float:
@@ -121,25 +114,16 @@ def heat_trace(model: FlatOrbifoldModel, t: float) -> float:
     """
     if not 0.0 < t < math.inf:
         raise ValidationError("heat time must be finite and positive")
-    r = model.radius
-    if model.name in ("circle", "circle-reflection"):
+    # with s_i = sum_{m >= 1} exp(-t (m / r_i)^2), Theta = prod_i (1 + 2 s_i)
+    # = 1 + 2 h and (Theta + 1) / 2 = 1 + h; each axis takes h to
+    # h + s_i + 2 h s_i, and every term is kept for one compensated sum
+    terms: list = []
+    for r in model.radii:
         m_max = int(math.ceil(r * math.sqrt(TAIL_EXPONENT / t))) + int(TAIL_SAFETY)
-        modes = np.arange(0, m_max + 1, dtype=float)
-        weights = np.exp(-t * (modes / r) ** 2)
-        if model.name == "circle":
-            return float(math.fsum(2.0 * w for w in weights[1:]) + weights[0])
-        return float(math.fsum(weights))
-    if model.name == "pillowcase":
-        ax, ay = _lattice_scales(model)
-        pmax = int(math.ceil(math.sqrt(TAIL_EXPONENT / (t * ax)))) + int(TAIL_SAFETY)
-        qmax = int(math.ceil(math.sqrt(TAIL_EXPONENT / (t * ay)))) + int(TAIL_SAFETY)
-        pieces = []
-        for p in range(0, pmax + 1):
-            qs = np.arange(0 if p == 0 else -qmax, qmax + 1, dtype=float)
-            vals = np.exp(-t * (ax * p * p + ay * qs * qs))
-            pieces.append(float(vals.sum()))
-        return float(math.fsum(pieces))
-    raise ValidationError(f"unknown model {model.name!r}")
+        weights = np.exp(-t * (np.arange(1, m_max + 1, dtype=float) / r) ** 2)
+        terms += [(2.0 * math.fsum(chain(*terms)) * math.fsum(weights),), weights]
+    h = chain(*terms)
+    return math.fsum(chain([1.0], h)) if model.folded else 2.0 * math.fsum(h) + 1.0
 
 
 @dataclass(frozen=True)
@@ -209,45 +193,31 @@ def fit_expansion(model: FlatOrbifoldModel, t_grid) -> HeatFit:
 def eigenvalue_count(model: FlatOrbifoldModel, bounds) -> np.ndarray:
     """N(b), the number of eigenvalues <= b with multiplicity, for each bound b.
 
-    Closed form in O(sqrt(b)) per bound: a square-root estimate of the last
-    mode, corrected by whole steps.  Every boundary mode is decided by the
+    Closed form in O(sqrt(b)) per bound: the lattice points of Z^d below b,
+    (N + 1) / 2 of them when folded.  Every boundary point is decided by the
     same float expression ``exact_spectrum`` tests, so the counts equal its
     cumulative multiplicities.
     """
     bounds = [float(b) for b in bounds]
     if not all(0.0 <= b < math.inf for b in bounds):
         raise ValidationError("count bounds must be finite and nonnegative")
-    if model.name not in MODEL_NAMES:
-        raise ValidationError(f"unknown model {model.name!r}")
-    return np.array([_count_below(model, b) for b in bounds], dtype=np.int64)
+    counts = np.array([_lattice_count(model.radii, b) for b in bounds], dtype=np.int64)
+    return (counts + 1) // 2 if model.folded else counts
 
 
-def _count_below(model: FlatOrbifoldModel, b: float) -> int:
-    if model.name != "pillowcase":
-        # last mode m with (m / r)^2 <= b; (m / r)^2 grows with m
-        r = model.radius
-        m = math.floor(r * math.sqrt(b))
-        while m > 0 and (m / r) ** 2 > b:
-            m -= 1
-        while ((m + 1) / r) ** 2 <= b:
-            m += 1
-        return 1 + 2 * m if model.name == "circle" else m + 1
-    ax, ay = _lattice_scales(model)
-    pmax = math.floor(math.sqrt(b / ax))
-    while pmax > 0 and ax * pmax * pmax > b:
-        pmax -= 1
-    while ax * (pmax + 1) * (pmax + 1) <= b:
-        pmax += 1
-    # rows p = 0..pmax hold |q| <= q[p]; q = 0 always fits, since ax p^2 <= b
-    p = np.arange(pmax + 1, dtype=float)
-    row = ax * p * p
-    q = np.floor(np.sqrt((b - row) / ay))
-    while np.any(over := row + ay * q * q > b):
+def _lattice_count(radii: tuple[float, ...], b: float) -> int:
+    """Points v of Z^d (d = 1 or 2) with sum_i (v_i / r_i)^2 <= b."""
+    # rows p >= 0 of the first axis of two; v -> -v maps rows p < 0 onto p > 0
+    rows = _squares(radii[0], b) if len(radii) == 2 else np.zeros(1)
+    r = radii[-1]
+    # row p holds |q| <= q[p]; q = 0 always fits, since rows[p] <= b
+    q = np.floor(r * np.sqrt(b - rows))
+    while np.any(over := rows + (q / r) ** 2 > b):
         q[over] -= 1
-    while np.any(under := row + ay * (q + 1) * (q + 1) <= b):
+    while np.any(under := rows + ((q + 1) / r) ** 2 <= b):
         q[under] += 1
-    # the sign symmetry (p, q) ~ (-p, -q) leaves q >= 0 in the p = 0 row
-    return int(q[0] + 1 + np.sum(2 * q[1:] + 1))
+    per_row = 2 * q + 1
+    return int(per_row[0] + 2 * per_row[1:].sum())
 
 
 @dataclass(frozen=True)

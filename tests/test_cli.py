@@ -302,6 +302,7 @@ BAD_HEAT_INPUTS = {
     "trace-t-inf": ("trace", "--model", "circle", "--t", "inf"),
     "fit-t-grid-nan": ("fit", "--model", "circle", "--t-grid", "nan,0.001,0.002,0.003,0.004"),
     "weyl-side-nan": ("weyl", "--model", "pillowcase", "--sides", "nan,6", "--rmax", "1e4"),
+    "fit-three-sides": ("fit", "--model", "pillowcase", "--sides", "6,6,6"),
 }
 
 
@@ -367,6 +368,19 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
         capsys, "lie", "weyl", "--n", "2", "--config", str(cfg2)
     )
     assert code == 0 and out.strip() == "4"
+
+
+def test_config_supplies_a_required_option(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3}))
+    for spelling in ("--config", "--conf"):
+        code, out, _ = invoke(capsys, "lie", "weyl", "--count", spelling, str(cfg))
+        assert (code, out) == (0, "24\n")
+    # an ambiguous prefix is argparse's usage error, not a config file
+    with pytest.raises(SystemExit) as exc:
+        run(["lie", "weyl", "--count", "--c", str(cfg)])
+    assert exc.value.code == 2
+    assert "ambiguous option: --c could match --count, --config" in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_keys(capsys, tmp_path):
@@ -526,19 +540,34 @@ BAD_SPECTRA = {  # name -> (first line, first class row); exactly one of them is
     "eleven-fields": (SPECTRUM_HEADER, "hyperbolic,1.0,1.0,1,0.5,1.3,1,1.0,0.0,1,9"),
     "no-spec-hash": ("# selberg-spectrum cutoff=5 max_word_len=0",
                      "hyperbolic,1.0,1.0,1,0.5,1.3,1,1.0,0.0,1"),
+    "byte-0xff": (SPECTRUM_HEADER, "hyperbolic,1.0,1.0,1,0.5,1.3,1,1.0,0.0,1\xff"),
 }
+SPECTRUM_COLUMNS = "kind,l,l0,power,theta,D,v,re_trchi,im_trchi,word"
 
 
 @pytest.mark.parametrize("first,row", BAD_SPECTRA.values(), ids=BAD_SPECTRA.keys())
 def test_zeta_rejects_malformed_spectrum(capsys, tmp_path, first, row):
     path = tmp_path / "rows.csv"
-    path.write_text("\n".join([first, "kind,l,l0,power,theta,D,v,re_trchi,im_trchi,word", row,
-                               "hyperbolic,2.0,2.0,1,0.5,7.4,1,1.0,0.0,2"]) + "\n")
+    text = "\n".join([first, SPECTRUM_COLUMNS, row, "hyperbolic,2.0,2.0,1,0.5,7.4,1,1.0,0.0,2"])
+    # latin-1 writes the character \xff as the byte 0xff, which is not UTF-8
+    path.write_bytes((text + "\n").encode("latin-1"))
     code, out, err = invoke(capsys, "zeta", "eval", "--spectrum", str(path), "--sigma", "1",
                             "--s-grid", "3:4:1")
     line = 3 if first == SPECTRUM_HEADER else 1
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path} line {line}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("indices", ["2", "0.7", "-1", "x"])
+def test_zeta_rejects_ambiguous_index_that_names_no_row(capsys, tmp_path, indices):
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join([SPECTRUM_HEADER, f"# ambiguous={indices}", SPECTRUM_COLUMNS,
+                               "hyperbolic,1.0,1.0,1,0.5,1.3,1,1.0,0.0,1",
+                               "hyperbolic,2.0,2.0,1,0.5,7.4,1,1.0,0.0,2"]) + "\n")
+    code, out, err = invoke(capsys, "zeta", "eval", "--spectrum", str(path), "--sigma", "1",
+                            "--s-grid", "3:4:1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} line 2: ") and err.count("\n") == 1
 
 
 BAD_CLI_INPUTS = {

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from selberg.errors import IllConditionedFitError, ValidationError
 from selberg.heat import (
+    MODEL_NAMES,
     eigenvalue_count,
     exact_spectrum,
     fit_expansion,
@@ -105,6 +107,23 @@ def test_heat_trace_poisson_asymptotics():
     assert heat_trace(make_model("circle"), t) == pytest.approx(
         math.sqrt(math.pi / t), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_heat_trace_matches_mpmath_jacobi_theta(name):
+    # oracle: mpmath's theta_3(0, exp(-t / r^2)) on each axis of the torus,
+    # folded as (product + 1) / 2 on the quotient by v -> -v
+    model = make_model(name, radius=1.7, sides=(6.1, 7.3))
+    with mpmath.workdps(30):
+        if name == "pillowcase":
+            radii = [mpmath.mpf(6.1) / (2 * mpmath.pi), mpmath.mpf(7.3) / (2 * mpmath.pi)]
+        else:
+            radii = [mpmath.mpf(1.7)]
+        for t in np.geomspace(1e-3, 5.0, 9):
+            theta = mpmath.fprod(mpmath.jtheta(3, 0, mpmath.exp(-mpmath.mpf(t) / r**2))
+                                 for r in radii)
+            want = theta if name == "circle" else (theta + 1) / 2
+            assert heat_trace(model, t) == pytest.approx(float(want), rel=1e-14)
 
 
 def test_heat_trace_completely_monotone():
