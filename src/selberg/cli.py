@@ -18,6 +18,10 @@ radius, side, rmax, heat time, cutoff or volume that is not finite and
 positive is a validation error, and so is a chi dimension or element cap
 below 1.  So are a missing or unwritable file, malformed JSON and a list or
 grid item that is not a number; each prints one ``error:`` line.
+
+``--validate`` runs every check of the op, the computation included, and
+prints ``ok`` in place of the output lines, so its exit code and error line
+are those of the run.
 """
 
 from __future__ import annotations
@@ -64,23 +68,6 @@ def fmt_complex(z: complex) -> str:
     if z.imag == 0.0:
         return fmt(z.real)
     return f"({z.real:.17g}{z.imag:+.17g}j)"
-
-
-class _Output:
-    def __init__(self, path: str | None):
-        self.path = path
-        self.lines: list[str] = []
-
-    def line(self, text: str) -> None:
-        self.lines.append(text)
-
-    def finish(self) -> None:
-        payload = "\n".join(self.lines) + ("\n" if self.lines else "")
-        if self.path:
-            with open(self.path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
 
 
 def _number(text: str, kind=float):
@@ -146,157 +133,109 @@ def _load_context(args) -> zeta_mod.ZetaTermContext:
             if r.kind != "hyperbolic" or r.length <= args.cutoff
         ]
         spectrum.cutoff = min(spectrum.cutoff, args.cutoff)
-    sigma = WeightVector.parse(args.sigma)
-    elliptic = spectrum.elliptic()
-    vols = None
-    if args.elliptic_vols:
-        vols = _parse_values(args.elliptic_vols)
     return zeta_mod.ZetaTermContext(
-        n=sigma.rank,
-        sigma=sigma,
+        sigma=WeightVector.parse(args.sigma),
         chi_dim=args.chi_dim,
         spectrum=spectrum,
-        elliptic=elliptic,
         vol=args.vol,
-        elliptic_vols=vols,
+        elliptic_vols=_parse_values(args.elliptic_vols) if args.elliptic_vols else None,
         allow_ambiguous=args.allow_ambiguous,
     )
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its output lines
 
 
-def cmd_lie_delta_m(args, out: _Output) -> None:
-    if args.validate:
-        out.line("ok")
-        return
-    out.line(str(half_sum_positive_roots(args.n)))
+def cmd_lie_delta_m(args) -> list[str]:
+    return [str(half_sum_positive_roots(args.n))]
 
 
-def cmd_lie_weyl(args, out: _Output) -> None:
+def cmd_lie_weyl(args) -> list[str]:
     perm, signs, det = weyl_group(args.n)
-    if args.validate:
-        out.line("ok")
-        return
     if args.count:
-        out.line(str(len(det)))
-        return
-    for p, s, d in zip(perm.tolist(), signs.tolist(), det.tolist()):
-        perm_text = ".".join(str(x) for x in p)
-        signs_text = ".".join("+" if x == 1 else "-" for x in s)
-        out.line(f"{perm_text};{signs_text};{d}")
+        return [str(len(det))]
+    return [
+        ".".join(str(x) for x in p) + ";" + ".".join("+" if x == 1 else "-" for x in s) + f";{d}"
+        for p, s, d in zip(perm.tolist(), signs.tolist(), det.tolist())
+    ]
 
 
-def cmd_lie_character(args, out: _Output) -> None:
+def cmd_lie_character(args) -> list[str]:
     weight = WeightVector.parse(args.weight)
     angles = EllipticAngles.parse(args.angles)
-    if args.validate:
-        out.line("ok")
-        return
-    if args.xi:
-        value = torus_character(weight, angles)
-    else:
-        value = weyl_character(weight, angles)
-    out.line(f"{fmt(value.real)},{fmt(value.imag)}")
+    value = (torus_character if args.xi else weyl_character)(weight, angles)
+    return [f"{fmt(value.real)},{fmt(value.imag)}"]
 
 
-def cmd_orbital_poly(args, out: _Output) -> None:
+def cmd_orbital_poly(args) -> list[str]:
     sigma = WeightVector.parse(args.sigma)
     angles = EllipticAngles.parse(args.angles)
-    if args.validate:
-        out.line("ok")
-        return
     poly = orbital_polynomial(sigma, angles, args.n)
-    out.line(",".join(fmt_complex(c) for c in poly.coeffs))
+    return [",".join(fmt_complex(c) for c in poly.coeffs)]
 
 
-def cmd_orbital_plancherel(args, out: _Output) -> None:
+def cmd_orbital_plancherel(args) -> list[str]:
     sigma = WeightVector.parse(args.sigma)
-    if args.validate:
-        out.line("ok")
-        return
     poly = plancherel_polynomial(sigma, sigma.rank)
-    out.line(",".join(fmt_complex(c) for c in poly.coeffs))
+    return [",".join(fmt_complex(c) for c in poly.coeffs)]
 
 
-def cmd_orbital_gap(args, out: _Output) -> None:
+def cmd_orbital_gap(args) -> list[str]:
     sigma = WeightVector.parse(args.sigma)
     angles = EllipticAngles.parse(args.angles)
-    if args.validate:
-        out.line("ok")
-        return
-    out.line(fmt(weyl_A_invariance_gap(sigma, angles, args.n)))
+    return [fmt(weyl_A_invariance_gap(sigma, angles, args.n))]
 
 
-def cmd_spectrum_enumerate(args, out: _Output) -> None:
+def cmd_spectrum_enumerate(args) -> list[str]:
     spec = GroupSpec.from_file(args.group)
-    if args.max_word_len < 0:
-        raise ValidationError("max word length must be nonnegative")
-    if args.validate:
-        out.line("ok")
-        return
     spectrum = build_length_spectrum(
         spec, args.max_word_len, args.cutoff, element_cap=args.element_cap
     )
-    for line in spectrum.to_csv().splitlines():
-        out.line(line)
+    return spectrum.to_csv().splitlines()
 
 
-def cmd_spectrum_classify(args, out: _Output) -> None:
+def cmd_spectrum_classify(args) -> list[str]:
     spec = GroupSpec.from_file(args.group)
     word = tuple(_parse_values(args.word, int))
-    if args.validate:
-        out.line("ok")
-        return
     c = classify(spec.word_matrix(word), spec.model)
-    out.line("kind,l,theta")
-    out.line(f"{c.kind},{fmt(c.length)},{fmt(c.angle)}")
+    return ["kind,l,theta", f"{c.kind},{fmt(c.length)},{fmt(c.angle)}"]
 
 
-def cmd_zeta_eval(args, out: _Output) -> None:
+def _abs_exp(z: complex) -> float:
+    try:
+        return abs(cmath.exp(z))
+    except OverflowError:
+        return math.inf
+
+
+def cmd_zeta_eval(args) -> list[str]:
     ctx = _load_context(args)
     grid = _parse_grid(args.s_grid)
-    if args.validate:
-        out.line("ok")
-        return
-    out.line("re_s,im_s,re_logZ,im_logZ,abs_Z")
-    for s, logz in zip(grid, zeta_mod.log_zeta_truncated(grid, ctx)):
-        try:
-            abs_z = abs(cmath.exp(logz))
-        except OverflowError:
-            abs_z = math.inf
-        out.line(
-            f"{fmt(s.real)},{fmt(s.imag)},{fmt(logz.real)},{fmt(logz.imag)},{fmt(abs_z)}"
-        )
+    return ["re_s,im_s,re_logZ,im_logZ,abs_Z"] + [
+        f"{fmt(s.real)},{fmt(s.imag)},{fmt(logz.real)},{fmt(logz.imag)},{fmt(_abs_exp(logz))}"
+        for s, logz in zip(grid, zeta_mod.log_zeta_truncated(grid, ctx))
+    ]
 
 
-def cmd_zeta_xi(args, out: _Output) -> None:
+def cmd_zeta_xi(args) -> list[str]:
     ctx = _load_context(args)
     points = [complex(x, 0.0) for x in _parse_values(args.s)]
-    if args.validate:
-        out.line("ok")
-        return
-    out.line("re_s,im_s,re_xi,im_xi")
-    for s, value in zip(points, zeta_mod.xi_correction(points, ctx)):
-        out.line(f"{fmt(s.real)},{fmt(s.imag)},{fmt(value.real)},{fmt(value.imag)}")
+    return ["re_s,im_s,re_xi,im_xi"] + [
+        f"{fmt(s.real)},{fmt(s.imag)},{fmt(value.real)},{fmt(value.imag)}"
+        for s, value in zip(points, zeta_mod.xi_correction(points, ctx))
+    ]
 
 
-def cmd_zeta_heat_terms(args, out: _Output) -> None:
+def cmd_zeta_heat_terms(args) -> list[str]:
     ctx = _load_context(args)
     times = _parse_values(args.t)
-    if not all(0 < t < math.inf for t in times):
-        raise ValidationError("heat times must be finite and positive")
-    if args.validate:
-        out.line("ok")
-        return
-    out.line("t,re_I,im_I,re_E,im_E,re_H,im_H")
-    for t, terms in zip(times, zeta_mod.geometric_heat_terms(times, ctx)):
-        out.line(
-            f"{fmt(t)},{fmt(terms.identity.real)},{fmt(terms.identity.imag)},"
-            f"{fmt(terms.elliptic.real)},{fmt(terms.elliptic.imag)},"
-            f"{fmt(terms.hyperbolic.real)},{fmt(terms.hyperbolic.imag)}"
-        )
+    return ["t,re_I,im_I,re_E,im_E,re_H,im_H"] + [
+        f"{fmt(t)},{fmt(terms.identity.real)},{fmt(terms.identity.imag)},"
+        f"{fmt(terms.elliptic.real)},{fmt(terms.elliptic.imag)},"
+        f"{fmt(terms.hyperbolic.real)},{fmt(terms.hyperbolic.imag)}"
+        for t, terms in zip(times, zeta_mod.geometric_heat_terms(times, ctx))
+    ]
 
 
 def _model(args) -> heat_mod.FlatOrbifoldModel:
@@ -309,20 +248,14 @@ def _model(args) -> heat_mod.FlatOrbifoldModel:
     return heat_mod.make_model(args.model, radius=args.radius, sides=sides)
 
 
-def cmd_heat_trace(args, out: _Output) -> None:
+def cmd_heat_trace(args) -> list[str]:
     model = _model(args)
-    times = _parse_values(args.t)
-    if not all(0 < t < math.inf for t in times):
-        raise ValidationError("heat times must be finite and positive")
-    if args.validate:
-        out.line("ok")
-        return
-    out.line("t,trace")
-    for t in times:
-        out.line(f"{fmt(t)},{fmt(heat_mod.heat_trace(model, t))}")
+    return ["t,trace"] + [
+        f"{fmt(t)},{fmt(heat_mod.heat_trace(model, t))}" for t in _parse_values(args.t)
+    ]
 
 
-def cmd_heat_fit(args, out: _Output) -> None:
+def cmd_heat_fit(args) -> list[str]:
     model = _model(args)
     if args.t_grid:
         grid = _parse_values(args.t_grid)
@@ -330,29 +263,20 @@ def cmd_heat_fit(args, out: _Output) -> None:
         import numpy as np
 
         grid = list(np.geomspace(0.001, 0.01, 12))
-    if args.validate:
-        out.line("ok")
-        return
     fit = heat_mod.fit_expansion(model, grid)
-    out.line(f"# expected_leading={fmt(fit.expected_leading)} residual={fmt(fit.residual)}")
-    out.line("exponent,coefficient")
-    for e, c in zip(fit.exponents, fit.coefficients):
-        out.line(f"{fmt(e)},{fmt(c)}")
+    return [
+        f"# expected_leading={fmt(fit.expected_leading)} residual={fmt(fit.residual)}",
+        "exponent,coefficient",
+    ] + [f"{fmt(e)},{fmt(c)}" for e, c in zip(fit.exponents, fit.coefficients)]
 
 
-def cmd_heat_weyl(args, out: _Output) -> None:
-    model = _model(args)
-    if not 0 < args.rmax < math.inf:
-        raise ValidationError("rmax must be finite and positive")
-    if args.validate:
-        out.line("ok")
-        return
-    report = heat_mod.weyl_counting_check(model, args.rmax)
-    out.line("fitted,predicted,relative_error,eigenvalues")
-    out.line(
+def cmd_heat_weyl(args) -> list[str]:
+    report = heat_mod.weyl_counting_check(_model(args), args.rmax)
+    return [
+        "fitted,predicted,relative_error,eigenvalues",
         f"{fmt(report.fitted)},{fmt(report.predicted)},"
-        f"{fmt(report.relative_error)},{report.eigenvalue_count}"
-    )
+        f"{fmt(report.relative_error)},{report.eigenvalue_count}",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +433,13 @@ def run(argv=None) -> int:
     parser = build_parser(argv)
     try:
         args = parser.parse_args(_with_config(argv))
-        out = _Output(args.out)
-        args.func(args, out)
-        out.finish()
+        lines = args.func(args)
+        payload = "".join(f"{line}\n" for line in (["ok"] if args.validate else lines))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload)
         return 0
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

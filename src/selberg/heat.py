@@ -230,6 +230,8 @@ class WeylSlopeReport:
 
 def weyl_counting_check(model: FlatOrbifoldModel, r_max: float) -> WeylSlopeReport:
     """Fit N(r) ~ A r^{d/2} and compare A with the Weyl-law constant."""
+    if not 0.0 < r_max < math.inf:
+        raise ValidationError("rmax must be finite and positive")
     count = int(eigenvalue_count(model, [r_max])[0])
     if count < 200:
         raise ValidationError(

@@ -102,9 +102,6 @@ class WeightVector:
             raise ValidationError("rank mismatch in weight addition")
         return WeightVector(tuple(a + b for a, b in zip(self.doubled, other.doubled)))
 
-    def __neg__(self) -> "WeightVector":
-        return WeightVector(tuple(-d for d in self.doubled))
-
     def __str__(self) -> str:
         return ",".join(format_half_integer(Fraction(d, 2)) for d in self.doubled)
 

@@ -94,11 +94,6 @@ class EvenPolynomial:
             for k, c in enumerate(self.coeffs)
         )
 
-    def scaled(self, factor) -> "EvenPolynomial":
-        return EvenPolynomial(
-            tuple(c * factor for c in self.coeffs), self.even_residual
-        )
-
     def max_abs_coeff(self) -> float:
         return max(abs(c) for c in self.coeffs)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedRankError,
     ValidationError,
 )
-from .geometry import ConjClassRecord, LengthSpectrum
+from .geometry import LengthSpectrum
 from .lie import EllipticAngles, WeightVector, w0_flip, weyl_character
 from .orbital import orbital_polynomial, plancherel_polynomial
 
@@ -50,16 +50,16 @@ from .orbital import orbital_polynomial, plancherel_polynomial
 class ZetaTermContext:
     """Everything one zeta/heat evaluation needs besides the point s or t.
 
-    ``vol`` is the orbifold volume (hyperbolic volume units, user supplied).
-    ``elliptic_vols`` optionally assigns each elliptic class its centralizer
-    covolume; classes without an entry default to 1 with a warning.
+    The rank ``n`` is that of ``sigma``, and the elliptic classes are the
+    spectrum's own.  ``vol`` is the orbifold volume (hyperbolic volume
+    units, user supplied).  ``elliptic_vols`` optionally assigns each
+    elliptic class its centralizer covolume; classes without an entry
+    default to 1 with a warning.
     """
 
-    n: int
     sigma: WeightVector
     chi_dim: int
     spectrum: LengthSpectrum
-    elliptic: list[ConjClassRecord] = field(default_factory=list)
     vol: float = 1.0
     elliptic_vols: list[float] | None = None
     allow_ambiguous: bool = False
@@ -71,12 +71,15 @@ class ZetaTermContext:
             raise ValidationError("spectrum cutoff must be finite and positive")
         if self.chi_dim < 1:
             raise ValidationError("chi dimension must be at least 1")
-        if self.sigma.rank != self.n:
-            raise ValidationError("sigma rank must equal n")
-        if self.elliptic_vols is not None and len(self.elliptic_vols) != len(
-            self.elliptic
-        ):
-            raise ValidationError("need one volume per elliptic class")
+        if self.elliptic_vols is not None:
+            if len(self.elliptic_vols) != len(self.spectrum.elliptic()):
+                raise ValidationError("need one volume per elliptic class")
+            if not all(0 < v < math.inf for v in self.elliptic_vols):
+                raise ValidationError("centralizer volumes must be finite and positive")
+
+    @property
+    def n(self) -> int:
+        return self.sigma.rank
 
     def with_sigma(self, sigma: WeightVector) -> "ZetaTermContext":
         return replace(self, sigma=sigma)
@@ -109,6 +112,16 @@ def _finite(value: complex, s) -> complex:
     return value
 
 
+def _refuse_ambiguous(ctx: ZetaTermContext, recs: list) -> None:
+    """Refuse flagged-ambiguity classes among the classes an evaluator sums,
+    unless the context allows them."""
+    if not ctx.allow_ambiguous and any(r.ambiguous for r in recs):
+        raise AmbiguousClassError(
+            "spectrum contains flagged-ambiguity classes; rerun with "
+            "allow_ambiguous to include them"
+        )
+
+
 class _ClassArrays(NamedTuple):
     """Point-independent per-class factors, in canonical record order.
     ``num`` and ``heat`` hold one array per weight: sigma, then w0 sigma
@@ -125,11 +138,7 @@ def _class_arrays(ctx: ZetaTermContext, both: bool) -> _ClassArrays:
     ``both``: one pass over the classes, then one character call per weight.
     Refuses flagged-ambiguity classes unless the context allows them."""
     recs = sorted(ctx.spectrum.hyperbolic(), key=lambda r: (r.length, r.angles, r.word))
-    if not ctx.allow_ambiguous and any(r.ambiguous for r in recs):
-        raise AmbiguousClassError(
-            "spectrum contains flagged-ambiguity classes; rerun with "
-            "allow_ambiguous to include them"
-        )
+    _refuse_ambiguous(ctx, recs)
     cols = np.array([(r.length, r.primitive_length, r.D, r.power * (math.exp(ctx.n * r.length) * r.D),
                       r.tr_chi * float(r.v)) for r in recs], dtype=complex).reshape(-1, 5).T
     length, l0, d, den = cols[:4].real.copy()  # den with math.exp, as the printed digits need
@@ -161,15 +170,18 @@ def _log_zeta_values(ctx: ZetaTermContext, points: list, both: bool) -> list[lis
 
 
 def _elliptic_terms(ctx: ZetaTermContext) -> list:
-    """(tr chi * centralizer volume, orbital polynomial) for each elliptic class."""
-    if ctx.elliptic_vols is None and ctx.elliptic:
+    """(tr chi * centralizer volume, orbital polynomial) for each elliptic class.
+    Refuses flagged-ambiguity classes unless the context allows them."""
+    elliptic = ctx.spectrum.elliptic()
+    _refuse_ambiguous(ctx, elliptic)
+    if ctx.elliptic_vols is None and elliptic:
         warnings.warn(
             "no centralizer volumes supplied for elliptic classes; defaulting to 1", stacklevel=3
         )
-    vols = ctx.elliptic_vols or [1.0] * len(ctx.elliptic)
+    vols = ctx.elliptic_vols or [1.0] * len(elliptic)
     return [
         (rec.tr_chi * vol, orbital_polynomial(ctx.sigma, EllipticAngles(tuple(rec.angles)), ctx.n))
-        for rec, vol in zip(ctx.elliptic, vols)
+        for rec, vol in zip(elliptic, vols)
     ]
 
 

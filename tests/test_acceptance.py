@@ -159,7 +159,7 @@ def _synthetic_ctx(rng, sigma, count=6):
             )
         )
     spectrum = LengthSpectrum(recs, "synthetic", 10.0, 0)
-    return ZetaTermContext(n=1, sigma=sigma, chi_dim=1, spectrum=spectrum)
+    return ZetaTermContext(sigma=sigma, chi_dim=1, spectrum=spectrum)
 
 
 def test_criterion_6_zeta_algebra(rng):
@@ -177,7 +177,7 @@ def test_criterion_6_zeta_algebra(rng):
         square_ok = worst < 1e-12
 
         empty = ZetaTermContext(
-            n=1, sigma=WeightVector.from_coords([0]), chi_dim=1,
+            sigma=WeightVector.from_coords([0]), chi_dim=1,
             spectrum=LengthSpectrum([], "synthetic", 5.0, 0),
         )
         empty_ok = cmath.exp(log_zeta_truncated(3.0, empty)) == 1.0 + 0j
@@ -193,7 +193,7 @@ def test_criterion_6_zeta_algebra(rng):
         ]
         sig0 = WeightVector.from_coords([0])
         est = convergence_abscissa_estimate(
-            ZetaTermContext(n=1, sigma=sig0, chi_dim=1,
+            ZetaTermContext(sigma=sig0, chi_dim=1,
                             spectrum=LengthSpectrum(full, "synthetic", 10.0, 0))
         )
         s = est.c + 0.5
@@ -201,7 +201,7 @@ def test_criterion_6_zeta_algebra(rng):
         for cut in (5, 8, 11, 14):
             recs = [r for r in full if r.length <= cut * c]
             ctx = ZetaTermContext(
-                n=1, sigma=sig0, chi_dim=1,
+                sigma=sig0, chi_dim=1,
                 spectrum=LengthSpectrum(recs, "synthetic", cut * c, 0),
             )
             values.append(log_zeta_truncated(s, ctx))
@@ -281,7 +281,7 @@ def test_criterion_9_geometry_oracles():
 def test_criterion_10_plancherel_calibration():
     vol = 2.31
     ctx = ZetaTermContext(
-        n=1, sigma=WeightVector.from_coords([0]), chi_dim=1,
+        sigma=WeightVector.from_coords([0]), chi_dim=1,
         spectrum=LengthSpectrum([], "synthetic", 5.0, 0), vol=vol,
     )
     worst = 0.0

@@ -570,6 +570,69 @@ def test_zeta_rejects_ambiguous_index_that_names_no_row(capsys, tmp_path, indice
     assert err.startswith(f"error: {path} line 2: ") and err.count("\n") == 1
 
 
+# argv whose run fails with exit 2 in a library check, then one valid argv per group
+VALIDATE_ARGV = {
+    "enumerate-cutoff-negative": ("spectrum", "enumerate", "--group", "{group}",
+                                  "--max-word-len", "3", "--cutoff", "-1"),
+    "enumerate-word-len-40": ("spectrum", "enumerate", "--group", "{group}",
+                              "--max-word-len", "40", "--cutoff", "5"),
+    "enumerate-element-cap-0": ("spectrum", "enumerate", "--group", "{group}",
+                                "--max-word-len", "3", "--cutoff", "5", "--element-cap", "0"),
+    "character-non-dominant": ("lie", "character", "--weight", "0,1", "--angles", "0.1,0.5"),
+    "poly-rank-mismatch": ("orbital", "poly", "--n", "3", "--sigma", "1,0", "--angles", "0.1,0.5"),
+    "fit-grid-outside-window": ("heat", "fit", "--model", "circle", "--t-grid", "0.5,0.6,0.7"),
+    "delta-m-rank-0": ("lie", "delta-m", "--n", "0"),
+    "plancherel-rank-2": ("orbital", "plancherel", "--sigma", "1,0"),
+    "lie-ok": ("lie", "delta-m", "--n", "3"),
+    "orbital-ok": ("orbital", "plancherel", "--sigma", "1"),
+    "spectrum-ok": ("spectrum", "classify", "--group", "{group}", "--word", "1"),
+    "zeta-ok": ("zeta", "xi", "--spectrum", "{spec}", "--sigma", "1", "--s", "3",
+                "--elliptic-vols", "0.5,0.75"),
+    "heat-ok": ("heat", "trace", "--model", "circle", "--t", "1"),
+}
+
+
+@pytest.mark.parametrize("name,argv", VALIDATE_ARGV.items(), ids=VALIDATE_ARGV.keys())
+def test_validate_exits_as_the_run_does(capsys, group_file, tmp_path, name, argv):
+    spec = tmp_path / "small.csv"
+    spec.write_text(small_h3_spectrum_csv())
+    argv = [a.format(group=group_file, spec=spec) for a in argv]
+    code, _, err = invoke(capsys, *argv)
+    assert code == (0 if name.endswith("-ok") else 2)
+    assert invoke(capsys, *argv, "--validate") == (code, "ok\n" if code == 0 else "", err)
+
+
+def ambiguous_elliptic_spectrum(tmp_path) -> str:
+    """The small H^3 spectrum with its first row, an elliptic class, flagged."""
+    first, *rest = small_h3_spectrum_csv().splitlines()
+    path = tmp_path / "flagged.csv"
+    path.write_text("\n".join([first, "# ambiguous=0", *rest]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("op,point,code", [
+    ("xi", ("--s", "3"), 3), ("heat-terms", ("--t", "0.5"), 3), ("eval", ("--s-grid", "3:4:1"), 0),
+])
+def test_zeta_refuses_a_flagged_elliptic_class_it_sums(capsys, tmp_path, op, point, code):
+    argv = ("zeta", op, "--spectrum", ambiguous_elliptic_spectrum(tmp_path), "--sigma", "1",
+            "--elliptic-vols", "0.5,0.75", *point)
+    got, out, err = invoke(capsys, *argv)
+    assert got == code  # log Z sums no elliptic class
+    if code:
+        assert out == "" and "ambig" in err.lower()
+        assert invoke(capsys, *argv, "--allow-ambiguous")[0] == 0
+
+
+@pytest.mark.parametrize("vol", ["-1", "inf", "nan", "0"])
+def test_zeta_rejects_a_bad_centralizer_volume(capsys, tmp_path, vol):
+    spec = tmp_path / "small.csv"
+    spec.write_text(small_h3_spectrum_csv())
+    code, out, err = invoke(capsys, "zeta", "heat-terms", "--spectrum", str(spec), "--sigma", "1",
+                            "--t", "0.5", "--elliptic-vols", f"0.5,{vol}")
+    assert (code, out) == (2, "")
+    assert err == "error: centralizer volumes must be finite and positive\n"
+
+
 BAD_CLI_INPUTS = {
     "missing-spectrum": ("zeta", "xi", "--spectrum", "{tmp}/none.csv", "--sigma", "1", "--s", "3"),
     "missing-group": ("spectrum", "classify", "--group", "{tmp}/none.json", "--word", "1"),

@@ -62,18 +62,13 @@ def ell_record(angles, tr_chi=1.0 + 0j):
     )
 
 
-def make_ctx(records, sigma, cutoff=10.0, n=1, elliptic=(), **kwargs):
+def make_ctx(records, sigma, cutoff=10.0, elliptic=(), **kwargs):
     spectrum = LengthSpectrum(
-        records=list(records), spec_hash="synthetic", cutoff=cutoff, max_word_len=0
+        records=list(records) + list(elliptic), spec_hash="synthetic", cutoff=cutoff,
+        max_word_len=0,
     )
-    return ZetaTermContext(
-        n=n,
-        sigma=sigma,
-        chi_dim=kwargs.pop("chi_dim", 1),
-        spectrum=spectrum,
-        elliptic=list(elliptic),
-        **kwargs,
-    )
+    return ZetaTermContext(sigma=sigma, chi_dim=kwargs.pop("chi_dim", 1), spectrum=spectrum,
+                           **kwargs)
 
 
 def random_spectrum(rng, count=6, n=1, complex_chi=True):
@@ -216,8 +211,7 @@ def test_antisymmetric_values_are_frozen(tmp_path):
     path = tmp_path / "small.csv"
     path.write_text(small_h3_spectrum_csv())
     spectrum = LengthSpectrum.read_csv(path)
-    ctx = ZetaTermContext(n=1, sigma=WeightVector.parse("1"), chi_dim=1, spectrum=spectrum,
-                          elliptic=spectrum.elliptic(), vol=1.5)
+    ctx = ZetaTermContext(sigma=WeightVector.parse("1"), chi_dim=1, spectrum=spectrum, vol=1.5)
     assert antisymmetric_zeta([3.0, complex(3.5, 1.0)], ctx) == [
         complex(1.0537832604310629, 0.17275598305813689),
         complex(1.1103358643581456, 0.08244283512591796),
@@ -232,7 +226,7 @@ def test_antisymmetric_single_class_scalar_crosscheck():
     l = 1.3
     rec = hyp_record(l, (a, b), n=2)
     sigma = WeightVector.from_coords([1, 1])
-    ctx = make_ctx([rec], sigma, n=2)
+    ctx = make_ctx([rec], sigma)
     s = 2.2
     det = math.exp(2 * l) * rec.D
     term = lambda tr: tr * math.exp(-(s + 2) * l) / det
@@ -328,7 +322,7 @@ def test_heat_terms_guards():
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(ValidationError):
             geometric_heat_terms([0.5, bad], ctx)
-    ctx2 = make_ctx([], WeightVector.from_coords([0, 0]), n=2)
+    ctx2 = make_ctx([], WeightVector.from_coords([0, 0]))
     with pytest.raises(UnsupportedRankError):
         geometric_heat_terms(0.5, ctx2)
 
@@ -418,8 +412,6 @@ def test_context_validation():
     with pytest.raises(ValidationError):
         make_ctx([], SIGMA0, cutoff=0.0)
     with pytest.raises(ValidationError):
-        make_ctx([], WeightVector.from_coords([1, 0]))  # rank mismatch with n=1
-    with pytest.raises(ValidationError):
         make_ctx([], SIGMA0, elliptic=[ell_record((0.5,))], elliptic_vols=[1.0, 2.0])
 
 
@@ -496,7 +488,7 @@ def complex_grid(rng, count=6):
 def test_log_zeta_grid_matches_loop_and_scalar(rng):
     for n, sigma in grid_cases(rng):
         recs = regular_spectrum(rng, n)
-        ctx = make_ctx(recs, sigma, n=n)
+        ctx = make_ctx(recs, sigma)
         grid = complex_grid(rng)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -511,7 +503,7 @@ def test_log_zeta_grid_matches_loop_and_scalar(rng):
 def test_symmetric_and_antisymmetric_grid_match_loop_and_scalar(rng):
     for n, sigma in grid_cases(rng):
         recs = regular_spectrum(rng, n)
-        ctx = make_ctx(recs, sigma, n=n)
+        ctx = make_ctx(recs, sigma)
         grid = tuple(complex_grid(rng))
         sym = symmetric_zeta(grid, ctx)
         assert sym == [symmetric_zeta(s, ctx) for s in grid]
@@ -609,7 +601,7 @@ def test_heat_terms_laplace_transform_is_zeta_log_derivative(coords):
 
     spectrum = build_length_spectrum(cyclic_h3_spec(1.3, 0.7), 8, 12.0)
     sigma = WeightVector.from_coords(coords)
-    ctx = ZetaTermContext(n=1, sigma=sigma, chi_dim=1, spectrum=spectrum, allow_ambiguous=True)
+    ctx = ZetaTermContext(sigma=sigma, chi_dim=1, spectrum=spectrum, allow_ambiguous=True)
     weights = {sigma, w0_flip(sigma)}
     h = 1e-5
     for s in (1.5, 2.5):
