@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import math
 import sys
 
@@ -40,6 +39,7 @@ from .geometry import (
     LengthSpectrum,
     build_length_spectrum,
     classify,
+    read_json,
 )
 from .lie import (
     EllipticAngles,
@@ -80,14 +80,6 @@ def _number(text: str, kind=float):
 def _parse_values(text: str, kind=float) -> list:
     """Comma-separated numbers of type ``kind``; empty items are skipped."""
     return [_number(x, kind) for x in text.split(",") if x.strip()]
-
-
-def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # bad JSON or bad UTF-8
-            raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _parse_grid(text: str) -> list[complex]:
@@ -409,7 +401,7 @@ def _with_config(argv: list[str]) -> list[str]:
         return argv
     if not path:
         return argv
-    data = _read_json(path)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
     options = dict(_COMMANDS[group][1][leaf][2] + _COMMON)

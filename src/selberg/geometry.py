@@ -8,17 +8,22 @@ length at a time as a stack of products, classified through their
 eigenvalues, and collected into conjugacy classes with all the per-class
 quantities the zeta and trace-formula layers consume: geodesic length,
 primitive length and power, rotation angle, the adjoint-determinant weight
-D, the centralizer index correction v, and the twist trace.
+D, the centralizer index correction v, and the twist trace.  Each stack is
+classified once, in one numpy pass, and the whole reduction reads that.
 
 "Same isometry" is decided only by ``projectively_close``, relative to the
 size of the product compared.  Products are not rescaled to determinant 1,
 which would only add rounding: generator determinants are 1 to 1e-10.
 
+An elliptic angle is 2*acos(tr/2) of a chosen lift.  An H3 rotation axis
+has no orientation, so H3 rotations are bucketed by min(theta, 2pi - theta).
+
 Conjugacy is decided by invariants plus an explicit conjugator search
 inside the enumerated ball, one stacked product h g h^-1 over the ball per
 class representative; full conjugacy decision is undecidable in general,
 so classes with equal invariants but no certifying conjugator are flagged
-ambiguous rather than merged or dropped.
+ambiguous rather than merged or dropped (not rotations when the generators
+commute: conjugacy is equality there).
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ KEY_GRID = 1e-7
 MATRIX_TOL = 1e-12
 #: tolerance for classification invariants, relative for lengths and angles
 CLASSIFY_TOL = 1e-8
+TWO_PI = 2.0 * math.pi
 
 DEFAULT_MAX_WORD_LEN = 14
 DEFAULT_ELEMENT_CAP = 200_000
@@ -113,13 +119,14 @@ class GroupSpec:
         return digest.hexdigest()[:16]
 
     def word_matrix(self, word) -> np.ndarray:
-        """Evaluate a word (1-based signed generator indices) to a matrix."""
+        """Evaluate a word (1-based signed generator indices) to a matrix with
+        ``_mul``, so a ball element's word gives its matrix bit for bit."""
         m = np.eye(2, dtype=complex)
         for letter in word:
             if letter == 0 or abs(letter) > len(self.generators):
                 raise ValidationError(f"word letter {letter} out of range")
             g = self.generators[abs(letter) - 1]
-            m = m @ (g if letter > 0 else _inv2(g))
+            m = _mul(m, g if letter > 0 else _inv2(g))
         return m
 
     def chi_trace(self, word) -> complex:
@@ -134,12 +141,7 @@ class GroupSpec:
 
     @classmethod
     def from_file(cls, path) -> "GroupSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except ValueError as exc:  # bad JSON or bad UTF-8
-                raise ValidationError(f"{path} is not valid JSON: {exc}") from None
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path))
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroupSpec":
@@ -164,6 +166,15 @@ class GroupSpec:
             else [_matrix_from_rows(m) for m in data["chi"]],
             name=data.get("name", ""),
         )
+
+
+def read_json(path):
+    """The JSON value in a UTF-8 file; bad JSON or bad UTF-8 is a ValidationError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _matrix_from_rows(rows):
@@ -307,6 +318,11 @@ def enumerate_elements(
 # classification
 
 
+#: kind names by the codes ``_classify`` returns, in record order
+KINDS = ("identity", "elliptic", "hyperbolic")
+ELLIPTIC, HYPERBOLIC = 1, 2
+
+
 @dataclass(frozen=True)
 class Classification:
     kind: str  # identity | elliptic | hyperbolic
@@ -314,48 +330,48 @@ class Classification:
     angle: float
 
 
+def _classify(stack, model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kind code (index into KINDS), length and angle of each matrix of a
+    stack, in one pass; ``classify`` is its one-element case."""
+    m = np.asarray(stack, dtype=complex).reshape(-1, 2, 2)
+    identity = projectively_close(m, np.eye(2), CLASSIFY_TOL)
+    tr = m[:, 0, 0] + m[:, 1, 1]
+    if np.any(~identity & (np.minimum(abs(tr - 2.0), abs(tr + 2.0)) < CLASSIFY_TOL)):
+        raise ParabolicElementError(
+            "parabolic element detected (trace within tolerance of +-2 on a "
+            "non-identity element); the group does not act cocompactly"
+        )
+    disc = np.sqrt(tr * tr - 4.0)
+    plus, minus = (tr + disc) / 2.0, (tr - disc) / 2.0
+    lam = np.where(abs(minus) > abs(plus), minus, plus)
+    hyperbolic = ~identity & (abs(lam) > 1.0 + CLASSIFY_TOL)
+    elliptic = ~identity & ~hyperbolic
+    length, angle = np.zeros(len(m)), np.zeros(len(m))
+    length[hyperbolic] = 2.0 * np.log(abs(lam[hyperbolic]))
+    turn = (2.0 * np.angle(lam[hyperbolic])) % TWO_PI
+    angle[hyperbolic] = np.where(np.minimum(turn, TWO_PI - turn) < CLASSIFY_TOL, 0.0, turn)
+    half_trace = tr.real[elliptic] / 2.0
+    if model == "H2-real-2x2":
+        half_trace *= np.where(m[elliptic, 1, 0].real > 0, 1.0, -1.0)
+    angle[elliptic] = 2.0 * np.arccos(np.clip(half_trace, -1.0, 1.0))
+    return ELLIPTIC * elliptic + HYPERBOLIC * hyperbolic, length, angle
+
+
 def classify(matrix, model: str) -> Classification:
     """Classify an isometry through its eigenvalue of largest modulus.
 
     Hyperbolic: |lambda| > 1, translation length 2*ln|lambda| and rotation
     angle 2*arg(lambda) mod 2pi (the orientation induced by the translation
-    direction makes this stable under lift sign and inversion).  Elliptic in
-    H2: the angle is 2*acos(tr/2) of the lift whose lower-left entry is
-    positive, so neither the lift nor conjugation changes it, and g and g^-1
-    get the labels theta and 2pi - theta.  Elliptic in H3: the angle comes
-    from the eigenvalue in the upper half plane of the given lift; the
-    opposite lift carries the complementary label 2pi - theta for the same
-    projective class.  A trace within 1e-8 of +-2 on a non-identity element
-    means a (numerically) defective parabolic, which is rejected: the groups
-    of interest act cocompactly.
+    direction makes this stable under lift sign and inversion).  Elliptic:
+    2*acos(tr/2) of a chosen lift.  In H2 it is the lift whose lower-left
+    entry is positive, so g and g^-1 get the labels theta and 2pi - theta
+    whatever the lift or conjugate; in H3 it is the given lift, and -m
+    gets 2pi - theta.  A trace within 1e-8 of +-2 on a non-identity
+    element means a (numerically) defective parabolic, which is rejected:
+    the groups of interest act cocompactly.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if projectively_close(m, np.eye(2), CLASSIFY_TOL):
-        return Classification("identity", 0.0, 0.0)
-    tr = m[0, 0] + m[1, 1]
-    if min(abs(tr - 2.0), abs(tr + 2.0)) < CLASSIFY_TOL:
-        raise ParabolicElementError(
-            "parabolic element detected (trace within tolerance of +-2 on a "
-            "non-identity element); the group does not act cocompactly"
-        )
-    disc = cmath.sqrt(tr * tr - 4.0)
-    lam = (tr + disc) / 2.0
-    other = (tr - disc) / 2.0
-    if abs(other) > abs(lam):
-        lam, other = other, lam
-    if abs(lam) > 1.0 + CLASSIFY_TOL:
-        length = 2.0 * math.log(abs(lam))
-        angle = (2.0 * cmath.phase(lam)) % (2.0 * math.pi)
-        if min(angle, 2.0 * math.pi - angle) < CLASSIFY_TOL:
-            angle = 0.0
-        return Classification("hyperbolic", length, angle)
-    if model == "H2-real-2x2":
-        half_trace = tr.real / 2.0 if m[1, 0].real > 0 else -tr.real / 2.0
-        return Classification("elliptic", 0.0, 2.0 * math.acos(min(1.0, max(-1.0, half_trace))))
-    if lam.imag < 0:
-        lam = other
-    angle = (2.0 * cmath.phase(lam)) % (2.0 * math.pi)
-    return Classification("elliptic", 0.0, angle)
+    kind, length, angle = _classify(matrix, model)
+    return Classification(KINDS[kind[0]], float(length[0]), float(angle[0]))
 
 
 def weight_D(length: float, angles, n: int) -> float:
@@ -404,13 +420,25 @@ class ConjClassRecord:
         return self.angles[0] if self.angles else 0.0
 
 
-def _chain(indices: list, value) -> list[list]:
-    """Sort indices by value and cut wherever neighbours differ by more than
-    CLASSIFY_TOL relative."""
-    vals = sorted((value(i), i) for i in indices)
-    gaps = [b - a > CLASSIFY_TOL * max(1.0, abs(b)) for (a, _), (b, _) in zip(vals, vals[1:])]
-    cuts = [j + 1 for j, gap in enumerate(gaps) if gap]
-    return [[i for _, i in vals[a:b]] for a, b in zip([0] + cuts, cuts + [len(vals)])]
+def _chain(indices: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
+    """Sort indices by value (then index) and cut wherever neighbours differ
+    by more than CLASSIFY_TOL relative."""
+    indices = indices[np.lexsort((indices, values[indices]))]
+    v = values[indices]
+    cuts = np.flatnonzero(np.diff(v) > CLASSIFY_TOL * np.maximum(1.0, abs(v[1:]))) + 1
+    return np.split(indices, cuts)
+
+
+def _commuting(stack: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Which matrices of the stack commute with w up to sign."""
+    hw = _mul(stack, w)
+    return projectively_close(hw, _mul(w, stack), MATRIX_TOL * _size(hw))
+
+
+def _classified(elements: list[GroupElement], model: str) -> tuple:
+    """A ball's matrices as one stack, with their ``_classify`` arrays."""
+    mats = np.array([el.matrix for el in elements], dtype=complex).reshape(-1, 2, 2)
+    return (mats, *_classify(mats, model))
 
 
 def conjugacy_reduce(
@@ -421,33 +449,34 @@ def conjugacy_reduce(
     """Collect enumerated elements into conjugacy classes.
 
     Elements are bucketed by (kind, length, angle) within the invariant
-    tolerance; a bucket of several elements is split into classes by a
-    conjugator search over the whole ball.  Each class gets a minimal-word
-    witness, a primitive decomposition, the weight D, the centralizer
+    tolerance, H3 rotations by min(theta, 2pi - theta); a bucket of several
+    elements is split into classes by a conjugator search over the whole
+    ball, and flagged ambiguous unless it holds rotations of a group whose
+    generators commute.  Each class gets a minimal-word witness (and its
+    angle), a primitive decomposition, the weight D, the centralizer
     correction v and the twist trace.
     """
-    mats = np.array([el.matrix for el in elements], dtype=complex).reshape(-1, 2, 2)
+    ball = mats, kind, length, angle = _classified(elements, spec.model)
+    sub = ball if torsion_ball is None else _classified(torsion_ball, spec.model)
     words = [el.word for el in elements]
-    classes = [classify(m, spec.model) for m in mats]
+    fold = (kind == ELLIPTIC) & (spec.model == "H3-complex-2x2")
+    label = np.where(fold, np.minimum(angle, TWO_PI - angle), angle)
     buckets = []
-    for kind in ("elliptic", "hyperbolic"):
-        same_kind = [i for i, c in enumerate(classes) if c.kind == kind]
-        for chain in _chain(same_kind, lambda i: classes[i].length):
-            buckets += _chain(chain, lambda i: classes[i].angle)
-
-    cand_mats, cand_classes, torsion_mats = mats, classes, None
-    if torsion_ball is not None:
-        torsion_mats = cand_mats = np.array([el.matrix for el in torsion_ball]).reshape(-1, 2, 2)
-        cand_classes = [classify(m, spec.model) for m in cand_mats]
-    hyper = sorted((c.length, i) for i, c in enumerate(cand_classes) if c.kind == "hyperbolic")
-    cand_len = np.array([length for length, _ in hyper])
-    cand_mats = cand_mats[[i for _, i in hyper]]
-    inverses = _inv2(mats)
-    size = _size(mats)
+    for code in (ELLIPTIC, HYPERBOLIC):
+        for chain in _chain(np.flatnonzero(kind == code), length):
+            buckets += _chain(chain, label)
+    gens = np.array(spec.generators, dtype=complex).reshape(-1, 2, 2)
+    abelian = all(_commuting(gens, g).all() for g in gens)
+    sub_mats, sub_kind, sub_len, _ = sub
+    hyper = np.flatnonzero(sub_kind == HYPERBOLIC)
+    hyper = hyper[np.argsort(sub_len[hyper], kind="stable")]
+    cand_len, cand_mats = sub_len[hyper], sub_mats[hyper]
+    certify = spec.torsion_free_words is not None and torsion_ball is not None
+    inverses, size = _inv2(mats), _size(mats)
 
     records: list[ConjClassRecord] = []
     for bucket in buckets:
-        unassigned = sorted(bucket, key=lambda i: (len(words[i]), words[i]))
+        unassigned = sorted(bucket.tolist(), key=lambda i: (len(words[i]), words[i]))
         class_groups = []
         while unassigned:
             rep, rest = unassigned[0], unassigned[1:]
@@ -459,39 +488,24 @@ def conjugacy_reduce(
                 found = set(_matches(images, tols, mats[rest])[1].tolist())
             class_groups.append([rep] + [m for j, m in enumerate(rest) if j in found])
             unassigned = [m for j, m in enumerate(rest) if j not in found]
-        ambiguous = len(class_groups) > 1
+        ambiguous = len(class_groups) > 1 and not (abelian and kind[bucket[0]] == ELLIPTIC)
         for group in class_groups:
             witness = group[0]  # the members are in (length, word) order
-            wc = classes[witness]
-            if wc.kind == "hyperbolic":
-                power, prim_len = _primitive_decomposition(
-                    wc.length, mats[group], cand_len, cand_mats
-                )
-                d_val = weight_D(wc.length, (wc.angle,), 1)
-                v_val, defaulted = _v_factor_impl(mats[witness], spec, mats, torsion_mats)
-            else:
-                power, prim_len, d_val = 1, wc.length, None
-                v_val, defaulted = Fraction(1), spec.torsion_free_words is None
-            records.append(
-                ConjClassRecord(
-                    kind=wc.kind,
-                    length=wc.length,
-                    primitive_length=prim_len,
-                    power=power,
-                    angles=(wc.angle,),
-                    D=d_val,
-                    v=v_val,
-                    tr_chi=spec.chi_trace(words[witness]),
-                    word=words[witness],
-                    ambiguous=ambiguous,
-                    v_defaulted=defaulted,
-                )
-            )
-    records.sort(key=lambda r: (_KIND_ORDER[r.kind], r.length, r.theta, r.word))
+            w_len, w_angle = float(length[witness]), float(angle[witness])
+            power, prim_len, d_val, v_val = 1, w_len, None, Fraction(1)
+            defaulted = spec.torsion_free_words is None
+            if kind[witness] == HYPERBOLIC:
+                power, prim_len = _primitive_decomposition(w_len, mats[group], cand_len, cand_mats)
+                d_val = weight_D(w_len, (w_angle,), 1)
+                defaulted = not certify
+                if certify:
+                    v_val = _v_factor(mats[witness], ball, sub)
+            records.append(ConjClassRecord(
+                KINDS[kind[witness]], w_len, prim_len, power, (w_angle,), d_val, v_val,
+                spec.chi_trace(words[witness]), words[witness], ambiguous, defaulted,
+            ))
+    records.sort(key=lambda r: (KINDS.index(r.kind), r.length, r.theta, r.word))
     return records
-
-
-_KIND_ORDER = {"identity": 0, "elliptic": 1, "hyperbolic": 2}
 
 
 def _primitive_decomposition(
@@ -522,37 +536,28 @@ def _primitive_decomposition(
 # centralizer index correction
 
 
-def _v_factor_impl(
-    w: np.ndarray,
-    spec: GroupSpec,
-    ball: np.ndarray,
-    torsion_ball: np.ndarray | None,
-) -> tuple[Fraction, bool]:
-    if spec.torsion_free_words is None or torsion_ball is None:
-        return Fraction(1), True
-    found = []
-    for stack in (ball, torsion_ball):
-        hw = _mul(stack, w)
-        commuting = projectively_close(hw, _mul(w, stack), MATRIX_TOL * _size(hw))
-        found.append([classify(h, spec.model) for h in stack[commuting]])
-    cent, cent_sub = found
+def _v_factor(w: np.ndarray, ball: tuple, sub: tuple) -> Fraction:
+    """Centralizer correction of the hyperbolic w from its commuting elements
+    in the ball and the torsion-free ball, each (matrices, *_classify)."""
+    (mats, kind, length, _), (sub_mats, sub_kind, sub_length, _) = ball, sub
+    cent, cent_sub = _commuting(mats, w), _commuting(sub_mats, w)
     # the ball holds each element once, so this counts distinct elements
-    torsion_count = sum(1 for c in cent if c.kind != "hyperbolic")
-    hyper = [c.length for c in cent if c.kind == "hyperbolic"]
-    hyper_sub = [c.length for c in cent_sub if c.kind == "hyperbolic"]
-    if not hyper or not hyper_sub:
+    torsion_count = int(np.count_nonzero(cent & (kind != HYPERBOLIC)))
+    hyper = length[cent & (kind == HYPERBOLIC)]
+    hyper_sub = sub_length[cent_sub & (sub_kind == HYPERBOLIC)]
+    if not len(hyper) or not len(hyper_sub):
         raise UndeterminedVFactorError(
             "ball too small to certify the centralizer index",
             lower_bound=max(torsion_count, 1),
         )
-    ratio = min(hyper_sub) / min(hyper)
+    ratio = float(hyper_sub.min() / hyper.min())
     frac = Fraction(ratio).limit_denominator(1024)
     if abs(float(frac) - ratio) > 1e-6:
         raise UndeterminedVFactorError(
             "centralizer length ratio is not certified rational within the ball",
             lower_bound=torsion_count,
         )
-    return frac * torsion_count, False
+    return frac * torsion_count
 
 
 # ---------------------------------------------------------------------------
@@ -702,17 +707,10 @@ def build_length_spectrum(
     ball = enumerate_elements(spec, max_word_len, element_cap=element_cap)
     torsion_ball = None
     if spec.torsion_free_words is not None:
-        sub = GroupSpec(
-            model=spec.model,
-            generators=[spec.word_matrix(w) for w in spec.torsion_free_words],
-        )
+        sub = GroupSpec(spec.model, [spec.word_matrix(w) for w in spec.torsion_free_words])
         torsion_ball = enumerate_elements(sub, max_word_len, element_cap=element_cap)
     records = conjugacy_reduce(ball, spec, torsion_ball=torsion_ball)
-    kept = [
-        r
-        for r in records
-        if r.kind == "elliptic" or (r.kind == "hyperbolic" and r.length <= cutoff)
-    ]
+    kept = [r for r in records if r.kind == "elliptic" or r.length <= cutoff]
     return LengthSpectrum(
         records=kept,
         spec_hash=spec.spec_hash(),

@@ -136,6 +136,7 @@ class EllipticAngles:
     """Rotation angles of an elliptic normal form, ordered e_2..e_{n+1}.
 
     Entries live in [0, 2pi); an exact 0 marks a trivial rotation block.
+    A non-finite angle is a ValidationError.
     """
 
     angles: tuple[float, ...]
@@ -143,7 +144,10 @@ class EllipticAngles:
     def __post_init__(self):
         norm = []
         for a in self.angles:
-            a = float(a) % TWO_PI
+            a = float(a)
+            if not math.isfinite(a):
+                raise ValidationError(f"angles must be finite, got {a}")
+            a %= TWO_PI
             # snap values that are 0 or 2pi up to rounding, so exact zero
             # keeps its meaning of "trivial block"
             if abs(a) < 1e-12 or abs(a - TWO_PI) < 1e-12:

@@ -687,3 +687,53 @@ def test_config_flag_and_value_tokens(capsys, tmp_path):
     code, out, _ = invoke(capsys, "zeta", "xi", "--spectrum", str(spec), "--sigma", "1",
                           "--s", "3,3.5,5", "--config", str(cfg))
     assert code == 0 and out == FROZEN["zeta"]["xi sigma=1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("lie", "character", "--weight", "1", "--angles", "nan"),
+    ("orbital", "poly", "--n", "1", "--sigma", "1", "--angles", "inf"),
+    ("orbital", "gap", "--n", "2", "--sigma", "1,1", "--angles", "nan,1"),
+], ids=["character-nan", "poly-inf", "gap-nan"])
+def test_non_finite_angle_exits_2(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+
+
+def test_zeta_eval_cutoff_equals_a_truncated_file(capsys, tmp_path):
+    cutoff = 2.0
+    full = tmp_path / "full.csv"
+    full.write_text(small_h3_spectrum_csv())
+    head, columns, *rows = full.read_text().splitlines()
+    kept = [r for r in rows if r.startswith("elliptic") or float(r.split(",")[1]) <= cutoff]
+    assert 0 < len(kept) - 2 < len(rows) - 2  # the cutoff drops some hyperbolic rows
+    cut = tmp_path / "cut.csv"
+    cut.write_text("\n".join([head.replace("cutoff=4", "cutoff=2"), columns] + kept) + "\n")
+    args = ("zeta", "eval", "--sigma", "1", "--s-grid", "3:5:0.5,0:1:1")
+    want = invoke(capsys, *args, "--spectrum", str(cut))
+    assert want[0] == 0
+    assert invoke(capsys, *args, "--spectrum", str(full), "--cutoff", "2") == want
+    for bad in ("nan", "-1"):
+        code, out, err = invoke(capsys, *args, "--spectrum", str(full), "--cutoff", bad)
+        assert (code, out) == (2, "")
+        assert err == "error: cutoff must be finite and positive\n"
+
+
+@pytest.mark.parametrize("sigma,angles", [("1,1", "0.4,2.1"), ("5/2,3/2,1/2", "0.7,1.3,2.9")])
+def test_orbital_gap_is_the_largest_coefficient_difference(capsys, sigma, angles):
+    n = str(sigma.count(",") + 1)
+    flip = sigma.rsplit(",", 1)[0] + ",-" + sigma.rsplit(",", 1)[1]
+
+    def coeffs(weight):
+        code, out, _ = invoke(capsys, "orbital", "poly", "--n", n, "--sigma", weight,
+                              "--angles", angles)
+        assert code == 0
+        return [complex(x.strip("()")) for x in out.strip().split(",")]
+
+    p, q = coeffs(sigma), coeffs(flip)
+    width = max(len(p), len(q))
+    p, q = p + [0j] * (width - len(p)), q + [0j] * (width - len(q))
+    code, out, _ = invoke(capsys, "orbital", "gap", "--n", n, "--sigma", sigma, "--angles", angles)
+    assert code == 0
+    gap = float(out)
+    assert gap > 0 and gap == max(abs(a - b) for a, b in zip(p, q))

@@ -228,6 +228,43 @@ def test_conjugacy_elliptic_distinct_angles():
     assert all(r.kind == "elliptic" and r.length == 0.0 for r in recs)
 
 
+PHI = (1.0 + math.sqrt(5.0)) / 2.0
+#: SU(2) lifts of a quarter-turn, a third-turn and a fifth-turn of the sphere
+Q4 = np.diag([cmath.exp(1j * math.pi / 4), cmath.exp(-1j * math.pi / 4)])
+Q3 = 0.5 * np.array([[1 + 1j, 1 + 1j], [-1 + 1j, 1 - 1j]])
+Q5 = np.array([[PHI / 2 + 0.5j, 1 / (2 * PHI)], [-1 / (2 * PHI), PHI / 2 - 0.5j]])
+
+
+@pytest.mark.parametrize("gens,max_len,order,folded,flagged", [
+    # S4: 4-cycles, 3-cycles, and two classes of half-turns with equal angle
+    ([Q4, Q3], 6, 24, [math.pi / 2, 2 * math.pi / 3, math.pi, math.pi], [math.pi, math.pi]),
+    # A5: two classes of fifth-turns, third-turns, half-turns
+    ([Q5, Q3], 10, 60, [2 * math.pi / 5, 4 * math.pi / 5, 2 * math.pi / 3, math.pi], []),
+    # cyclic of order 3: m and m^-1 are distinct classes, and certified so
+    ([elliptic_order3_matrix()], 4, 3, [2 * math.pi / 3, 2 * math.pi / 3], []),
+], ids=["S4", "A5", "cyclic-3"])
+def test_h3_rotation_classes_are_counted_once(gens, max_len, order, folded, flagged):
+    """In H3 a rotation by theta is one by 2pi - theta about the reversed
+    axis; a finite rotation group has one record per non-identity class."""
+    spec = GroupSpec(model="H3-complex-2x2", generators=gens)
+    assert len(enumerate_elements(spec, max_len)) == order  # the whole group
+    recs = build_length_spectrum(spec, max_len, cutoff=1.0).records
+    assert all(r.kind == "elliptic" for r in recs)
+    fold = sorted(min(r.theta, 2 * math.pi - r.theta) for r in recs)
+    assert fold == pytest.approx(sorted(folded), abs=1e-10)
+    assert [r.theta for r in recs if r.ambiguous] == pytest.approx(flagged, abs=1e-10)
+
+
+def test_word_matrix_is_the_ball_matrix_bit_for_bit():
+    c = _rotation(0.4) @ np.diag([math.exp(0.3), math.exp(-0.3)]) @ _rotation(2.2)
+    tri = triangle_237_spec()
+    spec = GroupSpec(model=tri.model, generators=[c @ g @ np.linalg.inv(c) for g in tri.generators])
+    ball = enumerate_elements(spec, 10)
+    assert len(ball) > 100
+    for el in ball:
+        assert spec.word_matrix(el.word).tobytes() == el.matrix.tobytes()
+
+
 def test_weight_D_values():
     assert weight_D(2.0, (0.0,), 1) == pytest.approx(4.0 * math.sinh(1.0) ** 2, rel=1e-14)
     assert weight_D(1.0, (math.pi,), 1) == pytest.approx(
