@@ -6,10 +6,12 @@ All output is plain CSV-ish text with full-precision (17 significant digit)
 floats and no locale dependence; identical configuration and inputs give
 bitwise-identical artifacts.
 
-Each invocation builds the parser for the subcommand its argv names: the
+Each invocation uses the parser for the subcommand its argv names: the
 top level lists every group, but only the invoked group gets its
 subcommands and only the invoked subcommand its arguments.  Help, usage and
-error text are those of the full tree.  A ``--config`` file's values are
+error text are those of the full tree.  Each such parser is built once per
+process: every argparse build leaves reference cycles behind, which only a
+full garbage collection frees.  A ``--config`` file's values are
 parsed like flags placed before the command line, so they pass the same
 types and choices, may supply a required option, and explicit flags win.
 
@@ -30,6 +32,7 @@ import argparse
 import cmath
 import math
 import sys
+from functools import lru_cache
 
 from . import heat as heat_mod
 from . import zeta as zeta_mod
@@ -117,14 +120,7 @@ def _parse_grid(text: str) -> list[complex]:
 def _load_context(args) -> zeta_mod.ZetaTermContext:
     spectrum = LengthSpectrum.read_csv(args.spectrum)
     if args.cutoff is not None:
-        if not 0 < args.cutoff < math.inf:
-            raise ValidationError("cutoff must be finite and positive")
-        spectrum.records = [
-            r
-            for r in spectrum.records
-            if r.kind != "hyperbolic" or r.length <= args.cutoff
-        ]
-        spectrum.cutoff = min(spectrum.cutoff, args.cutoff)
+        spectrum = spectrum.with_cutoff(args.cutoff)
     return zeta_mod.ZetaTermContext(
         sigma=WeightVector.parse(args.sigma),
         chi_dim=args.chi_dim,
@@ -361,8 +357,13 @@ def _named(argv: list[str]) -> tuple[str | None, str | None, int]:
 def build_parser(argv=()) -> argparse.ArgumentParser:
     """The top-level parser with every group; only the group that ``argv``
     names gets its subcommands, and only the subcommand it names gets its
-    arguments.  Help and error text are those of the full tree."""
-    group, leaf, _ = _named(list(argv))
+    arguments.  Help and error text are those of the full tree.  The parser
+    is shared by every call that names the same group and subcommand."""
+    return _parser(*_named(list(argv))[:2])
+
+
+@lru_cache(maxsize=None)
+def _parser(group: str | None, leaf: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selberg",
         description="geometric side of the trace formula and truncated zeta "

@@ -22,8 +22,8 @@ Conjugacy is decided by invariants plus an explicit conjugator search
 inside the enumerated ball, one stacked product h g h^-1 over the ball per
 class representative; full conjugacy decision is undecidable in general,
 so classes with equal invariants but no certifying conjugator are flagged
-ambiguous rather than merged or dropped (not rotations when the generators
-commute: conjugacy is equality there).
+ambiguous rather than merged or dropped (not when the generators commute:
+conjugacy is equality there).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -401,7 +402,8 @@ def weight_D(length: float, angles, n: int) -> float:
 
 @dataclass
 class ConjClassRecord:
-    """One conjugacy class with everything the zeta/trace layers need."""
+    """One conjugacy class with everything the zeta/trace layers need: what
+    ``conjugacy_reduce`` returns, and the row view of a ``LengthSpectrum``."""
 
     kind: str
     length: float  # l(gamma); 0 for elliptic
@@ -451,8 +453,7 @@ def conjugacy_reduce(
     Elements are bucketed by (kind, length, angle) within the invariant
     tolerance, H3 rotations by min(theta, 2pi - theta); a bucket of several
     elements is split into classes by a conjugator search over the whole
-    ball, and flagged ambiguous unless it holds rotations of a group whose
-    generators commute.  Each class gets a minimal-word witness (and its
+    ball, and flagged ambiguous unless the generators commute.  Each class gets a minimal-word witness (and its
     angle), a primitive decomposition, the weight D, the centralizer
     correction v and the twist trace.
     """
@@ -488,7 +489,7 @@ def conjugacy_reduce(
                 found = set(_matches(images, tols, mats[rest])[1].tolist())
             class_groups.append([rep] + [m for j, m in enumerate(rest) if j in found])
             unassigned = [m for j, m in enumerate(rest) if j not in found]
-        ambiguous = len(class_groups) > 1 and not (abelian and kind[bucket[0]] == ELLIPTIC)
+        ambiguous = len(class_groups) > 1 and not abelian
         for group in class_groups:
             witness = group[0]  # the members are in (length, word) order
             w_len, w_angle = float(length[witness]), float(angle[witness])
@@ -563,41 +564,322 @@ def _v_factor(w: np.ndarray, ball: tuple, sub: tuple) -> Fraction:
 # ---------------------------------------------------------------------------
 # length spectrum container and CSV round trip
 
+#: pads the rows of a word matrix: it lies below every letter, so a word
+#: sorts before its extensions, as tuples do
+WORD_PAD = np.iinfo(np.int64).min
+_CSV_COLUMNS = "kind,l,l0,power,theta,D,v,re_trchi,im_trchi,word"
+#: the errors a column conversion raises on a field it cannot read
+_UNREADABLE = (ValueError, ZeroDivisionError, OverflowError)
 
-@dataclass
+
+class SpectrumColumns(NamedTuple):
+    """The classes of a spectrum as columns, one row per class, with the
+    names and meaning of the ``ConjClassRecord`` fields plus ``v_float``.
+
+    ``angles`` is an (N, n) float matrix and ``word`` an (N, L) int64
+    matrix; a row with fewer entries is padded with NaN and WORD_PAD.
+    ``D`` is NaN where a class has none, ``v`` holds exact ``Fraction``
+    objects and ``v_float`` their floats.
+    """
+
+    kind: np.ndarray
+    length: np.ndarray
+    primitive_length: np.ndarray
+    power: np.ndarray
+    angles: np.ndarray
+    D: np.ndarray
+    v: np.ndarray
+    tr_chi: np.ndarray
+    word: np.ndarray
+    ambiguous: np.ndarray
+    v_defaulted: np.ndarray
+    v_float: np.ndarray
+
+    @classmethod
+    def of(cls, records) -> "SpectrumColumns":
+        """The columns of a sequence of ``ConjClassRecord``."""
+        recs = list(records)
+
+        def column(name, dtype):
+            return np.array([getattr(r, name) for r in recs], dtype=dtype)
+
+        def padded(name, dtype, fill):
+            rows = [getattr(r, name) for r in recs]
+            return _padded([len(x) for x in rows], np.array([a for x in rows for a in x], dtype), fill)[0]
+
+        return cls(
+            column("kind", str), column("length", float), column("primitive_length", float),
+            column("power", np.int64), padded("angles", float, np.nan),
+            np.array([np.nan if r.D is None else r.D for r in recs], dtype=float),
+            column("v", object), column("tr_chi", complex), padded("word", np.int64, WORD_PAD),
+            column("ambiguous", bool), column("v_defaulted", bool),
+            np.array([float(r.v) for r in recs], dtype=float),
+        )
+
+    def take(self, index) -> "SpectrumColumns":
+        """The rows that a mask, slice or index array selects."""
+        return SpectrumColumns(*(column[index] for column in self))
+
+    def canonical_order(self) -> np.ndarray:
+        """The row permutation into canonical order: rows that are not
+        hyperbolic first, as given, then the hyperbolic rows by
+        (l, angles, word) as tuples compare, ties as given."""
+        hyper = self.kind == "hyperbolic"
+        angles = np.where(np.isnan(self.angles), -np.inf, self.angles)  # shorter rows first
+        keys = [*self.word.T[::-1], *angles.T[::-1], self.length]
+        return np.lexsort([np.where(hyper, key, 0) for key in keys] + [hyper])
+
+    def angles_of_rank(self, n: int) -> np.ndarray:
+        """The (N, n) angle matrix; a ValidationError unless every row has n angles."""
+        if np.any(np.count_nonzero(~np.isnan(self.angles), axis=1) != n):
+            raise ValidationError("rank mismatch between weight and angles")
+        return self.angles[:, :n].reshape(len(self.angles), n)
+
+    def angle_tuples(self) -> list[tuple]:
+        return [tuple(a for a in row if not math.isnan(a)) for row in self.angles.tolist()]
+
+    def word_tuples(self) -> list[tuple]:
+        return [tuple(x for x in row if x != WORD_PAD) for row in self.word.tolist()]
+
+    def records(self) -> list[ConjClassRecord]:
+        """One new ``ConjClassRecord`` per row."""
+        cols = [column.tolist() for column in self[:-1]]
+        cols[4], cols[8] = self.angle_tuples(), self.word_tuples()
+        return [
+            ConjClassRecord(kind, length, l0, power, angles, None if math.isnan(d) else d, *rest)
+            for kind, length, l0, power, angles, d, *rest in zip(*cols)
+        ]
+
+
+def _padded(counts, flat: np.ndarray, fill) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``counts[i]`` consecutive items of ``flat``, padded with
+    ``fill`` to the longest, and the mask of the entries that are items."""
+    counts = np.asarray(counts, dtype=np.intp)
+    present = np.arange(counts.max(initial=0)) < counts[:, None]
+    out = np.full(present.shape, fill, dtype=flat.dtype)
+    out[present] = flat
+    return out, present
+
+
+class _BadRow(Exception):
+    """The index of the first bad row among spectrum-file rows, and its problem."""
+
+    def __init__(self, index: int, problem: str = ""):
+        super().__init__(index, problem)
+        self.index, self.problem = index, problem
+
+
+def _column(texts, convert):
+    """``convert(texts)``, converting one column in one call; if that
+    fails, the first row that fails alone is raised as _BadRow."""
+    try:
+        return convert(texts)
+    except _UNREADABLE:
+        for i, text in enumerate(texts):
+            try:
+                convert([text])
+            except _UNREADABLE:
+                raise _BadRow(i) from None
+        raise
+
+
+def _floats(texts) -> np.ndarray:
+    return np.array(list(map(float, texts)), dtype=float)
+
+
+def _ints(texts) -> np.ndarray:
+    return np.array(list(map(int, texts)), dtype=np.int64)
+
+
+def _lists(sep: str, convert, fill):
+    """A converter of ``sep``-separated lists (an empty text is an empty
+    list) to a padded matrix and its mask of entries, as ``_padded``."""
+
+    def parse(texts):
+        counts = [t.count(sep) + 1 if t else 0 for t in texts]
+        items = sep.join(filter(None, texts)).split(sep) if any(counts) else []
+        return _padded(counts, convert(items), fill)
+
+    return parse
+
+
+def _fractions(texts) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ``Fraction`` values of rational texts and their floats (inf
+    beyond the float range), parsing each distinct text once."""
+    distinct, index = np.unique(np.array(texts, dtype=str), return_inverse=True)
+    exact = [Fraction(t) for t in distinct.tolist()]
+    values = []
+    for f in exact:
+        try:
+            values.append(float(f))
+        except OverflowError:
+            values.append(math.inf)
+    return np.array(exact, dtype=object)[index], np.array(values, dtype=float)[index]
+
+
+def _parse_rows(texts: list[str]) -> tuple[SpectrumColumns, list]:
+    """The columns of spectrum-file rows, and (mask, message) pairs marking
+    the rows that convert but break a rule; on one row, a later pair wins.
+    A row with a field that does not convert raises _BadRow."""
+    commas = [text.count(",") for text in texts]
+    if commas.count(9) != len(commas):
+        raise _BadRow(next(i for i, c in enumerate(commas) if c != 9))
+    fields = ",".join(texts).split(",") if texts else []
+    kind, l, l0, power, theta, d, v, re_t, im_t, word = (fields[k::10] for k in range(10))
+    length, prim, dval, re_t, im_t = (
+        _column(col, _floats) for col in (l, l0, [t or "nan" for t in d], re_t, im_t)
+    )
+    power = _column(power, _ints)
+    angles, present = _column(theta, _lists("|", _floats, np.nan))
+    word = _column(word, _lists(".", _ints, WORD_PAD))[0]
+    v, v_float = _column(v, _fractions)
+    tr_chi = np.empty(len(texts), dtype=complex)
+    tr_chi.real, tr_chi.imag = re_t, im_t
+    kind = np.array(kind, dtype=str)
+    hyper, elliptic = kind == "hyperbolic", kind == "elliptic"
+    flags = np.zeros(len(texts), dtype=bool)
+    columns = SpectrumColumns(kind, length, prim, power, angles, dval, v, tr_chi, word,
+                              flags, flags.copy(), v_float)
+    finite_positive = [(0 < x) & (x < math.inf) for x in (length, prim, dval)]
+    return columns, [
+        (v_float <= 0, "v must be positive"),
+        (v_float == math.inf, "v is too large for a float"),
+        (hyper & ~np.logical_and.reduce(finite_positive + [power >= 1]),
+         "a hyperbolic row needs finite positive l, l0 and D and power >= 1"),
+        (~hyper & ~elliptic, "unknown class kind {kind!r}"),
+        (elliptic & (np.array(d, dtype=str) != ""), "an elliptic row needs an empty D"),
+        (~(np.isfinite(tr_chi) & (np.isfinite(angles) | ~present).all(axis=1)),
+         "a row needs finite angles and tr chi"),
+    ]
+
+
+def _text_lines(path) -> list[str]:
+    """The lines of a UTF-8 file; other bytes are a ValidationError naming
+    the line.  The file's bytes are freed on return, before any parsing."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = raw[: exc.start].count(b"\n") + 1
+        raise ValidationError(f"{path} line {line}: not UTF-8 text") from None
+
+
+#: rows converted at a time, which bounds the field strings alive at once
+_CHUNK_ROWS = 256
+
+
+def _read_rows(texts: list[str]) -> SpectrumColumns:
+    """The columns of spectrum-file rows, converted a chunk at a time.  The
+    first row that does not convert or breaks a rule raises _BadRow with its
+    problem; the rows before it are all checked, so it is the first bad row."""
+    parts = []
+    for start in range(0, len(texts), _CHUNK_ROWS):
+        chunk = texts[start : start + _CHUNK_ROWS]
+        end = len(chunk)
+        while True:
+            try:
+                columns, problems = _parse_rows(chunk[:end])
+                break
+            except _BadRow as bad:
+                end = bad.index
+        broken = np.logical_or.reduce([mask for mask, _ in problems])
+        first = int(np.argmax(broken)) if broken.any() else end
+        if first < end:
+            problem = next(text for mask, text in reversed(problems) if mask[first])
+            raise _BadRow(start + first, problem.format(kind=str(columns.kind[first])))
+        if end < len(chunk):
+            raise _BadRow(start + end, f"malformed spectrum row {chunk[end]!r}")
+        parts.append(columns)
+    if not parts:
+        return _parse_rows([])[0]
+    stacked = []
+    for arrays in zip(*parts):
+        if arrays[0].ndim == 2:  # angles or word: pad each chunk to the widest
+            width = max(a.shape[1] for a in arrays)
+            fill = np.nan if arrays[0].dtype.kind == "f" else WORD_PAD
+            arrays = [np.pad(a, ((0, 0), (0, width - a.shape[1])), constant_values=fill)
+                      for a in arrays]
+        stacked.append(np.concatenate(arrays))
+    return SpectrumColumns(*stacked)
+
+
 class LengthSpectrum:
-    """Cutoff-bounded conjugacy data plus provenance."""
+    """Cutoff-bounded conjugacy data plus provenance, stored as columns.
 
-    records: list[ConjClassRecord]
-    spec_hash: str
-    cutoff: float
-    max_word_len: int
-    model: str = "H3-complex-2x2"
+    ``columns`` holds one row per class in canonical order: the elliptic
+    classes first, in the order given (centralizer volumes are listed in
+    it), then the hyperbolic classes by (l, angles, word), the order the
+    zeta sums run in.  A spectrum is built from a list of
+    ``ConjClassRecord`` or from ``SpectrumColumns`` and is not changed
+    afterwards; ``records``, ``hyperbolic()`` and ``elliptic()`` are views
+    that build new records from the columns.
+    """
+
+    def __init__(self, records, spec_hash: str, cutoff: float, max_word_len: int,
+                 model: str = "H3-complex-2x2"):
+        columns = records if isinstance(records, SpectrumColumns) else SpectrumColumns.of(records)
+        self.columns = columns.take(columns.canonical_order())
+        self.spec_hash = spec_hash
+        self.cutoff = cutoff
+        self.max_word_len = max_word_len
+        self.model = model
+
+    def __eq__(self, other):
+        if not isinstance(other, LengthSpectrum):
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def _identity(self) -> tuple:
+        return self.records, self.spec_hash, self.cutoff, self.max_word_len, self.model
+
+    @property
+    def records(self) -> list[ConjClassRecord]:
+        return self.columns.records()
+
+    def part(self, kind: str) -> SpectrumColumns:
+        """The columns of the classes of one kind, in canonical order."""
+        return self.columns.take(self.columns.kind == kind)
+
+    def count(self, kind: str) -> int:
+        return int(np.count_nonzero(self.columns.kind == kind))
 
     def hyperbolic(self) -> list[ConjClassRecord]:
-        return [r for r in self.records if r.kind == "hyperbolic"]
+        return self.part("hyperbolic").records()
 
     def elliptic(self) -> list[ConjClassRecord]:
-        return [r for r in self.records if r.kind == "elliptic"]
+        return self.part("elliptic").records()
+
+    def with_cutoff(self, cutoff: float) -> "LengthSpectrum":
+        """The spectrum without its hyperbolic classes longer than ``cutoff``,
+        with its cutoff lowered to ``cutoff``."""
+        if not 0 < cutoff < math.inf:
+            raise ValidationError("cutoff must be finite and positive")
+        keep = (self.columns.kind != "hyperbolic") | (self.columns.length <= cutoff)
+        return LengthSpectrum(self.columns.take(keep), self.spec_hash,
+                              min(self.cutoff, cutoff), self.max_word_len, self.model)
 
     def to_csv(self) -> str:
+        cols = self.columns
         lines = [
             f"# selberg-spectrum spec_hash={self.spec_hash} "
             f"cutoff={self.cutoff:.17g} max_word_len={self.max_word_len} "
             f"model={self.model}"
         ]
-        flagged = [i for i, r in enumerate(self.records) if r.ambiguous]
+        flagged = np.flatnonzero(cols.ambiguous).tolist()
         if flagged:
-            lines.append("# ambiguous=" + ".".join(str(i) for i in flagged))
-        lines.append("kind,l,l0,power,theta,D,v,re_trchi,im_trchi,word")
-        for r in self.records:
-            theta = "|".join(f"{a:.17g}" for a in r.angles)
-            d = "" if r.D is None else f"{r.D:.17g}"
-            word = ".".join(str(x) for x in r.word)
+            lines.append("# ambiguous=" + ".".join(map(str, flagged)))
+        lines.append(_CSV_COLUMNS)
+        for kind, length, l0, power, angles, d, v, tr_chi, word in zip(
+            cols.kind.tolist(), cols.length.tolist(), cols.primitive_length.tolist(),
+            cols.power.tolist(), cols.angle_tuples(), cols.D.tolist(), cols.v.tolist(),
+            cols.tr_chi.tolist(), cols.word_tuples(),
+        ):
+            theta = "|".join(f"{a:.17g}" for a in angles)
+            d = "" if math.isnan(d) else f"{d:.17g}"
             lines.append(
-                f"{r.kind},{r.length:.17g},{r.primitive_length:.17g},"
-                f"{r.power},{theta},{d},{r.v},"
-                f"{r.tr_chi.real:.17g},{r.tr_chi.imag:.17g},{word}"
+                f"{kind},{length:.17g},{l0:.17g},{power},{theta},{d},{v},"
+                f"{tr_chi.real:.17g},{tr_chi.imag:.17g},{'.'.join(map(str, word))}"
             )
         return "\n".join(lines) + "\n"
 
@@ -607,23 +889,19 @@ class LengthSpectrum:
 
     @classmethod
     def read_csv(cls, path) -> "LengthSpectrum":
-        """Read a spectrum written by ``to_csv``, in one pass over the rows.
+        """Read a spectrum written by ``to_csv`` into columns: the rows are
+        split and each column converted in one call per chunk of rows.
 
         The header must give ``spec_hash``, ``cutoff`` and ``max_word_len``.
         Every row has ten fields that parse, the kind ``hyperbolic`` or
-        ``elliptic``, finite angles and tr chi, and a positive v.  A
-        hyperbolic row also has finite positive l, l0 and D and an integer
-        power of at least 1; an elliptic row has an empty D.  The optional
-        ``# ambiguous=`` line lists row indices that exist.  The file must be
-        UTF-8.  Anything else is a ValidationError naming the file and line.
+        ``elliptic``, finite angles and tr chi, and a positive v that is a
+        float.  A hyperbolic row also has finite positive l, l0 and D and an
+        integer power of at least 1; an elliptic row has an empty D.  The
+        optional ``# ambiguous=`` line lists row indices that exist.  The
+        file must be UTF-8.  Anything else is a ValidationError naming the
+        file and the first bad line; blank lines are skipped but counted.
         """
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        try:
-            lines = raw.decode("utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            line = raw[: exc.start].count(b"\n") + 1
-            raise ValidationError(f"{path} line {line}: not UTF-8 text") from None
+        lines = _text_lines(path)
         if not lines or not lines[0].startswith("# selberg-spectrum"):
             raise ValidationError(f"{path} is not a length-spectrum file")
         try:
@@ -642,57 +920,21 @@ class LengthSpectrum:
             except ValueError:
                 raise ValidationError(f"{path} line 2: malformed ambiguous indices") from None
             body = 2
-        header = "kind,l,l0,power,theta,D,v,re_trchi,im_trchi,word"
-        if len(lines) <= body or lines[body] != header:
+        if len(lines) <= body or lines[body] != _CSV_COLUMNS:
             raise ValidationError(f"{path} line {body + 1}: unexpected length-spectrum header")
-        records = []
-        fractions: dict[str, Fraction] = {}  # each distinct v text is parsed once
-        isfinite, inf = math.isfinite, math.inf
-        for lineno, ln in enumerate(lines[body + 1 :], body + 2):
-            if not ln:
-                continue
-            problem = None
-            try:
-                kind, l, l0, power, theta, d, v, re_t, im_t, word = ln.split(",")
-                length, prim, re_t, im_t = map(float, (l, l0, re_t, im_t))
-                power = int(power)
-                angles = tuple(map(float, theta.split("|"))) if theta else ()
-                dval = float(d) if d else None
-                word = tuple(map(int, word.split("."))) if word else ()
-                frac = fractions.get(v)
-                if frac is None:
-                    frac = fractions[v] = Fraction(v)
-                    if frac <= 0:
-                        problem = "v must be positive"
-            except (ValueError, ZeroDivisionError):
-                raise ValidationError(f"{path} line {lineno}: malformed spectrum row {ln!r}") from None
-            tr_chi = complex(re_t, im_t)
-            if kind == "hyperbolic":
-                if not (0 < length < inf and 0 < prim < inf and power >= 1
-                        and dval is not None and 0 < dval < inf):
-                    problem = "a hyperbolic row needs finite positive l, l0 and D and power >= 1"
-            elif kind != "elliptic":
-                problem = f"unknown class kind {kind!r}"
-            elif d:
-                problem = "an elliptic row needs an empty D"
-            if not (cmath.isfinite(tr_chi) and all(map(isfinite, angles))):
-                problem = "a row needs finite angles and tr chi"
-            if problem:
-                raise ValidationError(f"{path} line {lineno}: {problem}")
-            records.append(ConjClassRecord(
-                kind, length, prim, power, angles, dval, frac, tr_chi, word,
-                len(records) in flagged,
-            ))
-        stray = flagged.difference(range(len(records)))
+        texts = [ln for ln in lines[body + 1 :] if ln]
+        try:
+            columns = _read_rows(texts)
+        except _BadRow as bad:
+            lineno = [i for i, ln in enumerate(lines) if ln and i > body][bad.index] + 1
+            raise ValidationError(f"{path} line {lineno}: {bad.problem}") from None
+        stray = flagged.difference(range(len(texts)))
         if stray:
             raise ValidationError(f"{path} line 2: ambiguous index {min(stray)} names no row")
-        return cls(
-            records=records,
-            spec_hash=spec_hash,
-            cutoff=cutoff,
-            max_word_len=max_word_len,
-            model=meta.get("model", "H3-complex-2x2"),
-        )
+        ambiguous = np.zeros(len(texts), dtype=bool)
+        ambiguous[list(flagged)] = True
+        return cls(columns._replace(ambiguous=ambiguous), spec_hash, cutoff, max_word_len,
+                   meta.get("model", "H3-complex-2x2"))
 
 
 def build_length_spectrum(

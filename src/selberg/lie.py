@@ -131,29 +131,32 @@ def format_half_integer(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def normalize_angles(angles) -> np.ndarray:
+    """Rotation angles as a float array of the same shape, each reduced into
+    [0, 2pi).  Values within 1e-12 of 0 or 2pi are snapped to an exact 0,
+    so exact zero keeps its meaning of "trivial block".  A non-finite angle
+    is a ValidationError."""
+    a = np.asarray(angles, dtype=float)
+    bad = a[~np.isfinite(a)]
+    if bad.size:
+        raise ValidationError(f"angles must be finite, got {float(bad[0])}")
+    a = a % TWO_PI
+    return np.where((abs(a) < 1e-12) | (abs(a - TWO_PI) < 1e-12), 0.0, a)
+
+
 @dataclass(frozen=True)
 class EllipticAngles:
     """Rotation angles of an elliptic normal form, ordered e_2..e_{n+1}.
 
-    Entries live in [0, 2pi); an exact 0 marks a trivial rotation block.
-    A non-finite angle is a ValidationError.
+    Entries are normalised by ``normalize_angles``: they live in [0, 2pi),
+    an exact 0 marks a trivial rotation block, and a non-finite angle is a
+    ValidationError.
     """
 
     angles: tuple[float, ...]
 
     def __post_init__(self):
-        norm = []
-        for a in self.angles:
-            a = float(a)
-            if not math.isfinite(a):
-                raise ValidationError(f"angles must be finite, got {a}")
-            a %= TWO_PI
-            # snap values that are 0 or 2pi up to rounding, so exact zero
-            # keeps its meaning of "trivial block"
-            if abs(a) < 1e-12 or abs(a - TWO_PI) < 1e-12:
-                a = 0.0
-            norm.append(a)
-        object.__setattr__(self, "angles", tuple(norm))
+        object.__setattr__(self, "angles", tuple(normalize_angles(self.angles).tolist()))
 
     def __iter__(self):
         return iter(self.angles)
@@ -255,25 +258,32 @@ def torus_character(weight: WeightVector, angles: EllipticAngles) -> complex:
 
 
 def weyl_character(
-    weight: WeightVector, angles: "EllipticAngles | Sequence[EllipticAngles]"
-) -> complex | list[complex]:
+    weight: WeightVector, angles: "EllipticAngles | Sequence[EllipticAngles] | np.ndarray"
+) -> complex | list[complex] | np.ndarray:
     """Trace of the irreducible SO(2n)-representation with highest weight
-    ``weight`` at the rotation with the given angles, or a list of traces
-    for a sequence of rotations.  ``weight`` must be dominant.
+    ``weight`` at the rotation with the given angles, a list of traces for
+    a sequence of rotations, or an array of traces for an (N, n) array of
+    angles (normalised by ``normalize_angles``, as ``EllipticAngles`` is).
+    ``weight`` must be dominant.
 
     The bialternant A_{weight+delta} / A_delta of the module docstring,
-    with one stacked determinant for the whole sequence.  Requires regular
+    with one stacked determinant for the whole batch.  Requires regular
     rotations: a denominator below REGULARITY_TOL raises
     :class:`NonRegularElementError`.
     """
-    scalar = isinstance(angles, EllipticAngles)
-    batch = [angles] if scalar else list(angles)
     n = weight.rank
-    if any(len(a) != n for a in batch):
+    scalar = isinstance(angles, EllipticAngles)
+    if isinstance(angles, np.ndarray):
+        phi = normalize_angles(angles)  # as EllipticAngles normalises its angles
+        ranked = phi.ndim == 2 and phi.shape[1] == n
+    else:
+        batch = [a.angles for a in ([angles] if scalar else angles)]
+        ranked = all(len(a) == n for a in batch)
+        phi = np.array(batch, dtype=float).reshape(len(batch), n) if ranked else None
+    if not ranked:
         raise ValidationError("rank mismatch between weight and angles")
     if not weight.is_dominant():
         raise ValidationError(f"weight {weight} is not dominant")
-    phi = np.array([a.angles for a in batch], dtype=float).reshape(len(batch), n)
     x = 2.0 * np.cos(phi)
     upper, lower = np.triu_indices(n, 1)
     den = np.prod(x[:, upper] - x[:, lower], axis=1)
@@ -281,11 +291,14 @@ def weyl_character(
     if singular.size:
         k = int(singular[0])
         raise NonRegularElementError(
-            f"non-regular element at angles {batch[k]}: character denominator "
-            f"{abs(den[k]):.3e} below {REGULARITY_TOL:g}; perturb the angles or use a limit"
+            f"non-regular element at angles {','.join(f'{a:.17g}' for a in phi[k])}: "
+            f"character denominator {abs(den[k]):.3e} below {REGULARITY_TOL:g}; "
+            "perturb the angles or use a limit"
         )
     mu = 0.5 * np.array((weight + half_sum_positive_roots(n)).doubled, dtype=float)
     arg = phi[:, :, None] * mu  # arg[b, i, j] = mu_j phi_i
     num = np.linalg.det(2.0 * np.cos(arg)) + _I_POWERS[n % 4] * np.linalg.det(2.0 * np.sin(arg))
-    values = (0.5 * num / den).tolist()
-    return values[0] if scalar else values
+    values = 0.5 * num / den
+    if isinstance(angles, np.ndarray):
+        return values
+    return values[0].item() if scalar else values.tolist()

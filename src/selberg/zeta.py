@@ -21,11 +21,12 @@ term uses the conjugate, matching each formula's own display.
 
 Every public evaluator takes one point or a sequence of them.  The
 point-independent factors of each class (characters, adjoint determinants,
-twists) are built into arrays once per call: one class-array build serves
-both sigma and w0 sigma, with one character call per weight.  Each point is
+twists) are read from the spectrum's columns: one class-array build per
+call serves both sigma and w0 sigma, with one character call per weight on
+the whole angle matrix, and no per-class object is made.  Each point is
 then one array expression over the classes, its exponential row shared by
-the two weights.  Sums accumulate with compensated (exact) summation in a
-canonical record order, so results do not depend on how work is
+the two weights.  Sums accumulate with compensated (exact) summation in the
+spectrum's canonical order, so results do not depend on how work is
 partitioned.
 """
 
@@ -76,7 +77,7 @@ class ZetaTermContext:
         if self.chi_dim < 1:
             raise ValidationError("chi dimension must be at least 1")
         if self.elliptic_vols is not None:
-            if len(self.elliptic_vols) != len(self.spectrum.elliptic()):
+            if len(self.elliptic_vols) != self.spectrum.count("elliptic"):
                 raise ValidationError("need one volume per elliptic class")
             if not all(0 < v < math.inf for v in self.elliptic_vols):
                 raise ValidationError("centralizer volumes must be finite and positive")
@@ -116,10 +117,10 @@ def _finite(value: complex, s) -> complex:
     return value
 
 
-def _refuse_ambiguous(ctx: ZetaTermContext, recs: list) -> None:
+def _refuse_ambiguous(ctx: ZetaTermContext, flags: np.ndarray) -> None:
     """Refuse flagged-ambiguity classes among the classes an evaluator sums,
     unless the context allows them."""
-    if not ctx.allow_ambiguous and any(r.ambiguous for r in recs):
+    if not ctx.allow_ambiguous and flags.any():
         raise AmbiguousClassError(
             "spectrum contains flagged-ambiguity classes; rerun with "
             "allow_ambiguous to include them"
@@ -127,7 +128,7 @@ def _refuse_ambiguous(ctx: ZetaTermContext, recs: list) -> None:
 
 
 class _ClassArrays(NamedTuple):
-    """Point-independent per-class factors, in canonical record order.
+    """Point-independent per-class factors, in canonical order.
     ``num`` and ``heat`` hold one array per weight: sigma, then w0 sigma
     when both were asked for."""
 
@@ -137,22 +138,46 @@ class _ClassArrays(NamedTuple):
     heat: list  # tr chi * v * l0 / (2 pi D) * conj(tr sigma)
 
 
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _exps(x: np.ndarray) -> np.ndarray:
+    """math.exp of each entry, inf where it overflows.  The printed digits
+    depend on math.exp: np.exp differs from it in the last bit."""
+    values = x.tolist()
+    try:
+        return np.array([math.exp(v) for v in values], dtype=float)
+    except OverflowError:
+        return np.array([_exp_or_inf(v) for v in values], dtype=float)
+
+
 def _class_arrays(ctx: ZetaTermContext, both: bool) -> _ClassArrays:
     """Per-class arrays for sigma, and for its flip w0 sigma too when
-    ``both``: one pass over the classes, then one character call per weight.
-    Refuses flagged-ambiguity classes unless the context allows them."""
-    recs = sorted(ctx.spectrum.hyperbolic(), key=lambda r: (r.length, r.angles, r.word))
-    _refuse_ambiguous(ctx, recs)
-    cols = np.array([(r.length, r.primitive_length, r.D, r.power * (math.exp(ctx.n * r.length) * r.D),
-                      r.tr_chi * float(r.v)) for r in recs], dtype=complex).reshape(-1, 5).T
-    length, l0, d, den = cols[:4].real.copy()  # den with math.exp, as the printed digits need
-    chi_v = cols[4].copy()
-    angles = [EllipticAngles(tuple(r.angles)) for r in recs]
+    ``both``, from the hyperbolic columns; one character call per weight.
+    Refuses flagged-ambiguity classes unless the context allows them, and
+    an adjoint determinant beyond the float range is a numerical guard."""
+    hyp = ctx.spectrum.part("hyperbolic")
+    _refuse_ambiguous(ctx, hyp.ambiguous)
+    with np.errstate(over="ignore"):  # an infinite product is reported below
+        den = hyp.power * (_exps(ctx.n * hyp.length) * hyp.D)
+    overflow = np.flatnonzero(~np.isfinite(den))
+    if overflow.size:
+        i = int(overflow[0])
+        raise NumericalGuardError(
+            f"adjoint determinant overflows for the hyperbolic class of length "
+            f"{hyp.length[i]:.17g} and word {'.'.join(map(str, hyp.word_tuples()[i]))}"
+        )
+    chi_v = hyp.tr_chi * hyp.v_float
+    angles = hyp.angles_of_rank(ctx.n)
     weights = [ctx.sigma, w0_flip(ctx.sigma)] if both else [ctx.sigma]
-    traces = [np.array(weyl_character(w, angles), dtype=complex) for w in weights]
-    heat = chi_v * l0 / (2.0 * math.pi * d)
+    traces = [weyl_character(w, angles) for w in weights]
+    heat = chi_v * hyp.primitive_length / (2.0 * math.pi * hyp.D)
     return _ClassArrays(
-        length=length,
+        length=hyp.length,
         den=den,
         num=[chi_v * trace for trace in traces],
         heat=[heat * trace.conj() for trace in traces],
@@ -176,16 +201,16 @@ def _log_zeta_values(ctx: ZetaTermContext, points: list, both: bool) -> list[lis
 def _elliptic_terms(ctx: ZetaTermContext) -> list:
     """(tr chi * centralizer volume, orbital polynomial) for each elliptic class.
     Refuses flagged-ambiguity classes unless the context allows them."""
-    elliptic = ctx.spectrum.elliptic()
-    _refuse_ambiguous(ctx, elliptic)
-    if ctx.elliptic_vols is None and elliptic:
+    elliptic = ctx.spectrum.part("elliptic")
+    _refuse_ambiguous(ctx, elliptic.ambiguous)
+    if ctx.elliptic_vols is None and len(elliptic.kind):
         warnings.warn(
             "no centralizer volumes supplied for elliptic classes; defaulting to 1", stacklevel=3
         )
-    vols = ctx.elliptic_vols or [1.0] * len(elliptic)
+    vols = ctx.elliptic_vols or [1.0] * len(elliptic.kind)
     return [
-        (rec.tr_chi * vol, orbital_polynomial(ctx.sigma, EllipticAngles(tuple(rec.angles)), ctx.n))
-        for rec, vol in zip(elliptic, vols)
+        (tr_chi * vol, orbital_polynomial(ctx.sigma, EllipticAngles(angles), ctx.n))
+        for tr_chi, vol, angles in zip(elliptic.tr_chi.tolist(), vols, elliptic.angle_tuples())
     ]
 
 
@@ -202,15 +227,15 @@ def convergence_abscissa_estimate(ctx: ZetaTermContext):
     returns their sum; with fewer than five classes it falls back to the
     conservative default 2n + k_fit.
     """
-    recs = sorted(ctx.spectrum.hyperbolic(), key=lambda r: r.length)
-    lengths = np.array([r.length for r in recs])
+    hyp = ctx.spectrum.part("hyperbolic")  # canonical order runs by length
+    lengths = hyp.length
     k_fit, big_k = 0.0, 1.0
-    if len(recs) >= 2:
-        mags = np.array([max(abs(r.tr_chi), 1e-300) for r in recs])
+    if len(lengths) >= 2:
+        mags = np.maximum(np.abs(hyp.tr_chi), 1e-300)
         slope, intercept = np.polyfit(lengths, np.log(mags), 1)
         k_fit = max(float(slope), 0.0)
         big_k = float(np.exp(intercept))
-    if len(recs) < 5:
+    if len(lengths) < 5:
         warnings.warn(
             "spectrum too small to fit a growth rate; using the conservative "
             "default abscissa",
@@ -220,7 +245,7 @@ def convergence_abscissa_estimate(ctx: ZetaTermContext):
             c=2 * ctx.n + k_fit, chi_bound=big_k, chi_rate=k_fit,
             entropy=float("nan"), conservative=True,
         )
-    counts = np.arange(1, len(recs) + 1, dtype=float)
+    counts = np.arange(1, len(lengths) + 1, dtype=float)
     entropy = max(float(np.polyfit(lengths, np.log(counts), 1)[0]), 0.0)
     return AbscissaEstimate(
         c=entropy + k_fit, chi_bound=big_k, chi_rate=k_fit,
@@ -247,7 +272,7 @@ def log_zeta_truncated(s, ctx: ZetaTermContext) -> complex | list[complex]:
     """
     points, scalar = _points(s)
     values = _log_zeta_values(ctx, points, both=False)[0]
-    if not ctx.spectrum.hyperbolic():
+    if not ctx.spectrum.count("hyperbolic"):
         warnings.warn("empty hyperbolic spectrum; Z = 1", stacklevel=2)
     else:
         with warnings.catch_warnings():

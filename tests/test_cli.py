@@ -2,15 +2,16 @@ import cmath
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import small_h3_spectrum_csv, weyl_dn
+from conftest import schottky_spec, small_h3_spectrum_csv, weyl_dn
 from selberg.cli import MAX_GRID_POINTS, _parse_grid, run
 from selberg.errors import ValidationError
-from selberg.geometry import LengthSpectrum
+from selberg.geometry import ConjClassRecord, LengthSpectrum
 from selberg.lie import EllipticAngles, WeightVector
 from selberg.orbital import orbital_polynomial
 
@@ -37,6 +38,17 @@ GROUP_JSON = {
 def group_file(tmp_path):
     path = tmp_path / "group.json"
     path.write_text(json.dumps(GROUP_JSON))
+    return str(path)
+
+
+@pytest.fixture
+def schottky_file(tmp_path):
+    """The free Schottky group of ``schottky_spec``: g and g^-1 share their
+    invariants but are not conjugate, so its spectra carry ambiguity flags."""
+    spec = schottky_spec()
+    path = tmp_path / "schottky.json"
+    path.write_text(json.dumps({"model": spec.model,
+                                "generators": [g.real.tolist() for g in spec.generators]}))
     return str(path)
 
 
@@ -184,10 +196,10 @@ def test_zeta_eval_roundtrip_bitwise(capsys, group_file, tmp_path):
     assert out1.read_bytes() == out3.read_bytes()
 
 
-def test_zeta_eval_refuses_ambiguous_without_flag(capsys, group_file, tmp_path):
+def test_zeta_eval_refuses_ambiguous_without_flag(capsys, schottky_file, tmp_path):
     spec_path = tmp_path / "spec.csv"
     invoke(
-        capsys, "spectrum", "enumerate", "--group", group_file,
+        capsys, "spectrum", "enumerate", "--group", schottky_file,
         "--max-word-len", "4", "--cutoff", "9", "--out", str(spec_path),
     )
     code, _, err = invoke(
@@ -198,10 +210,10 @@ def test_zeta_eval_refuses_ambiguous_without_flag(capsys, group_file, tmp_path):
     assert "ambig" in err.lower()
 
 
-def test_zeta_heat_terms_refuses_ambiguous_without_flag(capsys, group_file, tmp_path):
+def test_zeta_heat_terms_refuses_ambiguous_without_flag(capsys, schottky_file, tmp_path):
     spec_path = tmp_path / "spec.csv"
     invoke(
-        capsys, "spectrum", "enumerate", "--group", group_file,
+        capsys, "spectrum", "enumerate", "--group", schottky_file,
         "--max-word-len", "3", "--cutoff", "7", "--out", str(spec_path),
     )
     assert "# ambiguous=0.1.2.3.4.5" in spec_path.read_text()
@@ -570,6 +582,99 @@ def test_zeta_rejects_ambiguous_index_that_names_no_row(capsys, tmp_path, indice
     assert err.startswith(f"error: {path} line 2: ") and err.count("\n") == 1
 
 
+GOOD_ROW = "hyperbolic,2.0,2.0,1,0.5,7.4,1,1.0,0.0,2"
+V_ZERO_ROW = "hyperbolic,1.0,1.0,1,0.5,1.3,0,1.0,0.0,1"
+WORD_X_ROW = "hyperbolic,1.0,1.0,1,0.5,1.3,1,1.0,0.0,1.x"
+POWER_HUGE_ROW = f"hyperbolic,1.0,1.0,{10**400},0.5,1.3,1,1.0,0.0,1"
+
+
+def _rows(count: int, bad: dict) -> list[str]:
+    """``count`` good hyperbolic rows with the rows of ``bad`` put in at their indices."""
+    rows = [f"hyperbolic,{1.0 + i / 1000!r},1.0,1,0.5,1.3,1,1.0,0.0,{i + 1}" for i in range(count)]
+    for i, row in bad.items():
+        rows[i] = row
+    return rows
+
+
+#: name -> (the lines after the spectrum header, the error after "error: PATH ").  The
+#: first seven give the code, message and line number of the row-by-row reader before
+#: the spectrum became columns; the last three were a traceback or a silent zero there.
+SPECTRUM_ERRORS = {
+    "first-of-two-bad-rows": ([SPECTRUM_COLUMNS, GOOD_ROW, V_ZERO_ROW, GOOD_ROW,
+                               "hyperbolic,abc,1.0,1,0.5,1.3,1,1.0,0.0,1"],
+                              "line 4: v must be positive"),
+    "malformed-before-bad": ([SPECTRUM_COLUMNS, GOOD_ROW, WORD_X_ROW, V_ZERO_ROW],
+                             f"line 4: malformed spectrum row {WORD_X_ROW!r}"),
+    "far-apart": ([SPECTRUM_COLUMNS] + _rows(600, {300: WORD_X_ROW, 500: V_ZERO_ROW}),
+                  f"line 303: malformed spectrum row {WORD_X_ROW!r}"),
+    "far-apart-bad-first": (
+        [SPECTRUM_COLUMNS] + _rows(600, {280: "hyperbolic,1.0,1.0,1,0.5,-1,1,1.0,0.0,1",
+                                         290: WORD_X_ROW}),
+        "line 283: a hyperbolic row needs finite positive l, l0 and D and power >= 1"),
+    "power-1.5": ([SPECTRUM_COLUMNS, "hyperbolic,1.0,1.0,1.5,0.5,1.3,1,1.0,0.0,1"],
+                  "line 3: malformed spectrum row 'hyperbolic,1.0,1.0,1.5,0.5,1.3,1,1.0,0.0,1'"),
+    "word-1.x": ([SPECTRUM_COLUMNS, WORD_X_ROW], f"line 3: malformed spectrum row {WORD_X_ROW!r}"),
+    "v-1/0": ([SPECTRUM_COLUMNS, "hyperbolic,1.0,1.0,1,0.5,1.3,1/0,1.0,0.0,1"],
+              "line 3: malformed spectrum row 'hyperbolic,1.0,1.0,1,0.5,1.3,1/0,1.0,0.0,1'"),
+    "elliptic-D-nan": ([SPECTRUM_COLUMNS, "elliptic,0,0,1,3.14,nan,1,1.0,0.0,-1"],
+                       "line 3: an elliptic row needs an empty D"),
+    "blank-line": ([SPECTRUM_COLUMNS, GOOD_ROW, "", "hyperbolic,1.0,1.0,1,0.5,1.3,-2,1.0,0.0,1"],
+                   "line 5: v must be positive"),
+    "ambiguous-index-row-count": (["# ambiguous=0.2", SPECTRUM_COLUMNS, GOOD_ROW, GOOD_ROW],
+                                  "line 2: ambiguous index 2 names no row"),
+    "v-1e400": ([SPECTRUM_COLUMNS, "hyperbolic,1.0,1.0,1,0.5,1.3,1e400,1.0,0.0,1"],
+                "line 3: v is too large for a float"),
+    "v-1e-400": ([SPECTRUM_COLUMNS, "hyperbolic,1.0,1.0,1,0.5,1.3,1e-400,1.0,0.0,1"],
+                 "line 3: v must be positive"),
+    "power-1e400": ([SPECTRUM_COLUMNS, POWER_HUGE_ROW],
+                    f"line 3: malformed spectrum row {POWER_HUGE_ROW!r}"),
+}
+
+
+@pytest.mark.parametrize("lines,error", SPECTRUM_ERRORS.values(), ids=SPECTRUM_ERRORS.keys())
+def test_spectrum_error_names_the_first_bad_line(capsys, tmp_path, lines, error):
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join([SPECTRUM_HEADER] + lines) + "\n")
+    code, out, err = invoke(capsys, "zeta", "eval", "--spectrum", str(path), "--sigma", "1",
+                            "--s-grid", "3:4:1")
+    assert (code, out, err) == (2, "", f"error: {path} {error}\n")
+
+
+@pytest.mark.parametrize("row,length", [("hyperbolic,800,800,1,0.5,1e300,1,1.0,0.0,7", "800"),
+                                        ("hyperbolic,400,400,1,0.5,1e300,1,1.0,0.0,7", "400")],
+                         ids=["exp-overflows", "product-overflows"])
+@pytest.mark.parametrize("op", [("eval", "--s-grid", "3:4:1"), ("xi", "--s", "3"),
+                                ("heat-terms", "--t", "0.5")], ids=lambda op: op[0])
+def test_overflowing_adjoint_determinant_is_a_numerical_guard(capsys, tmp_path, row, length, op):
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join([SPECTRUM_HEADER, SPECTRUM_COLUMNS, GOOD_ROW, row]) + "\n")
+    code, out, err = invoke(capsys, "zeta", *op[:1], "--spectrum", str(path), "--sigma", "1",
+                            *op[1:])
+    assert (code, out) == (3, "")
+    assert err == ("numerical guard: adjoint determinant overflows for the hyperbolic class "
+                   f"of length {length} and word 7\n")
+
+
+def test_zeta_ops_build_no_object_per_class(capsys, monkeypatch, tmp_path):
+    """The zeta ops read the spectrum's columns: of ConjClassRecord and
+    EllipticAngles they build only the angles of the elliptic classes."""
+    built = Counter()
+    for cls in (ConjClassRecord, EllipticAngles):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    spec = tmp_path / "spec.csv"
+    spec.write_text(small_h3_spectrum_csv(classes=200))  # and 2 elliptic classes
+    assert len(LengthSpectrum.read_csv(spec).records) == built["ConjClassRecord"] == 202
+    common = ("--spectrum", str(spec), "--sigma", "1", "--elliptic-vols", "0.5,0.25")
+    for op in (("eval", "--s-grid", "3:4:0.5"), ("xi", "--s", "3,3.5"), ("heat-terms", "--t", "0.5,1")):
+        built.clear()
+        assert invoke(capsys, "zeta", *op[:1], *common, *op[1:])[0] == 0
+        assert built["ConjClassRecord"] == 0 and built["EllipticAngles"] <= 2
+
+
 # argv whose run fails with exit 2 in a library check, then one valid argv per group
 VALIDATE_ARGV = {
     "enumerate-cutoff-negative": ("spectrum", "enumerate", "--group", "{group}",
@@ -700,15 +805,21 @@ def test_non_finite_angle_exits_2(capsys, argv):
     assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
 
 
-def test_zeta_eval_cutoff_equals_a_truncated_file(capsys, tmp_path):
-    cutoff = 2.0
+def _cutoff_files(tmp_path) -> tuple[Path, Path]:
+    """``small_h3_spectrum_csv``, and the same file holding only the rows
+    with l <= 2 and the header cutoff 2."""
     full = tmp_path / "full.csv"
     full.write_text(small_h3_spectrum_csv())
     head, columns, *rows = full.read_text().splitlines()
-    kept = [r for r in rows if r.startswith("elliptic") or float(r.split(",")[1]) <= cutoff]
+    kept = [r for r in rows if r.startswith("elliptic") or float(r.split(",")[1]) <= 2.0]
     assert 0 < len(kept) - 2 < len(rows) - 2  # the cutoff drops some hyperbolic rows
     cut = tmp_path / "cut.csv"
     cut.write_text("\n".join([head.replace("cutoff=4", "cutoff=2"), columns] + kept) + "\n")
+    return full, cut
+
+
+def test_zeta_eval_cutoff_equals_a_truncated_file(capsys, tmp_path):
+    full, cut = _cutoff_files(tmp_path)
     args = ("zeta", "eval", "--sigma", "1", "--s-grid", "3:5:0.5,0:1:1")
     want = invoke(capsys, *args, "--spectrum", str(cut))
     assert want[0] == 0
@@ -717,6 +828,16 @@ def test_zeta_eval_cutoff_equals_a_truncated_file(capsys, tmp_path):
         code, out, err = invoke(capsys, *args, "--spectrum", str(full), "--cutoff", bad)
         assert (code, out) == (2, "")
         assert err == "error: cutoff must be finite and positive\n"
+
+
+@pytest.mark.parametrize("op", [("xi", "--s", "3,3.5,4.25"), ("heat-terms", "--t", "0.2,1,3")],
+                         ids=lambda op: op[0])
+def test_zeta_cutoff_equals_a_truncated_file(capsys, tmp_path, op):
+    full, cut = _cutoff_files(tmp_path)
+    args = ("zeta", op[0], "--sigma", "1", "--elliptic-vols", "0.5,0.25", *op[1:])
+    want = invoke(capsys, *args, "--spectrum", str(cut))
+    assert want[0] == 0 and want[1].count("\n") == 4
+    assert invoke(capsys, *args, "--spectrum", str(full), "--cutoff", "2") == want
 
 
 @pytest.mark.parametrize("sigma,angles", [("1,1", "0.4,2.1"), ("5/2,3/2,1/2", "0.7,1.3,2.9")])

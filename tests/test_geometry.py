@@ -255,6 +255,17 @@ def test_h3_rotation_classes_are_counted_once(gens, max_len, order, folded, flag
     assert [r.theta for r in recs if r.ambiguous] == pytest.approx(flagged, abs=1e-10)
 
 
+def test_abelian_group_flags_no_class():
+    """Conjugacy in an abelian group is equality, so the cyclic group's
+    g^k and g^-k are two certified classes, hyperbolic or elliptic."""
+    recs = build_length_spectrum(cyclic_h3_spec(2.0, 0.7), 3, cutoff=7.0).records
+    assert [r.word for r in recs] == [(-1,), (1,), (-1, -1), (1, 1), (-1, -1, -1), (1, 1, 1)]
+    assert [r.power for r in recs] == [1, 1, 2, 2, 3, 3]
+    assert not any(r.ambiguous for r in recs)
+    # a free group's g and g^-1 share their invariants and are not conjugate
+    assert all(r.ambiguous for r in build_length_spectrum(schottky_spec(), 2, cutoff=7.0).records)
+
+
 def test_word_matrix_is_the_ball_matrix_bit_for_bit():
     c = _rotation(0.4) @ np.diag([math.exp(0.3), math.exp(-0.3)]) @ _rotation(2.2)
     tri = triangle_237_spec()
@@ -432,6 +443,60 @@ def test_spectrum_csv_roundtrip_is_equal(tmp_path):
     path = tmp_path / "spectrum.csv"
     spectrum.write_csv(path)
     assert LengthSpectrum.read_csv(path) == spectrum
+
+
+def test_spectrum_is_stored_in_canonical_order(tmp_path):
+    """Hyperbolic rows are sorted by (l, angles, word) as tuples compare, with
+    ties as given; elliptic rows come first, in the order given.  Flags move
+    with their rows, and the CSV is written in the canonical order."""
+    def record(kind, length, angles, word, flag=False):
+        hyper = kind == "hyperbolic"
+        return ConjClassRecord(kind, length, length, 1, angles, 1.5 if hyper else None,
+                               Fraction(1), complex(length, 0.5), word, flag)
+
+    recs = [
+        record("hyperbolic", 2.0, (0.5,), (1, 2)),
+        record("elliptic", 0.0, (2.0,), (-1,), True),
+        record("hyperbolic", 1.0, (0.5,), (2,)),
+        record("hyperbolic", 2.0, (0.5,), (1,), True),
+        record("hyperbolic", 2.0, (0.5,), (1, -3)),
+        record("hyperbolic", 2.0, (0.25,), (9,)),
+        record("elliptic", 0.0, (1.0,), (-2,)),
+        record("hyperbolic", 1.0, (0.5,), ()),
+    ]
+    want = [r for r in recs if r.kind == "elliptic"] + sorted(
+        (r for r in recs if r.kind == "hyperbolic"), key=lambda r: (r.length, r.angles, r.word)
+    )
+    spectrum = LengthSpectrum(recs, "order", 3.0, 2)
+    assert spectrum.records == want
+    path = tmp_path / "spectrum.csv"
+    path.write_text(spectrum.to_csv())
+    assert path.read_text().splitlines()[1] == "# ambiguous=0.5"
+    shuffled = tmp_path / "shuffled.csv"
+    lines = path.read_text().splitlines()
+    shuffled.write_text("\n".join(lines[:3] + lines[:2:-1]).replace("ambiguous=0.5", "ambiguous=2.7")
+                        + "\n")
+    assert LengthSpectrum.read_csv(shuffled).records == [*reversed(want[:2]), *want[2:]]
+    cut = spectrum.with_cutoff(1.5)
+    assert (cut.cutoff, cut.records) == (1.5, want[:4])
+    with pytest.raises(ValidationError, match="cutoff"):
+        spectrum.with_cutoff(math.nan)
+
+
+def test_spectrum_csv_roundtrip_with_ragged_rows_in_later_chunks(tmp_path):
+    """The reader converts a few hundred rows at a time; rows whose angle or
+    word counts differ from one chunk to the next come back equal."""
+    recs = [
+        ConjClassRecord("hyperbolic", 1.0 + i / 64, 1.0, 1, (0.5,) * (1 + (i > 500)), 2.5,
+                        Fraction(1, 1 + i % 3), complex(i, -i), (1, -2) * (1 + i // 200), i == 7)
+        for i in range(700)
+    ]
+    spectrum = LengthSpectrum(recs, "chunks", 12.0, 6)
+    path = tmp_path / "spectrum.csv"
+    spectrum.write_csv(path)
+    back = LengthSpectrum.read_csv(path)
+    assert back == spectrum and back.records == recs
+    assert back.to_csv() == path.read_text()
 
 
 def test_group_spec_file_parsing(tmp_path):

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from conftest import (
@@ -217,6 +218,27 @@ def test_weyl_character_batch_matches_scalar_bitwise(rng):
         assert values == singles
         assert weyl_character(lam, batch[:1]) == singles[:1]
     assert weyl_character(WeightVector.from_coords([1, 0]), []) == []
+
+
+def test_weyl_character_angle_array_matches_the_batch_bitwise(rng):
+    """An (N, n) array of raw angles gives, as an array, the traces at the
+    EllipticAngles of its rows: one normalisation, then the same numbers."""
+    for n in (1, 2, 3, 5):
+        lam = random_dominant(rng, n)
+        raw = [[a + 2 * math.pi * rng.randrange(-3, 4) for a in random_angles(rng, n)]
+               for _ in range(9)]
+        if n == 1:
+            raw += [[6 * math.pi - 1e-13], [-1e-13], [0.0]]  # these snap to 0
+        values = weyl_character(lam, np.array(raw))
+        assert isinstance(values, np.ndarray) and values.shape == (len(raw),)
+        assert values.tolist() == weyl_character(lam, [EllipticAngles(tuple(r)) for r in raw])
+    std = WeightVector.from_coords([1, 0])
+    for bad in (np.zeros((3, 1)), np.zeros(2), np.zeros((0, 3))):
+        with pytest.raises(ValidationError, match="rank mismatch"):
+            weyl_character(std, bad)
+    assert weyl_character(std, np.zeros((0, 2))).shape == (0,)
+    with pytest.raises(ValidationError, match="finite"):
+        weyl_character(std, np.array([[0.3, 1.1], [math.nan, 0.2]]))
 
 
 def test_weyl_character_batch_with_one_non_regular_rotation(rng):
