@@ -746,6 +746,8 @@ def _parse_rows(texts: list[str]) -> tuple[SpectrumColumns, list]:
         (v_float == math.inf, "v is too large for a float"),
         (hyper & ~np.logical_and.reduce(finite_positive + [power >= 1]),
          "a hyperbolic row needs finite positive l, l0 and D and power >= 1"),
+        (elliptic & ~((length == 0) & (prim == 0) & (power == 1)),
+         "an elliptic row needs l = l0 = 0 and power = 1"),
         (~hyper & ~elliptic, "unknown class kind {kind!r}"),
         (elliptic & (np.array(d, dtype=str) != ""), "an elliptic row needs an empty D"),
         (~(np.isfinite(tr_chi) & (np.isfinite(angles) | ~present).all(axis=1)),
@@ -896,10 +898,11 @@ class LengthSpectrum:
         Every row has ten fields that parse, the kind ``hyperbolic`` or
         ``elliptic``, finite angles and tr chi, and a positive v that is a
         float.  A hyperbolic row also has finite positive l, l0 and D and an
-        integer power of at least 1; an elliptic row has an empty D.  The
-        optional ``# ambiguous=`` line lists row indices that exist.  The
-        file must be UTF-8.  Anything else is a ValidationError naming the
-        file and the first bad line; blank lines are skipped but counted.
+        integer power of at least 1; an elliptic row has l = l0 = 0, power 1
+        and an empty D.  The optional ``# ambiguous=`` line lists row indices
+        that exist.  The file must be UTF-8.  Anything else is a
+        ValidationError naming the file and the first bad line; blank lines
+        are skipped but counted.
         """
         lines = _text_lines(path)
         if not lines or not lines[0].startswith("# selberg-spectrum"):

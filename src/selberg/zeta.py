@@ -25,9 +25,10 @@ twists) are read from the spectrum's columns: one class-array build per
 call serves both sigma and w0 sigma, with one character call per weight on
 the whole angle matrix, and no per-class object is made.  Each point is
 then one array expression over the classes, its exponential row shared by
-the two weights.  Sums accumulate with compensated (exact) summation in the
-spectrum's canonical order, so results do not depend on how work is
-partitioned.
+the two weights.  Each sum returns the correctly rounded sum of its real
+and of its imaginary parts over the classes in the spectrum's canonical
+order (what math.fsum returns), so results do not depend on how work is
+partitioned or on the order of the additions.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
     UnsupportedRankError,
     ValidationError,
 )
-from .geometry import LengthSpectrum
+from .geometry import LengthSpectrum, SpectrumColumns
 from .lie import EllipticAngles, WeightVector, w0_flip, weyl_character
 from .orbital import orbital_polynomial, plancherel_polynomial
 
@@ -90,10 +91,46 @@ class ZetaTermContext:
         return replace(self, sigma=sigma)
 
 
+def _exact_sum(part: np.ndarray, x: np.ndarray, q: np.ndarray) -> float:
+    """math.fsum(part) by error-free extraction in the buffers x and q, each
+    as long as part."""
+    np.copyto(x, part)
+    m = (len(x) + 1).bit_length()  # the least m with 2^m >= N + 2
+    top = float(np.abs(x, out=q).max(initial=0.0))
+    if not top < math.ldexp(1.0, 1022 - m):  # inf, nan, or sigma could overflow
+        return math.fsum(part.tolist())
+    totals = []
+    while top:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
+        np.add(x, sigma, out=q)
+        q -= sigma
+        x -= q
+        totals.append(float(q.sum()))
+        top = float(np.abs(x, out=q).max())
+    return math.fsum(totals)
+
+
 def _csum(values) -> complex:
-    """Compensated complex sum in the iteration order given."""
+    """complex(math.fsum(re), math.fsum(im)) of the values, bit for bit: the
+    correctly rounded sum of each part.
+
+    Each part of N entries is summed by error-free extraction (Rump, Ogita
+    and Oishi, "Accurate floating-point summation, Part I", SIAM J. Sci.
+    Comput. 31(1), 2008, Lemma 3.3).  Let sigma be a power of two with
+    sigma >= 2^m max|x|, where 2^m >= N + 2.  Then q = (x + sigma) - sigma
+    rounds x to a multiple of 2^-53 sigma, x - q is exact, and the q add up
+    exactly in any order, because every partial sum is such a multiple of
+    modulus below sigma.  Passes repeat on the residual x - q, whose
+    maximum falls by about 2^(53 - m) each time, until it is 0; the sum of
+    the entries then equals the sum of the pass totals exactly, and
+    math.fsum rounds those few totals once.  A part with an inf or nan, or
+    with max|x| >= 2^(1022 - m), where sigma could overflow, is summed by
+    math.fsum itself, so its inf, nan, ValueError or OverflowError is
+    math.fsum's.
+    """
     vals = np.asarray(values, dtype=complex)
-    return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+    x, q = np.empty((2, len(vals)))
+    return complex(_exact_sum(vals.real, x, q), _exact_sum(vals.imag, x, q))
 
 
 def _points(x) -> tuple[list, bool]:
@@ -128,14 +165,12 @@ def _refuse_ambiguous(ctx: ZetaTermContext, flags: np.ndarray) -> None:
 
 
 class _ClassArrays(NamedTuple):
-    """Point-independent per-class factors, in canonical order.
-    ``num`` and ``heat`` hold one array per weight: sigma, then w0 sigma
-    when both were asked for."""
+    """Point-independent per-class factors, in canonical order.  ``traces``
+    holds tr sigma for sigma, then for w0 sigma when both were asked for."""
 
-    length: np.ndarray
-    den: np.ndarray  # power * e^{n l} * D
-    num: list  # tr chi * v * tr sigma
-    heat: list  # tr chi * v * l0 / (2 pi D) * conj(tr sigma)
+    hyp: SpectrumColumns  # the hyperbolic classes
+    chi_v: np.ndarray  # tr chi * v
+    traces: list
 
 
 def _exp_or_inf(x: float) -> float:
@@ -158,12 +193,19 @@ def _exps(x: np.ndarray) -> np.ndarray:
 def _class_arrays(ctx: ZetaTermContext, both: bool) -> _ClassArrays:
     """Per-class arrays for sigma, and for its flip w0 sigma too when
     ``both``, from the hyperbolic columns; one character call per weight.
-    Refuses flagged-ambiguity classes unless the context allows them, and
-    an adjoint determinant beyond the float range is a numerical guard."""
+    Refuses flagged-ambiguity classes unless the context allows them."""
     hyp = ctx.spectrum.part("hyperbolic")
     _refuse_ambiguous(ctx, hyp.ambiguous)
+    angles = hyp.angles_of_rank(ctx.n)
+    weights = [ctx.sigma, w0_flip(ctx.sigma)] if both else [ctx.sigma]
+    return _ClassArrays(hyp, hyp.tr_chi * hyp.v_float, [weyl_character(w, angles) for w in weights])
+
+
+def _adjoint_determinants(hyp: SpectrumColumns, n: int) -> np.ndarray:
+    """The zeta denominators power * e^{n l} * D; one beyond the float range
+    is a numerical guard."""
     with np.errstate(over="ignore"):  # an infinite product is reported below
-        den = hyp.power * (_exps(ctx.n * hyp.length) * hyp.D)
+        den = hyp.power * (_exps(n * hyp.length) * hyp.D)
     overflow = np.flatnonzero(~np.isfinite(den))
     if overflow.size:
         i = int(overflow[0])
@@ -171,30 +213,23 @@ def _class_arrays(ctx: ZetaTermContext, both: bool) -> _ClassArrays:
             f"adjoint determinant overflows for the hyperbolic class of length "
             f"{hyp.length[i]:.17g} and word {'.'.join(map(str, hyp.word_tuples()[i]))}"
         )
-    chi_v = hyp.tr_chi * hyp.v_float
-    angles = hyp.angles_of_rank(ctx.n)
-    weights = [ctx.sigma, w0_flip(ctx.sigma)] if both else [ctx.sigma]
-    traces = [weyl_character(w, angles) for w in weights]
-    heat = chi_v * hyp.primitive_length / (2.0 * math.pi * hyp.D)
-    return _ClassArrays(
-        length=hyp.length,
-        den=den,
-        num=[chi_v * trace for trace in traces],
-        heat=[heat * trace.conj() for trace in traces],
-    )
+    return den
 
 
 def _log_zeta_values(ctx: ZetaTermContext, points: list, both: bool) -> list[list[complex]]:
     """log Z at each point for sigma, and for w0 sigma too when ``both``;
     one exponential row of the classes per point serves both weights."""
     arrays = _class_arrays(ctx, both)
-    if not len(arrays.length):
-        return [[0j] * len(points) for _ in arrays.num]
-    values = [[] for _ in arrays.num]
+    length = arrays.hyp.length
+    if not len(length):
+        return [[0j] * len(points) for _ in arrays.traces]
+    den = _adjoint_determinants(arrays.hyp, ctx.n)
+    nums = [arrays.chi_v * trace for trace in arrays.traces]
+    values = [[] for _ in nums]
     for s in points:
-        decay = np.exp(-(s + ctx.n) * arrays.length)
-        for row, num in zip(values, arrays.num):
-            row.append(-_csum(num * decay / arrays.den))
+        decay = np.exp(-(s + ctx.n) * length)
+        for row, num in zip(values, nums):
+            row.append(-_csum(num * decay / den))
     return values
 
 
@@ -351,14 +386,16 @@ def geometric_heat_terms(t, ctx: ZetaTermContext) -> HeatTerms | list[HeatTerms]
         )
     eps = epsilon_sigma(ctx.sigma)
     arrays = _class_arrays(ctx, both=eps == 2)
-    coeff = sum(arrays.heat[1:], arrays.heat[0])
+    hyp = arrays.hyp
+    heat = arrays.chi_v * hyp.primitive_length / (2.0 * math.pi * hyp.D)
+    coeff = sum(heat * trace.conj() for trace in arrays.traces)
     p_plancherel = plancherel_polynomial(ctx.sigma, ctx.n)
     ell = _elliptic_terms(ctx)
     values = [
         HeatTerms(
             eps * ctx.chi_dim * ctx.vol * p_plancherel.gaussian_transform(x),
             eps * _csum([c * poly.gaussian_transform(x) for c, poly in ell]),
-            _csum(coeff * (math.sqrt(math.pi / x) * np.exp(-arrays.length**2 / (4.0 * x)))),
+            _csum(coeff * (math.sqrt(math.pi / x) * np.exp(-hyp.length**2 / (4.0 * x)))),
         )
         for x in times
     ]

@@ -598,7 +598,8 @@ def _rows(count: int, bad: dict) -> list[str]:
 
 #: name -> (the lines after the spectrum header, the error after "error: PATH ").  The
 #: first seven give the code, message and line number of the row-by-row reader before
-#: the spectrum became columns; the last three were a traceback or a silent zero there.
+#: the spectrum became columns; the three overflow rows were a traceback or a silent
+#: zero there, and the three elliptic rows whose l, l0 or power is not 0, 0 or 1 read.
 SPECTRUM_ERRORS = {
     "first-of-two-bad-rows": ([SPECTRUM_COLUMNS, GOOD_ROW, V_ZERO_ROW, GOOD_ROW,
                                "hyperbolic,abc,1.0,1,0.5,1.3,1,1.0,0.0,1"],
@@ -628,6 +629,12 @@ SPECTRUM_ERRORS = {
                  "line 3: v must be positive"),
     "power-1e400": ([SPECTRUM_COLUMNS, POWER_HUGE_ROW],
                     f"line 3: malformed spectrum row {POWER_HUGE_ROW!r}"),
+    "elliptic-l-nan": ([SPECTRUM_COLUMNS, GOOD_ROW, "elliptic,nan,0,1,3.14,,1,1.0,0.0,-1"],
+                       "line 4: an elliptic row needs l = l0 = 0 and power = 1"),
+    "elliptic-l0-negative": ([SPECTRUM_COLUMNS, "elliptic,0,-3,1,3.14,,1,1.0,0.0,-1"],
+                             "line 3: an elliptic row needs l = l0 = 0 and power = 1"),
+    "elliptic-power-0": ([SPECTRUM_COLUMNS, "elliptic,0,0,0,3.14,,1,1.0,0.0,-1"],
+                         "line 3: an elliptic row needs l = l0 = 0 and power = 1"),
 }
 
 
@@ -646,10 +653,17 @@ def test_spectrum_error_names_the_first_bad_line(capsys, tmp_path, lines, error)
 @pytest.mark.parametrize("op", [("eval", "--s-grid", "3:4:1"), ("xi", "--s", "3"),
                                 ("heat-terms", "--t", "0.5")], ids=lambda op: op[0])
 def test_overflowing_adjoint_determinant_is_a_numerical_guard(capsys, tmp_path, row, length, op):
-    path = tmp_path / "rows.csv"
+    """The zeta sums divide by the adjoint determinant and stop; the heat
+    terms never form it, and the long class's term e^{-l^2/4t} is 0."""
+    path, short = tmp_path / "rows.csv", tmp_path / "short.csv"
     path.write_text("\n".join([SPECTRUM_HEADER, SPECTRUM_COLUMNS, GOOD_ROW, row]) + "\n")
+    short.write_text("\n".join([SPECTRUM_HEADER, SPECTRUM_COLUMNS, GOOD_ROW]) + "\n")
     code, out, err = invoke(capsys, "zeta", *op[:1], "--spectrum", str(path), "--sigma", "1",
                             *op[1:])
+    if op[0] == "heat-terms":
+        want = invoke(capsys, "zeta", *op[:1], "--spectrum", str(short), "--sigma", "1", *op[1:])
+        assert (code, out, err) == want and code == 0
+        return
     assert (code, out) == (3, "")
     assert err == ("numerical guard: adjoint determinant overflows for the hyperbolic class "
                    f"of length {length} and word 7\n")

@@ -23,6 +23,9 @@ from selberg.geometry import ConjClassRecord, LengthSpectrum, build_length_spect
 from selberg.lie import EllipticAngles, WeightVector, w0_flip
 from selberg.zeta import (
     ZetaTermContext,
+    _adjoint_determinants,
+    _class_arrays,
+    _csum,
     antisymmetric_zeta,
     convergence_abscissa_estimate,
     epsilon_sigma,
@@ -650,3 +653,86 @@ def test_overflowing_zeta_raises_numerical_guard():
     for fn in (symmetric_zeta, antisymmetric_zeta, xi_correction):
         with pytest.raises(NumericalGuardError, match="s = 4"):
             fn(4.0, ctx)
+
+
+def _complex(re, im) -> np.ndarray:
+    """A complex array with the given parts, set apart so that inf stays inf."""
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _csum_cases() -> dict:
+    gen = np.random.default_rng(20260813)
+
+    def spread(n):
+        return gen.standard_normal(n) * 10.0 ** gen.uniform(-300, 300, n)
+
+    sizes = [0, 1, 2, 3, 5, 6, 7, 62, 2000, 5000, *gen.integers(0, 5001, 12).tolist()]
+    cases = {f"spread-{i}-n{n}": _complex(spread(n), spread(n)) for i, n in enumerate(sizes)}
+    for n in (1, 2, 6, 7, 2000):  # just below the largest max|x| that extraction takes
+        top = math.ldexp(1.0, 1021 - (n + 1).bit_length())
+        cases[f"top-n{n}"] = _complex(gen.uniform(-top, top, n), np.full(n, top))
+    x, y = spread(1500), gen.standard_normal(1500)
+    cases["cancel"] = _complex(np.concatenate([x, -x[::-1], [1e-300]]),
+                               np.concatenate([y, -y[::-1], [-5e-324]]))
+    tie = [1.0, 2.0**-53, 2.0**-110, -(2.0**-600)]  # a half-ulp tie that later passes break
+    cases["tie-broken-late"] = _complex(np.array(tie), -np.array(tie[::-1]))
+    cases["cancel-to-zero"] = _complex(np.concatenate([x, -x[::-1]]), np.concatenate([y, -y]))
+    cases["zeros"] = np.zeros(100, dtype=complex)
+    cases["negative-zeros"] = _complex(np.full(100, -0.0), np.full(100, -0.0))
+    cases["subnormal"] = _complex(gen.integers(-2**40, 2**40, 300) * 5e-324,
+                                  gen.integers(-9, 9, 300) * 5e-324)
+    cases["subnormal-and-normal"] = _complex(np.append(gen.integers(-99, 99, 300) * 5e-324, 1.0),
+                                             np.append(gen.uniform(-1e-300, 1e-300, 300), 0.0))
+    huge = gen.uniform(1.6e308, 1.7e308, 6)
+    cases["near-max"] = _complex(huge * [1, -1, 1, -1, 1, -1], huge[::-1] * [1, -1, -1, 1, 1, -1])
+    cases["near-max-overflow"] = _complex(np.array([1.7e308, 1.7e308, 1.0]), np.ones(3))
+    cases["near-max-imag-overflow"] = _complex(np.ones(3), np.array([-1.7e308, -1.7e308, 1.0]))
+    cases["inf"] = _complex(np.array([1.0, math.inf, 2.0]), np.array([0.5, 0.0, math.inf]))
+    cases["inf-minus-inf"] = _complex(np.array([math.inf, 1.0, -math.inf]), np.zeros(3))
+    cases["nan"] = _complex(np.array([1.0, math.nan]), np.array([math.nan, -math.inf]))
+    cases["inf-and-nan"] = _complex(np.array([math.inf, math.nan]), np.ones(2))
+    return cases
+
+
+def _outcome(summer, values):
+    """The bits of both parts of a sum, or the type of the exception it raised."""
+    try:
+        z = summer(values)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+    return z.real.hex(), z.imag.hex()
+
+
+def _fsum_reference(values) -> complex:
+    return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+
+
+CSUM_CASES = _csum_cases()
+
+
+@pytest.mark.parametrize("values", CSUM_CASES.values(), ids=CSUM_CASES.keys())
+def test_csum_is_fsum_bit_for_bit(values):
+    """The extraction kernel returns what math.fsum returns on each part, to
+    the bit, or raises the exception type it raises."""
+    assert _outcome(_csum, values) == _outcome(_fsum_reference, values)
+    assert _outcome(_csum, values.tolist()) == _outcome(_fsum_reference, values)
+
+
+def test_log_zeta_is_fsum_of_the_class_terms_bit_for_bit(tmp_path):
+    """log Z over a 2000-class spectrum equals, at each point of a grid, the
+    negated math.fsum of the same class terms."""
+    path = tmp_path / "big.csv"
+    path.write_text(small_h3_spectrum_csv(classes=2000))
+    ctx = ZetaTermContext(sigma=SIGMA1, chi_dim=1, spectrum=LengthSpectrum.read_csv(path))
+    arrays = _class_arrays(ctx, both=False)
+    num = arrays.chi_v * arrays.traces[0]
+    den = _adjoint_determinants(arrays.hyp, ctx.n)
+    points = [*np.linspace(-2.0, 40.0, 43).tolist(), complex(3.0, 7.5), complex(0.25, -30.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # points left of the abscissa
+        got = log_zeta_truncated(points, ctx)
+    for s, value in zip(points, got):
+        want = -_fsum_reference(num * np.exp(-(s + ctx.n) * arrays.hyp.length) / den)
+        assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex()), s
