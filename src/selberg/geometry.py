@@ -568,7 +568,7 @@ def _v_factor(w: np.ndarray, ball: tuple, sub: tuple) -> Fraction:
 #: sorts before its extensions, as tuples do
 WORD_PAD = np.iinfo(np.int64).min
 _CSV_COLUMNS = "kind,l,l0,power,theta,D,v,re_trchi,im_trchi,word"
-#: the errors a column conversion raises on a field it cannot read
+#: the errors ``_parse_rows`` raises on a row it cannot read
 _UNREADABLE = (ValueError, ZeroDivisionError, OverflowError)
 
 
@@ -661,28 +661,6 @@ def _padded(counts, flat: np.ndarray, fill) -> tuple[np.ndarray, np.ndarray]:
     return out, present
 
 
-class _BadRow(Exception):
-    """The index of the first bad row among spectrum-file rows, and its problem."""
-
-    def __init__(self, index: int, problem: str = ""):
-        super().__init__(index, problem)
-        self.index, self.problem = index, problem
-
-
-def _column(texts, convert):
-    """``convert(texts)``, converting one column in one call; if that
-    fails, the first row that fails alone is raised as _BadRow."""
-    try:
-        return convert(texts)
-    except _UNREADABLE:
-        for i, text in enumerate(texts):
-            try:
-                convert([text])
-            except _UNREADABLE:
-                raise _BadRow(i) from None
-        raise
-
-
 def _floats(texts) -> np.ndarray:
     return np.array(list(map(float, texts)), dtype=float)
 
@@ -691,16 +669,12 @@ def _ints(texts) -> np.ndarray:
     return np.array(list(map(int, texts)), dtype=np.int64)
 
 
-def _lists(sep: str, convert, fill):
-    """A converter of ``sep``-separated lists (an empty text is an empty
-    list) to a padded matrix and its mask of entries, as ``_padded``."""
-
-    def parse(texts):
-        counts = [t.count(sep) + 1 if t else 0 for t in texts]
-        items = sep.join(filter(None, texts)).split(sep) if any(counts) else []
-        return _padded(counts, convert(items), fill)
-
-    return parse
+def _lists(texts, sep: str, convert, fill) -> tuple[np.ndarray, np.ndarray]:
+    """``sep``-separated lists (an empty text is an empty list) as a padded
+    matrix and its mask of entries, as ``_padded``."""
+    counts = [t.count(sep) + 1 if t else 0 for t in texts]
+    items = sep.join(filter(None, texts)).split(sep) if any(counts) else []
+    return _padded(counts, convert(items), fill)
 
 
 def _fractions(texts) -> tuple[np.ndarray, np.ndarray]:
@@ -720,19 +694,17 @@ def _fractions(texts) -> tuple[np.ndarray, np.ndarray]:
 def _parse_rows(texts: list[str]) -> tuple[SpectrumColumns, list]:
     """The columns of spectrum-file rows, and (mask, message) pairs marking
     the rows that convert but break a rule; on one row, a later pair wins.
-    A row with a field that does not convert raises _BadRow."""
-    commas = [text.count(",") for text in texts]
-    if commas.count(9) != len(commas):
-        raise _BadRow(next(i for i, c in enumerate(commas) if c != 9))
+    A row without ten fields raises ValueError, and a field that does not
+    convert one of the ``_UNREADABLE`` errors."""
+    if any(text.count(",") != 9 for text in texts):
+        raise ValueError("a spectrum row needs ten fields")
     fields = ",".join(texts).split(",") if texts else []
     kind, l, l0, power, theta, d, v, re_t, im_t, word = (fields[k::10] for k in range(10))
-    length, prim, dval, re_t, im_t = (
-        _column(col, _floats) for col in (l, l0, [t or "nan" for t in d], re_t, im_t)
-    )
-    power = _column(power, _ints)
-    angles, present = _column(theta, _lists("|", _floats, np.nan))
-    word = _column(word, _lists(".", _ints, WORD_PAD))[0]
-    v, v_float = _column(v, _fractions)
+    length, prim, dval, re_t, im_t = map(_floats, (l, l0, [t or "nan" for t in d], re_t, im_t))
+    power = _ints(power)
+    angles, present = _lists(theta, "|", _floats, np.nan)
+    word = _lists(word, ".", _ints, WORD_PAD)[0]
+    v, v_float = _fractions(v)
     tr_chi = np.empty(len(texts), dtype=complex)
     tr_chi.real, tr_chi.imag = re_t, im_t
     kind = np.array(kind, dtype=str)
@@ -767,43 +739,41 @@ def _text_lines(path) -> list[str]:
         raise ValidationError(f"{path} line {line}: not UTF-8 text") from None
 
 
-#: rows converted at a time, which bounds the field strings alive at once
-_CHUNK_ROWS = 256
+def _checked_rows(texts: list[str]) -> SpectrumColumns | None:
+    """The columns of spectrum-file rows, or None if a row does not convert
+    or breaks a rule."""
+    try:
+        columns, problems = _parse_rows(texts)
+    except _UNREADABLE:
+        return None
+    return None if any(mask.any() for mask, _ in problems) else columns
 
 
-def _read_rows(texts: list[str]) -> SpectrumColumns:
-    """The columns of spectrum-file rows, converted a chunk at a time.  The
-    first row that does not convert or breaks a rule raises _BadRow with its
-    problem; the rows before it are all checked, so it is the first bad row."""
-    parts = []
-    for start in range(0, len(texts), _CHUNK_ROWS):
-        chunk = texts[start : start + _CHUNK_ROWS]
-        end = len(chunk)
-        while True:
-            try:
-                columns, problems = _parse_rows(chunk[:end])
-                break
-            except _BadRow as bad:
-                end = bad.index
-        broken = np.logical_or.reduce([mask for mask, _ in problems])
-        first = int(np.argmax(broken)) if broken.any() else end
-        if first < end:
-            problem = next(text for mask, text in reversed(problems) if mask[first])
-            raise _BadRow(start + first, problem.format(kind=str(columns.kind[first])))
-        if end < len(chunk):
-            raise _BadRow(start + end, f"malformed spectrum row {chunk[end]!r}")
-        parts.append(columns)
-    if not parts:
-        return _parse_rows([])[0]
-    stacked = []
-    for arrays in zip(*parts):
-        if arrays[0].ndim == 2:  # angles or word: pad each chunk to the widest
-            width = max(a.shape[1] for a in arrays)
-            fill = np.nan if arrays[0].dtype.kind == "f" else WORD_PAD
-            arrays = [np.pad(a, ((0, 0), (0, width - a.shape[1])), constant_values=fill)
-                      for a in arrays]
-        stacked.append(np.concatenate(arrays))
-    return SpectrumColumns(*stacked)
+def _first_bad_row(texts: list[str]) -> tuple[int, str]:
+    """The index of the first bad row of ``texts``, some row of which is
+    bad, and its problem.  Halving keeps every row before ``lo`` good and
+    some row in [lo, hi) bad, parsing about len(texts) rows in all."""
+    lo, hi = 0, len(texts)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _checked_rows(texts[lo:mid]) is None:
+            hi = mid
+        else:
+            lo = mid
+    try:
+        columns, problems = _parse_rows(texts[lo : lo + 1])
+    except _UNREADABLE:
+        return lo, f"malformed spectrum row {texts[lo]!r}"
+    problem = next(text for mask, text in reversed(problems) if mask[0])
+    return lo, problem.format(kind=str(columns.kind[0]))
+
+
+def _check_provenance(cutoff: float, model: str) -> None:
+    """A ValidationError unless the cutoff is finite and positive and the model is known."""
+    if not 0 < cutoff < math.inf:
+        raise ValidationError("cutoff must be finite and positive")
+    if model not in MODELS:
+        raise ValidationError(f"unknown model {model!r}; expected one of {MODELS}")
 
 
 class LengthSpectrum:
@@ -820,6 +790,7 @@ class LengthSpectrum:
 
     def __init__(self, records, spec_hash: str, cutoff: float, max_word_len: int,
                  model: str = "H3-complex-2x2"):
+        _check_provenance(cutoff, model)
         columns = records if isinstance(records, SpectrumColumns) else SpectrumColumns.of(records)
         self.columns = columns.take(columns.canonical_order())
         self.spec_hash = spec_hash
@@ -891,10 +862,13 @@ class LengthSpectrum:
 
     @classmethod
     def read_csv(cls, path) -> "LengthSpectrum":
-        """Read a spectrum written by ``to_csv`` into columns: the rows are
-        split and each column converted in one call per chunk of rows.
+        """Read a spectrum written by ``to_csv`` into columns: the body is
+        split and each column converted in one pass over all rows.  If a row
+        is bad, the first one is found by halving the rows, each half read
+        the same way, so a bad file costs about two passes.
 
-        The header must give ``spec_hash``, ``cutoff`` and ``max_word_len``.
+        The header must give ``spec_hash``, a finite positive ``cutoff`` and
+        ``max_word_len``; ``model``, if given, is one of ``MODELS``.
         Every row has ten fields that parse, the kind ``hyperbolic`` or
         ``elliptic``, finite angles and tr chi, and a positive v that is a
         float.  A hyperbolic row also has finite positive l, l0 and D and an
@@ -915,6 +889,11 @@ class LengthSpectrum:
             raise ValidationError(
                 f"{path} line 1: header needs spec_hash, cutoff and max_word_len"
             ) from None
+        model = meta.get("model", "H3-complex-2x2")
+        try:
+            _check_provenance(cutoff, model)
+        except ValidationError as exc:
+            raise ValidationError(f"{path} line 1: {exc}") from None
         flagged: set[int] = set()
         body = 1
         if len(lines) > 1 and lines[1].startswith("# ambiguous="):
@@ -926,18 +905,17 @@ class LengthSpectrum:
         if len(lines) <= body or lines[body] != _CSV_COLUMNS:
             raise ValidationError(f"{path} line {body + 1}: unexpected length-spectrum header")
         texts = [ln for ln in lines[body + 1 :] if ln]
-        try:
-            columns = _read_rows(texts)
-        except _BadRow as bad:
-            lineno = [i for i, ln in enumerate(lines) if ln and i > body][bad.index] + 1
-            raise ValidationError(f"{path} line {lineno}: {bad.problem}") from None
+        columns = _checked_rows(texts)
+        if columns is None:
+            index, problem = _first_bad_row(texts)
+            lineno = [i for i, ln in enumerate(lines) if ln and i > body][index] + 1
+            raise ValidationError(f"{path} line {lineno}: {problem}")
         stray = flagged.difference(range(len(texts)))
         if stray:
             raise ValidationError(f"{path} line 2: ambiguous index {min(stray)} names no row")
         ambiguous = np.zeros(len(texts), dtype=bool)
         ambiguous[list(flagged)] = True
-        return cls(columns._replace(ambiguous=ambiguous), spec_hash, cutoff, max_word_len,
-                   meta.get("model", "H3-complex-2x2"))
+        return cls(columns._replace(ambiguous=ambiguous), spec_hash, cutoff, max_word_len, model)
 
 
 def build_length_spectrum(

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Sequence
 
 import numpy as np
 
@@ -258,13 +257,12 @@ def torus_character(weight: WeightVector, angles: EllipticAngles) -> complex:
 
 
 def weyl_character(
-    weight: WeightVector, angles: "EllipticAngles | Sequence[EllipticAngles] | np.ndarray"
-) -> complex | list[complex] | np.ndarray:
+    weight: WeightVector, angles: "EllipticAngles | np.ndarray"
+) -> complex | np.ndarray:
     """Trace of the irreducible SO(2n)-representation with highest weight
-    ``weight`` at the rotation with the given angles, a list of traces for
-    a sequence of rotations, or an array of traces for an (N, n) array of
-    angles (normalised by ``normalize_angles``, as ``EllipticAngles`` is).
-    ``weight`` must be dominant.
+    ``weight`` at the rotation with the given angles, or an array of traces
+    for an (N, n) array of angles (normalised by ``normalize_angles``, as
+    ``EllipticAngles`` is).  ``weight`` must be dominant.
 
     The bialternant A_{weight+delta} / A_delta of the module docstring,
     with one stacked determinant for the whole batch.  Requires regular
@@ -273,14 +271,8 @@ def weyl_character(
     """
     n = weight.rank
     scalar = isinstance(angles, EllipticAngles)
-    if isinstance(angles, np.ndarray):
-        phi = normalize_angles(angles)  # as EllipticAngles normalises its angles
-        ranked = phi.ndim == 2 and phi.shape[1] == n
-    else:
-        batch = [a.angles for a in ([angles] if scalar else angles)]
-        ranked = all(len(a) == n for a in batch)
-        phi = np.array(batch, dtype=float).reshape(len(batch), n) if ranked else None
-    if not ranked:
+    phi = np.array([angles.angles], dtype=float) if scalar else normalize_angles(angles)
+    if phi.ndim != 2 or phi.shape[1] != n:
         raise ValidationError("rank mismatch between weight and angles")
     if not weight.is_dominant():
         raise ValidationError(f"weight {weight} is not dominant")
@@ -299,6 +291,4 @@ def weyl_character(
     arg = phi[:, :, None] * mu  # arg[b, i, j] = mu_j phi_i
     num = np.linalg.det(2.0 * np.cos(arg)) + _I_POWERS[n % 4] * np.linalg.det(2.0 * np.sin(arg))
     values = 0.5 * num / den
-    if isinstance(angles, np.ndarray):
-        return values
-    return values[0].item() if scalar else values.tolist()
+    return values[0].item() if scalar else values

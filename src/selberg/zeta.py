@@ -73,8 +73,6 @@ class ZetaTermContext:
     def __post_init__(self):
         if not 0 < self.vol < math.inf:
             raise ValidationError("orbifold volume must be finite and positive")
-        if not 0 < self.spectrum.cutoff < math.inf:
-            raise ValidationError("spectrum cutoff must be finite and positive")
         if self.chi_dim < 1:
             raise ValidationError("chi dimension must be at least 1")
         if self.elliptic_vols is not None:

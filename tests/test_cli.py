@@ -552,6 +552,12 @@ BAD_SPECTRA = {  # name -> (first line, first class row); exactly one of them is
     "eleven-fields": (SPECTRUM_HEADER, "hyperbolic,1.0,1.0,1,0.5,1.3,1,1.0,0.0,1,9"),
     "no-spec-hash": ("# selberg-spectrum cutoff=5 max_word_len=0",
                      "hyperbolic,1.0,1.0,1,0.5,1.3,1,1.0,0.0,1"),
+    "cutoff-nan": (SPECTRUM_HEADER.replace("cutoff=5", "cutoff=nan"),
+                   "hyperbolic,1.0,1.0,1,0.5,1.3,1,1.0,0.0,1"),
+    "cutoff-zero": (SPECTRUM_HEADER.replace("cutoff=5", "cutoff=0"),
+                    "hyperbolic,1.0,1.0,1,0.5,1.3,1,1.0,0.0,1"),
+    "model-unknown": (SPECTRUM_HEADER.replace("H3-complex-2x2", "nonsense"),
+                      "hyperbolic,1.0,1.0,1,0.5,1.3,1,1.0,0.0,1"),
     "byte-0xff": (SPECTRUM_HEADER, "hyperbolic,1.0,1.0,1,0.5,1.3,1,1.0,0.0,1\xff"),
 }
 SPECTRUM_COLUMNS = "kind,l,l0,power,theta,D,v,re_trchi,im_trchi,word"

@@ -16,6 +16,7 @@ from conftest import (
     schottky_spec,
     triangle_237_spec,
 )
+from selberg import geometry
 from selberg.errors import (
     EnumerationExplosionError,
     ParabolicElementError,
@@ -484,19 +485,69 @@ def test_spectrum_is_stored_in_canonical_order(tmp_path):
 
 
 def test_spectrum_csv_roundtrip_with_ragged_rows_in_later_chunks(tmp_path):
-    """The reader converts a few hundred rows at a time; rows whose angle or
-    word counts differ from one chunk to the next come back equal."""
+    """The reader converts each column in one pass over all rows; rows whose
+    angle or word counts differ from those of earlier rows come back equal."""
     recs = [
         ConjClassRecord("hyperbolic", 1.0 + i / 64, 1.0, 1, (0.5,) * (1 + (i > 500)), 2.5,
                         Fraction(1, 1 + i % 3), complex(i, -i), (1, -2) * (1 + i // 200), i == 7)
         for i in range(700)
     ]
-    spectrum = LengthSpectrum(recs, "chunks", 12.0, 6)
+    spectrum = LengthSpectrum(recs, "ragged", 12.0, 6)
     path = tmp_path / "spectrum.csv"
     spectrum.write_csv(path)
     back = LengthSpectrum.read_csv(path)
     assert back == spectrum and back.records == recs
     assert back.to_csv() == path.read_text()
+
+
+RULE_ROW = "hyperbolic,1.0,1.0,1,0.5,1.3,0,1.0,0.0,1"  # converts, but v = 0
+MALFORMED_ROW = "hyperbolic,1.0,1.0,1,0.5,1.3,1,1.0,0.0,1.x"  # the word does not convert
+ROW_PROBLEMS = {RULE_ROW: "v must be positive",
+                MALFORMED_ROW: f"malformed spectrum row {MALFORMED_ROW!r}"}
+
+
+def _spectrum_rows_file(path, count: int, bad: dict):
+    """A spectrum file of ``count`` good rows with the rows of ``bad`` put in at their indices."""
+    rows = [f"hyperbolic,{1.0 + k / 1000!r},1.0,1,0.5,1.3,1,1.0,0.0,{k + 1}" for k in range(count)]
+    for k, row in bad.items():
+        rows[k] = row
+    path.write_text("\n".join(["# selberg-spectrum spec_hash=x cutoff=5 max_word_len=0",
+                               geometry._CSV_COLUMNS, *rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("i", range(9))
+def test_read_csv_names_the_first_bad_row_wherever_it_is(tmp_path, i):
+    """The first bad row is found by halving, wherever it lies: a broken
+    rule and a failed conversion each come first in turn, and a bad row of
+    the other kind after it does not hide it."""
+    first, other = (RULE_ROW, MALFORMED_ROW) if i % 2 == 0 else (MALFORMED_ROW, RULE_ROW)
+    bad = {i: first} if i == 8 else {i: first, 8: other}
+    path = _spectrum_rows_file(tmp_path / "rows.csv", 9, bad)
+    with pytest.raises(ValidationError) as err:
+        LengthSpectrum.read_csv(path)
+    assert str(err.value) == f"{path} line {i + 3}: {ROW_PROBLEMS[first]}"
+
+
+@pytest.mark.parametrize("last", [RULE_ROW, MALFORMED_ROW], ids=["rule", "malformed"])
+def test_read_csv_halving_parses_few_rows(tmp_path, monkeypatch, last):
+    """A bad last row of N costs O(log N) parses of about 2N rows in all,
+    not one parse per row."""
+    count = 4096
+    path = _spectrum_rows_file(tmp_path / "rows.csv", count, {count - 1: last})
+    parsed = []
+    parse_rows = geometry._parse_rows
+
+    def counting(texts):
+        parsed.append(len(texts))
+        return parse_rows(texts)
+
+    monkeypatch.setattr(geometry, "_parse_rows", counting)
+    with pytest.raises(ValidationError) as err:
+        LengthSpectrum.read_csv(path)
+    assert str(err.value) == f"{path} line {count + 2}: {ROW_PROBLEMS[last]}"
+    assert len(parsed) <= 2 * math.log2(count) + 2
+    assert sum(parsed) <= 3 * count
 
 
 def test_group_spec_file_parsing(tmp_path):

@@ -211,13 +211,13 @@ def test_weyl_character_batch_matches_scalar_bitwise(rng):
     for n in (1, 2, 3, 4, 5, 7):
         lam = random_dominant(rng, n)
         batch = [random_angles(rng, n) for _ in range(17)]
-        values = weyl_character(lam, batch)
-        assert isinstance(values, list) and len(values) == len(batch)
+        phi = np.array([g.angles for g in batch])
+        values = weyl_character(lam, phi)
+        assert isinstance(values, np.ndarray) and values.shape == (len(batch),)
         singles = [weyl_character(lam, g) for g in batch]
         assert all(type(v) is complex for v in singles)
-        assert values == singles
-        assert weyl_character(lam, batch[:1]) == singles[:1]
-    assert weyl_character(WeightVector.from_coords([1, 0]), []) == []
+        assert values.tolist() == singles
+        assert weyl_character(lam, phi[:1]).tolist() == singles[:1]
 
 
 def test_weyl_character_angle_array_matches_the_batch_bitwise(rng):
@@ -231,7 +231,7 @@ def test_weyl_character_angle_array_matches_the_batch_bitwise(rng):
             raw += [[6 * math.pi - 1e-13], [-1e-13], [0.0]]  # these snap to 0
         values = weyl_character(lam, np.array(raw))
         assert isinstance(values, np.ndarray) and values.shape == (len(raw),)
-        assert values.tolist() == weyl_character(lam, [EllipticAngles(tuple(r)) for r in raw])
+        assert values.tolist() == [weyl_character(lam, EllipticAngles(tuple(r))) for r in raw]
     std = WeightVector.from_coords([1, 0])
     for bad in (np.zeros((3, 1)), np.zeros(2), np.zeros((0, 3))):
         with pytest.raises(ValidationError, match="rank mismatch"):
@@ -242,12 +242,14 @@ def test_weyl_character_angle_array_matches_the_batch_bitwise(rng):
 
 
 def test_weyl_character_batch_with_one_non_regular_rotation(rng):
-    batch = [random_angles(rng, 2) for _ in range(5)]
-    batch.insert(3, EllipticAngles((1.3, 2 * math.pi - 1.3)))  # equal cosines
+    batch = np.array([random_angles(rng, 2).angles for _ in range(5)])
+    batch = np.insert(batch, 3, [1.3, 2 * math.pi - 1.3], axis=0)  # equal cosines
+    lam = WeightVector.from_coords([2, 1])
     with pytest.raises(NonRegularElementError, match="1.3"):
-        weyl_character(WeightVector.from_coords([2, 1]), batch)
-    with pytest.raises(ValidationError):
-        weyl_character(WeightVector.from_coords([2, 1]), batch[:2] + [EllipticAngles((0.5,))])
+        weyl_character(lam, batch)
+    for bad in (batch[:3, :1], EllipticAngles((0.5,))):
+        with pytest.raises(ValidationError, match="rank mismatch"):
+            weyl_character(lam, bad)
 
 
 def test_weight_parse_print_roundtrip():
