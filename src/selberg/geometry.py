@@ -680,8 +680,9 @@ def _lists(texts, sep: str, convert, fill) -> tuple[np.ndarray, np.ndarray]:
 def _fractions(texts) -> tuple[np.ndarray, np.ndarray]:
     """Exact ``Fraction`` values of rational texts and their floats (inf
     beyond the float range), parsing each distinct text once."""
-    distinct, index = np.unique(np.array(texts, dtype=str), return_inverse=True)
-    exact = [Fraction(t) for t in distinct.tolist()]
+    codes: dict[str, int] = {}
+    index = np.array([codes.setdefault(t, len(codes)) for t in texts], dtype=np.intp)
+    exact = [Fraction(t) for t in codes]
     values = []
     for f in exact:
         try:
@@ -689,6 +690,11 @@ def _fractions(texts) -> tuple[np.ndarray, np.ndarray]:
         except OverflowError:
             values.append(math.inf)
     return np.array(exact, dtype=object)[index], np.array(values, dtype=float)[index]
+
+
+def _equal(texts, text: str) -> np.ndarray:
+    """The mask of the texts equal to ``text``."""
+    return np.array([t == text for t in texts], dtype=bool)
 
 
 def _parse_rows(texts: list[str]) -> tuple[SpectrumColumns, list]:
@@ -707,8 +713,9 @@ def _parse_rows(texts: list[str]) -> tuple[SpectrumColumns, list]:
     v, v_float = _fractions(v)
     tr_chi = np.empty(len(texts), dtype=complex)
     tr_chi.real, tr_chi.imag = re_t, im_t
+    # the rules compare Python strings: numpy's str arrays drop trailing NULs
+    hyper, elliptic = _equal(kind, "hyperbolic"), _equal(kind, "elliptic")
     kind = np.array(kind, dtype=str)
-    hyper, elliptic = kind == "hyperbolic", kind == "elliptic"
     flags = np.zeros(len(texts), dtype=bool)
     columns = SpectrumColumns(kind, length, prim, power, angles, dval, v, tr_chi, word,
                               flags, flags.copy(), v_float)
@@ -721,7 +728,7 @@ def _parse_rows(texts: list[str]) -> tuple[SpectrumColumns, list]:
         (elliptic & ~((length == 0) & (prim == 0) & (power == 1)),
          "an elliptic row needs l = l0 = 0 and power = 1"),
         (~hyper & ~elliptic, "unknown class kind {kind!r}"),
-        (elliptic & (np.array(d, dtype=str) != ""), "an elliptic row needs an empty D"),
+        (elliptic & ~_equal(d, ""), "an elliptic row needs an empty D"),
         (~(np.isfinite(tr_chi) & (np.isfinite(angles) | ~present).all(axis=1)),
          "a row needs finite angles and tr chi"),
     ]
@@ -761,11 +768,11 @@ def _first_bad_row(texts: list[str]) -> tuple[int, str]:
         else:
             lo = mid
     try:
-        columns, problems = _parse_rows(texts[lo : lo + 1])
+        problems = _parse_rows(texts[lo : lo + 1])[1]
     except _UNREADABLE:
         return lo, f"malformed spectrum row {texts[lo]!r}"
     problem = next(text for mask, text in reversed(problems) if mask[0])
-    return lo, problem.format(kind=str(columns.kind[0]))
+    return lo, problem.format(kind=texts[lo].split(",", 1)[0])
 
 
 def _check_provenance(cutoff: float, model: str) -> None:

@@ -28,7 +28,9 @@ then one array expression over the classes, its exponential row shared by
 the two weights.  Each sum returns the correctly rounded sum of its real
 and of its imaginary parts over the classes in the spectrum's canonical
 order (what math.fsum returns), so results do not depend on how work is
-partitioned or on the order of the additions.
+partitioned or on the order of the additions.  A log Z that is not
+finite, as where the exponential row overflows far left of the abscissa,
+is a numerical guard that names the point.
 """
 
 from __future__ import annotations
@@ -89,42 +91,80 @@ class ZetaTermContext:
         return replace(self, sigma=sigma)
 
 
+#: a one-pass total at least this large is far enough from the subnormal
+#: range for the rounding test of ``_exact_sum``
+_NORMAL_ENOUGH = math.ldexp(1.0, -960)
+
+
+def _fsum(part: np.ndarray) -> float:
+    """math.fsum of the entries of part: the sum of every part that the
+    one-pass rounding test of ``_exact_sum`` does not decide."""
+    return math.fsum(part.tolist())
+
+
 def _exact_sum(part: np.ndarray, x: np.ndarray, q: np.ndarray) -> float:
-    """math.fsum(part) by error-free extraction in the buffers x and q, each
-    as long as part."""
-    np.copyto(x, part)
-    m = (len(x) + 1).bit_length()  # the least m with 2^m >= N + 2
+    """math.fsum(part), bit for bit, in the buffers x and q, each as long as
+    part: one extraction pass certified by a rounding test, else math.fsum.
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, Part I: faithful rounding", SIAM J. Sci. Comput. 31(1),
+    2008, Lemma 3.3): let sigma = 2^e with e = (exponent of max|x|) + m,
+    where 2^m >= N + 2.  Then q = (x + sigma) - sigma rounds x to a
+    multiple of 2^-53 sigma, the residual r = x - q is exact with |r| <=
+    2^-53 sigma, and the q add up exactly in any order, because every
+    partial sum is such a multiple of modulus below sigma.
+
+    One pass usually settles the nearest float (Part II: sign, K-fold
+    faithful and rounding to nearest, SIAM J. Sci. Comput. 31(2), 2008).
+    T = sum q is exact, and R, the float sum of r, errs in any order by
+    less than N^2 2^(e-105) for N < 2^26 (Higham, Accuracy and Stability
+    of Numerical Algorithms, eq. 4.4).  Let res = T + R, d its exact
+    TwoSum error (Knuth), h the smaller half-gap around res, a power of
+    two, and B the least power of two at least N^2 2^(e-105) and h 2^-53.
+    If |res| >= 2^-960, B < h and |d| < h - B, which is exact, then the
+    exact sum lies strictly within h of res, and res is what math.fsum
+    returns.
+
+    Every other part goes to math.fsum: a tie, a zero or tiny total,
+    heavy cancellation, an inf or nan (so its inf, nan, ValueError or
+    OverflowError is math.fsum's), and max|x| >= 2^(1022 - m), where
+    sigma could overflow.  On the parts that reach it, which are mostly a
+    few terms on a tie, it is far cheaper than further extraction passes.
+    """
+    np.copyto(x, part)  # contiguous sweeps beat strided reads of a complex part
+    n = len(x)
+    m = (n + 1).bit_length()  # the least m with 2^m >= N + 2
     top = float(np.abs(x, out=q).max(initial=0.0))
-    if not top < math.ldexp(1.0, 1022 - m):  # inf, nan, or sigma could overflow
-        return math.fsum(part.tolist())
-    totals = []
-    while top:
-        sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
+    if 0.0 < top < math.ldexp(1.0, 1022 - m) and n < 1 << 26:  # not nan either
+        e = math.frexp(top)[1] + m
+        sigma = math.ldexp(1.0, e)
         np.add(x, sigma, out=q)
         q -= sigma
         x -= q
-        totals.append(float(q.sum()))
-        top = float(np.abs(x, out=q).max())
-    return math.fsum(totals)
+        head, tail = float(q.sum()), float(x.sum())
+        total = head + tail
+        size = abs(total)
+        if size >= _NORMAL_ENOUGH:
+            back = total - head
+            error = (head - (total - back)) + (tail - back)  # TwoSum: head + tail - total
+            half_gap = (size - math.nextafter(size, 0.0)) / 2
+            # the least power of two >= N^2 2^(e-105) and >= h 2^-53
+            bound = max(math.ldexp(1.0, (n * n - 1).bit_length() + e - 105),
+                        math.ldexp(half_gap, -53))
+            if bound < half_gap and abs(error) < half_gap - bound:
+                return total
+    return _fsum(part)
 
 
 def _csum(values) -> complex:
     """complex(math.fsum(re), math.fsum(im)) of the values, bit for bit: the
     correctly rounded sum of each part.
 
-    Each part of N entries is summed by error-free extraction (Rump, Ogita
-    and Oishi, "Accurate floating-point summation, Part I", SIAM J. Sci.
-    Comput. 31(1), 2008, Lemma 3.3).  Let sigma be a power of two with
-    sigma >= 2^m max|x|, where 2^m >= N + 2.  Then q = (x + sigma) - sigma
-    rounds x to a multiple of 2^-53 sigma, x - q is exact, and the q add up
-    exactly in any order, because every partial sum is such a multiple of
-    modulus below sigma.  Passes repeat on the residual x - q, whose
-    maximum falls by about 2^(53 - m) each time, until it is 0; the sum of
-    the entries then equals the sum of the pass totals exactly, and
-    math.fsum rounds those few totals once.  A part with an inf or nan, or
-    with max|x| >= 2^(1022 - m), where sigma could overflow, is summed by
-    math.fsum itself, so its inf, nan, ValueError or OverflowError is
-    math.fsum's.
+    Each part is summed by ``_exact_sum`` in two buffers made once per
+    call: one error-free extraction pass of numpy sweeps, whose rounded
+    total an exact TwoSum test certifies (Rump, Ogita and Oishi, SIAM J.
+    Sci. Comput. 31(1) and 31(2), 2008), and math.fsum itself where the
+    test cannot.
     """
     vals = np.asarray(values, dtype=complex)
     x, q = np.empty((2, len(vals)))
@@ -145,11 +185,21 @@ def _exp(value: complex, s) -> complex:
         raise NumericalGuardError(f"exponential overflows at s = {s}") from None
 
 
-def _finite(value: complex, s) -> complex:
+def _finite(value: complex, s, what: str = "zeta product") -> complex:
     """The value itself; a numerical guard at point s if it is not finite."""
     if not cmath.isfinite(value):
-        raise NumericalGuardError(f"zeta product is not finite at s = {s}")
+        raise NumericalGuardError(f"{what} is not finite at s = {s}")
     return value
+
+
+def _log_zeta_sum(terms: np.ndarray, s) -> complex:
+    """log Z at point s from its class terms; a numerical guard if it is
+    not finite, as where an exponential or a term overflowed."""
+    try:
+        value = -_csum(terms)
+    except (ValueError, OverflowError):  # math.fsum met inf - inf, or overflowed
+        value = complex(math.nan)
+    return _finite(value, s, "log Z")
 
 
 def _refuse_ambiguous(ctx: ZetaTermContext, flags: np.ndarray) -> None:
@@ -224,10 +274,11 @@ def _log_zeta_values(ctx: ZetaTermContext, points: list, both: bool) -> list[lis
     den = _adjoint_determinants(arrays.hyp, ctx.n)
     nums = [arrays.chi_v * trace for trace in arrays.traces]
     values = [[] for _ in nums]
-    for s in points:
-        decay = np.exp(-(s + ctx.n) * length)
-        for row, num in zip(values, nums):
-            row.append(-_csum(num * decay / den))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is a guard
+        for s in points:
+            decay = np.exp(-(s + ctx.n) * length)
+            for row, num in zip(values, nums):
+                row.append(_log_zeta_sum(num * decay / den, s))
     return values
 
 
@@ -301,7 +352,7 @@ def log_zeta_truncated(s, ctx: ZetaTermContext) -> complex | list[complex]:
 
     An empty spectrum gives 0 (so Z = 1) with a warning.  Evaluation left of
     the estimated abscissa of convergence also warns, once per call, but
-    still computes.
+    still computes; a value that is not finite is a NumericalGuardError.
     """
     points, scalar = _points(s)
     values = _log_zeta_values(ctx, points, both=False)[0]

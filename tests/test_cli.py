@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -10,10 +11,11 @@ import pytest
 
 from conftest import schottky_spec, small_h3_spectrum_csv, weyl_dn
 from selberg.cli import MAX_GRID_POINTS, _parse_grid, run
-from selberg.errors import ValidationError
+from selberg.errors import NumericalGuardError, ValidationError
 from selberg.geometry import ConjClassRecord, LengthSpectrum
 from selberg.lie import EllipticAngles, WeightVector
 from selberg.orbital import orbital_polynomial
+from selberg.zeta import ZetaTermContext, log_zeta_truncated
 
 
 def invoke(capsys, *argv):
@@ -592,6 +594,7 @@ GOOD_ROW = "hyperbolic,2.0,2.0,1,0.5,7.4,1,1.0,0.0,2"
 V_ZERO_ROW = "hyperbolic,1.0,1.0,1,0.5,1.3,0,1.0,0.0,1"
 WORD_X_ROW = "hyperbolic,1.0,1.0,1,0.5,1.3,1,1.0,0.0,1.x"
 POWER_HUGE_ROW = f"hyperbolic,1.0,1.0,{10**400},0.5,1.3,1,1.0,0.0,1"
+V_NUL_ROW = "hyperbolic,1.0,1.0,1,0.5,1.3,2\x00,1.0,0.0,1"
 
 
 def _rows(count: int, bad: dict) -> list[str]:
@@ -641,6 +644,11 @@ SPECTRUM_ERRORS = {
                              "line 3: an elliptic row needs l = l0 = 0 and power = 1"),
     "elliptic-power-0": ([SPECTRUM_COLUMNS, "elliptic,0,0,0,3.14,,1,1.0,0.0,-1"],
                          "line 3: an elliptic row needs l = l0 = 0 and power = 1"),
+    # a trailing NUL is part of the field, as in every other column
+    "v-trailing-nul": ([SPECTRUM_COLUMNS, GOOD_ROW, V_NUL_ROW],
+                       f"line 4: malformed spectrum row {V_NUL_ROW!r}"),
+    "kind-trailing-nul": ([SPECTRUM_COLUMNS, "hyperbolic\x00,1.0,1.0,1,0.5,1.3,1,1.0,0.0,1"],
+                          "line 3: unknown class kind 'hyperbolic\\x00'"),
 }
 
 
@@ -673,6 +681,49 @@ def test_overflowing_adjoint_determinant_is_a_numerical_guard(capsys, tmp_path, 
     assert (code, out) == (3, "")
     assert err == ("numerical guard: adjoint determinant overflows for the hyperbolic class "
                    f"of length {length} and word 7\n")
+
+
+@pytest.mark.parametrize("op,point", [(("eval", "--s-grid=-800:-800:1"), "(-800+0j)"),
+                                      (("eval", "--s-grid=-250:-250:1,1:1:1"), "(-250+1j)"),
+                                      (("xi", "--s=-800"), "(-800+0j)")],
+                         ids=["eval-real", "eval-complex", "xi"])
+def test_overflowing_exponential_row_is_a_numerical_guard(capsys, tmp_path, op, point):
+    """Where e^{-(s+n) l} overflows for the longest classes, log Z is not
+    finite: one guard line and exit 3, with no numpy warning, rather than
+    nan printed with exit 0."""
+    spec = tmp_path / "small.csv"
+    spec.write_text(small_h3_spectrum_csv())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would raise here
+        code, out, err = invoke(capsys, "zeta", op[0], "--spectrum", str(spec), "--sigma", "1",
+                                "--elliptic-vols", "0.5,0.75", *op[1:])
+    assert (code, out, err) == (3, "", f"numerical guard: log Z is not finite at s = {point}\n")
+
+
+def test_terms_overflowing_with_opposite_signs_are_a_numerical_guard(capsys, tmp_path):
+    """Two classes whose terms overflow to +inf and -inf: math.fsum raises
+    ValueError on them, which is a numerical guard, not a traceback."""
+    spec = tmp_path / "rows.csv"
+    spec.write_text("\n".join([SPECTRUM_HEADER, SPECTRUM_COLUMNS,
+                               "hyperbolic,0.1,0.1,1,0.5,1e-310,1,1e10,0.0,1",
+                               "hyperbolic,0.2,0.2,1,0.5,1e-310,1,-1e10,0.0,2"]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, "zeta", "eval", "--spectrum", str(spec), "--sigma", "1",
+                                "--s-grid", "3:3:1")
+    assert (code, out, err) == (3, "", "numerical guard: log Z is not finite at s = (3+0j)\n")
+
+
+def test_log_zeta_truncated_refuses_a_value_that_is_not_finite(tmp_path):
+    spec = tmp_path / "small.csv"
+    spec.write_text(small_h3_spectrum_csv())
+    ctx = ZetaTermContext(sigma=WeightVector((1,)), chi_dim=1,
+                          spectrum=LengthSpectrum.read_csv(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (-800.0, complex(-250.0, 1.0), [3.0, -800.0]):
+            with pytest.raises(NumericalGuardError, match="log Z is not finite at s = "):
+                log_zeta_truncated(s, ctx)
 
 
 def test_zeta_ops_build_no_object_per_class(capsys, monkeypatch, tmp_path):

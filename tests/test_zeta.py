@@ -13,6 +13,7 @@ from conftest import (
     random_flip_moved_dominant,
     small_h3_spectrum_csv,
 )
+from selberg import zeta
 from selberg.errors import (
     AmbiguousClassError,
     NumericalGuardError,
@@ -720,6 +721,10 @@ def test_csum_is_fsum_bit_for_bit(values):
     assert _outcome(_csum, values.tolist()) == _outcome(_fsum_reference, values)
 
 
+#: the points at which log Z over a 2000-class spectrum is checked
+BIG_SPECTRUM_GRID = [*np.linspace(-2.0, 40.0, 43).tolist(), complex(3.0, 7.5), complex(0.25, -30.0)]
+
+
 def test_log_zeta_is_fsum_of_the_class_terms_bit_for_bit(tmp_path):
     """log Z over a 2000-class spectrum equals, at each point of a grid, the
     negated math.fsum of the same class terms."""
@@ -729,10 +734,75 @@ def test_log_zeta_is_fsum_of_the_class_terms_bit_for_bit(tmp_path):
     arrays = _class_arrays(ctx, both=False)
     num = arrays.chi_v * arrays.traces[0]
     den = _adjoint_determinants(arrays.hyp, ctx.n)
-    points = [*np.linspace(-2.0, 40.0, 43).tolist(), complex(3.0, 7.5), complex(0.25, -30.0)]
+    points = BIG_SPECTRUM_GRID
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # points left of the abscissa
         got = log_zeta_truncated(points, ctx)
     for s, value in zip(points, got):
         want = -_fsum_reference(num * np.exp(-(s + ctx.n) * arrays.hyp.length) / den)
         assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex()), s
+
+
+def _cancelled_to_2_pow_minus_40() -> np.ndarray:
+    """About a thousand entries of size up to 1 whose sum is about 2^-40."""
+    x = np.random.default_rng(20261018).uniform(-1.0, 1.0, 999)
+    return np.append(x, -math.fsum(x.tolist()) + 2.0**-40)
+
+
+#: name -> (a part, whether the one-pass rounding test may decide it).  In
+#: the first three the one-pass total T + R lies on a half-ulp tie that the
+#: lost 2^-110 breaks; returning it would round the first and third the
+#: wrong way.  The fourth lies nearest to 1, below which the gap is half
+#: the gap above.
+CERTIFICATE_CASES = {
+    "tie-broken-up": ([1.5, 2.0**-53, 2.0**-110], False),
+    "tie-broken-down": ([1.5, 2.0**-53, -(2.0**-110)], False),
+    "below-a-power-of-two": ([1.0, -(2.0**-54), -(2.0**-110)], False),
+    "nearest-a-power-of-two": ([1.0, -(2.0**-55), -(2.0**-110)], True),
+    "cancelled-to-2^-40": (_cancelled_to_2_pow_minus_40(), False),
+    # T = 0, and the residual's float sum 2^-60 misses the exact sum by
+    # 15/16 of an ulp with no TwoSum error: only the bound N^2 2^(e-105) sees it
+    "residual-sum-off-by-an-ulp": ([1.0, -1.0, 2.0**-60, *[5 * 2.0**-116] * 3], False),
+    "subnormal-total": ([1.0, -1.0, 2.0**-1070, 3 * 2.0**-1074], False),
+}
+
+
+def _counting_fallback(monkeypatch) -> list:
+    """Count the parts that the one-pass test leaves to math.fsum; one
+    entry, the part's length, per part."""
+    calls = []
+    fsum = zeta._fsum
+
+    def counting(part):
+        calls.append(len(part))
+        return fsum(part)
+
+    monkeypatch.setattr(zeta, "_fsum", counting)
+    return calls
+
+
+@pytest.mark.parametrize("part,decided", CERTIFICATE_CASES.values(), ids=CERTIFICATE_CASES.keys())
+def test_one_pass_rounding_test_is_fsum_bit_for_bit(monkeypatch, part, decided):
+    """The one-pass total is returned only where it is math.fsum's, and
+    the cases next to a tie, a tiny total or heavy cancellation go to
+    math.fsum."""
+    calls = _counting_fallback(monkeypatch)
+    part = np.asarray(part, dtype=float)
+    x, q = np.empty((2, len(part)))
+    assert zeta._exact_sum(part, x, q).hex() == math.fsum(part.tolist()).hex()
+    assert calls == ([] if decided else [len(part)])
+
+
+def test_one_pass_decides_most_log_zeta_parts(monkeypatch, tmp_path):
+    """On a 2000-class spectrum the rounding test decides at least 90 % of
+    the parts of log Z over the grid, so a test that always falls back to
+    math.fsum fails here."""
+    path = tmp_path / "big.csv"
+    path.write_text(small_h3_spectrum_csv(classes=2000))
+    ctx = ZetaTermContext(sigma=SIGMA1, chi_dim=1, spectrum=LengthSpectrum.read_csv(path))
+    points = BIG_SPECTRUM_GRID
+    calls = _counting_fallback(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # points left of the abscissa
+        log_zeta_truncated(points, ctx)
+    assert len(calls) <= 0.1 * (2 * len(points))
