@@ -11,9 +11,12 @@ top level lists every group, but only the invoked group gets its
 subcommands and only the invoked subcommand its arguments.  Help, usage and
 error text are those of the full tree.  Each such parser is built once per
 process: every argparse build leaves reference cycles behind, which only a
-full garbage collection frees.  A ``--config`` file's values are
-parsed like flags placed before the command line, so they pass the same
-types and choices, may supply a required option, and explicit flags win.
+full garbage collection frees.  Likewise, an in-process caller of ``run``
+whose ops read one spectrum file parses it once (``LengthSpectrum.read_csv``
+keeps the last spectrum read); a one-shot command gains nothing.  A
+``--config`` file's values are parsed like flags placed before the command
+line, so they pass the same types and choices, may supply a required
+option, and explicit flags win.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-guard error.  A
 radius, side, rmax, heat time, cutoff or volume that is not finite and

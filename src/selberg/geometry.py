@@ -734,11 +734,10 @@ def _parse_rows(texts: list[str]) -> tuple[SpectrumColumns, list]:
     ]
 
 
-def _text_lines(path) -> list[str]:
-    """The lines of a UTF-8 file; other bytes are a ValidationError naming
-    the line.  The file's bytes are freed on return, before any parsing."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _text_lines(path, raw: bytes) -> list[str]:
+    """The lines of the bytes ``raw`` of the file ``path`` as UTF-8 text;
+    other bytes are a ValidationError naming the line.  The caller keeps
+    ``raw``: ``read_csv`` holds on to it as the key of its memo."""
     try:
         return raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -783,6 +782,10 @@ def _check_provenance(cutoff: float, model: str) -> None:
         raise ValidationError(f"unknown model {model!r}; expected one of {MODELS}")
 
 
+#: (class, file bytes, spectrum) of the last file ``LengthSpectrum.read_csv`` read
+_last_read: tuple = (None, None, None)
+
+
 class LengthSpectrum:
     """Cutoff-bounded conjugacy data plus provenance, stored as columns.
 
@@ -791,8 +794,9 @@ class LengthSpectrum:
     it), then the hyperbolic classes by (l, angles, word), the order the
     zeta sums run in.  A spectrum is built from a list of
     ``ConjClassRecord`` or from ``SpectrumColumns`` and is not changed
-    afterwards; ``records``, ``hyperbolic()`` and ``elliptic()`` are views
-    that build new records from the columns.
+    afterwards: its column arrays are read-only, so one spectrum can be
+    shared, as ``read_csv`` shares it.  ``records``, ``hyperbolic()`` and
+    ``elliptic()`` are views that build new records from the columns.
     """
 
     def __init__(self, records, spec_hash: str, cutoff: float, max_word_len: int,
@@ -800,6 +804,8 @@ class LengthSpectrum:
         _check_provenance(cutoff, model)
         columns = records if isinstance(records, SpectrumColumns) else SpectrumColumns.of(records)
         self.columns = columns.take(columns.canonical_order())
+        for column in self.columns:
+            column.flags.writeable = False
         self.spec_hash = spec_hash
         self.cutoff = cutoff
         self.max_word_len = max_word_len
@@ -884,8 +890,19 @@ class LengthSpectrum:
         that exist.  The file must be UTF-8.  Anything else is a
         ValidationError naming the file and the first bad line; blank lines
         are skipped but counted.
+
+        The last spectrum read without error is kept, keyed on the file's
+        full content: its bytes, never its path, size or time.  A read of
+        the same bytes returns that same (read-only) spectrum without
+        parsing.  The memo has one entry; a file that fails to read is never
+        kept, so it fails the same way on every read.
         """
-        lines = _text_lines(path)
+        global _last_read
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if _last_read[:2] == (cls, raw):
+            return _last_read[2]
+        lines = _text_lines(path, raw)
         if not lines or not lines[0].startswith("# selberg-spectrum"):
             raise ValidationError(f"{path} is not a length-spectrum file")
         try:
@@ -922,7 +939,10 @@ class LengthSpectrum:
             raise ValidationError(f"{path} line 2: ambiguous index {min(stray)} names no row")
         ambiguous = np.zeros(len(texts), dtype=bool)
         ambiguous[list(flagged)] = True
-        return cls(columns._replace(ambiguous=ambiguous), spec_hash, cutoff, max_word_len, model)
+        spectrum = cls(columns._replace(ambiguous=ambiguous), spec_hash, cutoff, max_word_len,
+                       model)
+        _last_read = cls, raw, spectrum
+        return spectrum
 
 
 def build_length_spectrum(

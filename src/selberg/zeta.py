@@ -30,7 +30,8 @@ and of its imaginary parts over the classes in the spectrum's canonical
 order (what math.fsum returns), so results do not depend on how work is
 partitioned or on the order of the additions.  A log Z that is not
 finite, as where the exponential row overflows far left of the abscissa,
-is a numerical guard that names the point.
+is a numerical guard that names the point; so is a heat term that is not
+finite, as where a power of a tiny time t overflows, and it names t.
 """
 
 from __future__ import annotations
@@ -440,14 +441,19 @@ def geometric_heat_terms(t, ctx: ZetaTermContext) -> HeatTerms | list[HeatTerms]
     coeff = sum(heat * trace.conj() for trace in arrays.traces)
     p_plancherel = plancherel_polynomial(ctx.sigma, ctx.n)
     ell = _elliptic_terms(ctx)
-    values = [
-        HeatTerms(
-            eps * ctx.chi_dim * ctx.vol * p_plancherel.gaussian_transform(x),
-            eps * _csum([c * poly.gaussian_transform(x) for c, poly in ell]),
-            _csum(coeff * (math.sqrt(math.pi / x) * np.exp(-hyp.length**2 / (4.0 * x)))),
-        )
-        for x in times
-    ]
+    values = []
+    for x in times:
+        try:
+            terms = HeatTerms(
+                eps * ctx.chi_dim * ctx.vol * p_plancherel.gaussian_transform(x),
+                eps * _csum([c * poly.gaussian_transform(x) for c, poly in ell]),
+                _csum(coeff * (math.sqrt(math.pi / x) * np.exp(-hyp.length**2 / (4.0 * x)))),
+            )
+        except (ValueError, OverflowError):  # a power of t overflowed, or math.fsum met inf - inf
+            terms = HeatTerms(math.nan, math.nan, math.nan)
+        if not all(map(cmath.isfinite, (terms.identity, terms.elliptic, terms.hyperbolic))):
+            raise NumericalGuardError(f"heat terms are not finite at t = {x}")
+        values.append(terms)
     return values[0] if scalar else values
 
 

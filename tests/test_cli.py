@@ -1,6 +1,8 @@
 import cmath
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from collections import Counter
@@ -505,21 +507,26 @@ def exit_code(argv) -> int:
         return exc.code
 
 
+# each frozen case runs twice in one process: cached parsers and a memoized
+# spectrum must give the same text as a first run
+
 @frozen_argparse
 @pytest.mark.parametrize("argv", FROZEN["help"])
 def test_help_text_is_frozen(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    assert exit_code(argv.split()) == 0
-    assert capsys.readouterr().out == FROZEN["help"][argv]
+    for _ in range(2):
+        assert exit_code(argv.split()) == 0
+        assert capsys.readouterr().out == FROZEN["help"][argv]
 
 
 @frozen_argparse
 @pytest.mark.parametrize("argv", FROZEN["errors"])
 def test_usage_errors_are_frozen(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    code = exit_code(argv.split())
-    captured = capsys.readouterr()
-    assert [code, captured.out, captured.err] == FROZEN["errors"][argv]
+    for _ in range(2):
+        code = exit_code(argv.split())
+        captured = capsys.readouterr()
+        assert [code, captured.out, captured.err] == FROZEN["errors"][argv]
 
 
 @pytest.mark.parametrize("key", FROZEN["zeta"])
@@ -532,10 +539,33 @@ def test_zeta_output_is_frozen(capsys, tmp_path, key):
         "heat-terms": ["--t", "0.1,0.5,2"],
     }
     name, sigma = key.split(" sigma=")
-    code, out, _ = invoke(capsys, "zeta", name, "--sigma", sigma, "--spectrum", str(spec),
-                          "--vol", "1.5", "--elliptic-vols", "0.5,0.75", *extra[name])
-    assert code == 0
-    assert out == FROZEN["zeta"][key]
+    for _ in range(2):
+        code, out, _ = invoke(capsys, "zeta", name, "--sigma", sigma, "--spectrum", str(spec),
+                              "--vol", "1.5", "--elliptic-vols", "0.5,0.75", *extra[name])
+        assert code == 0
+        assert out == FROZEN["zeta"][key]
+
+
+def test_in_process_runs_match_fresh_processes(capsys, tmp_path):
+    """Zeta ops run one after another in one process print what each prints
+    alone in a fresh interpreter: the first op cuts the file's spectrum and
+    the later ones reuse the memoized, uncut spectrum."""
+    spec = tmp_path / "small.csv"
+    spec.write_text(small_h3_spectrum_csv(seed=23))
+    common = ["--spectrum", str(spec), "--sigma", "1", "--vol", "1.5",
+              "--elliptic-vols", "0.5,0.75"]
+    ops = [["zeta", "eval", *common, "--cutoff", "2", "--s-grid", "3:4:0.5"],
+           ["zeta", "eval", *common, "--s-grid", "3:4:0.5"],
+           ["zeta", "xi", *common, "--s", "3,3.5"],
+           ["zeta", "heat-terms", *common, "--t", "0.1,0.5"]]
+    in_process = [invoke(capsys, *argv)[:2] for argv in ops]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    fresh = [subprocess.Popen([sys.executable, "-m", "selberg.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+             for argv in ops]
+    outs = [p.communicate()[0].decode() for p in fresh]
+    assert [(p.returncode, out) for p, out in zip(fresh, outs)] == in_process
+    assert [code for code, _ in in_process] == [0] * 4 and in_process[0] != in_process[1]
 
 
 SPECTRUM_HEADER = "# selberg-spectrum spec_hash=x cutoff=5 max_word_len=0 model=H3-complex-2x2"
@@ -698,6 +728,24 @@ def test_overflowing_exponential_row_is_a_numerical_guard(capsys, tmp_path, op, 
         code, out, err = invoke(capsys, "zeta", op[0], "--spectrum", str(spec), "--sigma", "1",
                                 "--elliptic-vols", "0.5,0.75", *op[1:])
     assert (code, out, err) == (3, "", f"numerical guard: log Z is not finite at s = {point}\n")
+
+
+@pytest.mark.parametrize("t", ["1e-300", "1e-310", "5e-324"])
+def test_heat_terms_at_a_tiny_time_are_a_numerical_guard(capsys, tmp_path, t):
+    """t^{-(k + 1/2)} overflows in the Gaussian transforms of the identity
+    and elliptic terms: one guard line naming t and exit 3, not a
+    traceback.  At t = 1e-10 the terms are finite and print as before."""
+    spec = tmp_path / "small.csv"
+    spec.write_text(small_h3_spectrum_csv())
+    args = ("zeta", "heat-terms", "--spectrum", str(spec), "--sigma", "0",
+            "--elliptic-vols", "0.5,0.75")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = invoke(capsys, *args, f"--t={t}")
+    assert got == (3, "", f"numerical guard: heat terms are not finite at t = {t}\n")
+    assert invoke(capsys, *args, "--t=1e-10") == (
+        0, "t,re_I,im_I,re_E,im_E,re_H,im_H\n"
+        "1e-10,22448390265645.824,0,0,155089.71195423265,0,0\n", "")
 
 
 def test_terms_overflowing_with_opposite_signs_are_a_numerical_guard(capsys, tmp_path):

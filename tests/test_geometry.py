@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -529,12 +530,8 @@ def test_read_csv_names_the_first_bad_row_wherever_it_is(tmp_path, i):
     assert str(err.value) == f"{path} line {i + 3}: {ROW_PROBLEMS[first]}"
 
 
-@pytest.mark.parametrize("last", [RULE_ROW, MALFORMED_ROW], ids=["rule", "malformed"])
-def test_read_csv_halving_parses_few_rows(tmp_path, monkeypatch, last):
-    """A bad last row of N costs O(log N) parses of about 2N rows in all,
-    not one parse per row."""
-    count = 4096
-    path = _spectrum_rows_file(tmp_path / "rows.csv", count, {count - 1: last})
+def _counting_parses(monkeypatch) -> list:
+    """The row counts of the ``_parse_rows`` calls made from now on."""
     parsed = []
     parse_rows = geometry._parse_rows
 
@@ -543,11 +540,95 @@ def test_read_csv_halving_parses_few_rows(tmp_path, monkeypatch, last):
         return parse_rows(texts)
 
     monkeypatch.setattr(geometry, "_parse_rows", counting)
-    with pytest.raises(ValidationError) as err:
-        LengthSpectrum.read_csv(path)
-    assert str(err.value) == f"{path} line {count + 2}: {ROW_PROBLEMS[last]}"
-    assert len(parsed) <= 2 * math.log2(count) + 2
-    assert sum(parsed) <= 3 * count
+    return parsed
+
+
+@pytest.mark.parametrize("last", [RULE_ROW, MALFORMED_ROW], ids=["rule", "malformed"])
+def test_read_csv_halving_parses_few_rows(tmp_path, monkeypatch, last):
+    """A bad last row of N costs O(log N) parses of about 2N rows in all,
+    not one parse per row."""
+    count = 4096
+    path = _spectrum_rows_file(tmp_path / "rows.csv", count, {count - 1: last})
+    parsed = _counting_parses(monkeypatch)
+    for _ in range(2):  # a bad file is never kept: a second read costs the same
+        parsed.clear()
+        with pytest.raises(ValidationError) as err:
+            LengthSpectrum.read_csv(path)
+        assert str(err.value) == f"{path} line {count + 2}: {ROW_PROBLEMS[last]}"
+        assert len(parsed) <= 2 * math.log2(count) + 2
+        assert sum(parsed) <= 3 * count
+
+
+def _memo_file(path, tag: str, lengths=(1.5, 2.5)):
+    """A spectrum file whose spec_hash ``tag`` no other test's file has."""
+    rows = [f"hyperbolic,{x!r},{x!r},1,0.5,1.3,1,1.0,0.0,{k + 1}" for k, x in enumerate(lengths)]
+    path.write_text("\n".join([f"# selberg-spectrum spec_hash={tag} cutoff=5 max_word_len=0",
+                               geometry._CSV_COLUMNS, *rows]) + "\n")
+    return path
+
+
+def test_read_csv_memo_is_keyed_on_content_not_mtime(tmp_path):
+    """New bytes of the same length under the old mtime read as the new spectrum."""
+    path = _memo_file(tmp_path / "s.csv", "memo-mtime", (1.5, 2.5))
+    stat = path.stat()
+    assert LengthSpectrum.read_csv(path).columns.length.tolist() == [1.5, 2.5]
+    size = len(path.read_bytes())
+    _memo_file(path, "memo-mtime", (1.5, 2.6))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert len(path.read_bytes()) == size and path.stat().st_mtime_ns == stat.st_mtime_ns
+    assert LengthSpectrum.read_csv(path).columns.length.tolist() == [1.5, 2.6]
+
+
+def test_read_csv_parses_each_content_once(tmp_path, monkeypatch):
+    """One content is parsed once, at any path; another content is parsed
+    again, and the memo keeps only the last one read."""
+    parsed = _counting_parses(monkeypatch)
+    one = _memo_file(tmp_path / "a.csv", "memo-once")
+    same = _memo_file(tmp_path / "b.csv", "memo-once")
+    other = _memo_file(tmp_path / "c.csv", "memo-once-other")
+    first = LengthSpectrum.read_csv(one)
+    assert LengthSpectrum.read_csv(one) is first and LengthSpectrum.read_csv(same) == first
+    assert len(parsed) == 1
+    assert LengthSpectrum.read_csv(other) != first
+    assert len(parsed) == 2
+    assert LengthSpectrum.read_csv(one) == first
+    assert len(parsed) == 3
+
+
+def test_read_csv_keeps_no_failure(tmp_path, monkeypatch):
+    """A bad file fails with the same message on every read, and the same
+    path read good afterwards gives its spectrum."""
+    parsed = _counting_parses(monkeypatch)
+    path = _spectrum_rows_file(tmp_path / "rows.csv", 4, {2: RULE_ROW})
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValidationError) as err:
+            LengthSpectrum.read_csv(path)
+        messages.append(str(err.value))
+    assert messages == [f"{path} line 5: v must be positive"] * 2
+    assert parsed[: len(parsed) // 2] == parsed[len(parsed) // 2 :]
+    _memo_file(path, "memo-after-bad")
+    assert LengthSpectrum.read_csv(path).spec_hash == "memo-after-bad"
+
+
+def test_spectrum_columns_are_read_only(tmp_path):
+    """Every column of a spectrum, read or built, refuses an in-place write;
+    the spectrum's own operations still work."""
+    built = build_length_spectrum(cyclic_h3_spec(0.8, theta=0.7), 4, cutoff=5.0)
+    path = tmp_path / "s.csv"
+    path.write_text(built.to_csv().replace("spec_hash=", "spec_hash=read-only-"))
+    read = LengthSpectrum.read_csv(path)
+    for spectrum in (built, read):
+        assert len(spectrum.columns.kind) > 0
+        for column in spectrum.columns:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
+        cut = spectrum.with_cutoff(2.0)
+        assert cut.cutoff == 2.0 and cut.count("hyperbolic") < spectrum.count("hyperbolic")
+        assert len(spectrum.part("hyperbolic").length) == spectrum.count("hyperbolic")
+    assert read == LengthSpectrum.read_csv(path) and read != built
+    assert read.to_csv() == path.read_text()
+    assert built.to_csv() == path.read_text().replace("spec_hash=read-only-", "spec_hash=")
 
 
 def test_group_spec_file_parsing(tmp_path):
