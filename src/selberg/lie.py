@@ -6,7 +6,7 @@ noncompact functional e_1 never enters here (the orbital layer handles it
 symbolically).  The Weyl group is type D_n: permutations of the coordinates
 combined with an even number of sign changes.  ``weyl_group`` lists it as
 integer permutation, sign and determinant arrays, one row per element, for
-callers that sum over all of W at once.
+``lie weyl``; no sum in the package runs over all of W.
 
 Weights are stored as doubled integers so half-integral (spin-type) weights
 stay exact; all Weyl-group arithmetic is exact integer arithmetic, and
@@ -46,7 +46,7 @@ TWO_PI = 2.0 * math.pi
 #: Denominators smaller than this trip the non-regular-element guard.
 REGULARITY_TOL = 1e-12
 
-#: largest rank whose Weyl group is enumerated (2^5 6! = 23040 elements)
+#: largest rank of ``weyl_group`` (2^5 6! = 23040 elements) and of orbital polynomials
 MAX_WEYL_RANK = 6
 
 #: i^n, indexed by n mod 4
@@ -200,6 +200,7 @@ def parse_angle(token: str) -> float:
         raise ValidationError(f"cannot parse angle {token!r}") from exc
 
 
+@lru_cache(maxsize=None)
 def half_sum_positive_roots(n: int) -> WeightVector:
     """Half-sum of the positive roots of so(2n): coordinate j holds n+1-j.
 
@@ -288,7 +289,11 @@ def weyl_character(
             "perturb the angles or use a limit"
         )
     mu = 0.5 * np.array((weight + half_sum_positive_roots(n)).doubled, dtype=float)
-    arg = phi[:, :, None] * mu  # arg[b, i, j] = mu_j phi_i
-    num = np.linalg.det(2.0 * np.cos(arg)) + _I_POWERS[n % 4] * np.linalg.det(2.0 * np.sin(arg))
-    values = 0.5 * num / den
+    cos_det, sin_det = _alternants(phi[:, :, None] * mu)  # arg[b, i, j] = mu_j phi_i
+    values = 0.5 * (cos_det + _I_POWERS[n % 4] * sin_det) / den
     return values[0].item() if scalar else values
+
+
+def _alternants(arg: np.ndarray) -> np.ndarray:
+    """Stacked det(2 cos arg) and det(2 sin arg): the sign halves of a D_n alternant."""
+    return np.linalg.det(2.0 * np.array((np.cos(arg), np.sin(arg))))

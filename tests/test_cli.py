@@ -128,6 +128,15 @@ def test_orbital_poly_output(capsys):
         assert got == pytest.approx(want, abs=1e-14)
 
 
+def test_orbital_poly_rejects_rank_7(capsys):
+    code, _, err = invoke(
+        capsys, "orbital", "poly", "--n", "7", "--sigma", "0,0,0,0,0,0,0",
+        "--angles", "0,0,0,0,0,0,0",
+    )
+    assert code == 2
+    assert "between 1 and 6" in err
+
+
 def test_orbital_poly_rejects_bad_weight(capsys):
     code, _, err = invoke(
         capsys, "orbital", "poly", "--n", "2", "--sigma", "0,1", "--angles", "0,1"

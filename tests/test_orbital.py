@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,14 @@ from conftest import (
     weyl_dn,
 )
 from selberg.errors import UnsupportedRankError, ValidationError
-from selberg.lie import EllipticAngles, WeightVector, half_sum_positive_roots, w0_flip
+from selberg.lie import (
+    TWO_PI,
+    EllipticAngles,
+    WeightVector,
+    half_sum_positive_roots,
+    w0_flip,
+    weyl_group,
+)
 from selberg.orbital import (
     EvenPolynomial,
     orbital_polynomial,
@@ -131,10 +139,34 @@ def test_orbital_brute_force_oracle(rng):
     assert worst < 1e-9
 
 
+def separated_angles(rng, n, gap=0.2):
+    """n angles at least ``gap`` from 0, from pi and from each other's +-,
+    mod 2 pi, so that no root of so(2n) fixes the rotation."""
+
+    def off(x):  # distance from 2 pi Z
+        return abs(x - TWO_PI * round(x / TWO_PI))
+
+    while True:
+        phi = [rng.uniform(gap, TWO_PI - gap) for _ in range(n)]
+        if all(off(a - math.pi) >= gap for a in phi) and all(
+            off(a - s * b) >= gap
+            for i, a in enumerate(phi) for b in phi[i + 1:] for s in (1, -1)
+        ):
+            return phi
+
+
+def compact_root(n, a, b, sign):
+    """e_{a+2} + sign * e_{b+2} for slots a < b, over (e_1, ..., e_{n+1})."""
+    return tuple(1 if i == a + 1 else sign if i == b + 1 else 0 for i in range(n + 1))
+
+
 @pytest.mark.parametrize("n,shape", [
     (4, "one-zero"), (4, "two-zero"), (4, "equal-pair"), (4, "all-zero"),
     (5, "one-zero"), (5, "two-zero"), (5, "equal-pair"),
     (6, "one-zero"), (6, "two-zero"), (6, "equal-pair"),
+    (4, "pi-pair"), (4, "opposite-pair"),
+    (5, "pi-pair"), (5, "opposite-pair"),
+    (6, "pi-pair"), (6, "opposite-pair"),
 ])
 def test_orbital_higher_rank_oracle(rng, n, shape):
     sigma = random_dominant(rng, n)
@@ -143,6 +175,16 @@ def test_orbital_higher_rank_oracle(rng, n, shape):
         phi = [0.0] * n
     elif shape == "equal-pair":
         phi[2] = phi[0]
+    elif shape in ("pi-pair", "opposite-pair"):
+        phi = separated_angles(rng, n)
+        a, b = sorted(rng.sample(range(n), 2))
+        if shape == "pi-pair":
+            phi[a] = phi[b] = math.pi
+            want = {compact_root(n, a, b, -1), compact_root(n, a, b, 1)}
+        else:
+            phi[b] = TWO_PI - phi[a]
+            want = {compact_root(n, a, b, 1)}
+        assert root_set(EllipticAngles(tuple(phi)), n) == want
     else:
         for slot in rng.sample(range(n), 1 if shape == "one-zero" else 2):
             phi[slot] = 0.0
@@ -151,6 +193,53 @@ def test_orbital_higher_rank_oracle(rng, n, shape):
     nus = (0.3, 1.1, 2.7)
     for nu, want in zip(nus, brute_orbital_values(sigma, angles.angles, n, nus)):
         assert abs(poly(nu) - want) <= 1e-10 * abs(want), (sigma, phi, nu)
+
+
+def identity_closed_form(sigma):
+    """Exact coefficients of nu^0, nu^2, ... of
+    (-1)^n 2^{n-1} n! prod_{i<j} (mu_i^2 - mu_j^2) prod_a (nu^2 + mu_a^2),
+    mu = sigma + delta, in rationals from the doubled coordinates."""
+    n = sigma.rank
+    mu = [Fraction(d, 2) + n - 1 - i for i, d in enumerate(sigma.doubled)]
+    lead = Fraction((-1) ** n * 2 ** (n - 1) * math.factorial(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            lead *= mu[i] ** 2 - mu[j] ** 2
+    coeffs = [lead]
+    for m in mu:
+        coeffs = [x * m * m + y for x, y in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbital_closed_form_at_identity(rng, n):
+    # all angles zero: every root fixes the rotation, and the Weyl sum
+    # collapses to a product formula that shares no code with the package
+    sigmas = [WeightVector((0,) * n)] + [
+        random_dominant(rng, n, spin=spin) for spin in (False, True) for _ in range(4)
+    ]
+    for sigma in sigmas:
+        want = [float(c) for c in identity_closed_form(sigma)]
+        got = orbital_polynomial(sigma, EllipticAngles((0.0,) * n), n).coeffs
+        assert len(got) == len(want), sigma
+        scale = max(map(abs, want))
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * (abs(w) or scale), (sigma, got, want)
+
+
+def test_identity_closed_form_small_ranks():
+    # -nu^2, 4 nu^2 (nu^2 + 1) and -288 nu^2 (nu^2 + 1)(nu^2 + 4) at sigma = 0
+    assert identity_closed_form(WeightVector((0,))) == [0, -1]
+    assert identity_closed_form(WeightVector((0, 0))) == [0, 4, 4]
+    assert identity_closed_form(WeightVector((0, 0, 0))) == [0, -1152, -1440, -288]
+
+
+def test_orbital_polynomial_does_not_enumerate_weyl_group(rng):
+    before = weyl_group.cache_info()
+    angles = EllipticAngles((0.0, 0.0, 0.7, 1.9, 2.5, 4.0))
+    orbital_polynomial(random_dominant(rng, 6), angles, 6)
+    after = weyl_group.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
 
 
 def test_flip_invariance_fixed_weight(rng):
