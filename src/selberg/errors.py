@@ -38,17 +38,6 @@ class EnumerationExplosionError(NumericalGuardError):
     """Word-ball enumeration exceeded the configured element cap."""
 
 
-class UndeterminedVFactorError(NumericalGuardError):
-    """Ball too small to certify the centralizer index.
-
-    Carries the certified partial lower bound in ``lower_bound``.
-    """
-
-    def __init__(self, message, lower_bound=1):
-        super().__init__(message)
-        self.lower_bound = lower_bound
-
-
 class AmbiguousClassError(NumericalGuardError):
     """A flagged-ambiguity conjugacy class was used without explicit opt-in."""
 

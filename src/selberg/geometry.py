@@ -8,8 +8,18 @@ length at a time as a stack of products, classified through their
 eigenvalues, and collected into conjugacy classes with all the per-class
 quantities the zeta and trace-formula layers consume: geodesic length,
 primitive length and power, rotation angle, the adjoint-determinant weight
-D, the centralizer index correction v, and the twist trace.  Each stack is
+D, the centralizer factor v, and the twist trace.  Each stack is
 classified once, in one numpy pass, and the whole reduction reads that.
+
+The centralizer of a hyperbolic class is read from the same ball: the
+elements that fix both ends of the witness's axis are the products
+P^-1 B P that are diagonal, P the witness's eigenvector matrix.  They are
+screw motions along the axis and the m rotations about it.  The shortest
+translation among them is l0, l / l0 is the power, and v = 1/m, so that
+l0 * v is the covolume of the centralizer (Elstrodt, Grunewald & Mennicke,
+Groups Acting on Hyperbolic Space, ch. 6).  Both count only what the ball
+holds: m counts the rotations in the ball, and a ball that misses the
+primitive screw motion gives a multiple of l0.
 
 "Same isometry" is decided only by ``projectively_close``, relative to the
 size of the product compared.  Products are not rescaled to determinant 1,
@@ -41,7 +51,6 @@ import numpy as np
 from .errors import (
     EnumerationExplosionError,
     ParabolicElementError,
-    UndeterminedVFactorError,
     ValidationError,
 )
 
@@ -66,18 +75,14 @@ DEFAULT_ELEMENT_CAP = 200_000
 
 @dataclass
 class GroupSpec:
-    """A finitely generated matrix group with optional torsion-free data.
+    """A finitely generated matrix group with an optional twist.
 
-    ``generators`` are unit-determinant 2x2 matrices.  ``torsion_free_words``
-    optionally presents a finite-index torsion-free subgroup by words in the
-    generators (1-based indices, negative for inverses).  ``chi`` optionally
+    ``generators`` are unit-determinant 2x2 matrices.  ``chi`` optionally
     assigns an invertible (possibly non-unitary) matrix to each generator.
     """
 
     model: str
     generators: list
-    torsion_free_words: list | None = None
-    torsion_free_index: int | None = None
     chi: list | None = None
     name: str = ""
 
@@ -111,7 +116,9 @@ class GroupSpec:
                 [[round(x.real, 12), round(x.imag, 12)] for x in g.flat]
                 for g in self.generators
             ],
-            "torsion_free_words": self.torsion_free_words,
+            # a key of specs that could name a torsion-free subgroup, kept
+            # so that every spec keeps the digest it had then
+            "torsion_free_words": None,
             "chi": None
             if self.chi is None
             else [[[round(x.real, 12), round(x.imag, 12)] for x in m.flat] for m in self.chi],
@@ -146,23 +153,12 @@ class GroupSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroupSpec":
-        known = {"model", "generators", "torsion_free_subgroup", "chi", "name"}
-        unknown = set(data) - known
+        unknown = set(data) - {"model", "generators", "chi", "name"}
         if unknown:
             raise ValidationError(f"unknown group-spec keys: {sorted(unknown)}")
-        tf = data.get("torsion_free_subgroup")
-        words = index = None
-        if tf is not None:
-            bad = set(tf) - {"words", "index"}
-            if bad:
-                raise ValidationError(f"unknown torsion_free_subgroup keys: {sorted(bad)}")
-            words = tf.get("words")
-            index = tf.get("index")
         return cls(
             model=data["model"],
             generators=[_matrix_from_rows(g) for g in data["generators"]],
-            torsion_free_words=words,
-            torsion_free_index=index,
             chi=None if "chi" not in data or data["chi"] is None
             else [_matrix_from_rows(m) for m in data["chi"]],
             name=data.get("name", ""),
@@ -407,15 +403,19 @@ class ConjClassRecord:
 
     kind: str
     length: float  # l(gamma); 0 for elliptic
-    primitive_length: float  # l(gamma_0)
-    power: int  # gamma = gamma_0^power
+    # l0: the shortest length l/k, k = 1, 2, ..., of a ball element that fixes
+    # both ends of gamma's axis; 0 for elliptic
+    primitive_length: float
+    power: int  # l / l0: gamma is gamma_0^power times a rotation about its axis
     angles: tuple  # rotation angles of the compact part
     D: float | None  # hyperbolic only
+    # 1/m, m the number of rotations about gamma's axis in the ball, the
+    # identity included, so that l0 * v is the covolume of the centralizer;
+    # 1 for elliptic
     v: Fraction
     tr_chi: complex
     word: tuple
     ambiguous: bool = False
-    v_defaulted: bool = False  # v = 1 assumed because no torsion-free data
 
     @property
     def theta(self) -> float:
@@ -437,28 +437,20 @@ def _commuting(stack: np.ndarray, w: np.ndarray) -> np.ndarray:
     return projectively_close(hw, _mul(w, stack), MATRIX_TOL * _size(hw))
 
 
-def _classified(elements: list[GroupElement], model: str) -> tuple:
-    """A ball's matrices as one stack, with their ``_classify`` arrays."""
-    mats = np.array([el.matrix for el in elements], dtype=complex).reshape(-1, 2, 2)
-    return (mats, *_classify(mats, model))
-
-
-def conjugacy_reduce(
-    elements: list[GroupElement],
-    spec: GroupSpec,
-    torsion_ball: list[GroupElement] | None = None,
-) -> list[ConjClassRecord]:
+def conjugacy_reduce(elements: list[GroupElement], spec: GroupSpec) -> list[ConjClassRecord]:
     """Collect enumerated elements into conjugacy classes.
 
     Elements are bucketed by (kind, length, angle) within the invariant
     tolerance, H3 rotations by min(theta, 2pi - theta); a bucket of several
     elements is split into classes by a conjugator search over the whole
-    ball, and flagged ambiguous unless the generators commute.  Each class gets a minimal-word witness (and its
-    angle), a primitive decomposition, the weight D, the centralizer
-    correction v and the twist trace.
+    ball, and flagged ambiguous unless the generators commute.  Each class
+    gets a minimal-word witness (and its angle) and the twist trace; a
+    hyperbolic class also gets the weight D and, from the ball elements that
+    fix both ends of the witness's axis (``_axis_fixers``), its primitive
+    length l0, its power and v = 1/m.
     """
-    ball = mats, kind, length, angle = _classified(elements, spec.model)
-    sub = ball if torsion_ball is None else _classified(torsion_ball, spec.model)
+    mats = np.array([el.matrix for el in elements], dtype=complex).reshape(-1, 2, 2)
+    kind, length, angle = _classify(mats, spec.model)
     words = [el.word for el in elements]
     fold = (kind == ELLIPTIC) & (spec.model == "H3-complex-2x2")
     label = np.where(fold, np.minimum(angle, TWO_PI - angle), angle)
@@ -468,11 +460,10 @@ def conjugacy_reduce(
             buckets += _chain(chain, label)
     gens = np.array(spec.generators, dtype=complex).reshape(-1, 2, 2)
     abelian = all(_commuting(gens, g).all() for g in gens)
-    sub_mats, sub_kind, sub_len, _ = sub
-    hyper = np.flatnonzero(sub_kind == HYPERBOLIC)
-    hyper = hyper[np.argsort(sub_len[hyper], kind="stable")]
-    cand_len, cand_mats = sub_len[hyper], sub_mats[hyper]
-    certify = spec.torsion_free_words is not None and torsion_ball is not None
+    hyper = np.flatnonzero(kind == HYPERBOLIC)
+    hyper = hyper[np.argsort(length[hyper], kind="stable")]
+    # the identity and the rotations, then the translations by length
+    axis_ball = mats, length, np.flatnonzero(kind != HYPERBOLIC), hyper, length[hyper]
     inverses, size = _inv2(mats), _size(mats)
 
     records: list[ConjClassRecord] = []
@@ -494,71 +485,63 @@ def conjugacy_reduce(
             witness = group[0]  # the members are in (length, word) order
             w_len, w_angle = float(length[witness]), float(angle[witness])
             power, prim_len, d_val, v_val = 1, w_len, None, Fraction(1)
-            defaulted = spec.torsion_free_words is None
             if kind[witness] == HYPERBOLIC:
-                power, prim_len = _primitive_decomposition(w_len, mats[group], cand_len, cand_mats)
+                power, prim_len, rotations = _axis_fixers(witness, axis_ball)
                 d_val = weight_D(w_len, (w_angle,), 1)
-                defaulted = not certify
-                if certify:
-                    v_val = _v_factor(mats[witness], ball, sub)
+                v_val = Fraction(1, rotations)
             records.append(ConjClassRecord(
                 KINDS[kind[witness]], w_len, prim_len, power, (w_angle,), d_val, v_val,
-                spec.chi_trace(words[witness]), words[witness], ambiguous, defaulted,
+                spec.chi_trace(words[witness]), words[witness], ambiguous,
             ))
     records.sort(key=lambda r: (KINDS.index(r.kind), r.length, r.theta, r.word))
     return records
 
 
-def _primitive_decomposition(
-    length: float,
-    members: np.ndarray,
-    cand_len: np.ndarray,
-    cand_mats: np.ndarray,
-) -> tuple[int, float]:
-    """Largest m with p^m a member of the class for a candidate p, and the
-    length of the first such p.  Candidates come from the torsion-free
-    subgroup ball when one was given, so the power is relative to it."""
-    max_m = int(length / max(cand_len[0], 1e-12) + 1e-9) if len(cand_len) else 1
-    for m in range(max_m, 1, -1):
-        target, win = length / m, CLASSIFY_TOL * max(1.0, length / m)
-        lo, hi = np.searchsorted(cand_len, [target - win, target + win])
-        p = base = cand_mats[lo:hi]
-        for _ in range(m - 1):
-            p = _mul(p, base)
-        hit = projectively_close(
-            p[:, None], members[None], MATRIX_TOL * _size(p)[:, None]
-        ).any(axis=1)
-        if hit.any():
-            return m, float(cand_len[lo + int(np.argmax(hit))])
-    return 1, length
+def _eigenvectors(w: np.ndarray) -> np.ndarray:
+    """The eigenvector matrix of a 2x2 matrix with distinct eigenvalues, in
+    entry arithmetic: for each eigenvalue lam, the longer of (b, lam - a)
+    and (lam - d, c)."""
+    (a, b), (c, d) = w.tolist()
+    root = cmath.sqrt((a + d) ** 2 - 4.0)
+    columns = []
+    for lam in ((a + d + root) / 2.0, (a + d - root) / 2.0):
+        u, v = (b, lam - a), (lam - d, c)
+        columns.append(u if abs(u[0]) + abs(u[1]) >= abs(v[0]) + abs(v[1]) else v)
+    return np.array(columns, dtype=complex).T
 
 
-# ---------------------------------------------------------------------------
-# centralizer index correction
+def _axis_fixers(witness: int, axis_ball: tuple) -> tuple[int, float, int]:
+    """Power k, primitive length l0 and rotation count m of the hyperbolic
+    ball element ``witness``, from the ball elements that fix both ends of
+    its axis.
 
-
-def _v_factor(w: np.ndarray, ball: tuple, sub: tuple) -> Fraction:
-    """Centralizer correction of the hyperbolic w from its commuting elements
-    in the ball and the torsion-free ball, each (matrices, *_classify)."""
-    (mats, kind, length, _), (sub_mats, sub_kind, sub_length, _) = ball, sub
-    cent, cent_sub = _commuting(mats, w), _commuting(sub_mats, w)
-    # the ball holds each element once, so this counts distinct elements
-    torsion_count = int(np.count_nonzero(cent & (kind != HYPERBOLIC)))
-    hyper = length[cent & (kind == HYPERBOLIC)]
-    hyper_sub = sub_length[cent_sub & (sub_kind == HYPERBOLIC)]
-    if not len(hyper) or not len(hyper_sub):
-        raise UndeterminedVFactorError(
-            "ball too small to certify the centralizer index",
-            lower_bound=max(torsion_count, 1),
-        )
-    ratio = float(hyper_sub.min() / hyper.min())
-    frac = Fraction(ratio).limit_denominator(1024)
-    if abs(float(frac) - ratio) > 1e-6:
-        raise UndeterminedVFactorError(
-            "centralizer length ratio is not certified rational within the ball",
-            lower_bound=torsion_count,
-        )
-    return frac * torsion_count
+    ``axis_ball`` is (matrices, lengths, the indices of the elements that
+    are not hyperbolic, the indices of the hyperbolic ones by length, and
+    their lengths).  With
+    P the eigenvector matrix of the witness, P^-1 B P is diagonal exactly
+    when B fixes both ends.  Those fixers are the m rotations about the
+    axis, the identity included, and screw motions along it whose lengths
+    are the multiples of l0.  So the product is formed only for the
+    elements that are not hyperbolic and for the hyperbolic ones of length
+    l/k, k >= 2.  l0 is the length of the shortest of those fixers, or l if
+    there is none (the witness fixes its own axis), k = l/l0 rounded, and m
+    counts only the rotations in the ball.
+    """
+    mats, length, still, hyper, hyper_len = axis_ball
+    w_len = float(length[witness])
+    targets = w_len / np.arange(2, int(w_len / hyper_len[0] + 1e-9) + 1)
+    win = CLASSIFY_TOL * np.maximum(1.0, targets)
+    lo = np.searchsorted(hyper_len, targets - win, side="left")
+    hi = np.searchsorted(hyper_len, targets + win, side="right")
+    cand = np.concatenate([still] + [hyper[a:b] for a, b in zip(lo, hi)])
+    p = _eigenvectors(mats[witness])
+    p_inv = _inv2(p) / (p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0])
+    q = _mul(_mul(p_inv, mats[cand]), p)
+    off = np.maximum(abs(q[:, 0, 1]), abs(q[:, 1, 0]))
+    fixes = off <= CLASSIFY_TOL * _size(mats[cand]) * _size(p) * _size(p_inv)
+    roots = length[cand[len(still):][fixes[len(still):]]]
+    prim_len = float(roots.min()) if len(roots) else w_len
+    return round(w_len / prim_len), prim_len, int(np.count_nonzero(fixes[: len(still)]))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +575,6 @@ class SpectrumColumns(NamedTuple):
     tr_chi: np.ndarray
     word: np.ndarray
     ambiguous: np.ndarray
-    v_defaulted: np.ndarray
     v_float: np.ndarray
 
     @classmethod
@@ -612,7 +594,7 @@ class SpectrumColumns(NamedTuple):
             column("power", np.int64), padded("angles", float, np.nan),
             np.array([np.nan if r.D is None else r.D for r in recs], dtype=float),
             column("v", object), column("tr_chi", complex), padded("word", np.int64, WORD_PAD),
-            column("ambiguous", bool), column("v_defaulted", bool),
+            column("ambiguous", bool),
             np.array([float(r.v) for r in recs], dtype=float),
         )
 
@@ -718,7 +700,7 @@ def _parse_rows(texts: list[str]) -> tuple[SpectrumColumns, list]:
     kind = np.array(kind, dtype=str)
     flags = np.zeros(len(texts), dtype=bool)
     columns = SpectrumColumns(kind, length, prim, power, angles, dval, v, tr_chi, word,
-                              flags, flags.copy(), v_float)
+                              flags, v_float)
     finite_positive = [(0 < x) & (x < math.inf) for x in (length, prim, dval)]
     return columns, [
         (v_float <= 0, "v must be positive"),
@@ -955,11 +937,7 @@ def build_length_spectrum(
     if not 0 < cutoff < math.inf:
         raise ValidationError("cutoff must be finite and positive")
     ball = enumerate_elements(spec, max_word_len, element_cap=element_cap)
-    torsion_ball = None
-    if spec.torsion_free_words is not None:
-        sub = GroupSpec(spec.model, [spec.word_matrix(w) for w in spec.torsion_free_words])
-        torsion_ball = enumerate_elements(sub, max_word_len, element_cap=element_cap)
-    records = conjugacy_reduce(ball, spec, torsion_ball=torsion_ball)
+    records = conjugacy_reduce(ball, spec)
     kept = [r for r in records if r.kind == "elliptic" or r.length <= cutoff]
     return LengthSpectrum(
         records=kept,

@@ -10,7 +10,10 @@ the class.  That denominator is about e^{2 n l}, where the usual
 det(Id - Ad(ma)^-1|_n) = e^{-n l} D is about 1, so this s is the heat
 side's spectral parameter shifted by 2n: the Laplace transform of the
 hyperbolic heat term at s is (1/2s) sum_{sigma, w0 sigma} d/ds log Z at
-s - 2n.  The symmetric combination multiplies the zeta functions of a
+s - 2n.  The factor v is one over the order of the rotation group about
+the class's axis, as the spectrum records it (1 in a torsion-free group),
+and the heat term weighs a class by l0 * v, the covolume of its
+centralizer.  The symmetric combination multiplies the zeta functions of a
 weight and its last-coordinate flip; the antisymmetric one divides them.
 Heat-side terms integrate the Plancherel and orbital polynomials against a
 Gaussian (identity and elliptic contributions) and evaluate the hyperbolic

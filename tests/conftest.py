@@ -68,6 +68,57 @@ def schottky_spec(lam: float = 3.0, chi=None, **kwargs) -> GroupSpec:
     return GroupSpec(model="H2-real-2x2", generators=[a, b], chi=chi, **kwargs)
 
 
+def _pauli_hermitian(x) -> np.ndarray:
+    """X(x) = x0 I + x1 s1 + x2 s2 + x3 s3, whose determinant is -<x, x>."""
+    return np.array([[x[0] + x[3], x[1] - 1j * x[2]], [x[1] + 1j * x[2], x[0] - x[3]]])
+
+
+def lorentz_to_sl2c(lorentz: np.ndarray) -> np.ndarray:
+    """A unit-determinant lift A of an orientation-preserving Lorentz matrix:
+    A X(e_k) = X(L e_k) adj(A)* for each basis vector e_k, a real-linear
+    32 x 8 system in the real and imaginary parts of A, solved by SVD."""
+    rows = []
+    for k in range(4):
+        x, y = _pauli_hermitian(np.eye(4)[k]), _pauli_hermitian(lorentz[:, k])
+        columns = []
+        for unit in np.eye(8):
+            a = (unit[:4] + 1j * unit[4:]).reshape(2, 2)
+            adj = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+            columns.append((a @ x - y @ adj.conj().T).ravel())
+        block = np.array(columns).T
+        rows += [block.real, block.imag]
+    null = np.linalg.svd(np.vstack(rows))[2][-1]
+    a = (null[:4] + 1j * null[4:]).reshape(2, 2)
+    return a / np.sqrt(np.linalg.det(a))
+
+
+def coxeter_534_spec() -> GroupSpec:
+    """The rotation subgroup of the compact Coxeter tetrahedron group
+    [5,3,4] (m01 = 5, m12 = 3, m23 = 4, every other m = 2) in SL(2,C),
+    generated by a = r0 r1, b = r1 r2 and c = r2 r3 of orders 5, 3 and 4.
+
+    The Gram matrix G = -cos(pi/m_ij) has one negative eigenvalue; from
+    G = U diag(lam) U^T the rows of U |lam|^(1/2) are face normals e_i in
+    the metric J = diag(sign lam), the time coordinate first.  The
+    reflections are r_i = I - 2 e_i e_i^T J.
+    """
+    m = np.full((4, 4), 2.0)
+    np.fill_diagonal(m, 1.0)
+    m[0, 1] = m[1, 0] = 5.0
+    m[1, 2] = m[2, 1] = 3.0
+    m[2, 3] = m[3, 2] = 4.0
+    lam, u = np.linalg.eigh(-np.cos(np.pi / m))
+    assert np.count_nonzero(lam < 0) == 1
+    order = np.argsort(lam)  # the negative eigenvalue first
+    lam, u = lam[order], u[:, order]
+    normals = u * np.sqrt(np.abs(lam))
+    metric = np.diag(np.sign(lam))
+    refl = [np.eye(4) - 2.0 * np.outer(e, e) @ metric for e in normals]
+    rotations = [refl[0] @ refl[1], refl[1] @ refl[2], refl[2] @ refl[3]]
+    return GroupSpec(model="H3-complex-2x2",
+                     generators=[lorentz_to_sl2c(r) for r in rotations], name="coxeter-534")
+
+
 # ---------------------------------------------------------------------------
 # random case generators
 
@@ -201,6 +252,44 @@ def displacement_infimum(g: np.ndarray) -> float:
                        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
         best = min(best, float(res.fun))
     return best
+
+
+def axis_fixer_oracle(witnesses, ball, tol: float = 1e-8) -> list[tuple[int, float]]:
+    """(m, l0) for each hyperbolic witness: m counts the ball elements that
+    fix both Moebius fixed points of the witness and are not hyperbolic, the
+    identity included, and l0 is the shortest translation length of the
+    hyperbolic ones.  One element at a time in Python: the fixed points
+    [z : w] come from the quadratic formula on the witness's entries, and
+    [[a, b], [c, d]] fixes [z : w] when -c z^2 + (a - d) z w + b w^2 = 0 up
+    to the size of its terms; kinds and lengths come from each trace."""
+    quadratics, lengths = [], []
+    for m in ball:
+        (a, b), (c, d) = (tuple(complex(x) for x in row) for row in np.asarray(m))
+        quadratics.append((-c, a - d, b, abs(c), abs(a - d), abs(b)))
+        tr, root = a + d, cmath.sqrt((a + d) ** 2 - 4.0)
+        lam = max((tr + root) / 2.0, (tr - root) / 2.0, key=abs)
+        lengths.append(2.0 * math.log(abs(lam)) if abs(lam) > 1.0 + 1e-8 else 0.0)
+    out = []
+    for wit in witnesses:
+        (a, b), (c, d) = (tuple(complex(x) for x in row) for row in np.asarray(wit))
+        root = cmath.sqrt((a + d) ** 2 - 4.0)
+        if abs(c) >= abs(b):  # [z : 1] with c z^2 - (a - d) z - b = 0
+            points = [((a - d + s * root) / (2.0 * c), 1.0) for s in (1, -1)]
+        else:  # [1 : w] with b w^2 + (a - d) w - c = 0
+            points = [(1.0, (d - a + s * root) / (2.0 * b)) for s in (1, -1)]
+        (zz0, zw0, ww0), (zz1, zw1, ww1) = ((z * z, z * w, w * w) for z, w in points)
+        rotations, l0 = 0, math.inf
+        for (p, q, r, sp, sq, sr), length in zip(quadratics, lengths):
+            if (abs(p * zz0 + q * zw0 + r * ww0)
+                    <= tol * (sp * abs(zz0) + sq * abs(zw0) + sr * abs(ww0))
+                    and abs(p * zz1 + q * zw1 + r * ww1)
+                    <= tol * (sp * abs(zz1) + sq * abs(zw1) + sr * abs(ww1))):
+                if length:
+                    l0 = min(l0, length)
+                else:
+                    rotations += 1
+        out.append((rotations, l0))
+    return out
 
 
 def pairwise_dedupe_count(matrices) -> int:

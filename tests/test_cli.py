@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -11,10 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import schottky_spec, small_h3_spectrum_csv, weyl_dn
+from conftest import (
+    axis_fixer_oracle,
+    coxeter_534_spec,
+    schottky_spec,
+    small_h3_spectrum_csv,
+    weyl_dn,
+)
 from selberg.cli import MAX_GRID_POINTS, _parse_grid, run
 from selberg.errors import NumericalGuardError, ValidationError
-from selberg.geometry import ConjClassRecord, LengthSpectrum
+from selberg.geometry import ConjClassRecord, LengthSpectrum, enumerate_elements
 from selberg.lie import EllipticAngles, WeightVector
 from selberg.orbital import orbital_polynomial
 from selberg.zeta import ZetaTermContext, log_zeta_truncated
@@ -174,6 +181,49 @@ def test_spectrum_enumerate_and_classify(capsys, group_file, tmp_path):
     assert kind == "hyperbolic"
     assert float(l) == pytest.approx(4.0, abs=1e-12)
     assert float(theta) == 0.0
+
+
+def test_spectrum_enumerate_rejects_torsion_free_subgroup(capsys, tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({**GROUP_JSON, "torsion_free_subgroup": {"words": [[1, 1]]}}))
+    code, out, err = invoke(capsys, "spectrum", "enumerate", "--group", str(path),
+                            "--max-word-len", "4", "--cutoff", "9")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "torsion_free_subgroup" in err
+
+
+def test_coxeter_534_hyperbolic_heat_term(capsys, tmp_path):
+    """``spectrum enumerate`` then ``zeta heat-terms`` on the [5,3,4]
+    fixture: the hyperbolic term is the sum over the classes of
+    (l0/m) (4 pi t)^(-1/2) e^(-l^2/4t) / (2 (cosh l - cos theta)), with l0
+    and m from the fixed-point oracle, not from the spectrum file."""
+    start = time.perf_counter()
+    spec = coxeter_534_spec()
+    group, spectrum = tmp_path / "coxeter.json", tmp_path / "coxeter.csv"
+    group.write_text(json.dumps({"model": spec.model, "generators": [
+        [[[x.real, x.imag] for x in row] for row in g.tolist()] for g in spec.generators
+    ]}))
+    code, _, _ = invoke(capsys, "spectrum", "enumerate", "--group", str(group),
+                        "--max-word-len", "10", "--cutoff", "3.5", "--out", str(spectrum))
+    assert code == 0
+    with pytest.warns(UserWarning, match="no centralizer volumes"):
+        code, out, _ = invoke(capsys, "zeta", "heat-terms", "--spectrum", str(spectrum),
+                              "--sigma", "0", "--t", "0.1", "--allow-ambiguous")
+    assert code == 0
+    header, row = out.splitlines()
+    re_h = float(dict(zip(header.split(","), row.split(",")))["re_H"])
+    hyper = LengthSpectrum.read_csv(spectrum).hyperbolic()
+    ball = [el.matrix for el in enumerate_elements(spec, 10)]
+    oracle = axis_fixer_oracle([spec.word_matrix(r.word) for r in hyper], ball)
+    t = 0.1
+    want = math.fsum(
+        (l0 / m) * (4 * math.pi * t) ** -0.5 * math.exp(-r.length**2 / (4 * t))
+        / (2 * (math.cosh(r.length) - math.cos(r.theta)))
+        for r, (m, l0) in zip(hyper, oracle)
+    )
+    assert len(hyper) == 156 and want == pytest.approx(0.25274, abs=5e-6)
+    assert re_h == pytest.approx(want, rel=1e-9)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_zeta_eval_roundtrip_bitwise(capsys, group_file, tmp_path):

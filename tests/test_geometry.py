@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    axis_fixer_oracle,
+    coxeter_534_spec,
     cyclic_h3_spec,
     displacement_infimum,
     elliptic_order3_matrix,
@@ -21,7 +23,6 @@ from selberg import geometry
 from selberg.errors import (
     EnumerationExplosionError,
     ParabolicElementError,
-    UndeterminedVFactorError,
     ValidationError,
 )
 from selberg.geometry import (
@@ -304,43 +305,69 @@ def test_weight_D_power_consistency():
 
 
 def test_v_factor_defaults_to_one_without_subgroup():
-    spec = cyclic_h3_spec(1.0)
-    ls = build_length_spectrum(spec, 4, cutoff=10.0)
-    assert all(r.v == Fraction(1) and r.v_defaulted for r in ls.records)
+    """A group without torsion has no rotation about any axis, so every
+    class has m = 1 and v = 1 with no subgroup given."""
+    for spec, L in ((cyclic_h3_spec(1.0), 4), (schottky_spec(), 4)):
+        ls = build_length_spectrum(spec, L, cutoff=10.0)
+        assert ls.records and all(r.v == Fraction(1) for r in ls.records)
 
 
-def test_v_factor_cyclic_index_two():
-    spec = cyclic_h3_spec(0.8)
-    spec.torsion_free_words = [[1, 1]]
-    spec.torsion_free_index = 2
-    ls = build_length_spectrum(spec, 6, cutoff=5.0)
-    gs = [r for r in ls.hyperbolic() if abs(r.length - 1.6) < 1e-9]
-    assert gs and all(r.v == Fraction(2) and not r.v_defaulted for r in gs)
-    # power is relative to the subgroup: g^2 is primitive there
-    assert all(r.power == 1 and abs(r.primitive_length - 1.6) < 1e-9 for r in gs)
+def test_cyclic_classes_have_unit_v_and_their_power():
+    """In <g> every class g^k has the trivial rotation group and power k over
+    l0 = l(g), so v = 1."""
+    ls = build_length_spectrum(cyclic_h3_spec(0.8), 6, cutoff=5.0)
+    hyper = ls.hyperbolic()
+    assert len(hyper) == 2 * 6 and all(r.v == Fraction(1) for r in ls.records)
+    for r in hyper:
+        k = round(r.length / 0.8)
+        assert r.length == pytest.approx(0.8 * k, rel=1e-12)
+        assert r.power == k and r.primitive_length == pytest.approx(0.8, rel=1e-12)
 
 
-def test_v_factor_trivial_when_subgroup_is_whole_group():
-    spec = cyclic_h3_spec(0.8)
-    spec.torsion_free_words = [[1]]
-    spec.torsion_free_index = 1
-    ball = enumerate_elements(spec, 5)
-    sub = GroupSpec(model=spec.model, generators=[spec.word_matrix([1])])
-    torsion_ball = enumerate_elements(sub, 5)
-    recs = conjugacy_reduce(ball, spec, torsion_ball=torsion_ball)
-    assert all(r.v == Fraction(1) for r in recs)
+def test_torsion_free_subgroup_key_is_rejected():
+    data = {"model": "H3-complex-2x2", "generators": [[[2.0, 0.0], [0.0, 0.5]]],
+            "torsion_free_subgroup": {"words": [[1, 1]], "index": 2}}
+    with pytest.raises(ValidationError, match="torsion_free_subgroup"):
+        GroupSpec.from_dict(data)
 
 
-def test_v_factor_undetermined_when_ball_too_small():
-    spec = cyclic_h3_spec(0.8)
-    spec.torsion_free_words = [[1, 1]]
-    ball = enumerate_elements(spec, 3)
-    # torsion ball with only the identity cannot certify anything
-    sub = GroupSpec(model=spec.model, generators=[])
-    torsion_ball = enumerate_elements(sub, 3)
-    with pytest.raises(UndeterminedVFactorError) as info:
-        conjugacy_reduce(ball, spec, torsion_ball=torsion_ball)
-    assert info.value.lower_bound >= 1
+def test_spec_hash_is_unchanged():
+    """The digest keeps a ``torsion_free_words`` key, so specs keep the
+    digests, and spectrum files the headers, they had when that key existed."""
+    assert schottky_spec().spec_hash() == "e254e7f9b2a76ae0"
+    assert triangle_237_spec().spec_hash() == "1098e120977a761d"
+
+
+def test_coxeter_534_relations():
+    spec = coxeter_534_spec()
+    for g, order in zip(spec.generators, (5, 3, 4)):
+        assert abs(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] - 1.0) < 1e-12
+        power = np.linalg.matrix_power(g, order)
+        assert min(abs(power - np.eye(2)).max(), abs(power + np.eye(2)).max()) < 1e-12
+        assert all(abs(np.linalg.matrix_power(g, k) - s * np.eye(2)).max() > 0.1
+                   for k in range(1, order) for s in (1, -1))
+
+
+def test_axis_fixers_match_fixed_point_oracle():
+    """v, l0 and power of every hyperbolic class of the [5,3,4] fixture at
+    L=8 against a count of the ball elements that fix both Moebius fixed
+    points of the witness, made one element at a time in Python."""
+    spec = coxeter_534_spec()
+    ls = build_length_spectrum(spec, 8, cutoff=4.0)
+    ball = [el.matrix for el in enumerate_elements(spec, 8)]
+    hyper = ls.hyperbolic()
+    assert len(hyper) == 68
+    oracle = axis_fixer_oracle([spec.word_matrix(r.word) for r in hyper], ball)
+    for r, (rotations, l0) in zip(hyper, oracle):
+        assert r.v == Fraction(1, rotations)
+        assert r.primitive_length == pytest.approx(l0, rel=1e-12)
+        assert r.power == round(r.length / l0)
+    screws = [r for r in hyper if abs(r.length - 2.1225501238) < 1e-9
+              and min(abs(r.theta - math.pi / 2), abs(r.theta - 3 * math.pi / 2)) < 1e-9]
+    assert len(screws) == 2
+    for r in screws:
+        assert r.power == 2 and abs(r.primitive_length - 1.0612750619) < 1e-9
+        assert r.v == Fraction(1, 4)
 
 
 def test_cyclic_length_spectrum_exact():
@@ -636,16 +663,13 @@ def test_group_spec_file_parsing(tmp_path):
     {
       "model": "H3-complex-2x2",
       "generators": [[[ [2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]],
-      "torsion_free_subgroup": {"words": [[1, 1]], "index": 2},
       "name": "cyclic"
     }
     """
     path = tmp_path / "group.json"
     path.write_text(payload)
     spec = GroupSpec.from_file(path)
-    assert spec.model == "H3-complex-2x2"
-    assert spec.torsion_free_words == [[1, 1]]
-    assert spec.torsion_free_index == 2
+    assert spec.model == "H3-complex-2x2" and spec.name == "cyclic"
     assert np.allclose(spec.generators[0], np.diag([2.0, 0.5]))
 
 
