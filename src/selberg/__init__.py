@@ -12,7 +12,6 @@ from .errors import (
     NumericalGuardError,
     ParabolicElementError,
     SelbergError,
-    UnsupportedRankError,
     ValidationError,
 )
 from .geometry import (

@@ -316,7 +316,7 @@ _COMMANDS = {
     "orbital": ("orbital-integral polynomials", {
         "poly": ("elliptic orbital polynomial coefficients", cmd_orbital_poly,
                  (_N, _SIGMA, _ANGLES)),
-        "plancherel": ("rank-1 Plancherel polynomial", cmd_orbital_plancherel, (_SIGMA,)),
+        "plancherel": ("Plancherel polynomial", cmd_orbital_plancherel, (_SIGMA,)),
         "gap": ("flip-invariance gap of the polynomial", cmd_orbital_gap,
                 (_N, _SIGMA, _ANGLES)),
     }),

@@ -14,10 +14,6 @@ class ValidationError(SelbergError, ValueError):
     """Bad input: wrong rank, malformed file, violated precondition."""
 
 
-class UnsupportedRankError(ValidationError):
-    """Operation only implemented for a restricted range of ranks."""
-
-
 class NumericalGuardError(SelbergError):
     """A numerical sanity check failed; results would be unreliable."""
 

@@ -239,7 +239,7 @@ def projectively_close(a, b, tol):
     """Whether a = +-b within ``tol`` in every entry, over broadcast leading
     axes.  ``tol`` is MATRIX_TOL times a bound on the size of the product:
     max(1, max|m|) for a ball product m, max|h|^2 max|g| for a conjugate
-    h g h^-1, max|p| for a power p and max|h w| for a commutator."""
+    h g h^-1, max|p| for a power p and max|h| max|w| for a commutator."""
     a, b = np.asarray(a), np.asarray(b)
     return np.minimum(_size(a - b), _size(a + b)) < tol
 
@@ -433,8 +433,8 @@ def _chain(indices: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
 
 def _commuting(stack: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Which matrices of the stack commute with w up to sign."""
-    hw = _mul(stack, w)
-    return projectively_close(hw, _mul(w, stack), MATRIX_TOL * _size(hw))
+    tol = MATRIX_TOL * _size(stack) * _size(w)
+    return projectively_close(_mul(stack, w), _mul(w, stack), tol)
 
 
 def conjugacy_reduce(elements: list[GroupElement], spec: GroupSpec) -> list[ConjClassRecord]:

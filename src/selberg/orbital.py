@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
-from .errors import EvennessError, UnsupportedRankError, ValidationError
+from .errors import EvennessError, ValidationError
 from .lie import (
     MAX_WEYL_RANK,
     TWO_PI,
@@ -163,9 +164,11 @@ def orbital_polynomial(
     -i*nu*e_1 kept symbolic in nu), the factors are multiplied out, and the
     result is weighted by det(s) times the torus character of -k at the
     rotation; the sum over s is the block split of the module docstring.
-    The global normalization constant of the underlying integral transform
-    is not included.  A coefficient's absolute error scales with machine
-    epsilon times the sum of the absolute values of its summands.
+    The normalization of the underlying integral transform is not included:
+    at rank 1 the missing factor is 1 / (2 pi * 4 sin^2(theta/2)), so it
+    depends on the class, and at higher rank it is not yet fixed.  A
+    coefficient's absolute error scales with machine epsilon times the sum
+    of the absolute values of its summands.
 
     Raises :class:`EvennessError` if the odd-power residuals of the expanded
     sum exceed ``EVENNESS_TOL`` relative to the largest coefficient.
@@ -222,21 +225,33 @@ def orbital_polynomial(
 
 
 def plancherel_polynomial(sigma: WeightVector, n: int) -> EvenPolynomial:
-    """Plancherel density polynomial for the identity contribution.
+    """Plancherel density polynomial for the identity contribution on
+    H^{2n+1}, at every rank:
 
-    Supported for n = 1 only, where the density attached to the SO(2)
-    character of weight k is (nu^2 + k^2) / (4 pi^2); at k = 0 its Gaussian
-    transform is the free leading heat coefficient (4 pi t)^{-3/2}.
+        P(nu) = C_n dim(sigma) prod_a (nu^2 + mu_a^2),  mu = sigma + delta,
+
+    with dim(sigma) = prod_{i<j} (mu_i^2 - mu_j^2) / (delta_i^2 - delta_j^2)
+    and C_n = n! / (2 (2n)! pi^{n+1}): the identity value of
+    ``orbital_polynomial`` up to one constant per n.  C_n makes the Gaussian
+    transform of P at sigma = 0 the heat kernel of Delta - n^2 at the origin,
+    k_t(0) of k_t(rho) = (-1/(2 pi sinh rho) d/d rho)^n (4 pi t)^{-1/2}
+    e^{-rho^2/4t} (Davies and Mandouvalos, Proc. LMS 57, 1988); at n = 1,
+    P = (nu^2 + k^2) / (4 pi^2).  Only the product with C_n is rounded.
     """
-    if n != 1:
-        raise UnsupportedRankError(
-            "closed-form Plancherel polynomials are only available for rank 1"
-        )
-    if sigma.rank != 1:
-        raise ValidationError("weight rank must match n = 1")
-    k = float(sigma.coords[0])
-    c = 1.0 / (4.0 * math.pi**2)
-    return EvenPolynomial((complex(k * k * c), complex(c)))
+    if sigma.rank != n:
+        raise ValidationError(f"weight rank must match n = {n}")
+    if not sigma.is_dominant():
+        raise ValidationError(f"weight {sigma} is not dominant")
+    # doubled coordinates: each pair's factor 4 cancels in dim(sigma)
+    delta = half_sum_positive_roots(n).doubled
+    mu = [a + b for a, b in zip(sigma.doubled, delta)]
+    dim = Fraction(math.prod(a * a - b * b for a, b in combinations(mu, 2)),
+                   math.prod(a * a - b * b for a, b in combinations(delta, 2)))
+    coeffs = [dim]  # of nu^{2k}
+    for m in mu:
+        coeffs = [x * Fraction(m * m, 4) + y for x, y in zip(coeffs + [0], [0] + coeffs)]
+    c = math.factorial(n) / (2 * math.factorial(2 * n) * math.pi ** (n + 1))
+    return EvenPolynomial(tuple(complex(float(x) * c) for x in coeffs))
 
 
 def weyl_A_invariance_gap(

@@ -15,9 +15,12 @@ the class's axis, as the spectrum records it (1 in a torsion-free group),
 and the heat term weighs a class by l0 * v, the covolume of its
 centralizer.  The symmetric combination multiplies the zeta functions of a
 weight and its last-coordinate flip; the antisymmetric one divides them.
-Heat-side terms integrate the Plancherel and orbital polynomials against a
-Gaussian (identity and elliptic contributions) and evaluate the hyperbolic
-line's Fourier integral in closed form.
+Heat-side terms are those of the heat kernel of Delta - n^2 on functions
+for trivial sigma (lambda = n^2 + nu^2).  They integrate the Plancherel and
+orbital polynomials against a Gaussian (identity and elliptic
+contributions) and evaluate the hyperbolic line's Fourier integral in
+closed form.  The identity term is normalised at every rank; the elliptic
+term still lacks the normalisation of the orbital polynomial, at every rank.
 
 Character convention: the zeta sum uses tr sigma(m) unconjugated, the heat
 term uses the conjugate, matching each formula's own display.
@@ -47,12 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    AmbiguousClassError,
-    NumericalGuardError,
-    UnsupportedRankError,
-    ValidationError,
-)
+from .errors import AmbiguousClassError, NumericalGuardError, ValidationError
 from .geometry import LengthSpectrum, SpectrumColumns
 from .lie import EllipticAngles, WeightVector, w0_flip, weyl_character
 from .orbital import orbital_polynomial, plancherel_polynomial
@@ -317,34 +315,25 @@ def convergence_abscissa_estimate(ctx: ZetaTermContext):
     """
     hyp = ctx.spectrum.part("hyperbolic")  # canonical order runs by length
     lengths = hyp.length
-    k_fit, big_k = 0.0, 1.0
+    k_fit = 0.0
     if len(lengths) >= 2:
         mags = np.maximum(np.abs(hyp.tr_chi), 1e-300)
-        slope, intercept = np.polyfit(lengths, np.log(mags), 1)
-        k_fit = max(float(slope), 0.0)
-        big_k = float(np.exp(intercept))
+        k_fit = max(float(np.polyfit(lengths, np.log(mags), 1)[0]), 0.0)
     if len(lengths) < 5:
         warnings.warn(
             "spectrum too small to fit a growth rate; using the conservative "
             "default abscissa",
             stacklevel=2,
         )
-        return AbscissaEstimate(
-            c=2 * ctx.n + k_fit, chi_bound=big_k, chi_rate=k_fit,
-            entropy=float("nan"), conservative=True,
-        )
+        return AbscissaEstimate(2 * ctx.n + k_fit, k_fit, float("nan"), conservative=True)
     counts = np.arange(1, len(lengths) + 1, dtype=float)
     entropy = max(float(np.polyfit(lengths, np.log(counts), 1)[0]), 0.0)
-    return AbscissaEstimate(
-        c=entropy + k_fit, chi_bound=big_k, chi_rate=k_fit,
-        entropy=entropy, conservative=False,
-    )
+    return AbscissaEstimate(entropy + k_fit, k_fit, entropy, conservative=False)
 
 
 @dataclass(frozen=True)
 class AbscissaEstimate:
     c: float
-    chi_bound: float
     chi_rate: float
     entropy: float
     conservative: bool
@@ -421,9 +410,12 @@ def geometric_heat_terms(t, ctx: ZetaTermContext) -> HeatTerms | list[HeatTerms]
     """Identity, elliptic and hyperbolic heat-side contributions at time t,
     or a list of them for a sequence of times.
 
-    The identity term integrates the rank-1 Plancherel polynomial against a
-    Gaussian; the elliptic term does the same with each class's orbital
-    polynomial; the hyperbolic term evaluates the Fourier integral
+    The operator is Delta - n^2 on functions for trivial sigma.  The
+    identity term integrates the Plancherel polynomial against a Gaussian;
+    at every rank, for trivial sigma and unit volume, it is the heat kernel
+    at the origin.  The elliptic term does the same with each class's
+    orbital polynomial, which lacks its normalisation at every rank.  The
+    hyperbolic term evaluates the Fourier integral
 
         int_R e^{-t lambda^2} e^{-i l lambda} d lambda
             = sqrt(pi/t) e^{-l^2 / 4t}
@@ -433,10 +425,6 @@ def geometric_heat_terms(t, ctx: ZetaTermContext) -> HeatTerms | list[HeatTerms]
     times, scalar = _points(t)
     if not all(0 < x < math.inf for x in times):
         raise ValidationError("heat time must be finite and positive")
-    if ctx.n != 1:
-        raise UnsupportedRankError(
-            "the identity heat term needs the rank-1 Plancherel polynomial"
-        )
     eps = epsilon_sigma(ctx.sigma)
     arrays = _class_arrays(ctx, both=eps == 2)
     hyp = arrays.hyp

@@ -152,6 +152,16 @@ def test_orbital_poly_rejects_bad_weight(capsys):
     assert "dominant" in err
 
 
+def test_orbital_plancherel_rank2_output(capsys):
+    # (1/(24 pi^3)) * dim 4 * nu^2 (nu^2 + 4) for sigma = (1, 0)
+    code, out, _ = invoke(capsys, "orbital", "plancherel", "--sigma", "1,0")
+    assert code == 0
+    values = [float(x) for x in out.strip().split(",")]
+    want = [0.0, 2 / (3 * math.pi**3), 1 / (6 * math.pi**3)]
+    assert len(values) == len(want)
+    assert all(abs(g - w) <= 1e-15 * w for g, w in zip(values, want)), values
+
+
 def test_validate_dry_run(capsys, group_file):
     code, out, _ = invoke(
         capsys, "spectrum", "enumerate", "--group", group_file,
@@ -865,7 +875,7 @@ VALIDATE_ARGV = {
     "poly-rank-mismatch": ("orbital", "poly", "--n", "3", "--sigma", "1,0", "--angles", "0.1,0.5"),
     "fit-grid-outside-window": ("heat", "fit", "--model", "circle", "--t-grid", "0.5,0.6,0.7"),
     "delta-m-rank-0": ("lie", "delta-m", "--n", "0"),
-    "plancherel-rank-2": ("orbital", "plancherel", "--sigma", "1,0"),
+    "plancherel-not-dominant": ("orbital", "plancherel", "--sigma", "0,1"),
     "lie-ok": ("lie", "delta-m", "--n", "3"),
     "orbital-ok": ("orbital", "plancherel", "--sigma", "1"),
     "spectrum-ok": ("spectrum", "classify", "--group", "{group}", "--word", "1"),

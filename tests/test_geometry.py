@@ -269,6 +269,15 @@ def test_abelian_group_flags_no_class():
     assert all(r.ambiguous for r in build_length_spectrum(schottky_spec(), 2, cutoff=7.0).records)
 
 
+def test_commuting_scales_with_both_factors():
+    """b^4 and b^-4 commute: their product is about I while each factor is
+    about 40, so the rounding of the two products scales with |h| |w|."""
+    ball = {e.word: e.matrix for e in enumerate_elements(schottky_spec(), 4)}
+    h, w = ball[(2, 2, 2, 2)], ball[(-2, -2, -2, -2)]
+    assert geometry._commuting(np.stack([h, w, ball[()]]), w).all()
+    assert not geometry._commuting(np.stack([ball[(1,)], ball[(1, 1, 1, 1)]]), w).any()
+
+
 def test_word_matrix_is_the_ball_matrix_bit_for_bit():
     c = _rotation(0.4) @ np.diag([math.exp(0.3), math.exp(-0.3)]) @ _rotation(2.2)
     tri = triangle_237_spec()

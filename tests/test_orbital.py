@@ -13,7 +13,8 @@ from conftest import (
     weyl_act,
     weyl_dn,
 )
-from selberg.errors import UnsupportedRankError, ValidationError
+from selberg.errors import ValidationError
+from selberg.geometry import LengthSpectrum
 from selberg.lie import (
     TWO_PI,
     EllipticAngles,
@@ -29,6 +30,7 @@ from selberg.orbital import (
     stabilizer_roots,
     weyl_A_invariance_gap,
 )
+from selberg.zeta import ZetaTermContext, geometric_heat_terms
 
 E1M_E2 = (1, -1, 0)
 E1P_E2 = (1, 1, 0)
@@ -284,6 +286,9 @@ def test_plancherel_values():
     assert p0.coeffs == (0j, complex(c))
     p1 = plancherel_polynomial(WeightVector.from_coords([1]), 1)
     assert p1.coeffs == (complex(c), complex(c))
+    for k in (1.5, 5.0):  # (nu^2 + k^2) / (4 pi^2), bit for bit
+        assert plancherel_polynomial(WeightVector.from_coords([k]), 1).coeffs == (
+            complex(k * k * c), complex(c))
     assert p1(2.0) == pytest.approx((4.0 + 1.0) * c)
     assert p1(-2.0) == p1(2.0)
 
@@ -317,9 +322,50 @@ def test_plancherel_shift_structure_oracle():
     assert integral == pytest.approx(expected, rel=1e-10)
 
 
-def test_plancherel_unsupported_rank():
-    with pytest.raises(UnsupportedRankError):
-        plancherel_polynomial(WeightVector.from_coords([1, 0]), 2)
+def heat_kernel_at_origin(n, t):
+    """k_t(0) of Delta - n^2 on H^{2n+1}, from the closed-form kernel
+    k_t(rho) = (-1/(2 pi sinh rho) d/d rho)^n (4 pi t)^{-1/2} e^{-rho^2/4t}
+    alone: with u = cosh rho the operator is (-1/(2 pi) d/du)^n, taken at u = 1
+    by mpmath's numerical derivative of the kernel continued through u < 1."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        gauss = lambda u: (4 * mpmath.pi * t) ** -0.5 * mpmath.exp(-mpmath.acosh(u) ** 2 / (4 * t))
+        return float(mpmath.re((-1 / (2 * mpmath.pi)) ** n * mpmath.diff(gauss, 1, n)))
+
+
+def test_identity_heat_term_matches_kernel_at_origin(rng):
+    spectrum = LengthSpectrum([], "synthetic", 5.0, 0)
+    for n in range(1, 7):
+        ctx = ZetaTermContext(sigma=WeightVector((0,) * n), chi_dim=1, spectrum=spectrum, vol=1.0)
+        for t in (0.1, 1.0, 10.0):
+            want = heat_kernel_at_origin(n, t)
+            assert abs(geometric_heat_terms(t, ctx).identity - want) <= 1e-12 * want, (n, t)
+        # one density shape for every weight: the identity orbital
+        # polynomial up to one constant per n
+        ratios = []
+        sigmas = [WeightVector((0,) * n)] + [
+            random_dominant(rng, n, spin=spin) for spin in (False, True) for _ in range(4)
+        ]
+        for sigma in sigmas:
+            got = plancherel_polynomial(sigma, n).coeffs
+            ref = orbital_polynomial(sigma, EllipticAngles((0.0,) * n), n).coeffs
+            assert len(got) == len(ref) == n + 1, sigma
+            scale = max(map(abs, ref))
+            for g, r in zip(got, ref):
+                if abs(r) <= 1e-12 * scale:
+                    assert g == 0, sigma
+                else:
+                    ratios.append(g / r)
+        assert all(abs(r - ratios[0]) <= 1e-12 * abs(ratios[0]) for r in ratios), (n, ratios)
+
+
+def test_plancherel_rejects_non_dominant_weight():
+    with pytest.raises(ValidationError, match="is not dominant"):
+        plancherel_polynomial(WeightVector.from_coords([0, 1]), 2)
+    with pytest.raises(ValidationError):
+        plancherel_polynomial(WeightVector.from_coords([1, 0]), 3)
 
 
 def test_even_polynomial_helpers():

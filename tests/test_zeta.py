@@ -14,12 +14,7 @@ from conftest import (
     small_h3_spectrum_csv,
 )
 from selberg import zeta
-from selberg.errors import (
-    AmbiguousClassError,
-    NumericalGuardError,
-    UnsupportedRankError,
-    ValidationError,
-)
+from selberg.errors import AmbiguousClassError, NumericalGuardError, ValidationError
 from selberg.geometry import ConjClassRecord, LengthSpectrum, build_length_spectrum, weight_D
 from selberg.lie import EllipticAngles, WeightVector, w0_flip
 from selberg.zeta import (
@@ -326,9 +321,59 @@ def test_heat_terms_guards():
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(ValidationError):
             geometric_heat_terms([0.5, bad], ctx)
-    ctx2 = make_ctx([], WeightVector.from_coords([0, 0]))
-    with pytest.raises(UnsupportedRankError):
-        geometric_heat_terms(0.5, ctx2)
+
+
+def determinant_character(weight, angles) -> complex:
+    """Weyl character of SO(2n) by the determinant form (Fulton-Harris,
+    Lecture 24): A_mu = (det(2 cos(mu_j phi_i)) + det(2i sin(mu_j phi_i))) / 2,
+    character = A_{weight + delta} / A_delta."""
+    phi = np.asarray(angles, dtype=float)[:, None]
+    delta = np.arange(len(weight) - 1, -1, -1, dtype=float)
+
+    def alt(mu):
+        x = phi * mu[None, :]
+        return 0.5 * (np.linalg.det(2.0 * np.cos(x)) + np.linalg.det(2j * np.sin(x)))
+
+    return complex(alt(np.asarray(weight, dtype=float) + delta) / alt(delta))
+
+
+def test_rank2_hyperbolic_heat_term_matches_determinant_oracle():
+    # two synthetic n = 2 classes; the oracle builds its own adjoint weight
+    # prod_j 4 |sinh((l + i theta_j)/2)|^2 and sums sigma and w0 sigma once each
+    classes = [(1.3, (0.8, 2.1), 1, 1.3, 1, 1.5 - 0.5j), (2.9, (4.0, 1.1), 2, 1.45, 2, -0.7 + 1.2j)]
+    recs = [hyp_record(l, a, power=p, l0=l0, tr_chi=chi, v=Fraction(1, m), n=2)
+            for l, a, p, l0, m, chi in classes]
+    for weights in ({(1, 0)}, {(2, 1), (2, -1)}):
+        ctx = make_ctx(recs, WeightVector.from_coords(max(weights)))
+        for t in (0.2, 1.0, 3.0):
+            want = 0j
+            for l, angles, _, l0, m, chi in classes:
+                den = math.prod(4 * abs(cmath.sinh((l + 1j * th) / 2)) ** 2 for th in angles)
+                trace = sum(determinant_character(w, angles).conjugate() for w in weights)
+                want += (chi * l0 / m * (4 * math.pi * t) ** -0.5 * math.exp(-l * l / (4 * t))
+                         * trace / den)
+            got = geometric_heat_terms(t, ctx).hyperbolic
+            assert abs(got - want) <= 1e-12 * abs(want), (weights, t)
+
+
+def test_rank2_xi_matches_product_formula_plancherel(rng):
+    # P(nu) = C_2 dim(sigma) (nu^2 + mu_1^2)(nu^2 + mu_2^2), mu = sigma + (1, 0),
+    # C_2 = 1/(24 pi^3) and dim(sigma) = (mu_1^2 - mu_2^2) / 1
+    recs = regular_spectrum(rng, 2, count=5)
+    for coords in ([1, 0], [2, 1], [3 / 2, -1 / 2]):
+        sigma = WeightVector.from_coords(coords)
+        m1, m2 = float(sigma.coords[0]) + 1, float(sigma.coords[1])
+        a, b = m1 * m1 + m2 * m2, m1 * m1 * m2 * m2  # P = c (x^4 + a x^2 + b)
+        c = (m1 * m1 - m2 * m2) / (24 * math.pi**3)
+        ctx = make_ctx(recs, sigma, vol=1.7, chi_dim=2)
+        eps = epsilon_sigma(sigma)
+        for s in (2.5, complex(3.0, 0.5)):
+            integral = c * (s**5 / 5 + a * s**3 / 3 + b * s)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got, sym = xi_correction(s, ctx), symmetric_zeta(s, ctx)
+            want = cmath.exp(-2 * math.pi * eps * 2 * 1.7 * integral) * sym
+            assert abs(got - want) <= 1e-12 * abs(want), (coords, s)
 
 
 def test_xi_no_elliptic_closed_form(rng):
