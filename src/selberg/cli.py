@@ -20,9 +20,10 @@ option, and explicit flags win.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-guard error.  A
 radius, side, rmax, heat time, cutoff or volume that is not finite and
-positive is a validation error, and so is a chi dimension or element cap
-below 1.  So are a missing or unwritable file, malformed JSON and a list or
-grid item that is not a number; each prints one ``error:`` line.
+positive is a validation error, and so are a chi dimension or element cap
+below 1 and a group-spec generator entry, chi entry or ``--s`` point that
+is not finite.  So are a missing or unwritable file, malformed JSON and a list
+or grid item that is not a number; each prints one ``error:`` line.
 
 ``--validate`` runs every check of the op, the computation included, and
 prints ``ok`` in place of the output lines, so its exit code and error line
@@ -211,7 +212,10 @@ def cmd_zeta_eval(args) -> list[str]:
 
 def cmd_zeta_xi(args) -> list[str]:
     ctx = _load_context(args)
-    points = [complex(x, 0.0) for x in _parse_values(args.s)]
+    values = _parse_values(args.s)
+    if not all(map(math.isfinite, values)):
+        raise ValidationError("--s points must be finite")
+    points = [complex(x, 0.0) for x in values]
     return ["re_s,im_s,re_xi,im_xi"] + [
         f"{fmt(s.real)},{fmt(s.imag)},{fmt(value.real)},{fmt(value.imag)}"
         for s, value in zip(points, zeta_mod.xi_correction(points, ctx))

@@ -90,9 +90,11 @@ class GroupSpec:
         if self.model not in MODELS:
             raise ValidationError(f"unknown model {self.model!r}; expected one of {MODELS}")
         self.generators = [np.asarray(g, dtype=complex) for g in self.generators]
-        for g in self.generators:
+        for k, g in enumerate(self.generators, 1):
             if g.shape != (2, 2):
                 raise ValidationError("generators must be 2x2 matrices")
+            if not np.isfinite(g).all():
+                raise ValidationError(f"generator {k} has an entry that is not finite")
             det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
             if abs(det - 1.0) > 1e-10:
                 raise ValidationError(f"generator determinant {det} is not 1")
@@ -102,10 +104,12 @@ class GroupSpec:
             self.chi = [np.asarray(m, dtype=complex) for m in self.chi]
             if len(self.chi) != len(self.generators):
                 raise ValidationError("chi must give one matrix per generator")
-            for m in self.chi:
+            for k, m in enumerate(self.chi, 1):
                 if m.shape[0] != m.shape[1]:
                     raise ValidationError("chi matrices must be square")
-                if not np.isfinite(np.linalg.cond(m)) or np.linalg.cond(m) > 1e12:
+                if not np.isfinite(m).all():
+                    raise ValidationError(f"chi matrix {k} has an entry that is not finite")
+                if np.linalg.cond(m) > 1e12:  # inf if singular
                     raise ValidationError("chi matrix is numerically singular")
 
     def spec_hash(self) -> str:
@@ -551,8 +555,8 @@ def _axis_fixers(witness: int, axis_ball: tuple) -> tuple[int, float, int]:
 #: sorts before its extensions, as tuples do
 WORD_PAD = np.iinfo(np.int64).min
 _CSV_COLUMNS = "kind,l,l0,power,theta,D,v,re_trchi,im_trchi,word"
-#: the errors ``_parse_rows`` raises on a row it cannot read
-_UNREADABLE = (ValueError, ZeroDivisionError, OverflowError)
+#: the values of a power or word letter
+_INT64 = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
 
 
 class SpectrumColumns(NamedTuple):
@@ -580,22 +584,25 @@ class SpectrumColumns(NamedTuple):
     @classmethod
     def of(cls, records) -> "SpectrumColumns":
         """The columns of a sequence of ``ConjClassRecord``."""
-        recs = list(records)
+        return cls.from_rows([
+            (r.kind, r.length, r.primitive_length, r.power, r.angles,
+             math.nan if r.D is None else r.D, r.v, r.tr_chi, r.word, r.ambiguous, float(r.v))
+            for r in records
+        ])
 
-        def column(name, dtype):
-            return np.array([getattr(r, name) for r in recs], dtype=dtype)
-
-        def padded(name, dtype, fill):
-            rows = [getattr(r, name) for r in recs]
-            return _padded([len(x) for x in rows], np.array([a for x in rows for a in x], dtype), fill)[0]
-
+    @classmethod
+    def from_rows(cls, rows: list) -> "SpectrumColumns":
+        """The columns of rows of field values in field order, ``D`` NaN
+        where a class has none."""
+        kind, length, l0, power, angles, D, v, tr_chi, word, ambiguous, v_float = (
+            list(zip(*rows)) or [()] * len(cls._fields))
         return cls(
-            column("kind", str), column("length", float), column("primitive_length", float),
-            column("power", np.int64), padded("angles", float, np.nan),
-            np.array([np.nan if r.D is None else r.D for r in recs], dtype=float),
-            column("v", object), column("tr_chi", complex), padded("word", np.int64, WORD_PAD),
-            column("ambiguous", bool),
-            np.array([float(r.v) for r in recs], dtype=float),
+            np.array(kind, dtype=str), np.array(length, dtype=float),
+            np.array(l0, dtype=float), np.array(power, dtype=np.int64),
+            _padded(angles, float, np.nan), np.array(D, dtype=float),
+            np.array(v, dtype=object), np.array(tr_chi, dtype=complex),
+            _padded(word, np.int64, WORD_PAD), np.array(ambiguous, dtype=bool),
+            np.array(v_float, dtype=float),
         )
 
     def take(self, index) -> "SpectrumColumns":
@@ -633,87 +640,56 @@ class SpectrumColumns(NamedTuple):
         ]
 
 
-def _padded(counts, flat: np.ndarray, fill) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``counts[i]`` consecutive items of ``flat``, padded with
-    ``fill`` to the longest, and the mask of the entries that are items."""
-    counts = np.asarray(counts, dtype=np.intp)
+def _padded(rows, dtype, fill) -> np.ndarray:
+    """The ragged ``rows`` as a ``dtype`` matrix, each row padded with
+    ``fill`` to the longest."""
+    counts = np.array([len(row) for row in rows], dtype=np.intp)
     present = np.arange(counts.max(initial=0)) < counts[:, None]
-    out = np.full(present.shape, fill, dtype=flat.dtype)
-    out[present] = flat
-    return out, present
+    out = np.full(present.shape, fill, dtype=dtype)
+    out[present] = np.array([x for row in rows for x in row], dtype=dtype)
+    return out
 
 
-def _floats(texts) -> np.ndarray:
-    return np.array(list(map(float, texts)), dtype=float)
-
-
-def _ints(texts) -> np.ndarray:
-    return np.array(list(map(int, texts)), dtype=np.int64)
-
-
-def _lists(texts, sep: str, convert, fill) -> tuple[np.ndarray, np.ndarray]:
-    """``sep``-separated lists (an empty text is an empty list) as a padded
-    matrix and its mask of entries, as ``_padded``."""
-    counts = [t.count(sep) + 1 if t else 0 for t in texts]
-    items = sep.join(filter(None, texts)).split(sep) if any(counts) else []
-    return _padded(counts, convert(items), fill)
-
-
-def _fractions(texts) -> tuple[np.ndarray, np.ndarray]:
-    """Exact ``Fraction`` values of rational texts and their floats (inf
-    beyond the float range), parsing each distinct text once."""
-    codes: dict[str, int] = {}
-    index = np.array([codes.setdefault(t, len(codes)) for t in texts], dtype=np.intp)
-    exact = [Fraction(t) for t in codes]
-    values = []
-    for f in exact:
-        try:
-            values.append(float(f))
-        except OverflowError:
-            values.append(math.inf)
-    return np.array(exact, dtype=object)[index], np.array(values, dtype=float)[index]
-
-
-def _equal(texts, text: str) -> np.ndarray:
-    """The mask of the texts equal to ``text``."""
-    return np.array([t == text for t in texts], dtype=bool)
-
-
-def _parse_rows(texts: list[str]) -> tuple[SpectrumColumns, list]:
-    """The columns of spectrum-file rows, and (mask, message) pairs marking
-    the rows that convert but break a rule; on one row, a later pair wins.
-    A row without ten fields raises ValueError, and a field that does not
-    convert one of the ``_UNREADABLE`` errors."""
-    if any(text.count(",") != 9 for text in texts):
-        raise ValueError("a spectrum row needs ten fields")
-    fields = ",".join(texts).split(",") if texts else []
-    kind, l, l0, power, theta, d, v, re_t, im_t, word = (fields[k::10] for k in range(10))
-    length, prim, dval, re_t, im_t = map(_floats, (l, l0, [t or "nan" for t in d], re_t, im_t))
-    power = _ints(power)
-    angles, present = _lists(theta, "|", _floats, np.nan)
-    word = _lists(word, ".", _ints, WORD_PAD)[0]
-    v, v_float = _fractions(v)
-    tr_chi = np.empty(len(texts), dtype=complex)
-    tr_chi.real, tr_chi.imag = re_t, im_t
-    # the rules compare Python strings: numpy's str arrays drop trailing NULs
-    hyper, elliptic = _equal(kind, "hyperbolic"), _equal(kind, "elliptic")
-    kind = np.array(kind, dtype=str)
-    flags = np.zeros(len(texts), dtype=bool)
-    columns = SpectrumColumns(kind, length, prim, power, angles, dval, v, tr_chi, word,
-                              flags, v_float)
-    finite_positive = [(0 < x) & (x < math.inf) for x in (length, prim, dval)]
-    return columns, [
-        (v_float <= 0, "v must be positive"),
-        (v_float == math.inf, "v is too large for a float"),
-        (hyper & ~np.logical_and.reduce(finite_positive + [power >= 1]),
-         "a hyperbolic row needs finite positive l, l0 and D and power >= 1"),
-        (elliptic & ~((length == 0) & (prim == 0) & (power == 1)),
-         "an elliptic row needs l = l0 = 0 and power = 1"),
-        (~hyper & ~elliptic, "unknown class kind {kind!r}"),
-        (elliptic & ~_equal(d, ""), "an elliptic row needs an empty D"),
-        (~(np.isfinite(tr_chi) & (np.isfinite(angles) | ~present).all(axis=1)),
-         "a row needs finite angles and tr chi"),
-    ]
+def _spectrum_row(text: str, fractions: dict) -> tuple:
+    """The fields of one spectrum-file row, in ``SpectrumColumns`` order,
+    or a ValidationError naming its problem: the row does not convert, or
+    it breaks a rule.  ``fractions`` maps each v text read so far to its
+    ``Fraction`` and float (inf beyond the float range)."""
+    try:
+        kind, l, l0, power, theta, d, v, re_t, im_t, word = text.split(",")
+        length, prim, dval = float(l), float(l0), float(d or "nan")
+        power = int(power)
+        angles = tuple(map(float, theta.split("|"))) if theta else ()
+        letters = tuple(map(int, word.split("."))) if word else ()
+        if v not in fractions:
+            exact = Fraction(v)
+            try:
+                fractions[v] = exact, float(exact)
+            except OverflowError:
+                fractions[v] = exact, math.inf
+        tr_chi = complex(float(re_t), float(im_t))
+        if not all(map(_INT64.__contains__, (power, *letters))):
+            raise ValueError("an integer outside int64")
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"malformed spectrum row {text!r}") from None
+    exact, v_float = fractions[v]
+    hyper, elliptic = kind == "hyperbolic", kind == "elliptic"
+    # the rules in precedence order: a row gets the message of the first it breaks
+    if not (cmath.isfinite(tr_chi) and all(map(math.isfinite, angles))):
+        raise ValidationError("a row needs finite angles and tr chi")
+    if elliptic and d:
+        raise ValidationError("an elliptic row needs an empty D")
+    if not (hyper or elliptic):
+        raise ValidationError(f"unknown class kind {kind!r}")
+    if elliptic and not (length == prim == 0 and power == 1):
+        raise ValidationError("an elliptic row needs l = l0 = 0 and power = 1")
+    if hyper and not (all(0 < x < math.inf for x in (length, prim, dval)) and power >= 1):
+        raise ValidationError("a hyperbolic row needs finite positive l, l0 and D and power >= 1")
+    if v_float == math.inf:
+        raise ValidationError("v is too large for a float")
+    if v_float <= 0:
+        raise ValidationError("v must be positive")
+    return kind, length, prim, power, angles, dval, exact, tr_chi, letters, False, v_float
 
 
 def _text_lines(path, raw: bytes) -> list[str]:
@@ -725,35 +701,6 @@ def _text_lines(path, raw: bytes) -> list[str]:
     except UnicodeDecodeError as exc:
         line = raw[: exc.start].count(b"\n") + 1
         raise ValidationError(f"{path} line {line}: not UTF-8 text") from None
-
-
-def _checked_rows(texts: list[str]) -> SpectrumColumns | None:
-    """The columns of spectrum-file rows, or None if a row does not convert
-    or breaks a rule."""
-    try:
-        columns, problems = _parse_rows(texts)
-    except _UNREADABLE:
-        return None
-    return None if any(mask.any() for mask, _ in problems) else columns
-
-
-def _first_bad_row(texts: list[str]) -> tuple[int, str]:
-    """The index of the first bad row of ``texts``, some row of which is
-    bad, and its problem.  Halving keeps every row before ``lo`` good and
-    some row in [lo, hi) bad, parsing about len(texts) rows in all."""
-    lo, hi = 0, len(texts)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _checked_rows(texts[lo:mid]) is None:
-            hi = mid
-        else:
-            lo = mid
-    try:
-        problems = _parse_rows(texts[lo : lo + 1])[1]
-    except _UNREADABLE:
-        return lo, f"malformed spectrum row {texts[lo]!r}"
-    problem = next(text for mask, text in reversed(problems) if mask[0])
-    return lo, problem.format(kind=texts[lo].split(",", 1)[0])
 
 
 def _check_provenance(cutoff: float, model: str) -> None:
@@ -857,21 +804,28 @@ class LengthSpectrum:
 
     @classmethod
     def read_csv(cls, path) -> "LengthSpectrum":
-        """Read a spectrum written by ``to_csv`` into columns: the body is
-        split and each column converted in one pass over all rows.  If a row
-        is bad, the first one is found by halving the rows, each half read
-        the same way, so a bad file costs about two passes.
+        """Read a spectrum written by ``to_csv``: the body row by row, in
+        file order, then the columns once at the end.
 
         The header must give ``spec_hash``, a finite positive ``cutoff`` and
-        ``max_word_len``; ``model``, if given, is one of ``MODELS``.
-        Every row has ten fields that parse, the kind ``hyperbolic`` or
-        ``elliptic``, finite angles and tr chi, and a positive v that is a
-        float.  A hyperbolic row also has finite positive l, l0 and D and an
-        integer power of at least 1; an elliptic row has l = l0 = 0, power 1
-        and an empty D.  The optional ``# ambiguous=`` line lists row indices
-        that exist.  The file must be UTF-8.  Anything else is a
-        ValidationError naming the file and the first bad line; blank lines
-        are skipped but counted.
+        ``max_word_len``; ``model``, if given, is one of ``MODELS``.  The
+        optional ``# ambiguous=`` line lists row indices that exist.  The
+        file must be UTF-8.  Every row has ten fields that convert: floats,
+        an int64 power and word letters, and a rational v.  Then the rules,
+        in precedence order (a row breaking several gets the first one's
+        message):
+
+        1. the angles and tr chi are finite;
+        2. an elliptic row has an empty D;
+        3. the kind is ``hyperbolic`` or ``elliptic``;
+        4. an elliptic row has l = l0 = 0 and power 1;
+        5. a hyperbolic row has finite positive l, l0 and D and power >= 1;
+        6. v lies within the float range;
+        7. v is positive.
+
+        Anything else is a ValidationError naming the file and the first
+        bad line; no row after it is read.  Blank lines are skipped but
+        counted.
 
         The last spectrum read without error is kept, keyed on the file's
         full content: its bytes, never its path, size or time.  A read of
@@ -910,19 +864,19 @@ class LengthSpectrum:
             body = 2
         if len(lines) <= body or lines[body] != _CSV_COLUMNS:
             raise ValidationError(f"{path} line {body + 1}: unexpected length-spectrum header")
-        texts = [ln for ln in lines[body + 1 :] if ln]
-        columns = _checked_rows(texts)
-        if columns is None:
-            index, problem = _first_bad_row(texts)
-            lineno = [i for i, ln in enumerate(lines) if ln and i > body][index] + 1
-            raise ValidationError(f"{path} line {lineno}: {problem}")
-        stray = flagged.difference(range(len(texts)))
+        rows, fractions = [], {}
+        for lineno, text in enumerate(lines[body + 1 :], body + 2):
+            if text:
+                try:
+                    rows.append(_spectrum_row(text, fractions))
+                except ValidationError as exc:
+                    raise ValidationError(f"{path} line {lineno}: {exc}") from None
+        stray = flagged.difference(range(len(rows)))
         if stray:
             raise ValidationError(f"{path} line 2: ambiguous index {min(stray)} names no row")
-        ambiguous = np.zeros(len(texts), dtype=bool)
-        ambiguous[list(flagged)] = True
-        spectrum = cls(columns._replace(ambiguous=ambiguous), spec_hash, cutoff, max_word_len,
-                       model)
+        columns = SpectrumColumns.from_rows(rows)
+        columns.ambiguous[list(flagged)] = True
+        spectrum = cls(columns, spec_hash, cutoff, max_word_len, model)
         _last_read = cls, raw, spectrum
         return spectrum
 

@@ -13,6 +13,7 @@ import math
 import random
 from itertools import permutations, product
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -92,31 +93,81 @@ def lorentz_to_sl2c(lorentz: np.ndarray) -> np.ndarray:
     return a / np.sqrt(np.linalg.det(a))
 
 
-def coxeter_534_spec() -> GroupSpec:
-    """The rotation subgroup of the compact Coxeter tetrahedron group
-    [5,3,4] (m01 = 5, m12 = 3, m23 = 4, every other m = 2) in SL(2,C),
-    generated by a = r0 r1, b = r1 r2 and c = r2 r3 of orders 5, 3 and 4.
+#: the Coxeter exponents m_ij of the [5,3,4] tetrahedron: m01 = 5, m12 = 3,
+#: m23 = 4, every other m = 2
+COXETER_534_M = np.array([[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]], dtype=float)
 
-    The Gram matrix G = -cos(pi/m_ij) has one negative eigenvalue; from
-    G = U diag(lam) U^T the rows of U |lam|^(1/2) are face normals e_i in
-    the metric J = diag(sign lam), the time coordinate first.  The
-    reflections are r_i = I - 2 e_i e_i^T J.
+
+def coxeter_534_gram_normals() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gram matrix G = -cos(pi/m_ij) of the [5,3,4] tetrahedron, its
+    face normals e_i (rows) and the metric J, with <e_i, e_j> = G_ij.
+
+    G has one negative eigenvalue; from G = U diag(lam) U^T the rows of
+    U |lam|^(1/2) are the normals in the metric J = diag(sign lam), the
+    time coordinate first.
     """
-    m = np.full((4, 4), 2.0)
-    np.fill_diagonal(m, 1.0)
-    m[0, 1] = m[1, 0] = 5.0
-    m[1, 2] = m[2, 1] = 3.0
-    m[2, 3] = m[3, 2] = 4.0
-    lam, u = np.linalg.eigh(-np.cos(np.pi / m))
+    gram = -np.cos(np.pi / COXETER_534_M)
+    lam, u = np.linalg.eigh(gram)
     assert np.count_nonzero(lam < 0) == 1
     order = np.argsort(lam)  # the negative eigenvalue first
     lam, u = lam[order], u[:, order]
-    normals = u * np.sqrt(np.abs(lam))
-    metric = np.diag(np.sign(lam))
+    return gram, u * np.sqrt(np.abs(lam)), np.diag(np.sign(lam))
+
+
+def coxeter_534_spec() -> GroupSpec:
+    """The rotation subgroup of the compact Coxeter tetrahedron group
+    [5,3,4] in SL(2,C), generated by a = r0 r1, b = r1 r2 and c = r2 r3 of
+    orders 5, 3 and 4, where r_i = I - 2 e_i e_i^T J is the reflection in
+    face i (``coxeter_534_gram_normals``)."""
+    _, normals, metric = coxeter_534_gram_normals()
     refl = [np.eye(4) - 2.0 * np.outer(e, e) @ metric for e in normals]
     rotations = [refl[0] @ refl[1], refl[1] @ refl[2], refl[2] @ refl[3]]
     return GroupSpec(model="H3-complex-2x2",
                      generators=[lorentz_to_sl2c(r) for r in rotations], name="coxeter-534")
+
+
+def orthoscheme_volume(alpha: float, beta: float, gamma: float) -> float:
+    """Volume of the hyperbolic orthoscheme with essential angles alpha,
+    beta and gamma, by Lobachevsky's formula (Kellerhals, Math. Ann. 285,
+    1989), with Lobachevsky's function L(x) = Cl_2(2x)/2 from mpmath:
+
+        vol = (L(a+d) - L(a-d) + L(c+d) - L(c-d) - L(pi/2-b+d)
+               + L(pi/2-b-d) + 2 L(pi/2-d)) / 4,
+
+    where tan d = sqrt(cos^2 b - sin^2 a sin^2 c) / (cos a cos c)."""
+    def lob(x):
+        return mpmath.clsin(2, 2 * x) / 2
+
+    a, b, c = (mpmath.mpf(x) for x in (alpha, beta, gamma))
+    d = mpmath.atan(mpmath.sqrt(mpmath.cos(b) ** 2 - mpmath.sin(a) ** 2 * mpmath.sin(c) ** 2)
+                    / (mpmath.cos(a) * mpmath.cos(c)))
+    half_pi = mpmath.pi / 2
+    return float((lob(a + d) - lob(a - d) + lob(c + d) - lob(c - d) - lob(half_pi - b + d)
+                  + lob(half_pi - b - d) + 2 * lob(half_pi - d)) / 4)
+
+
+def klein_tetrahedron_volume(gram, normals, metric, points: int = 20) -> float:
+    """Hyperbolic volume of the tetrahedron with face normals ``normals``
+    (Gram matrix ``gram`` in the metric ``metric``): the integral of the
+    Klein-model volume element (1 - |x|^2)^-2 over the straight tetrahedron,
+    by Gauss-Legendre quadrature in collapsed coordinates.
+
+    The vertices are the rows of G^-1 applied to the normals, normalised to
+    <v, v> = -1 and divided by their time coordinate.  The unit cube maps to
+    the tetrahedron through barycentric weights u, (1-u) v, (1-u)(1-v) w,
+    with Jacobian (1-u)^2 (1-v) times six times the Euclidean volume."""
+    v = np.linalg.inv(gram) @ normals
+    v /= np.sqrt(-np.einsum("ij,jk,ik->i", v, metric, v))[:, None]
+    klein = v[:, 1:] / v[:, :1]
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    u, s, w = np.meshgrid(nodes, nodes, nodes, indexing="ij")
+    bary = np.stack([u, (1 - u) * s, (1 - u) * (1 - s) * w], -1)
+    edges = klein[1:] - klein[0]
+    x = klein[0] + bary @ edges
+    density = (1.0 - np.einsum("...i,...i", x, x)) ** -2 * (1 - u) ** 2 * (1 - s)
+    weight = np.einsum("i,j,k->ijk", weights, weights, weights)
+    return float(abs(np.linalg.det(edges)) * np.sum(weight * density))
 
 
 # ---------------------------------------------------------------------------

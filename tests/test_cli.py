@@ -14,7 +14,10 @@ import pytest
 
 from conftest import (
     axis_fixer_oracle,
+    coxeter_534_gram_normals,
     coxeter_534_spec,
+    klein_tetrahedron_volume,
+    orthoscheme_volume,
     schottky_spec,
     small_h3_spectrum_csv,
     weyl_dn,
@@ -202,6 +205,15 @@ def test_spectrum_enumerate_rejects_torsion_free_subgroup(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1 and "torsion_free_subgroup" in err
 
 
+def _coxeter_534_group_file(path):
+    """Write the [5,3,4] fixture as a group-spec file at ``path``."""
+    spec = coxeter_534_spec()
+    path.write_text(json.dumps({"model": spec.model, "generators": [
+        [[[x.real, x.imag] for x in row] for row in g.tolist()] for g in spec.generators
+    ]}))
+    return path
+
+
 def test_coxeter_534_hyperbolic_heat_term(capsys, tmp_path):
     """``spectrum enumerate`` then ``zeta heat-terms`` on the [5,3,4]
     fixture: the hyperbolic term is the sum over the classes of
@@ -209,10 +221,7 @@ def test_coxeter_534_hyperbolic_heat_term(capsys, tmp_path):
     and m from the fixed-point oracle, not from the spectrum file."""
     start = time.perf_counter()
     spec = coxeter_534_spec()
-    group, spectrum = tmp_path / "coxeter.json", tmp_path / "coxeter.csv"
-    group.write_text(json.dumps({"model": spec.model, "generators": [
-        [[[x.real, x.imag] for x in row] for row in g.tolist()] for g in spec.generators
-    ]}))
+    group, spectrum = _coxeter_534_group_file(tmp_path / "coxeter.json"), tmp_path / "coxeter.csv"
     code, _, _ = invoke(capsys, "spectrum", "enumerate", "--group", str(group),
                         "--max-word-len", "10", "--cutoff", "3.5", "--out", str(spectrum))
     assert code == 0
@@ -234,6 +243,32 @@ def test_coxeter_534_hyperbolic_heat_term(capsys, tmp_path):
     assert len(hyper) == 156 and want == pytest.approx(0.25274, abs=5e-6)
     assert re_h == pytest.approx(want, rel=1e-9)
     assert time.perf_counter() - start < 5.0
+
+
+def test_coxeter_534_covolume_and_identity_term(capsys, tmp_path):
+    """The [5,3,4] tetrahedron's volume by Lobachevsky's orthoscheme
+    formula and by quadrature in the Klein model; the rotation subgroup's
+    covolume is twice it, and ``zeta heat-terms --vol`` with it prints the
+    identity term vol (4 pi t)^(-3/2)."""
+    lobachevsky = orthoscheme_volume(math.pi / 5, math.pi / 3, math.pi / 4)
+    quadrature = klein_tetrahedron_volume(*coxeter_534_gram_normals(), points=20)
+    assert abs(lobachevsky - quadrature) < 1e-12
+    assert lobachevsky == pytest.approx(0.0358850633, abs=1e-9)
+    assert quadrature == pytest.approx(0.0358850633, abs=1e-9)
+    group, spectrum = _coxeter_534_group_file(tmp_path / "coxeter.json"), tmp_path / "coxeter.csv"
+    code, _, _ = invoke(capsys, "spectrum", "enumerate", "--group", str(group),
+                        "--max-word-len", "4", "--cutoff", "3", "--out", str(spectrum))
+    assert code == 0
+    vol, t = 2 * lobachevsky, 0.1
+    with pytest.warns(UserWarning, match="no centralizer volumes"):
+        code, out, _ = invoke(capsys, "zeta", "heat-terms", "--spectrum", str(spectrum),
+                              "--sigma", "0", "--vol", repr(vol), "--t", repr(t),
+                              "--allow-ambiguous")
+    assert code == 0
+    header, row = out.splitlines()
+    re_i = float(dict(zip(header.split(","), row.split(",")))["re_I"])
+    assert re_i == pytest.approx(0.0509482084193646, rel=1e-12)
+    assert re_i == pytest.approx(vol * (4 * math.pi * t) ** -1.5, rel=1e-12)
 
 
 def test_zeta_eval_roundtrip_bitwise(capsys, group_file, tmp_path):
@@ -409,6 +444,8 @@ BAD_SPECTRUM_INPUTS = {
     "heat-terms-vol-nan": ("zeta", "heat-terms", "--t", "0.5", "--vol", "nan"),
     "heat-terms-vol-inf": ("zeta", "heat-terms", "--t", "0.5", "--vol", "inf"),
     "xi-vol-inf": ("zeta", "xi", "--s", "3", "--vol", "inf"),
+    "xi-s-nan": ("zeta", "xi", "--s", "3,nan"),
+    "xi-s-inf": ("zeta", "xi", "--s", "inf"),
 }
 
 
@@ -425,6 +462,27 @@ def test_spectrum_and_zeta_reject_non_finite_or_nonpositive_input(capsys, group_
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+
+
+BAD_GROUPS = {  # name -> (group-spec keys over GROUP_JSON, the error)
+    "generator-nan": ({"generators": [[[math.nan, 0.0], [0.0, 1.0]]]},
+                      "generator 1 has an entry that is not finite"),
+    "generator-inf": ({"generators": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, math.inf], [0.0, 1.0]]]},
+                      "generator 2 has an entry that is not finite"),
+    "chi-nan": ({"chi": [[[1.0, math.nan], [0.0, 1.0]]]}, "chi matrix 1 has an entry that is not finite"),
+    "chi-singular": ({"chi": [[[1.0, 2.0], [2.0, 4.0]]]}, "chi matrix is numerically singular"),
+}
+
+
+@pytest.mark.parametrize("keys,error", BAD_GROUPS.values(), ids=BAD_GROUPS.keys())
+def test_bad_group_spec_exits_2(capsys, tmp_path, keys, error):
+    """A NaN or infinite entry is refused before any check compares with it,
+    and a singular chi matrix is refused; each exits 2 with one line."""
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({**GROUP_JSON, **keys}))  # NaN and Infinity, as Python's JSON has them
+    code, out, err = invoke(capsys, "spectrum", "enumerate", "--group", str(path),
+                            "--max-word-len", "2", "--cutoff", "5")
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -743,6 +801,13 @@ SPECTRUM_ERRORS = {
                              "line 3: an elliptic row needs l = l0 = 0 and power = 1"),
     "elliptic-power-0": ([SPECTRUM_COLUMNS, "elliptic,0,0,0,3.14,,1,1.0,0.0,-1"],
                          "line 3: an elliptic row needs l = l0 = 0 and power = 1"),
+    # a row that breaks several rules gets the message of the first in precedence order
+    "elliptic-D-and-l": ([SPECTRUM_COLUMNS, "elliptic,1,0,1,3.14,1.3,1,1.0,0.0,-1"],
+                         "line 3: an elliptic row needs an empty D"),
+    "angle-nan-and-D-negative": ([SPECTRUM_COLUMNS, "hyperbolic,1.0,1.0,1,nan,-1,1,1.0,0.0,1"],
+                                 "line 3: a row needs finite angles and tr chi"),
+    "D-negative-and-v-zero": ([SPECTRUM_COLUMNS, "hyperbolic,1.0,1.0,1,0.5,-1,0,1.0,0.0,1"],
+                              "line 3: a hyperbolic row needs finite positive l, l0 and D and power >= 1"),
     # a trailing NUL is part of the field, as in every other column
     "v-trailing-nul": ([SPECTRUM_COLUMNS, GOOD_ROW, V_NUL_ROW],
                        f"line 4: malformed spectrum row {V_NUL_ROW!r}"),

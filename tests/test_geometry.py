@@ -379,6 +379,22 @@ def test_axis_fixers_match_fixed_point_oracle():
         assert r.v == Fraction(1, 4)
 
 
+def test_coxeter_534_elliptic_classes():
+    """The [5,3,4] fixture at L=8 has 7 elliptic classes: the rotations of
+    orders 5, 3 and 4 about the edges with dihedral angles pi/5, pi/3 and
+    pi/4 (folded angles 2pi/5, 4pi/5, 2pi/3 and pi/2), and three half-turn
+    classes: the square of the order-4 rotation, the half-turn about edge
+    (0,2), and the one about edges (0,3) and (1,3), which share one axis.
+    The four that are not half-turns are unflagged."""
+    elliptic = build_length_spectrum(coxeter_534_spec(), 8, cutoff=4.0).elliptic()
+    assert len(elliptic) == 7
+    folded = sorted(min(r.theta, 2 * math.pi - r.theta) for r in elliptic)
+    want = sorted([2 * math.pi / 5, 4 * math.pi / 5, 2 * math.pi / 3, math.pi / 2] + [math.pi] * 3)
+    assert folded == pytest.approx(want, abs=1e-10)
+    rotations = [r for r in elliptic if abs(r.theta - math.pi) > 1e-6]
+    assert len(rotations) == 4 and not any(r.ambiguous for r in rotations)
+
+
 def test_cyclic_length_spectrum_exact():
     c = 0.7
     spec = cyclic_h3_spec(c)
@@ -522,8 +538,8 @@ def test_spectrum_is_stored_in_canonical_order(tmp_path):
 
 
 def test_spectrum_csv_roundtrip_with_ragged_rows_in_later_chunks(tmp_path):
-    """The reader converts each column in one pass over all rows; rows whose
-    angle or word counts differ from those of earlier rows come back equal."""
+    """Rows whose angle or word counts differ from those of earlier rows
+    come back equal."""
     recs = [
         ConjClassRecord("hyperbolic", 1.0 + i / 64, 1.0, 1, (0.5,) * (1 + (i > 500)), 2.5,
                         Fraction(1, 1 + i % 3), complex(i, -i), (1, -2) * (1 + i // 200), i == 7)
@@ -555,9 +571,9 @@ def _spectrum_rows_file(path, count: int, bad: dict):
 
 @pytest.mark.parametrize("i", range(9))
 def test_read_csv_names_the_first_bad_row_wherever_it_is(tmp_path, i):
-    """The first bad row is found by halving, wherever it lies: a broken
-    rule and a failed conversion each come first in turn, and a bad row of
-    the other kind after it does not hide it."""
+    """The first bad row is named wherever it lies: a broken rule and a
+    failed conversion each come first in turn, and a bad row of the other
+    kind after it does not hide it."""
     first, other = (RULE_ROW, MALFORMED_ROW) if i % 2 == 0 else (MALFORMED_ROW, RULE_ROW)
     bad = {i: first} if i == 8 else {i: first, 8: other}
     path = _spectrum_rows_file(tmp_path / "rows.csv", 9, bad)
@@ -567,32 +583,32 @@ def test_read_csv_names_the_first_bad_row_wherever_it_is(tmp_path, i):
 
 
 def _counting_parses(monkeypatch) -> list:
-    """The row counts of the ``_parse_rows`` calls made from now on."""
+    """The texts of the rows ``_spectrum_row`` converts from now on."""
     parsed = []
-    parse_rows = geometry._parse_rows
+    spectrum_row = geometry._spectrum_row
 
-    def counting(texts):
-        parsed.append(len(texts))
-        return parse_rows(texts)
+    def counting(text, fractions):
+        parsed.append(text)
+        return spectrum_row(text, fractions)
 
-    monkeypatch.setattr(geometry, "_parse_rows", counting)
+    monkeypatch.setattr(geometry, "_spectrum_row", counting)
     return parsed
 
 
-@pytest.mark.parametrize("last", [RULE_ROW, MALFORMED_ROW], ids=["rule", "malformed"])
-def test_read_csv_halving_parses_few_rows(tmp_path, monkeypatch, last):
-    """A bad last row of N costs O(log N) parses of about 2N rows in all,
-    not one parse per row."""
+@pytest.mark.parametrize("k", [0, 2047, 4095])
+@pytest.mark.parametrize("bad", [RULE_ROW, MALFORMED_ROW], ids=["rule", "malformed"])
+def test_read_csv_stops_at_the_first_bad_row(tmp_path, monkeypatch, bad, k):
+    """A file of 4096 rows whose only bad row is row k converts rows 0..k
+    and no row after it, on every read."""
     count = 4096
-    path = _spectrum_rows_file(tmp_path / "rows.csv", count, {count - 1: last})
+    path = _spectrum_rows_file(tmp_path / "rows.csv", count, {k: bad})
     parsed = _counting_parses(monkeypatch)
     for _ in range(2):  # a bad file is never kept: a second read costs the same
         parsed.clear()
         with pytest.raises(ValidationError) as err:
             LengthSpectrum.read_csv(path)
-        assert str(err.value) == f"{path} line {count + 2}: {ROW_PROBLEMS[last]}"
-        assert len(parsed) <= 2 * math.log2(count) + 2
-        assert sum(parsed) <= 3 * count
+        assert str(err.value) == f"{path} line {k + 3}: {ROW_PROBLEMS[bad]}"
+        assert len(parsed) == k + 1 and parsed[-1] == bad
 
 
 def _memo_file(path, tag: str, lengths=(1.5, 2.5)):
@@ -622,13 +638,14 @@ def test_read_csv_parses_each_content_once(tmp_path, monkeypatch):
     one = _memo_file(tmp_path / "a.csv", "memo-once")
     same = _memo_file(tmp_path / "b.csv", "memo-once")
     other = _memo_file(tmp_path / "c.csv", "memo-once-other")
+    rows = 2  # in each file
     first = LengthSpectrum.read_csv(one)
     assert LengthSpectrum.read_csv(one) is first and LengthSpectrum.read_csv(same) == first
-    assert len(parsed) == 1
+    assert len(parsed) == rows
     assert LengthSpectrum.read_csv(other) != first
-    assert len(parsed) == 2
+    assert len(parsed) == 2 * rows
     assert LengthSpectrum.read_csv(one) == first
-    assert len(parsed) == 3
+    assert len(parsed) == 3 * rows
 
 
 def test_read_csv_keeps_no_failure(tmp_path, monkeypatch):
@@ -642,7 +659,7 @@ def test_read_csv_keeps_no_failure(tmp_path, monkeypatch):
             LengthSpectrum.read_csv(path)
         messages.append(str(err.value))
     assert messages == [f"{path} line 5: v must be positive"] * 2
-    assert parsed[: len(parsed) // 2] == parsed[len(parsed) // 2 :]
+    assert len(parsed) == 6 and parsed[:3] == parsed[3:]  # rows 0..2, on each read
     _memo_file(path, "memo-after-bad")
     assert LengthSpectrum.read_csv(path).spec_hash == "memo-after-bad"
 
