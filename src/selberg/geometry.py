@@ -33,7 +33,9 @@ inside the enumerated ball, one stacked product h g h^-1 over the ball per
 class representative; full conjugacy decision is undecidable in general,
 so classes with equal invariants but no certifying conjugator are flagged
 ambiguous rather than merged or dropped (not when the generators commute:
-conjugacy is equality there).
+conjugacy is equality there).  The search runs only on the buckets within
+the length cutoff, and the witness data only on the classes within it; the
+conjugators and axis fixers are still drawn from the whole ball.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ import cmath
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, make_dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -400,32 +403,6 @@ def weight_D(length: float, angles, n: int) -> float:
 # conjugacy classes
 
 
-@dataclass
-class ConjClassRecord:
-    """One conjugacy class with everything the zeta/trace layers need: what
-    ``conjugacy_reduce`` returns, and the row view of a ``LengthSpectrum``."""
-
-    kind: str
-    length: float  # l(gamma); 0 for elliptic
-    # l0: the shortest length l/k, k = 1, 2, ..., of a ball element that fixes
-    # both ends of gamma's axis; 0 for elliptic
-    primitive_length: float
-    power: int  # l / l0: gamma is gamma_0^power times a rotation about its axis
-    angles: tuple  # rotation angles of the compact part
-    D: float | None  # hyperbolic only
-    # 1/m, m the number of rotations about gamma's axis in the ball, the
-    # identity included, so that l0 * v is the covolume of the centralizer;
-    # 1 for elliptic
-    v: Fraction
-    tr_chi: complex
-    word: tuple
-    ambiguous: bool = False
-
-    @property
-    def theta(self) -> float:
-        return self.angles[0] if self.angles else 0.0
-
-
 def _chain(indices: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
     """Sort indices by value (then index) and cut wherever neighbours differ
     by more than CLASSIFY_TOL relative."""
@@ -441,17 +418,23 @@ def _commuting(stack: np.ndarray, w: np.ndarray) -> np.ndarray:
     return projectively_close(_mul(stack, w), _mul(w, stack), tol)
 
 
-def conjugacy_reduce(elements: list[GroupElement], spec: GroupSpec) -> list[ConjClassRecord]:
-    """Collect enumerated elements into conjugacy classes.
+def conjugacy_reduce(elements: list[GroupElement], spec: GroupSpec,
+                     cutoff: float) -> SpectrumColumns:
+    """The conjugacy classes of the enumerated elements as columns: every
+    elliptic class, and the hyperbolic classes of length <= cutoff.
 
     Elements are bucketed by (kind, length, angle) within the invariant
-    tolerance, H3 rotations by min(theta, 2pi - theta); a bucket of several
-    elements is split into classes by a conjugator search over the whole
-    ball, and flagged ambiguous unless the generators commute.  Each class
-    gets a minimal-word witness (and its angle) and the twist trace; a
-    hyperbolic class also gets the weight D and, from the ball elements that
-    fix both ends of the witness's axis (``_axis_fixers``), its primitive
-    length l0, its power and v = 1/m.
+    tolerance, H3 rotations by min(theta, 2pi - theta); a hyperbolic bucket
+    whose shortest member is longer than the cutoff is skipped.  A bucket of
+    several elements is split into classes by a conjugator search over the
+    whole ball, and flagged ambiguous unless the generators commute.  A
+    class's witness is its minimal-word member, whose length is the class's,
+    and a hyperbolic class is kept if that is within the cutoff.  A kept
+    class gets its witness's angle and twist trace; a hyperbolic one also
+    gets the weight D and, from the ball elements that fix both ends of the
+    witness's axis (``_axis_fixers``), its primitive length l0, its power and
+    v = 1/m.  Elliptic rows come by (theta, word), hyperbolic rows in
+    canonical order.
     """
     mats = np.array([el.matrix for el in elements], dtype=complex).reshape(-1, 2, 2)
     kind, length, angle = _classify(mats, spec.model)
@@ -461,7 +444,9 @@ def conjugacy_reduce(elements: list[GroupElement], spec: GroupSpec) -> list[Conj
     buckets = []
     for code in (ELLIPTIC, HYPERBOLIC):
         for chain in _chain(np.flatnonzero(kind == code), length):
-            buckets += _chain(chain, label)
+            # a kind with no elements gives one empty chain
+            buckets += [bucket for bucket in _chain(chain, label) if len(bucket)
+                        and (code == ELLIPTIC or length[bucket].min() <= cutoff)]
     gens = np.array(spec.generators, dtype=complex).reshape(-1, 2, 2)
     abelian = all(_commuting(gens, g).all() for g in gens)
     hyper = np.flatnonzero(kind == HYPERBOLIC)
@@ -470,7 +455,7 @@ def conjugacy_reduce(elements: list[GroupElement], spec: GroupSpec) -> list[Conj
     axis_ball = mats, length, np.flatnonzero(kind != HYPERBOLIC), hyper, length[hyper]
     inverses, size = _inv2(mats), _size(mats)
 
-    records: list[ConjClassRecord] = []
+    elliptic, hyperbolic = [], []
     for bucket in buckets:
         unassigned = sorted(bucket.tolist(), key=lambda i: (len(words[i]), words[i]))
         class_groups = []
@@ -487,18 +472,19 @@ def conjugacy_reduce(elements: list[GroupElement], spec: GroupSpec) -> list[Conj
         ambiguous = len(class_groups) > 1 and not abelian
         for group in class_groups:
             witness = group[0]  # the members are in (length, word) order
-            w_len, w_angle = float(length[witness]), float(angle[witness])
-            power, prim_len, d_val, v_val = 1, w_len, None, Fraction(1)
-            if kind[witness] == HYPERBOLIC:
+            w_len, w_angle, word = float(length[witness]), float(angle[witness]), words[witness]
+            if kind[witness] == ELLIPTIC:
+                elliptic.append(("elliptic", 0.0, 0.0, 1, (w_angle,), math.nan, Fraction(1),
+                                 spec.chi_trace(word), word, ambiguous, 1.0))
+            elif w_len <= cutoff:
                 power, prim_len, rotations = _axis_fixers(witness, axis_ball)
-                d_val = weight_D(w_len, (w_angle,), 1)
-                v_val = Fraction(1, rotations)
-            records.append(ConjClassRecord(
-                KINDS[kind[witness]], w_len, prim_len, power, (w_angle,), d_val, v_val,
-                spec.chi_trace(words[witness]), words[witness], ambiguous,
-            ))
-    records.sort(key=lambda r: (KINDS.index(r.kind), r.length, r.theta, r.word))
-    return records
+                v = Fraction(1, rotations)
+                hyperbolic.append(("hyperbolic", w_len, prim_len, power, (w_angle,),
+                                   weight_D(w_len, (w_angle,), 1), v, spec.chi_trace(word),
+                                   word, ambiguous, float(v)))
+    elliptic.sort(key=lambda row: (row[4], row[8]))  # (angles, word)
+    columns = SpectrumColumns.from_rows(elliptic + hyperbolic)
+    return columns.take(columns.canonical_order())
 
 
 def _eigenvectors(w: np.ndarray) -> np.ndarray:
@@ -560,35 +546,29 @@ _INT64 = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
 
 
 class SpectrumColumns(NamedTuple):
-    """The classes of a spectrum as columns, one row per class, with the
-    names and meaning of the ``ConjClassRecord`` fields plus ``v_float``.
+    """The conjugacy classes of a spectrum as columns, one row per class,
+    with everything the zeta and trace layers need.
 
     ``angles`` is an (N, n) float matrix and ``word`` an (N, L) int64
     matrix; a row with fewer entries is padded with NaN and WORD_PAD.
-    ``D`` is NaN where a class has none, ``v`` holds exact ``Fraction``
-    objects and ``v_float`` their floats.
     """
 
-    kind: np.ndarray
-    length: np.ndarray
+    kind: np.ndarray  # "elliptic" or "hyperbolic"
+    length: np.ndarray  # l(gamma); 0 for elliptic
+    # l0: the shortest length l/k, k = 1, 2, ..., of a ball element that fixes
+    # both ends of gamma's axis; 0 for elliptic
     primitive_length: np.ndarray
-    power: np.ndarray
-    angles: np.ndarray
-    D: np.ndarray
+    power: np.ndarray  # l / l0: gamma is gamma_0^power times a rotation about its axis
+    angles: np.ndarray  # rotation angles of the compact part
+    D: np.ndarray  # the weight D of a hyperbolic class; NaN for elliptic
+    # exact Fractions 1/m, m the number of rotations about gamma's axis in the
+    # ball, the identity included, so that l0 * v is the covolume of the
+    # centralizer; 1 for elliptic
     v: np.ndarray
     tr_chi: np.ndarray
-    word: np.ndarray
+    word: np.ndarray  # the witness word
     ambiguous: np.ndarray
-    v_float: np.ndarray
-
-    @classmethod
-    def of(cls, records) -> "SpectrumColumns":
-        """The columns of a sequence of ``ConjClassRecord``."""
-        return cls.from_rows([
-            (r.kind, r.length, r.primitive_length, r.power, r.angles,
-             math.nan if r.D is None else r.D, r.v, r.tr_chi, r.word, r.ambiguous, float(r.v))
-            for r in records
-        ])
+    v_float: np.ndarray  # the floats of v
 
     @classmethod
     def from_rows(cls, rows: list) -> "SpectrumColumns":
@@ -630,15 +610,6 @@ class SpectrumColumns(NamedTuple):
     def word_tuples(self) -> list[tuple]:
         return [tuple(x for x in row if x != WORD_PAD) for row in self.word.tolist()]
 
-    def records(self) -> list[ConjClassRecord]:
-        """One new ``ConjClassRecord`` per row."""
-        cols = [column.tolist() for column in self[:-1]]
-        cols[4], cols[8] = self.angle_tuples(), self.word_tuples()
-        return [
-            ConjClassRecord(kind, length, l0, power, angles, None if math.isnan(d) else d, *rest)
-            for kind, length, l0, power, angles, d, *rest in zip(*cols)
-        ]
-
 
 def _padded(rows, dtype, fill) -> np.ndarray:
     """The ragged ``rows`` as a ``dtype`` matrix, each row padded with
@@ -648,6 +619,24 @@ def _padded(rows, dtype, fill) -> np.ndarray:
     out = np.full(present.shape, fill, dtype=dtype)
     out[present] = np.array([x for row in rows for x in row], dtype=dtype)
     return out
+
+
+#: the exponent of a decimal v text
+_EXPONENT = re.compile(r"[eE]([-+]?)(\d+(?:_\d+)*)\s*\Z")
+#: the decimal exponent beyond which every float overflows or rounds to 0
+_FLOAT_EXPONENT = 400
+
+
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``, but an exponent beyond the text's length plus
+    _FLOAT_EXPONENT is lowered to that bound first: past it a nonzero value
+    overflows a float or rounds to 0 whatever its digits, and ``Fraction``
+    would build 10**exponent, which takes seconds at 1e-3000000."""
+    match = _EXPONENT.search(text)
+    bound = len(text) + _FLOAT_EXPONENT
+    if match and int(match[2]) > bound:
+        text = f"{text[:match.start()]}e{match[1]}{bound}"
+    return Fraction(text)
 
 
 def _spectrum_row(text: str, fractions: dict) -> tuple:
@@ -662,7 +651,7 @@ def _spectrum_row(text: str, fractions: dict) -> tuple:
         angles = tuple(map(float, theta.split("|"))) if theta else ()
         letters = tuple(map(int, word.split("."))) if word else ()
         if v not in fractions:
-            exact = Fraction(v)
+            exact = _fraction(v)
             try:
                 fractions[v] = exact, float(exact)
             except OverflowError:
@@ -715,23 +704,28 @@ def _check_provenance(cutoff: float, model: str) -> None:
 _last_read: tuple = (None, None, None)
 
 
+#: one class of a spectrum as an object, with the fields of ``SpectrumColumns``
+#: but ``v_float``, and ``D`` None for elliptic.  Only ``LengthSpectrum.records``
+#: builds it, for the benchmark tracer (``bench/tracer.py``), which counts
+#: classes through it; both go when the tracer counts with ``LengthSpectrum.count``.
+ConjClassRecord = make_dataclass("ConjClassRecord", SpectrumColumns._fields[:-1])
+
+
 class LengthSpectrum:
     """Cutoff-bounded conjugacy data plus provenance, stored as columns.
 
     ``columns`` holds one row per class in canonical order: the elliptic
     classes first, in the order given (centralizer volumes are listed in
     it), then the hyperbolic classes by (l, angles, word), the order the
-    zeta sums run in.  A spectrum is built from a list of
-    ``ConjClassRecord`` or from ``SpectrumColumns`` and is not changed
-    afterwards: its column arrays are read-only, so one spectrum can be
-    shared, as ``read_csv`` shares it.  ``records``, ``hyperbolic()`` and
-    ``elliptic()`` are views that build new records from the columns.
+    zeta sums run in.  A spectrum is built from ``SpectrumColumns`` and is
+    not changed afterwards: its column arrays are read-only, so one
+    spectrum can be shared, as ``read_csv`` shares it.  ``part`` and
+    ``count`` read the classes of one kind.
     """
 
-    def __init__(self, records, spec_hash: str, cutoff: float, max_word_len: int,
-                 model: str = "H3-complex-2x2"):
+    def __init__(self, columns: SpectrumColumns, spec_hash: str, cutoff: float,
+                 max_word_len: int, model: str = "H3-complex-2x2"):
         _check_provenance(cutoff, model)
-        columns = records if isinstance(records, SpectrumColumns) else SpectrumColumns.of(records)
         self.columns = columns.take(columns.canonical_order())
         for column in self.columns:
             column.flags.writeable = False
@@ -741,16 +735,29 @@ class LengthSpectrum:
         self.model = model
 
     def __eq__(self, other):
+        """Equal provenance and rows, with NaN equal to NaN; the padding of
+        the angle and word matrices does not count."""
         if not isinstance(other, LengthSpectrum):
             return NotImplemented
-        return self._identity() == other._identity()
+        a, b = self.columns, other.columns
+        return (self._provenance() == other._provenance() and len(a.kind) == len(b.kind)
+                and (a.angle_tuples(), a.word_tuples()) == (b.angle_tuples(), b.word_tuples())
+                and all(np.array_equal(x, y, equal_nan=x.dtype.kind in "fc")
+                        for x, y in zip(a, b) if x.ndim == 1))
 
-    def _identity(self) -> tuple:
-        return self.records, self.spec_hash, self.cutoff, self.max_word_len, self.model
+    def _provenance(self) -> tuple:
+        return self.spec_hash, self.cutoff, self.max_word_len, self.model
 
     @property
     def records(self) -> list[ConjClassRecord]:
-        return self.columns.records()
+        """One new ``ConjClassRecord`` per row, in canonical order; for the
+        benchmark tracer only (see ``ConjClassRecord``)."""
+        cols = [column.tolist() for column in self.columns[:-1]]
+        cols[4], cols[8] = self.columns.angle_tuples(), self.columns.word_tuples()
+        return [
+            ConjClassRecord(kind, length, l0, power, angles, None if math.isnan(d) else d, *rest)
+            for kind, length, l0, power, angles, d, *rest in zip(*cols)
+        ]
 
     def part(self, kind: str) -> SpectrumColumns:
         """The columns of the classes of one kind, in canonical order."""
@@ -758,12 +765,6 @@ class LengthSpectrum:
 
     def count(self, kind: str) -> int:
         return int(np.count_nonzero(self.columns.kind == kind))
-
-    def hyperbolic(self) -> list[ConjClassRecord]:
-        return self.part("hyperbolic").records()
-
-    def elliptic(self) -> list[ConjClassRecord]:
-        return self.part("elliptic").records()
 
     def with_cutoff(self, cutoff: float) -> "LengthSpectrum":
         """The spectrum without its hyperbolic classes longer than ``cutoff``,
@@ -891,12 +892,5 @@ def build_length_spectrum(
     if not 0 < cutoff < math.inf:
         raise ValidationError("cutoff must be finite and positive")
     ball = enumerate_elements(spec, max_word_len, element_cap=element_cap)
-    records = conjugacy_reduce(ball, spec)
-    kept = [r for r in records if r.kind == "elliptic" or r.length <= cutoff]
-    return LengthSpectrum(
-        records=kept,
-        spec_hash=spec.spec_hash(),
-        cutoff=cutoff,
-        max_word_len=max_word_len,
-        model=spec.model,
-    )
+    return LengthSpectrum(conjugacy_reduce(ball, spec, cutoff), spec.spec_hash(), cutoff,
+                          max_word_len, spec.model)

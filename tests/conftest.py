@@ -11,13 +11,15 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from fractions import Fraction
 from itertools import permutations, product
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
 import pytest
 
-from selberg.geometry import GroupSpec
+from selberg.geometry import GroupSpec, LengthSpectrum, SpectrumColumns
 from selberg.lie import (
     EllipticAngles,
     WeightVector,
@@ -168,6 +170,52 @@ def klein_tetrahedron_volume(gram, normals, metric, points: int = 20) -> float:
     density = (1.0 - np.einsum("...i,...i", x, x)) ** -2 * (1 - u) ** 2 * (1 - s)
     weight = np.einsum("i,j,k->ijk", weights, weights, weights)
     return float(abs(np.linalg.det(edges)) * np.sum(weight * density))
+
+
+# ---------------------------------------------------------------------------
+# synthetic spectra
+
+
+class ClassRow(NamedTuple):
+    """One class in ``SpectrumColumns`` field order; ``D`` is None where a
+    class has none."""
+
+    kind: str
+    length: float
+    primitive_length: float
+    power: int
+    angles: tuple
+    D: float | None
+    v: Fraction
+    tr_chi: complex
+    word: tuple
+    ambiguous: bool
+    v_float: float
+
+
+def class_row(kind, length, angles, power=1, primitive_length=None, D=None, v=1,
+              tr_chi=1.0, word=(), ambiguous=False) -> ClassRow:
+    """A class row; l0 defaults to l / power, and v_float is float(v)."""
+    v = Fraction(v)
+    l0 = length / power if primitive_length is None else primitive_length
+    return ClassRow(kind, length, l0, power, tuple(angles), D, v, complex(tr_chi), tuple(word),
+                    ambiguous, float(v))
+
+
+def synthetic_spectrum(rows=(), spec_hash="synthetic", cutoff=10.0, max_word_len=0,
+                       model="H3-complex-2x2") -> LengthSpectrum:
+    """The spectrum of ``rows`` through ``SpectrumColumns.from_rows``."""
+    columns = SpectrumColumns.from_rows(
+        [row._replace(D=math.nan if row.D is None else row.D) for row in rows])
+    return LengthSpectrum(columns, spec_hash, cutoff, max_word_len, model)
+
+
+def spectrum_rows(columns: SpectrumColumns) -> list[ClassRow]:
+    """The rows of ``columns`` as ``ClassRow``, in their order."""
+    fields = [column.tolist() for column in columns]
+    fields[4], fields[8] = columns.angle_tuples(), columns.word_tuples()
+    fields[5] = [None if math.isnan(d) else d for d in fields[5]]
+    return [ClassRow(*row) for row in zip(*fields)]
 
 
 # ---------------------------------------------------------------------------

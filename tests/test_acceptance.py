@@ -10,7 +10,6 @@ import cmath
 import math
 import time
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,19 +17,16 @@ import pytest
 from conftest import (
     block_rotation_trace,
     brute_orbital_value,
+    class_row,
     cyclic_h3_spec,
     displacement_infimum,
     random_angles,
     random_dominant,
     random_flip_moved_dominant,
+    synthetic_spectrum,
 )
 from selberg.errors import NonRegularElementError
-from selberg.geometry import (
-    ConjClassRecord,
-    LengthSpectrum,
-    build_length_spectrum,
-    weight_D,
-)
+from selberg.geometry import build_length_spectrum, weight_D
 from selberg.heat import (
     fit_expansion,
     make_model,
@@ -151,14 +147,9 @@ def _synthetic_ctx(rng, sigma, count=6):
         theta = rng.uniform(0.3, 5.9)
         chi = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         length = rng.uniform(0.6, 3.0)
-        recs.append(
-            ConjClassRecord(
-                kind="hyperbolic", length=length, primitive_length=length,
-                power=1, angles=(theta,), D=weight_D(length, (theta,), 1),
-                v=Fraction(1), tr_chi=chi, word=(),
-            )
-        )
-    spectrum = LengthSpectrum(recs, "synthetic", 10.0, 0)
+        recs.append(class_row("hyperbolic", length, (theta,), D=weight_D(length, (theta,), 1),
+                              tr_chi=chi))
+    spectrum = synthetic_spectrum(recs, cutoff=10.0)
     return ZetaTermContext(sigma=sigma, chi_dim=1, spectrum=spectrum)
 
 
@@ -178,23 +169,20 @@ def test_criterion_6_zeta_algebra(rng):
 
         empty = ZetaTermContext(
             sigma=WeightVector.from_coords([0]), chi_dim=1,
-            spectrum=LengthSpectrum([], "synthetic", 5.0, 0),
+            spectrum=synthetic_spectrum(cutoff=5.0),
         )
         empty_ok = cmath.exp(log_zeta_truncated(3.0, empty)) == 1.0 + 0j
 
         c = 0.6
         full = [
-            ConjClassRecord(
-                kind="hyperbolic", length=m * c, primitive_length=c, power=m,
-                angles=(0.0,), D=weight_D(m * c, (0.0,), 1), v=Fraction(1),
-                tr_chi=1.0 + 0j, word=(),
-            )
+            class_row("hyperbolic", m * c, (0.0,), power=m, primitive_length=c,
+                      D=weight_D(m * c, (0.0,), 1))
             for m in range(1, 16)
         ]
         sig0 = WeightVector.from_coords([0])
         est = convergence_abscissa_estimate(
             ZetaTermContext(sigma=sig0, chi_dim=1,
-                            spectrum=LengthSpectrum(full, "synthetic", 10.0, 0))
+                            spectrum=synthetic_spectrum(full, cutoff=10.0))
         )
         s = est.c + 0.5
         values = []
@@ -202,7 +190,7 @@ def test_criterion_6_zeta_algebra(rng):
             recs = [r for r in full if r.length <= cut * c]
             ctx = ZetaTermContext(
                 sigma=sig0, chi_dim=1,
-                spectrum=LengthSpectrum(recs, "synthetic", cut * c, 0),
+                spectrum=synthetic_spectrum(recs, cutoff=cut * c),
             )
             values.append(log_zeta_truncated(s, ctx))
         gaps = [abs(values[i + 1] - values[i]) for i in range(len(values) - 1)]
@@ -260,14 +248,15 @@ def test_criterion_9_geometry_oracles():
     cutoff = 5.0
     ls = build_length_spectrum(cyclic_h3_spec(c), 7, cutoff=cutoff)
     expected = [m * c for m in range(1, int(cutoff / c) + 1)]
-    got = sorted({round(r.length, 9) for r in ls.hyperbolic()})
+    hyper = ls.part("hyperbolic")
+    got = sorted({round(x, 9) for x in hyper.length.tolist()})
     spectrum_ok = (
         len(got) == len(expected)
         and all(abs(a - b) < 1e-9 for a, b in zip(got, expected))
         and all(
-            r.power == round(r.length / c)
-            and abs(r.primitive_length - c) < 1e-9
-            for r in ls.hyperbolic()
+            power == round(length / c)
+            and abs(l0 - c) < 1e-9
+            for length, power, l0 in zip(hyper.length, hyper.power, hyper.primitive_length)
         )
     )
     ok = length_err < 1e-6 and d_err < 1e-9 and spectrum_ok
@@ -282,7 +271,7 @@ def test_criterion_10_plancherel_calibration():
     vol = 2.31
     ctx = ZetaTermContext(
         sigma=WeightVector.from_coords([0]), chi_dim=1,
-        spectrum=LengthSpectrum([], "synthetic", 5.0, 0), vol=vol,
+        spectrum=synthetic_spectrum(cutoff=5.0), vol=vol,
     )
     worst = 0.0
     for t in (0.1, 1.0, 10.0):

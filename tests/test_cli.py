@@ -182,7 +182,7 @@ def test_spectrum_enumerate_and_classify(capsys, group_file, tmp_path):
     )
     assert code == 0
     spectrum = LengthSpectrum.read_csv(out_path)
-    lengths = sorted({round(r.length, 9) for r in spectrum.hyperbolic()})
+    lengths = sorted({round(x, 9) for x in spectrum.part("hyperbolic").length.tolist()})
     assert lengths == pytest.approx([2.0, 4.0, 6.0, 8.0])
 
     code, out, _ = invoke(
@@ -231,16 +231,16 @@ def test_coxeter_534_hyperbolic_heat_term(capsys, tmp_path):
     assert code == 0
     header, row = out.splitlines()
     re_h = float(dict(zip(header.split(","), row.split(",")))["re_H"])
-    hyper = LengthSpectrum.read_csv(spectrum).hyperbolic()
+    hyper = LengthSpectrum.read_csv(spectrum).part("hyperbolic")
     ball = [el.matrix for el in enumerate_elements(spec, 10)]
-    oracle = axis_fixer_oracle([spec.word_matrix(r.word) for r in hyper], ball)
+    oracle = axis_fixer_oracle([spec.word_matrix(w) for w in hyper.word_tuples()], ball)
     t = 0.1
     want = math.fsum(
-        (l0 / m) * (4 * math.pi * t) ** -0.5 * math.exp(-r.length**2 / (4 * t))
-        / (2 * (math.cosh(r.length) - math.cos(r.theta)))
-        for r, (m, l0) in zip(hyper, oracle)
+        (l0 / m) * (4 * math.pi * t) ** -0.5 * math.exp(-length**2 / (4 * t))
+        / (2 * (math.cosh(length) - math.cos(theta)))
+        for length, theta, (m, l0) in zip(hyper.length.tolist(), hyper.angles[:, 0].tolist(), oracle)
     )
-    assert len(hyper) == 156 and want == pytest.approx(0.25274, abs=5e-6)
+    assert len(hyper.kind) == 156 and want == pytest.approx(0.25274, abs=5e-6)
     assert re_h == pytest.approx(want, rel=1e-9)
     assert time.perf_counter() - start < 5.0
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import (
     axis_fixer_oracle,
+    class_row,
     coxeter_534_spec,
     cyclic_h3_spec,
     displacement_infimum,
@@ -17,6 +19,8 @@ from conftest import (
     pairwise_dedupe_count,
     reduced_words,
     schottky_spec,
+    spectrum_rows,
+    synthetic_spectrum,
     triangle_237_spec,
 )
 from selberg import geometry
@@ -26,7 +30,6 @@ from selberg.errors import (
     ValidationError,
 )
 from selberg.geometry import (
-    ConjClassRecord,
     GroupElement,
     GroupSpec,
     LengthSpectrum,
@@ -125,7 +128,7 @@ def test_conjugacy_merges_explicit_conjugates():
     g = next(e for e in ball if len(e.word) == 1)
     h = next(e for e in ball if len(e.word) == 2)
     conj = GroupElement(h.matrix @ g.matrix @ _inv2(h.matrix), h.word + g.word + tuple(-x for x in reversed(h.word)))
-    recs = conjugacy_reduce([g, conj, h], tri)
+    recs = spectrum_rows(conjugacy_reduce([g, conj, h], tri, cutoff=10.0))
     same = [r for r in recs if abs(r.length - classify(g.matrix, tri.model).length) < 1e-8
             and r.kind == classify(g.matrix, tri.model).kind
             and not r.ambiguous]
@@ -137,9 +140,10 @@ def test_triangle_elliptic_classes_are_exact():
     ls = build_length_spectrum(triangle_237_spec(), 10, cutoff=5.0)
     want = sorted([math.pi, 2 * math.pi / 3, 4 * math.pi / 3]
                   + [2 * math.pi * k / 7 for k in range(1, 7)])
-    assert len(ls.elliptic()) == 9
-    assert not any(r.ambiguous for r in ls.elliptic())
-    assert sorted(r.theta for r in ls.elliptic()) == pytest.approx(want, abs=1e-10)
+    elliptic = ls.part("elliptic")
+    assert len(elliptic.kind) == 9
+    assert not elliptic.ambiguous.any()
+    assert sorted(elliptic.angles[:, 0]) == pytest.approx(want, abs=1e-10)
 
 
 def _rotation(a):
@@ -181,16 +185,17 @@ FREE_CASES = [
 def test_conjugated_free_group_has_one_record_per_class(params, max_len):
     spec = conjugated_free_spec(*params)
     ls = build_length_spectrum(spec, max_len, cutoff=4 * max_len * math.log(params[0]) + 1)
-    assert len(ls.records) == free_class_count(max_len)
+    rows = spectrum_rows(ls.columns)
+    assert len(rows) == free_class_count(max_len)
     necklaces = set()
-    for r in ls.records:
+    for r in rows:
         w = r.word
         assert r.kind == "hyperbolic" and 0 < len(w) <= max_len
         assert all(w[i] != -w[i - 1] for i in range(len(w)))  # cyclically reduced
         necklaces.add(min(w[i:] + w[:i] for i in range(len(w))))
         period = next(p for p in range(1, len(w) + 1) if w == w[p:] + w[:p])
         assert r.power == len(w) // period
-    assert len(necklaces) == len(ls.records)
+    assert len(necklaces) == len(rows)
 
 
 def test_free_ball_matches_exact_products():
@@ -214,7 +219,7 @@ def test_free_ball_matches_exact_products():
 def test_conjugacy_power_decomposition():
     spec = cyclic_h3_spec(2.0)
     ls = build_length_spectrum(spec, 5, cutoff=100.0)
-    squares = [r for r in ls.hyperbolic() if abs(r.length - 4.0) < 1e-9]
+    squares = [r for r in spectrum_rows(ls.part("hyperbolic")) if abs(r.length - 4.0) < 1e-9]
     assert squares and all(r.power == 2 and abs(r.primitive_length - 2.0) < 1e-9 for r in squares)
 
 
@@ -225,8 +230,8 @@ def test_conjugacy_elliptic_distinct_angles():
         GroupElement(np.asarray(m, dtype=complex), (1,)),
         GroupElement(np.asarray(m @ m, dtype=complex), (1, 1)),
     ]
-    recs = conjugacy_reduce(els, spec)
-    angles = sorted(r.theta for r in recs)
+    recs = spectrum_rows(conjugacy_reduce(els, spec, cutoff=1.0))
+    angles = sorted(r.angles[0] for r in recs)
     assert angles == pytest.approx([2 * math.pi / 3, 4 * math.pi / 3], abs=1e-10)
     assert all(r.kind == "elliptic" and r.length == 0.0 for r in recs)
 
@@ -251,22 +256,49 @@ def test_h3_rotation_classes_are_counted_once(gens, max_len, order, folded, flag
     axis; a finite rotation group has one record per non-identity class."""
     spec = GroupSpec(model="H3-complex-2x2", generators=gens)
     assert len(enumerate_elements(spec, max_len)) == order  # the whole group
-    recs = build_length_spectrum(spec, max_len, cutoff=1.0).records
-    assert all(r.kind == "elliptic" for r in recs)
-    fold = sorted(min(r.theta, 2 * math.pi - r.theta) for r in recs)
+    cols = build_length_spectrum(spec, max_len, cutoff=1.0).columns
+    assert (cols.kind == "elliptic").all()
+    theta = cols.angles[:, 0]
+    fold = sorted(np.minimum(theta, 2 * math.pi - theta))
     assert fold == pytest.approx(sorted(folded), abs=1e-10)
-    assert [r.theta for r in recs if r.ambiguous] == pytest.approx(flagged, abs=1e-10)
+    assert theta[cols.ambiguous].tolist() == pytest.approx(flagged, abs=1e-10)
 
 
 def test_abelian_group_flags_no_class():
     """Conjugacy in an abelian group is equality, so the cyclic group's
     g^k and g^-k are two certified classes, hyperbolic or elliptic."""
-    recs = build_length_spectrum(cyclic_h3_spec(2.0, 0.7), 3, cutoff=7.0).records
-    assert [r.word for r in recs] == [(-1,), (1,), (-1, -1), (1, 1), (-1, -1, -1), (1, 1, 1)]
-    assert [r.power for r in recs] == [1, 1, 2, 2, 3, 3]
-    assert not any(r.ambiguous for r in recs)
+    cols = build_length_spectrum(cyclic_h3_spec(2.0, 0.7), 3, cutoff=7.0).columns
+    assert cols.word_tuples() == [(-1,), (1,), (-1, -1), (1, 1), (-1, -1, -1), (1, 1, 1)]
+    assert cols.power.tolist() == [1, 1, 2, 2, 3, 3]
+    assert not cols.ambiguous.any()
     # a free group's g and g^-1 share their invariants and are not conjugate
-    assert all(r.ambiguous for r in build_length_spectrum(schottky_spec(), 2, cutoff=7.0).records)
+    assert build_length_spectrum(schottky_spec(), 2, cutoff=7.0).columns.ambiguous.all()
+
+
+@pytest.mark.parametrize("spec,max_len,cutoff", [
+    (schottky_spec(), 7, 12.0), (coxeter_534_spec(), 8, 3.0),
+], ids=["schottky", "coxeter-534"])
+def test_cutoff_in_the_reduction_keeps_the_classes_below_it(spec, max_len, cutoff):
+    """Reducing with the cutoff gives the classes of a reduction without
+    one, cut afterwards: flags, witnesses and columns alike."""
+    cut = build_length_spectrum(spec, max_len, cutoff)
+    assert cut == build_length_spectrum(spec, max_len, 1e300).with_cutoff(cutoff)
+    assert cut.count("hyperbolic") and cut.part("hyperbolic").length.max() <= cutoff
+
+
+def test_witness_data_is_computed_only_within_the_cutoff(monkeypatch):
+    """On the Schottky group at L=7 the ball holds 550 hyperbolic classes,
+    350 of them within the cutoff 12: only those get their axis fixers."""
+    calls = []
+    axis_fixers = geometry._axis_fixers
+
+    def counting(*args):
+        calls.append(args)
+        return axis_fixers(*args)
+
+    monkeypatch.setattr(geometry, "_axis_fixers", counting)
+    spectrum = build_length_spectrum(schottky_spec(), 7, 12.0)
+    assert len(calls) == spectrum.count("hyperbolic") == 350
 
 
 def test_commuting_scales_with_both_factors():
@@ -317,16 +349,16 @@ def test_v_factor_defaults_to_one_without_subgroup():
     """A group without torsion has no rotation about any axis, so every
     class has m = 1 and v = 1 with no subgroup given."""
     for spec, L in ((cyclic_h3_spec(1.0), 4), (schottky_spec(), 4)):
-        ls = build_length_spectrum(spec, L, cutoff=10.0)
-        assert ls.records and all(r.v == Fraction(1) for r in ls.records)
+        v = build_length_spectrum(spec, L, cutoff=10.0).columns.v
+        assert len(v) and all(x == Fraction(1) for x in v)
 
 
 def test_cyclic_classes_have_unit_v_and_their_power():
     """In <g> every class g^k has the trivial rotation group and power k over
     l0 = l(g), so v = 1."""
     ls = build_length_spectrum(cyclic_h3_spec(0.8), 6, cutoff=5.0)
-    hyper = ls.hyperbolic()
-    assert len(hyper) == 2 * 6 and all(r.v == Fraction(1) for r in ls.records)
+    hyper = spectrum_rows(ls.part("hyperbolic"))
+    assert len(hyper) == 2 * 6 and all(x == Fraction(1) for x in ls.columns.v)
     for r in hyper:
         k = round(r.length / 0.8)
         assert r.length == pytest.approx(0.8 * k, rel=1e-12)
@@ -364,7 +396,7 @@ def test_axis_fixers_match_fixed_point_oracle():
     spec = coxeter_534_spec()
     ls = build_length_spectrum(spec, 8, cutoff=4.0)
     ball = [el.matrix for el in enumerate_elements(spec, 8)]
-    hyper = ls.hyperbolic()
+    hyper = spectrum_rows(ls.part("hyperbolic"))
     assert len(hyper) == 68
     oracle = axis_fixer_oracle([spec.word_matrix(r.word) for r in hyper], ball)
     for r, (rotations, l0) in zip(hyper, oracle):
@@ -372,7 +404,7 @@ def test_axis_fixers_match_fixed_point_oracle():
         assert r.primitive_length == pytest.approx(l0, rel=1e-12)
         assert r.power == round(r.length / l0)
     screws = [r for r in hyper if abs(r.length - 2.1225501238) < 1e-9
-              and min(abs(r.theta - math.pi / 2), abs(r.theta - 3 * math.pi / 2)) < 1e-9]
+              and min(abs(r.angles[0] - math.pi / 2), abs(r.angles[0] - 3 * math.pi / 2)) < 1e-9]
     assert len(screws) == 2
     for r in screws:
         assert r.power == 2 and abs(r.primitive_length - 1.0612750619) < 1e-9
@@ -386,13 +418,14 @@ def test_coxeter_534_elliptic_classes():
     classes: the square of the order-4 rotation, the half-turn about edge
     (0,2), and the one about edges (0,3) and (1,3), which share one axis.
     The four that are not half-turns are unflagged."""
-    elliptic = build_length_spectrum(coxeter_534_spec(), 8, cutoff=4.0).elliptic()
-    assert len(elliptic) == 7
-    folded = sorted(min(r.theta, 2 * math.pi - r.theta) for r in elliptic)
+    elliptic = build_length_spectrum(coxeter_534_spec(), 8, cutoff=4.0).part("elliptic")
+    assert len(elliptic.kind) == 7
+    theta = elliptic.angles[:, 0]
+    folded = sorted(np.minimum(theta, 2 * math.pi - theta))
     want = sorted([2 * math.pi / 5, 4 * math.pi / 5, 2 * math.pi / 3, math.pi / 2] + [math.pi] * 3)
     assert folded == pytest.approx(want, abs=1e-10)
-    rotations = [r for r in elliptic if abs(r.theta - math.pi) > 1e-6]
-    assert len(rotations) == 4 and not any(r.ambiguous for r in rotations)
+    rotations = abs(theta - math.pi) > 1e-6
+    assert rotations.sum() == 4 and not elliptic.ambiguous[rotations].any()
 
 
 def test_cyclic_length_spectrum_exact():
@@ -401,9 +434,10 @@ def test_cyclic_length_spectrum_exact():
     cutoff = 5.0
     ls = build_length_spectrum(spec, 7, cutoff=cutoff)
     expected = [m * c for m in range(1, int(cutoff / c) + 1)]
-    got = sorted({round(r.length, 9) for r in ls.hyperbolic()})
+    hyper = spectrum_rows(ls.part("hyperbolic"))
+    got = sorted({round(r.length, 9) for r in hyper})
     assert got == pytest.approx(expected, abs=1e-9)
-    for r in ls.hyperbolic():
+    for r in hyper:
         m = round(r.length / c)
         assert r.power == m
         assert r.primitive_length == pytest.approx(c, abs=1e-9)
@@ -440,8 +474,8 @@ def test_chi_growth_rate_recovered_by_fit():
     chi = [np.diag([math.exp(a), math.exp(-a)])]
     spec = cyclic_h3_spec(l0, chi=chi)
     ls = build_length_spectrum(spec, 7, cutoff=6.0)
-    lengths = np.array([r.length for r in ls.hyperbolic()])
-    mags = np.array([abs(r.tr_chi) for r in ls.hyperbolic()])
+    hyper = ls.part("hyperbolic")
+    lengths, mags = hyper.length, abs(hyper.tr_chi)
     slope = np.polyfit(lengths, np.log(mags), 1)[0]
     assert slope == pytest.approx(a / l0, rel=0.05)
 
@@ -455,8 +489,8 @@ def test_spectrum_csv_roundtrip(tmp_path):
     assert back.spec_hash == ls.spec_hash
     assert back.cutoff == ls.cutoff
     assert back.max_word_len == ls.max_word_len
-    assert len(back.records) == len(ls.records)
-    for a, b in zip(ls.records, back.records):
+    assert len(back.columns.kind) == len(ls.columns.kind)
+    for a, b in zip(spectrum_rows(ls.columns), spectrum_rows(back.columns)):
         assert a.kind == b.kind
         assert a.length == b.length  # exact float round trip via %.17g
         assert a.primitive_length == b.primitive_length
@@ -477,15 +511,15 @@ def test_spectrum_csv_roundtrip_is_equal(tmp_path):
     """Elliptic rows, flagged rows and v in {1, 2, 1/2} come back equal."""
     def record(kind, length, power, angles, v, ambiguous=False):
         hyper = kind == "hyperbolic"
-        return ConjClassRecord(
-            kind, length, length / power, power, angles,
-            2.0 * (math.cosh(length) - math.cos(angles[0])) if hyper else None,
-            Fraction(v), complex(0.3 * length, -1.0 / 3.0), (1, -2) if hyper else (-1,),
-            ambiguous,
+        return class_row(
+            kind, length, angles, power=power,
+            D=2.0 * (math.cosh(length) - math.cos(angles[0])) if hyper else None,
+            v=Fraction(v), tr_chi=complex(0.3 * length, -1.0 / 3.0),
+            word=(1, -2) if hyper else (-1,), ambiguous=ambiguous,
         )
 
-    spectrum = LengthSpectrum(
-        records=[
+    spectrum = synthetic_spectrum(
+        [
             record("elliptic", 0.0, 1, (math.pi,), 1),
             record("elliptic", 0.0, 1, (2.0 * math.pi / 3.0, 0.1), 1),
             record("hyperbolic", 0.7, 1, (0.25,), 1),
@@ -499,14 +533,32 @@ def test_spectrum_csv_roundtrip_is_equal(tmp_path):
     assert LengthSpectrum.read_csv(path) == spectrum
 
 
+def test_spectrum_equality_reads_the_columns():
+    """Spectra are equal when their rows are, NaN D and exact v included,
+    whatever the padding of their word matrices; one flag makes them differ."""
+    rows = [
+        class_row("elliptic", 0.0, (math.pi,), word=(-1,)),
+        class_row("hyperbolic", 1.3, (0.5,), power=2, D=2.5, v=Fraction(1, 3), word=(1, 2, 1)),
+        class_row("hyperbolic", 2.0, (0.25,), D=4.5, v=Fraction(1, 2), word=(2,)),
+    ]
+    spectrum = synthetic_spectrum(rows, "eq", 3.0, 3)
+    assert np.isnan(spectrum.columns.D[0]) and spectrum.columns.v[1] == Fraction(1, 3)
+    assert spectrum == synthetic_spectrum(rows, "eq", 3.0, 3)
+    # the cut keeps a word matrix three letters wide for one-letter words
+    assert spectrum.with_cutoff(1.0) == synthetic_spectrum(rows[:1], "eq", 1.0, 3)
+    flagged = [rows[0], rows[1]._replace(ambiguous=True), rows[2]]
+    assert spectrum != synthetic_spectrum(flagged, "eq", 3.0, 3)
+    assert spectrum != synthetic_spectrum(rows, "eq", 3.0, 4)
+
+
 def test_spectrum_is_stored_in_canonical_order(tmp_path):
     """Hyperbolic rows are sorted by (l, angles, word) as tuples compare, with
     ties as given; elliptic rows come first, in the order given.  Flags move
     with their rows, and the CSV is written in the canonical order."""
     def record(kind, length, angles, word, flag=False):
         hyper = kind == "hyperbolic"
-        return ConjClassRecord(kind, length, length, 1, angles, 1.5 if hyper else None,
-                               Fraction(1), complex(length, 0.5), word, flag)
+        return class_row(kind, length, angles, D=1.5 if hyper else None,
+                         tr_chi=complex(length, 0.5), word=word, ambiguous=flag)
 
     recs = [
         record("hyperbolic", 2.0, (0.5,), (1, 2)),
@@ -521,8 +573,8 @@ def test_spectrum_is_stored_in_canonical_order(tmp_path):
     want = [r for r in recs if r.kind == "elliptic"] + sorted(
         (r for r in recs if r.kind == "hyperbolic"), key=lambda r: (r.length, r.angles, r.word)
     )
-    spectrum = LengthSpectrum(recs, "order", 3.0, 2)
-    assert spectrum.records == want
+    spectrum = synthetic_spectrum(recs, "order", 3.0, 2)
+    assert spectrum_rows(spectrum.columns) == want
     path = tmp_path / "spectrum.csv"
     path.write_text(spectrum.to_csv())
     assert path.read_text().splitlines()[1] == "# ambiguous=0.5"
@@ -530,9 +582,10 @@ def test_spectrum_is_stored_in_canonical_order(tmp_path):
     lines = path.read_text().splitlines()
     shuffled.write_text("\n".join(lines[:3] + lines[:2:-1]).replace("ambiguous=0.5", "ambiguous=2.7")
                         + "\n")
-    assert LengthSpectrum.read_csv(shuffled).records == [*reversed(want[:2]), *want[2:]]
+    assert spectrum_rows(LengthSpectrum.read_csv(shuffled).columns) == [*reversed(want[:2]),
+                                                                         *want[2:]]
     cut = spectrum.with_cutoff(1.5)
-    assert (cut.cutoff, cut.records) == (1.5, want[:4])
+    assert (cut.cutoff, spectrum_rows(cut.columns)) == (1.5, want[:4])
     with pytest.raises(ValidationError, match="cutoff"):
         spectrum.with_cutoff(math.nan)
 
@@ -541,15 +594,16 @@ def test_spectrum_csv_roundtrip_with_ragged_rows_in_later_chunks(tmp_path):
     """Rows whose angle or word counts differ from those of earlier rows
     come back equal."""
     recs = [
-        ConjClassRecord("hyperbolic", 1.0 + i / 64, 1.0, 1, (0.5,) * (1 + (i > 500)), 2.5,
-                        Fraction(1, 1 + i % 3), complex(i, -i), (1, -2) * (1 + i // 200), i == 7)
+        class_row("hyperbolic", 1.0 + i / 64, (0.5,) * (1 + (i > 500)), primitive_length=1.0,
+                  D=2.5, v=Fraction(1, 1 + i % 3), tr_chi=complex(i, -i),
+                  word=(1, -2) * (1 + i // 200), ambiguous=i == 7)
         for i in range(700)
     ]
-    spectrum = LengthSpectrum(recs, "ragged", 12.0, 6)
+    spectrum = synthetic_spectrum(recs, "ragged", 12.0, 6)
     path = tmp_path / "spectrum.csv"
     spectrum.write_csv(path)
     back = LengthSpectrum.read_csv(path)
-    assert back == spectrum and back.records == recs
+    assert back == spectrum and spectrum_rows(back.columns) == recs
     assert back.to_csv() == path.read_text()
 
 
@@ -580,6 +634,28 @@ def test_read_csv_names_the_first_bad_row_wherever_it_is(tmp_path, i):
     with pytest.raises(ValidationError) as err:
         LengthSpectrum.read_csv(path)
     assert str(err.value) == f"{path} line {i + 3}: {ROW_PROBLEMS[first]}"
+
+
+@pytest.mark.parametrize("v,message", [
+    ("1e-400", "v must be positive"),
+    ("1e-3000000", "v must be positive"),
+    ("-1e-3000000", "v must be positive"),
+    ("1e400", "v is too large for a float"),
+    ("-1e400", "v is too large for a float"),
+    ("1e3000000", "v is too large for a float"),
+    ("1/0", None),
+    ("1/2e3000000", None),
+])
+def test_read_csv_v_exponent_is_judged_without_building_it(tmp_path, v, message):
+    """A v far beyond the float range fails at once with the message of its
+    size, and a v that does not convert is a malformed row."""
+    row = f"hyperbolic,1.0,1.0,1,0.5,1.3,{v},1.0,0.0,1"
+    path = _spectrum_rows_file(tmp_path / "v.csv", 2, {1: row})
+    start = time.perf_counter()
+    with pytest.raises(ValidationError) as err:
+        LengthSpectrum.read_csv(path)
+    assert time.perf_counter() - start < 0.05
+    assert str(err.value) == f"{path} line 4: {message or f'malformed spectrum row {row!r}'}"
 
 
 def _counting_parses(monkeypatch) -> list:

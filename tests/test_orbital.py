@@ -10,11 +10,11 @@ from conftest import (
     random_angles,
     random_dominant,
     random_flip_moved_dominant,
+    synthetic_spectrum,
     weyl_act,
     weyl_dn,
 )
 from selberg.errors import ValidationError
-from selberg.geometry import LengthSpectrum
 from selberg.lie import (
     TWO_PI,
     EllipticAngles,
@@ -336,7 +336,7 @@ def heat_kernel_at_origin(n, t):
 
 
 def test_identity_heat_term_matches_kernel_at_origin(rng):
-    spectrum = LengthSpectrum([], "synthetic", 5.0, 0)
+    spectrum = synthetic_spectrum(cutoff=5.0)
     for n in range(1, 7):
         ctx = ZetaTermContext(sigma=WeightVector((0,) * n), chi_dim=1, spectrum=spectrum, vol=1.0)
         for t in (0.1, 1.0, 10.0):

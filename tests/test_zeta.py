@@ -8,14 +8,16 @@ import pytest
 
 from conftest import (
     brute_orbital_value,
+    class_row,
     cyclic_h3_spec,
     random_angles,
     random_flip_moved_dominant,
     small_h3_spectrum_csv,
+    synthetic_spectrum,
 )
 from selberg import zeta
 from selberg.errors import AmbiguousClassError, NumericalGuardError, ValidationError
-from selberg.geometry import ConjClassRecord, LengthSpectrum, build_length_spectrum, weight_D
+from selberg.geometry import LengthSpectrum, build_length_spectrum, weight_D
 from selberg.lie import EllipticAngles, WeightVector, w0_flip
 from selberg.zeta import (
     ZetaTermContext,
@@ -32,40 +34,17 @@ from selberg.zeta import (
 )
 
 
-def hyp_record(length, angles=(0.0,), power=1, l0=None, tr_chi=1.0 + 0j, v=1, n=1):
-    angles = tuple(angles)
-    return ConjClassRecord(
-        kind="hyperbolic",
-        length=length,
-        primitive_length=l0 if l0 is not None else length / power,
-        power=power,
-        angles=angles,
-        D=weight_D(length, angles, n),
-        v=Fraction(v),
-        tr_chi=complex(tr_chi),
-        word=(),
-    )
+def hyp_row(length, angles=(0.0,), power=1, l0=None, tr_chi=1.0 + 0j, v=1, n=1):
+    return class_row("hyperbolic", length, angles, power=power, primitive_length=l0,
+                     D=weight_D(length, tuple(angles), n), v=v, tr_chi=tr_chi)
 
 
-def ell_record(angles, tr_chi=1.0 + 0j):
-    return ConjClassRecord(
-        kind="elliptic",
-        length=0.0,
-        primitive_length=0.0,
-        power=1,
-        angles=tuple(angles),
-        D=None,
-        v=Fraction(1),
-        tr_chi=complex(tr_chi),
-        word=(),
-    )
+def ell_row(angles, tr_chi=1.0 + 0j):
+    return class_row("elliptic", 0.0, angles, tr_chi=tr_chi)
 
 
-def make_ctx(records, sigma, cutoff=10.0, elliptic=(), **kwargs):
-    spectrum = LengthSpectrum(
-        records=list(records) + list(elliptic), spec_hash="synthetic", cutoff=cutoff,
-        max_word_len=0,
-    )
+def make_ctx(rows, sigma, cutoff=10.0, elliptic=(), **kwargs):
+    spectrum = synthetic_spectrum(list(rows) + list(elliptic), cutoff=cutoff)
     return ZetaTermContext(sigma=sigma, chi_dim=kwargs.pop("chi_dim", 1), spectrum=spectrum,
                            **kwargs)
 
@@ -75,7 +54,7 @@ def random_spectrum(rng, count=6, n=1, complex_chi=True):
     for _ in range(count):
         angles = tuple(rng.uniform(0.3, 5.9) for _ in range(n))
         chi = complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) if complex_chi else 1.0
-        recs.append(hyp_record(rng.uniform(0.6, 3.0), angles, tr_chi=chi, n=n))
+        recs.append(hyp_row(rng.uniform(0.6, 3.0), angles, tr_chi=chi, n=n))
     return recs
 
 
@@ -92,7 +71,7 @@ def test_empty_spectrum_is_log_one():
 def test_single_class_value():
     # l = l0 = 1, theta = 0, trivial twists, s = 2:
     # term = e^{-3} / (e - 1)^2, computed independently here
-    ctx = make_ctx([hyp_record(1.0)], SIGMA0, cutoff=1.5)
+    ctx = make_ctx([hyp_row(1.0)], SIGMA0, cutoff=1.5)
     expected = math.exp(-3.0) / (math.e - 1.0) ** 2
     assert expected == pytest.approx(0.016862725085902915, rel=1e-12)
     with warnings.catch_warnings():
@@ -108,7 +87,7 @@ def test_geometric_series_matches_independent_loop():
     cutoff = 8.0
     powers = int(cutoff / c)
     recs = [
-        hyp_record(m * c, ((m * theta) % (2 * math.pi),), power=m, l0=c)
+        hyp_row(m * c, ((m * theta) % (2 * math.pi),), power=m, l0=c)
         for m in range(1, powers + 1)
     ]
     k = 1
@@ -133,8 +112,7 @@ def test_geometric_series_matches_independent_loop():
 
 
 def test_ambiguous_records_refused_without_optin(rng):
-    rec = hyp_record(1.0)
-    rec.ambiguous = True
+    rec = hyp_row(1.0)._replace(ambiguous=True)
     ctx = make_ctx([rec], SIGMA0)
     with pytest.raises(AmbiguousClassError):
         log_zeta_truncated(3.0, ctx)
@@ -193,13 +171,13 @@ def test_antisymmetric_reciprocal(rng):
 
 
 def test_antisymmetric_is_one_for_rotationless_spectrum(rng):
-    recs = [hyp_record(rng.uniform(0.5, 2.5)) for _ in range(5)]
+    recs = [hyp_row(rng.uniform(0.5, 2.5)) for _ in range(5)]
     ctx = make_ctx(recs, SIGMA1)
     assert antisymmetric_zeta(2.9, ctx) == pytest.approx(1.0 + 0j, rel=1e-13)
 
 
 def test_antisymmetric_rejects_fixed_weight():
-    ctx = make_ctx([hyp_record(1.0)], SIGMA0)
+    ctx = make_ctx([hyp_row(1.0)], SIGMA0)
     with pytest.raises(ValidationError):
         antisymmetric_zeta(3.0, ctx)
 
@@ -223,7 +201,7 @@ def test_antisymmetric_single_class_scalar_crosscheck():
     # difference of single zeta terms
     a, b = 0.8, 2.1
     l = 1.3
-    rec = hyp_record(l, (a, b), n=2)
+    rec = hyp_row(l, (a, b), n=2)
     sigma = WeightVector.from_coords([1, 1])
     ctx = make_ctx([rec], sigma)
     s = 2.2
@@ -260,7 +238,7 @@ def test_heat_identity_term_matches_free_leading_coefficient():
 
 def test_heat_terms_hyperbolic_line():
     l, theta, t, k = 1.1, 0.7, 0.9, 2
-    rec = hyp_record(l, (theta,))
+    rec = hyp_row(l, (theta,))
     ctx = make_ctx([rec], WeightVector.from_coords([k]))
     terms = geometric_heat_terms(t, ctx)
     # conjugated character pair for sigma != w0 sigma
@@ -289,7 +267,7 @@ def test_heat_elliptic_term_with_volumes(rng):
 
     from selberg.orbital import orbital_polynomial
 
-    rec = ell_record((1.2,), tr_chi=0.5 + 0.25j)
+    rec = ell_row((1.2,), tr_chi=0.5 + 0.25j)
     sigma = SIGMA1
     ctx = make_ctx([], sigma, elliptic=[rec], elliptic_vols=[2.5])
     t = 0.6
@@ -302,13 +280,13 @@ def test_heat_elliptic_term_with_volumes(rng):
 
 
 def test_heat_elliptic_default_volume_warns():
-    ctx = make_ctx([], SIGMA0, elliptic=[ell_record((0.9,))])
+    ctx = make_ctx([], SIGMA0, elliptic=[ell_row((0.9,))])
     with pytest.warns(UserWarning):
         geometric_heat_terms(0.5, ctx)
 
 
 def test_heat_term_vanishes_fast():
-    recs = [hyp_record(1.0), hyp_record(1.7)]
+    recs = [hyp_row(1.0), hyp_row(1.7)]
     ctx = make_ctx(recs, SIGMA0)
     values = [abs(geometric_heat_terms(t, ctx).hyperbolic) for t in (0.01, 0.003, 0.001)]
     assert values[0] > values[1] > values[2]
@@ -341,7 +319,7 @@ def test_rank2_hyperbolic_heat_term_matches_determinant_oracle():
     # two synthetic n = 2 classes; the oracle builds its own adjoint weight
     # prod_j 4 |sinh((l + i theta_j)/2)|^2 and sums sigma and w0 sigma once each
     classes = [(1.3, (0.8, 2.1), 1, 1.3, 1, 1.5 - 0.5j), (2.9, (4.0, 1.1), 2, 1.45, 2, -0.7 + 1.2j)]
-    recs = [hyp_record(l, a, power=p, l0=l0, tr_chi=chi, v=Fraction(1, m), n=2)
+    recs = [hyp_row(l, a, power=p, l0=l0, tr_chi=chi, v=Fraction(1, m), n=2)
             for l, a, p, l0, m, chi in classes]
     for weights in ({(1, 0)}, {(2, 1), (2, -1)}):
         ctx = make_ctx(recs, WeightVector.from_coords(max(weights)))
@@ -391,7 +369,7 @@ def test_xi_no_elliptic_closed_form(rng):
 
 def test_xi_at_zero_is_symmetric_zeta(rng):
     recs = random_spectrum(rng, count=3)
-    ctx = make_ctx(recs, SIGMA1, elliptic=[ell_record((0.8,))], elliptic_vols=[1.0])
+    ctx = make_ctx(recs, SIGMA1, elliptic=[ell_row((0.8,))], elliptic_vols=[1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert xi_correction(0.0, ctx) == symmetric_zeta(0.0, ctx)
@@ -409,7 +387,7 @@ def test_xi_prefactor_is_odd_in_s(rng):
 
 
 def test_abscissa_estimate_small_spectrum_defaults():
-    ctx = make_ctx([hyp_record(1.0)], SIGMA0)
+    ctx = make_ctx([hyp_row(1.0)], SIGMA0)
     with pytest.warns(UserWarning):
         est = convergence_abscissa_estimate(ctx)
     assert est.conservative
@@ -418,7 +396,7 @@ def test_abscissa_estimate_small_spectrum_defaults():
 
 def test_abscissa_estimate_geometric_spectrum():
     # polynomially growing class counts: entropy estimate near zero
-    recs = [hyp_record(0.5 * m, power=m, l0=0.5) for m in range(1, 15)]
+    recs = [hyp_row(0.5 * m, power=m, l0=0.5) for m in range(1, 15)]
     ctx = make_ctx(recs, SIGMA0, cutoff=10.0)
     est = convergence_abscissa_estimate(ctx)
     assert not est.conservative
@@ -428,7 +406,7 @@ def test_abscissa_estimate_geometric_spectrum():
 
 def test_abscissa_estimate_chi_growth():
     recs = [
-        hyp_record(0.5 * m, power=m, l0=0.5, tr_chi=math.exp(0.6 * 0.5 * m))
+        hyp_row(0.5 * m, power=m, l0=0.5, tr_chi=math.exp(0.6 * 0.5 * m))
         for m in range(1, 15)
     ]
     ctx = make_ctx(recs, SIGMA0, cutoff=10.0)
@@ -440,7 +418,7 @@ def test_abscissa_estimate_chi_growth():
 def test_truncation_cauchy_property():
     # positive terms: partial sums of log Z decrease geometrically in cutoff
     c = 0.6
-    full = [hyp_record(m * c, power=m, l0=c) for m in range(1, 16)]
+    full = [hyp_row(m * c, power=m, l0=c) for m in range(1, 16)]
     ctx_full = make_ctx(full, SIGMA0, cutoff=100.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -461,7 +439,7 @@ def test_context_validation():
     with pytest.raises(ValidationError):
         make_ctx([], SIGMA0, cutoff=0.0)
     with pytest.raises(ValidationError):
-        make_ctx([], SIGMA0, elliptic=[ell_record((0.5,))], elliptic_vols=[1.0, 2.0])
+        make_ctx([], SIGMA0, elliptic=[ell_row((0.5,))], elliptic_vols=[1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +495,7 @@ def regular_spectrum(rng, n, count=7, power_every=3):
             continue
         power = 2 if len(recs) % power_every == 0 else 1
         chi = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        recs.append(hyp_record(rng.uniform(0.6, 3.0), angles, power=power, tr_chi=chi,
+        recs.append(hyp_row(rng.uniform(0.6, 3.0), angles, power=power, tr_chi=chi,
                                v=rng.choice((1, 2)), n=n))
     return recs
 
@@ -586,7 +564,7 @@ def orbital_gaussian(sigma, angles, t):
 
 def rank1_case(rng, sigma):
     recs = regular_spectrum(rng, 1)
-    ell = [ell_record((rng.uniform(0.3, 5.9),), tr_chi=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+    ell = [ell_row((rng.uniform(0.3, 5.9),), tr_chi=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
            for _ in range(3)]
     vols = [rng.uniform(0.2, 1.5) for _ in ell]
     ctx = make_ctx(recs, sigma, elliptic=ell, elliptic_vols=vols, vol=rng.uniform(0.5, 2.0),
@@ -685,9 +663,7 @@ def overflow_ctx(sigma):
     Re log Z is far beyond the largest finite exponential."""
     recs = []
     for i in range(1, 6):
-        rec = hyp_record(0.1 * i, (1.0,), tr_chi=-1e6)
-        rec.D = (0.1 * i) ** 2
-        recs.append(rec)
+        recs.append(hyp_row(0.1 * i, (1.0,), tr_chi=-1e6)._replace(D=(0.1 * i) ** 2))
     return make_ctx(recs, sigma)
 
 
