@@ -719,8 +719,8 @@ class LengthSpectrum:
     it), then the hyperbolic classes by (l, angles, word), the order the
     zeta sums run in.  A spectrum is built from ``SpectrumColumns`` and is
     not changed afterwards: its column arrays are read-only, so one
-    spectrum can be shared, as ``read_csv`` shares it.  ``part`` and
-    ``count`` read the classes of one kind.
+    spectrum can be shared, as ``read_csv`` shares it.  Every class is
+    elliptic or hyperbolic, so ``part`` and ``count`` read one block of rows.
     """
 
     def __init__(self, columns: SpectrumColumns, spec_hash: str, cutoff: float,
@@ -729,6 +729,12 @@ class LengthSpectrum:
         self.columns = columns.take(columns.canonical_order())
         for column in self.columns:
             column.flags.writeable = False
+        kind = self.columns.kind
+        elliptic = int(np.count_nonzero(kind != "hyperbolic"))
+        if np.any(unknown := kind[:elliptic] != "elliptic"):
+            raise ValidationError(f"unknown class kind {kind[:elliptic][unknown][0]!r}")
+        self._parts = {"elliptic": self.columns.take(slice(elliptic)),
+                       "hyperbolic": self.columns.take(slice(elliptic, None))}
         self.spec_hash = spec_hash
         self.cutoff = cutoff
         self.max_word_len = max_word_len
@@ -760,11 +766,14 @@ class LengthSpectrum:
         ]
 
     def part(self, kind: str) -> SpectrumColumns:
-        """The columns of the classes of one kind, in canonical order."""
-        return self.columns.take(self.columns.kind == kind)
+        """The columns of the classes of one kind, in canonical order: one
+        block of rows of ``columns``, as read-only views."""
+        if kind not in self._parts:
+            raise ValidationError(f"unknown class kind {kind!r}")
+        return self._parts[kind]
 
     def count(self, kind: str) -> int:
-        return int(np.count_nonzero(self.columns.kind == kind))
+        return len(self.part(kind).kind)
 
     def with_cutoff(self, cutoff: float) -> "LengthSpectrum":
         """The spectrum without its hyperbolic classes longer than ``cutoff``,

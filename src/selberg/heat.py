@@ -41,6 +41,9 @@ TAIL_SAFETY = 10.0
 
 MODEL_NAMES = ("circle", "circle-reflection", "pillowcase")
 
+#: the most (bound, row) cells ``eigenvalue_count`` holds at once (128 KB float arrays)
+COUNT_BLOCK_CELLS = 2**14
+
 
 @dataclass(frozen=True)
 class FlatOrbifoldModel:
@@ -120,7 +123,7 @@ def heat_trace(model: FlatOrbifoldModel, t: float) -> float:
     terms: list = []
     for r in model.radii:
         m_max = int(math.ceil(r * math.sqrt(TAIL_EXPONENT / t))) + int(TAIL_SAFETY)
-        weights = np.exp(-t * (np.arange(1, m_max + 1, dtype=float) / r) ** 2)
+        weights = np.exp(-t * (np.arange(1, m_max + 1, dtype=float) / r) ** 2).tolist()
         terms += [(2.0 * math.fsum(chain(*terms)) * math.fsum(weights),), weights]
     h = chain(*terms)
     return math.fsum(chain([1.0], h)) if model.folded else 2.0 * math.fsum(h) + 1.0
@@ -193,31 +196,33 @@ def fit_expansion(model: FlatOrbifoldModel, t_grid) -> HeatFit:
 def eigenvalue_count(model: FlatOrbifoldModel, bounds) -> np.ndarray:
     """N(b), the number of eigenvalues <= b with multiplicity, for each bound b.
 
-    Closed form in O(sqrt(b)) per bound: the lattice points of Z^d below b,
-    (N + 1) / 2 of them when folded.  Every boundary point is decided by the
-    same float expression ``exact_spectrum`` tests, so the counts equal its
-    cumulative multiplicities.
+    Closed form in one pass over all bounds, in blocks of COUNT_BLOCK_CELLS
+    (bound, row) cells at most, so in O(sqrt(max b)) memory: the lattice
+    points of Z^d below b, (N + 1) / 2 of them when folded.  Every boundary
+    point is decided by the same float expression ``exact_spectrum`` tests,
+    so the counts equal its cumulative multiplicities.
     """
-    bounds = [float(b) for b in bounds]
-    if not all(0.0 <= b < math.inf for b in bounds):
+    bounds = np.array([float(b) for b in bounds], dtype=float)
+    if not np.all((0.0 <= bounds) & (bounds < math.inf)):
         raise ValidationError("count bounds must be finite and nonnegative")
-    counts = np.array([_lattice_count(model.radii, b) for b in bounds], dtype=np.int64)
-    return (counts + 1) // 2 if model.folded else counts
-
-
-def _lattice_count(radii: tuple[float, ...], b: float) -> int:
-    """Points v of Z^d (d = 1 or 2) with sum_i (v_i / r_i)^2 <= b."""
     # rows p >= 0 of the first axis of two; v -> -v maps rows p < 0 onto p > 0
-    rows = _squares(radii[0], b) if len(radii) == 2 else np.zeros(1)
-    r = radii[-1]
-    # row p holds |q| <= q[p]; q = 0 always fits, since rows[p] <= b
-    q = np.floor(r * np.sqrt(b - rows))
-    while np.any(over := rows + (q / r) ** 2 > b):
-        q[over] -= 1
-    while np.any(under := rows + ((q + 1) / r) ** 2 <= b):
-        q[under] += 1
-    per_row = 2 * q + 1
-    return int(per_row[0] + 2 * per_row[1:].sum())
+    rows = _squares(model.radii[0], bounds.max(initial=0.0)) if model.dim == 2 else np.zeros(1)
+    r = model.radii[-1]
+    counts = np.empty(len(bounds), dtype=np.int64)
+    step = max(1, COUNT_BLOCK_CELLS // len(rows))
+    for start in range(0, len(bounds), step):
+        b = bounds[start:start + step, None]
+        # row p holds |q| <= q[p]; q = 0 always fits a row with rows[p] <= b,
+        # and a row with rows[p] > b gets q = NaN, which passes no test
+        with np.errstate(invalid="ignore"):
+            q = np.floor(r * np.sqrt(b - rows))
+        while np.any(over := rows + (q / r) ** 2 > b):
+            q[over] -= 1
+        while np.any(under := rows + ((q + 1) / r) ** 2 <= b):
+            q[under] += 1
+        per_row = 2.0 * np.fmax(q, -0.5) + 1.0  # 0 where q is NaN
+        counts[start:start + step] = 2.0 * per_row.sum(axis=1) - per_row[:, 0]
+    return (counts + 1) // 2 if model.folded else counts
 
 
 @dataclass(frozen=True)
@@ -232,13 +237,12 @@ def weyl_counting_check(model: FlatOrbifoldModel, r_max: float) -> WeylSlopeRepo
     """Fit N(r) ~ A r^{d/2} and compare A with the Weyl-law constant."""
     if not 0.0 < r_max < math.inf:
         raise ValidationError("rmax must be finite and positive")
-    count = int(eigenvalue_count(model, [r_max])[0])
-    if count < 200:
+    probes = np.linspace(r_max / 2.0, r_max, 48)  # ends at r_max exactly
+    counts = eigenvalue_count(model, probes)
+    if (count := int(counts[-1])) < 200:
         raise ValidationError(
             f"only {count} eigenvalues up to {r_max:g}; need at least 200"
         )
-    probes = np.linspace(r_max / 2.0, r_max, 48)
-    counts = eigenvalue_count(model, probes).astype(float)
     basis = probes ** (model.dim / 2.0)
     fitted = float(np.dot(counts, basis) / np.dot(basis, basis))
     d = model.dim

@@ -5,7 +5,7 @@ compact Cartan subalgebra of so(2n) sitting inside so(1,2n+1); the extra
 noncompact functional e_1 never enters here (the orbital layer handles it
 symbolically).  The Weyl group is type D_n: permutations of the coordinates
 combined with an even number of sign changes.  ``weyl_group`` lists it as
-integer permutation, sign and determinant arrays, one row per element, for
+int8 permutation, sign and determinant arrays, one row per element, for
 ``lie weyl``; no sum in the package runs over all of W.
 
 Weights are stored as doubled integers so half-integral (spin-type) weights
@@ -213,7 +213,7 @@ def half_sum_positive_roots(n: int) -> WeightVector:
 
 @lru_cache(maxsize=None)
 def weyl_group(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All 2^{n-1} n! elements of W(D_n) as read-only integer arrays
+    """All 2^{n-1} n! elements of W(D_n) as read-only int8 arrays
     ``(perm, signs, det)`` of shapes (|W|, n), (|W|, n) and (|W|,).
 
     Row w acts on a coordinate vector x by (w.x)[perm[w, i]] =
@@ -225,14 +225,14 @@ def weyl_group(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if not 1 <= n <= MAX_WEYL_RANK:
         raise ValidationError(f"rank must be between 1 and {MAX_WEYL_RANK}, got {n}")
-    perms = np.array(list(permutations(range(n))), dtype=np.int64).reshape(-1, n)
-    patterns = np.array(list(product((1, -1), repeat=n)), dtype=np.int64)
+    perms = np.array(list(permutations(range(n))), dtype=np.int8).reshape(-1, n)
+    patterns = np.array(list(product((1, -1), repeat=n)), dtype=np.int8)
     patterns = patterns[np.count_nonzero(patterns < 0, axis=1) % 2 == 0]
     perm = np.repeat(perms, len(patterns), axis=0)
     signs = np.tile(patterns, (len(perms), 1))
     upper, lower = np.triu_indices(n, 1)
     inversions = np.count_nonzero(perm[:, upper] > perm[:, lower], axis=1)
-    det = np.where(inversions % 2 == 0, 1, -1)
+    det = np.where(inversions % 2 == 0, np.int8(1), np.int8(-1))
     for a in (perm, signs, det):
         a.flags.writeable = False
     return perm, signs, det

@@ -318,7 +318,7 @@ def convergence_abscissa_estimate(ctx: ZetaTermContext):
     k_fit = 0.0
     if len(lengths) >= 2:
         mags = np.maximum(np.abs(hyp.tr_chi), 1e-300)
-        k_fit = max(float(np.polyfit(lengths, np.log(mags), 1)[0]), 0.0)
+        k_fit = max(_slope(lengths, np.log(mags)), 0.0)
     if len(lengths) < 5:
         warnings.warn(
             "spectrum too small to fit a growth rate; using the conservative "
@@ -327,8 +327,15 @@ def convergence_abscissa_estimate(ctx: ZetaTermContext):
         )
         return AbscissaEstimate(2 * ctx.n + k_fit, k_fit, float("nan"), conservative=True)
     counts = np.arange(1, len(lengths) + 1, dtype=float)
-    entropy = max(float(np.polyfit(lengths, np.log(counts), 1)[0]), 0.0)
+    entropy = max(_slope(lengths, np.log(counts)), 0.0)
     return AbscissaEstimate(entropy + k_fit, k_fit, entropy, conservative=False)
+
+
+def _slope(x: np.ndarray, y: np.ndarray) -> float:
+    """The least-squares slope of y on x, sum dx dy / sum dx^2; 0 if x is constant."""
+    dx = x - x.mean()
+    spread = float(dx @ dx)
+    return float(dx @ (y - y.mean())) / spread if spread > 0 else 0.0
 
 
 @dataclass(frozen=True)

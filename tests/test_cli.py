@@ -673,6 +673,14 @@ def test_zeta_output_is_frozen(capsys, tmp_path, key):
         assert out == FROZEN["zeta"][key]
 
 
+# the benchmark's pillowcase inputs, frozen from the per-bound lattice counts
+# and the numpy-array heat sums
+@pytest.mark.parametrize("key", FROZEN["heat"])
+def test_heat_output_is_frozen(capsys, key):
+    for _ in range(2):
+        assert invoke(capsys, "heat", *key.split()) == (0, FROZEN["heat"][key], "")
+
+
 def test_in_process_runs_match_fresh_processes(capsys, tmp_path):
     """Zeta ops run one after another in one process print what each prints
     alone in a fresh interpreter: the first op cuts the file's spectrum and

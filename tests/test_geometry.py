@@ -760,6 +760,31 @@ def test_spectrum_columns_are_read_only(tmp_path):
     assert built.to_csv() == path.read_text().replace("spec_hash=read-only-", "spec_hash=")
 
 
+def test_spectrum_parts_are_read_only_views():
+    """``part`` is the elliptic or the hyperbolic block of the columns, as
+    views, and ``count`` its length; an unknown kind is refused."""
+    recs = [class_row("hyperbolic", 2.0 - k / 10, (0.5,), D=1.0, word=(k + 1,)) for k in range(5)]
+    recs[1:1] = [class_row("elliptic", 0.0, (1.0,), word=(-1,)),
+                 class_row("elliptic", 0.0, (2.0,), word=(-2,))]
+    for spectrum in (synthetic_spectrum(recs), synthetic_spectrum(recs[2:3]), synthetic_spectrum()):
+        rows = spectrum_rows(spectrum.columns)
+        for kind in ("elliptic", "hyperbolic"):
+            part = spectrum.part(kind)
+            assert spectrum_rows(part) == [row for row in rows if row.kind == kind]
+            assert spectrum.count(kind) == len(part.kind)
+            for view, column in zip(part, spectrum.columns):
+                assert np.shares_memory(view, column) or not len(view)
+                assert not view.flags.writeable
+    assert (spectrum.count("elliptic"), spectrum.count("hyperbolic")) == (0, 0)
+    for kind in ("identity", "parabolic", "Hyperbolic"):
+        with pytest.raises(ValidationError, match="unknown class kind"):
+            synthetic_spectrum(recs).part(kind)
+        with pytest.raises(ValidationError, match="unknown class kind"):
+            synthetic_spectrum(recs).count(kind)
+        with pytest.raises(ValidationError, match="unknown class kind"):
+            synthetic_spectrum([*recs, class_row(kind, 1.0, (0.5,), D=1.0)])
+
+
 def test_group_spec_file_parsing(tmp_path):
     payload = """
     {

@@ -6,6 +6,7 @@ import pytest
 
 from selberg.errors import IllConditionedFitError, ValidationError
 from selberg.heat import (
+    COUNT_BLOCK_CELLS,
     MODEL_NAMES,
     eigenvalue_count,
     exact_spectrum,
@@ -241,6 +242,51 @@ def test_eigenvalue_count_matches_exact_spectrum():
         bounds = [cutoff] + [lam for lam, _ in spectrum[-5:]]
         want = [cumulative_count(spectrum, b) for b in bounds]
         assert eigenvalue_count(model, bounds).tolist() == want
+
+
+def lattice_count_oracle(model, bounds):
+    """Independent oracle: every point v of a box of Z^d, tested against
+    every bound b as sum_i (v_i / r_i)^2 <= b; (N + 1) / 2 of them when folded."""
+    ends = [math.floor(r * math.sqrt(max(bounds))) + 2 for r in model.radii]
+    axes = [np.arange(-m, m + 1, dtype=float) for m in ends]
+    lam = 0.0
+    for v, r in zip(np.meshgrid(*axes, indexing="ij"), model.radii):
+        lam = lam + (v / r) * (v / r)
+    counts = [int(np.count_nonzero(lam <= b)) for b in bounds]
+    return [(c + 1) // 2 for c in counts] if model.folded else counts
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("pillowcase", {"sides": (TWO_PI * 60.0, 2.7)}),
+    ("pillowcase", {"sides": (4.1, 5.3)}),
+    ("circle", {"radius": 7.3}),
+    ("circle-reflection", {"radius": 0.6}),
+])
+def test_eigenvalue_count_in_blocks_matches_lattice_oracle(name, kwargs):
+    """Unsorted bounds with duplicates, 0 and exact eigenvalues, over
+    several blocks of bounds for the long first axis."""
+    model = make_model(name, **kwargs)
+    top = 30.0
+    spectrum = exact_spectrum(model, top)
+    rng = np.random.default_rng(11)
+    exact = [lam for lam, _ in spectrum]
+    bounds = [*rng.uniform(0.0, top, 120), 0.0, 0.0, top, *exact[:40], *exact[-20:],
+              *(math.nextafter(lam, 0.0) for lam in exact[1:30])]
+    bounds += bounds[:25]
+    rng.shuffle(bounds)
+    got = eigenvalue_count(model, bounds)
+    assert got.dtype == np.int64
+    assert got.tolist() == lattice_count_oracle(model, bounds)
+    assert got.tolist() == [cumulative_count(spectrum, b) for b in bounds]
+    if model.radii[0] > 10.0:
+        rows = math.floor(model.radii[0] * math.sqrt(top)) + 1
+        assert len(bounds) > 3 * (COUNT_BLOCK_CELLS // rows)  # several blocks
+
+
+def test_eigenvalue_count_of_no_bounds():
+    for name in MODEL_NAMES:
+        got = eigenvalue_count(make_model(name), [])
+        assert got.dtype == np.int64 and got.shape == (0,)
 
 
 def test_eigenvalue_count_guards():

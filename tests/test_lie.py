@@ -45,6 +45,7 @@ def test_weyl_group_count(n, count):
     perm, signs, det = weyl_group(n)
     assert count == 2 ** (n - 1) * math.factorial(n)
     assert perm.shape == signs.shape == (count, n) and det.shape == (count,)
+    assert perm.dtype == signs.dtype == det.dtype == np.int8
     basis = [tuple(2 if j == i else 0 for j in range(n)) for i in range(n)]
     actions = {
         tuple(weyl_act(p, s, b) for b in basis)

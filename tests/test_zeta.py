@@ -415,6 +415,29 @@ def test_abscissa_estimate_chi_growth():
     assert est.c == pytest.approx(est.entropy + 0.6, rel=1e-6)
 
 
+@pytest.mark.parametrize("count", [5, 40, 2000])
+def test_abscissa_slopes_match_polyfit(count):
+    """The closed-form slopes are numpy's least-squares line fits."""
+    rng = np.random.default_rng(count)
+    recs = [hyp_row(length, tr_chi=complex(*rng.normal(0.0, math.exp(0.4 * length), 2)))
+            for length in rng.uniform(0.5, 6.0, count)]
+    est = convergence_abscissa_estimate(make_ctx(recs, SIGMA0))
+    lengths = np.sort([r.length for r in recs])
+    mags = np.abs([r.tr_chi for r in sorted(recs, key=lambda r: r.length)])
+    want_chi = np.polyfit(lengths, np.log(mags), 1)[0]
+    want_entropy = np.polyfit(lengths, np.log(np.arange(1.0, count + 1)), 1)[0]
+    assert want_chi > 0 and want_entropy > 0
+    assert est.chi_rate == pytest.approx(want_chi, rel=1e-12, abs=0)
+    assert est.entropy == pytest.approx(want_entropy, rel=1e-12, abs=0)
+    assert est.c == est.chi_rate + est.entropy and not est.conservative
+
+
+def test_abscissa_slope_of_one_length_is_zero():
+    with pytest.warns(UserWarning):
+        est = convergence_abscissa_estimate(make_ctx([hyp_row(1.0, tr_chi=2.0)] * 3, SIGMA0))
+    assert est.chi_rate == 0.0 and est.c == 2.0
+
+
 def test_truncation_cauchy_property():
     # positive terms: partial sums of log Z decrease geometrically in cutoff
     c = 0.6
