@@ -13,7 +13,8 @@ error text are those of the full tree.  Each such parser is built once per
 process: every argparse build leaves reference cycles behind, which only a
 full garbage collection frees.  Likewise, an in-process caller of ``run``
 whose ops read one spectrum file parses it once (``LengthSpectrum.read_csv``
-keeps the last spectrum read); a one-shot command gains nothing.  A
+keeps the last spectrum read), and builds the zeta layer's class factors of
+a weight once, kept on that spectrum; a one-shot command gains nothing.  A
 ``--config`` file's values are parsed like flags placed before the command
 line, so they pass the same types and choices, may supply a required
 option, and explicit flags win.

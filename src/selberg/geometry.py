@@ -721,6 +721,11 @@ class LengthSpectrum:
     not changed afterwards: its column arrays are read-only, so one
     spectrum can be shared, as ``read_csv`` shares it.  Every class is
     elliptic or hyperbolic, so ``part`` and ``count`` read one block of rows.
+
+    ``derived`` holds values computed from the columns alone, such as the
+    zeta layer's per-class factors of a weight, keyed by the layer that
+    fills it.  It is empty when the spectrum is made and lives and dies
+    with it: a ``with_cutoff`` spectrum starts a dict of its own.
     """
 
     def __init__(self, columns: SpectrumColumns, spec_hash: str, cutoff: float,
@@ -739,6 +744,7 @@ class LengthSpectrum:
         self.cutoff = cutoff
         self.max_word_len = max_word_len
         self.model = model
+        self.derived: dict = {}
 
     def __eq__(self, other):
         """Equal provenance and rows, with NaN equal to NaN; the padding of

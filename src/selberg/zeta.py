@@ -27,9 +27,12 @@ term uses the conjugate, matching each formula's own display.
 
 Every public evaluator takes one point or a sequence of them.  The
 point-independent factors of each class (characters, adjoint determinants,
-twists) are read from the spectrum's columns: one class-array build per
-call serves both sigma and w0 sigma, with one character call per weight on
-the whole angle matrix, and no per-class object is made.  Each point is
+twists, elliptic orbital polynomials) are built from the spectrum's columns
+once per spectrum and weight, with one character call per weight on the
+whole angle matrix, and kept read-only in the spectrum's ``derived`` dict
+for every later call; no per-class object is made.  The ambiguity refusal
+and the default-volume warning run on every call before any lookup, and a
+build that fails, as on a rank mismatch, stores nothing.  Each point is
 then one array expression over the classes, its exponential row shared by
 the two weights.  Each sum returns the correctly rounded sum of its real
 and of its imaginary parts over the classes in the spectrum's canonical
@@ -214,6 +217,19 @@ def _refuse_ambiguous(ctx: ZetaTermContext, flags: np.ndarray) -> None:
         )
 
 
+def _derived(spectrum: LengthSpectrum, key: tuple, build):
+    """``spectrum.derived[key]``, made by ``build()`` on first use and set
+    read-only; a build that raises stores nothing.  The keys are ("trace",
+    weight), ("chi_v",), ("den", n) and ("orbital", weight)."""
+    derived = spectrum.derived
+    if key not in derived:
+        value = build()
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        derived[key] = value
+    return derived[key]
+
+
 class _ClassArrays(NamedTuple):
     """Point-independent per-class factors, in canonical order.  ``traces``
     holds tr sigma for sigma, then for w0 sigma when both were asked for."""
@@ -242,13 +258,17 @@ def _exps(x: np.ndarray) -> np.ndarray:
 
 def _class_arrays(ctx: ZetaTermContext, both: bool) -> _ClassArrays:
     """Per-class arrays for sigma, and for its flip w0 sigma too when
-    ``both``, from the hyperbolic columns; one character call per weight.
-    Refuses flagged-ambiguity classes unless the context allows them."""
-    hyp = ctx.spectrum.part("hyperbolic")
+    ``both``, from the hyperbolic columns; one character call per weight
+    and spectrum.  Refuses flagged-ambiguity classes unless the context
+    allows them."""
+    spectrum = ctx.spectrum
+    hyp = spectrum.part("hyperbolic")
     _refuse_ambiguous(ctx, hyp.ambiguous)
-    angles = hyp.angles_of_rank(ctx.n)
     weights = [ctx.sigma, w0_flip(ctx.sigma)] if both else [ctx.sigma]
-    return _ClassArrays(hyp, hyp.tr_chi * hyp.v_float, [weyl_character(w, angles) for w in weights])
+    traces = [_derived(spectrum, ("trace", w),
+                       lambda w=w: weyl_character(w, hyp.angles_of_rank(w.rank)))
+              for w in weights]
+    return _ClassArrays(hyp, _derived(spectrum, ("chi_v",), lambda: hyp.tr_chi * hyp.v_float), traces)
 
 
 def _adjoint_determinants(hyp: SpectrumColumns, n: int) -> np.ndarray:
@@ -273,7 +293,7 @@ def _log_zeta_values(ctx: ZetaTermContext, points: list, both: bool) -> list[lis
     length = arrays.hyp.length
     if not len(length):
         return [[0j] * len(points) for _ in arrays.traces]
-    den = _adjoint_determinants(arrays.hyp, ctx.n)
+    den = _derived(ctx.spectrum, ("den", ctx.n), lambda: _adjoint_determinants(arrays.hyp, ctx.n))
     nums = [arrays.chi_v * trace for trace in arrays.traces]
     values = [[] for _ in nums]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is a guard
@@ -285,8 +305,9 @@ def _log_zeta_values(ctx: ZetaTermContext, points: list, both: bool) -> list[lis
 
 
 def _elliptic_terms(ctx: ZetaTermContext) -> list:
-    """(tr chi * centralizer volume, orbital polynomial) for each elliptic class.
-    Refuses flagged-ambiguity classes unless the context allows them."""
+    """(tr chi * centralizer volume, orbital polynomial) for each elliptic
+    class, the polynomials built once per weight and spectrum.  Refuses
+    flagged-ambiguity classes unless the context allows them."""
     elliptic = ctx.spectrum.part("elliptic")
     _refuse_ambiguous(ctx, elliptic.ambiguous)
     if ctx.elliptic_vols is None and len(elliptic.kind):
@@ -294,10 +315,10 @@ def _elliptic_terms(ctx: ZetaTermContext) -> list:
             "no centralizer volumes supplied for elliptic classes; defaulting to 1", stacklevel=3
         )
     vols = ctx.elliptic_vols or [1.0] * len(elliptic.kind)
-    return [
-        (tr_chi * vol, orbital_polynomial(ctx.sigma, EllipticAngles(angles), ctx.n))
-        for tr_chi, vol, angles in zip(elliptic.tr_chi.tolist(), vols, elliptic.angle_tuples())
-    ]
+    polys = _derived(ctx.spectrum, ("orbital", ctx.sigma), lambda: tuple(
+        orbital_polynomial(ctx.sigma, EllipticAngles(angles), ctx.n)
+        for angles in elliptic.angle_tuples()))
+    return [(tr_chi * vol, poly) for tr_chi, vol, poly in zip(elliptic.tr_chi.tolist(), vols, polys)]
 
 
 def epsilon_sigma(sigma: WeightVector) -> int:

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import selberg.cli
-from conftest import schottky_spec
+import selberg.geometry
+from conftest import schottky_spec, small_h3_spectrum_csv
 from selberg.geometry import LengthSpectrum
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -51,3 +52,28 @@ def test_tracer_counts_the_spectrum_classes(tracer, capsys, tmp_path):
     assert metrics["geometry.ambiguous_classes"] == int(spectrum.columns.ambiguous.sum())
     assert metrics["zeta.class_terms"] == hyperbolic
     assert metrics["geometry.conjugacy_reduce.calls"] == metrics["zeta.log_zeta_truncated.calls"] == 1
+
+
+def test_tracer_sees_each_class_factor_built_once(tracer, capsys, monkeypatch, tmp_path):
+    """``zeta eval``, ``xi`` and ``heat-terms`` at sigma = 1 on one spectrum
+    build the characters of sigma and w0 sigma and the elliptic orbital
+    polynomials once; a repeat of the three ops builds none of them."""
+    monkeypatch.setattr(selberg.geometry, "_last_read", (None, None, None))  # a cold spectrum
+    path = tmp_path / "small.csv"
+    path.write_text(small_h3_spectrum_csv(seed=31))
+    elliptic = LengthSpectrum.read_csv(path).count("elliptic")
+    assert elliptic > 0
+    common = ["--spectrum", str(path), "--sigma", "1", "--elliptic-vols",
+              ",".join(["0.5"] * elliptic)]
+    ops = [["zeta", "eval", *common, "--s-grid", "5:6:0.5"],
+           ["zeta", "xi", *common, "--s", "4.5,5"],
+           ["zeta", "heat-terms", *common, "--t", "0.3,1"]]
+    names = ("lie.weyl_character", "orbital.orbital_polynomial")
+    passes = []
+    for _ in range(2):
+        before = [tracer.stats[name][0] for name in names]
+        for argv in ops:
+            assert selberg.cli.run(argv) == 0
+        passes.append([tracer.stats[name][0] - b for name, b in zip(names, before)])
+    capsys.readouterr()
+    assert passes == [[2, elliptic], [0, 0]]

@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -850,3 +851,118 @@ def test_one_pass_decides_most_log_zeta_parts(monkeypatch, tmp_path):
         warnings.simplefilter("ignore")  # points left of the abscissa
         log_zeta_truncated(points, ctx)
     assert len(calls) <= 0.1 * (2 * len(points))
+
+
+# ---------------------------------------------------------------------------
+# class factors kept on the spectrum
+#
+# The characters, adjoint determinants, twists and elliptic orbital
+# polynomials of a weight are built once per spectrum and kept in its
+# ``derived`` dict.  A warm call must give the bits of a cold one, and every
+# guard must fire again on a warm call.
+
+MEMO_POINTS = [4.5, complex(5.0, 1.5), 7.25]
+MEMO_TIMES = [0.2, 1.3]
+MEMO_EVALUATORS = (log_zeta_truncated, symmetric_zeta, antisymmetric_zeta, xi_correction,
+                   geometric_heat_terms)
+
+
+def _bits(value):
+    """The exact bits of a value, a list of values or heat terms."""
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if isinstance(value, zeta.HeatTerms):
+        return tuple(_bits(v) for v in (value.identity, value.elliptic, value.hyperbolic))
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+def _memo_call(evaluator, spectrum, sigma):
+    """The bits of one evaluator at sigma on spectrum; None where the
+    antisymmetric zeta is undefined."""
+    if evaluator is antisymmetric_zeta and epsilon_sigma(sigma) == 1:
+        return None
+    ctx = ZetaTermContext(sigma=sigma, chi_dim=2, spectrum=spectrum, vol=1.5,
+                          elliptic_vols=[0.5] * spectrum.count("elliptic"))
+    arg = MEMO_TIMES if evaluator is geometric_heat_terms else MEMO_POINTS
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # points left of the abscissa
+        return _bits(evaluator(arg, ctx))
+
+
+def _fresh(spectrum: LengthSpectrum) -> LengthSpectrum:
+    return LengthSpectrum(spectrum.columns, spectrum.spec_hash, spectrum.cutoff,
+                          spectrum.max_word_len, spectrum.model)
+
+
+def test_kept_class_factors_give_the_bits_of_a_fresh_spectrum(tmp_path):
+    path = tmp_path / "memo.csv"
+    path.write_text(small_h3_spectrum_csv(seed=23, classes=300))
+    shared = LengthSpectrum.read_csv(path)
+    sigmas = [WeightVector.from_coords([k]) for k in (0, 1, 2)]
+    for _ in range(2):  # the second pass is warm throughout
+        for evaluator in MEMO_EVALUATORS:
+            for sigma in sigmas:  # the weights interleave on one spectrum
+                want = _memo_call(evaluator, _fresh(shared), sigma)
+                assert _memo_call(evaluator, shared, sigma) == want, (evaluator.__name__, sigma)
+    flips = [w0_flip(sigma) for sigma in sigmas if epsilon_sigma(sigma) == 2]
+    assert set(shared.derived) == {
+        ("chi_v",), ("den", 1), *(("trace", w) for w in sigmas + flips),
+        *(("orbital", sigma) for sigma in sigmas)}
+    hyperbolic = shared.count("hyperbolic")
+    for key, value in shared.derived.items():
+        if key[0] == "orbital":
+            assert len(value) == shared.count("elliptic")
+            continue
+        assert value.shape == (hyperbolic,) and not value.flags.writeable, key
+        with pytest.raises(ValueError):
+            value[0] = 0.0
+
+    parent_entries = dict(shared.derived)
+    child = shared.with_cutoff(2.0)
+    assert child.derived == {}
+    for evaluator in MEMO_EVALUATORS:
+        assert _memo_call(evaluator, child, sigmas[1]) == _memo_call(evaluator, _fresh(child),
+                                                                     sigmas[1])
+    assert len(child.derived[("trace", sigmas[1])]) == child.count("hyperbolic") < hyperbolic
+    assert shared.derived.keys() == parent_entries.keys()
+    assert all(shared.derived[key] is value for key, value in parent_entries.items())
+
+
+def test_guards_fire_on_warm_calls():
+    rows = [hyp_row(1.0, (0.7,)), hyp_row(1.4, (2.1,))._replace(ambiguous=True)]
+    ctx = make_ctx(rows, SIGMA1, elliptic=[ell_row((0.9,))], allow_ambiguous=True)
+    refusing = replace(ctx, allow_ambiguous=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for evaluator in MEMO_EVALUATORS:
+            evaluator(MEMO_TIMES if evaluator is geometric_heat_terms else MEMO_POINTS, ctx)
+    for _ in range(2):
+        for evaluator in MEMO_EVALUATORS:
+            with warnings.catch_warnings(), pytest.raises(AmbiguousClassError):
+                warnings.simplefilter("ignore")  # xi warns of the volumes first
+                evaluator(0.5 if evaluator is geometric_heat_terms else 4.5, refusing)
+
+    kept = dict(ctx.spectrum.derived)
+    rank2 = ctx.with_sigma(WeightVector.from_coords([1, 1]))
+    for _ in range(2):
+        for evaluator in (log_zeta_truncated, xi_correction, geometric_heat_terms):
+            with warnings.catch_warnings(), pytest.raises(ValidationError, match="rank"):
+                warnings.simplefilter("ignore")
+                evaluator(0.5 if evaluator is geometric_heat_terms else 4.5, rank2)
+    assert ctx.spectrum.derived.keys() == kept.keys()
+
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="centralizer volumes"):
+            geometric_heat_terms(0.5, ctx)
+        with pytest.warns(UserWarning, match="centralizer volumes"):
+            xi_correction(4.5, ctx)
+
+
+def test_adjoint_determinant_overflow_is_raised_again_and_not_kept():
+    huge = class_row("hyperbolic", 800.0, (0.7,), D=1.0)  # e^{n l} D is past the float range
+    ctx = make_ctx([hyp_row(1.0), huge], SIGMA0, cutoff=1000.0)
+    for _ in range(2):
+        with pytest.raises(NumericalGuardError, match="adjoint determinant overflows"):
+            log_zeta_truncated(4.0, ctx)
+    assert ("den", 1) not in ctx.spectrum.derived
