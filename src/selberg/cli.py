@@ -22,9 +22,13 @@ option, and explicit flags win.
 Exit codes: 0 success, 2 validation error, 3 numerical-guard error.  A
 radius, side, rmax, heat time, cutoff or volume that is not finite and
 positive is a validation error, and so are a chi dimension or element cap
-below 1 and a group-spec generator entry, chi entry or ``--s`` point that
-is not finite.  So are a missing or unwritable file, malformed JSON and a list
-or grid item that is not a number; each prints one ``error:`` line.
+below 1, a group spec that is not an object with ``model`` and
+``generators`` lists of matrices whose entries are finite JSON numbers or
+[re, im] pairs of them, a ``--s`` point that is not finite, and a flat
+model past ``MAX_AXIS_MODES`` modes on an axis or a lattice radius of
+2^52.  So are a missing or unwritable file, malformed JSON and a list or
+grid item that is not a number; each prints one ``error:`` line.  A twist
+trace that is not finite is a numerical guard.
 
 ``--validate`` runs every check of the op, the computation included, and
 prints ``ok`` in place of the output lines, so its exit code and error line
@@ -56,6 +60,7 @@ from .lie import (
     torus_character,
     weyl_character,
     weyl_group,
+    weyl_group_order,
 )
 from .orbital import (
     orbital_polynomial,
@@ -145,9 +150,9 @@ def cmd_lie_delta_m(args) -> list[str]:
 
 
 def cmd_lie_weyl(args) -> list[str]:
-    perm, signs, det = weyl_group(args.n)
     if args.count:
-        return [str(len(det))]
+        return [str(weyl_group_order(args.n))]
+    perm, signs, det = weyl_group(args.n)
     return [
         ".".join(str(x) for x in p) + ";" + ".".join("+" if x == 1 else "-" for x in s) + f";{d}"
         for p, s, d in zip(perm.tolist(), signs.tolist(), det.tolist())
@@ -362,16 +367,10 @@ def _named(argv: list[str]) -> tuple[str | None, str | None, int]:
     return group, leaf, argv.index(leaf, at) + 1 if leaf else at
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The top-level parser with every group; only the group that ``argv``
-    names gets its subcommands, and only the subcommand it names gets its
-    arguments.  Help and error text are those of the full tree.  The parser
-    is shared by every call that names the same group and subcommand."""
-    return _parser(*_named(list(argv))[:2])
-
-
 @lru_cache(maxsize=None)
 def _parser(group: str | None, leaf: str | None) -> argparse.ArgumentParser:
+    """The top-level parser with every group; only ``group`` gets its
+    subcommands, and only ``leaf`` its arguments, with the full tree's text."""
     parser = argparse.ArgumentParser(
         prog="selberg",
         description="geometric side of the trace formula and truncated zeta "
@@ -431,7 +430,7 @@ def _with_config(argv: list[str]) -> list[str]:
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(argv)
+    parser = _parser(*_named(argv)[:2])
     try:
         args = parser.parse_args(_with_config(argv))
         lines = args.func(args)

@@ -41,6 +41,7 @@ conjugators and axis fixers are still drawn from the whole ball.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import hashlib
 import json
 import math
@@ -53,6 +54,7 @@ import numpy as np
 
 from .errors import (
     EnumerationExplosionError,
+    NumericalGuardError,
     ParabolicElementError,
     ValidationError,
 )
@@ -108,8 +110,8 @@ class GroupSpec:
             if len(self.chi) != len(self.generators):
                 raise ValidationError("chi must give one matrix per generator")
             for k, m in enumerate(self.chi, 1):
-                if m.shape[0] != m.shape[1]:
-                    raise ValidationError("chi matrices must be square")
+                if m.shape[0] != m.shape[1] or not m.size:
+                    raise ValidationError("chi matrices must be square and not empty")
                 if not np.isfinite(m).all():
                     raise ValidationError(f"chi matrix {k} has an entry that is not finite")
                 if np.linalg.cond(m) > 1e12:  # inf if singular
@@ -145,14 +147,19 @@ class GroupSpec:
         return m
 
     def chi_trace(self, word) -> complex:
-        """Trace of the twist representation along a word."""
+        """Trace of the twist representation along a word; one that is not
+        finite is a numerical guard that names the word."""
         if self.chi is None:
             return 1.0 + 0j
         m = np.eye(self.chi[0].shape[0], dtype=complex)
-        for letter in word:
-            img = self.chi[abs(letter) - 1]
-            m = m @ (img if letter > 0 else np.linalg.inv(img))
-        return complex(np.trace(m))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            for letter in word:
+                img = self.chi[abs(letter) - 1]
+                m = m @ (img if letter > 0 else np.linalg.inv(img))
+        if not cmath.isfinite(trace := complex(np.trace(m))):
+            raise NumericalGuardError(
+                f"twist trace is not finite along the word {'.'.join(map(str, word))}")
+        return trace
 
     @classmethod
     def from_file(cls, path) -> "GroupSpec":
@@ -160,16 +167,16 @@ class GroupSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroupSpec":
+        if not isinstance(data, dict):
+            raise ValidationError("group spec must be a JSON object")
         unknown = set(data) - {"model", "generators", "chi", "name"}
         if unknown:
             raise ValidationError(f"unknown group-spec keys: {sorted(unknown)}")
-        return cls(
-            model=data["model"],
-            generators=[_matrix_from_rows(g) for g in data["generators"]],
-            chi=None if "chi" not in data or data["chi"] is None
-            else [_matrix_from_rows(m) for m in data["chi"]],
-            name=data.get("name", ""),
-        )
+        if missing := {"model", "generators"} - set(data):
+            raise ValidationError(f"group spec needs the key {min(missing)!r}")
+        chi = None if data.get("chi") is None else _matrices(data, "chi", "chi matrix")
+        return cls(data["model"], _matrices(data, "generators", "generator"), chi,
+                   data.get("name", ""))
 
 
 def read_json(path):
@@ -181,15 +188,23 @@ def read_json(path):
             raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _matrix_from_rows(rows):
-    """Row-major number array; each entry a number or an [re, im] pair."""
+def _matrices(data: dict, key: str, label: str) -> list:
+    """The list of matrices under ``data[key]``; the k-th is ``label k`` in errors."""
+    if not (isinstance(data[key], list) and all(isinstance(m, list) for m in data[key])):
+        raise ValidationError(f"group-spec key {key!r} must list matrices as lists of rows")
+    return [_matrix_from_rows(m, f"{label} {k}") for k, m in enumerate(data[key], 1)]
+
+
+def _matrix_from_rows(rows: list, label: str):
+    """Row-major number array; each entry a JSON number or an [re, im] pair of them."""
 
     def entry(x):
-        if isinstance(x, (list, tuple)):
-            if len(x) != 2:
-                raise ValidationError(f"complex entry must be [re, im], got {x}")
-            return complex(x[0], x[1])
-        return complex(x)
+        pair = isinstance(x, (list, tuple))
+        parts = x if pair else [x]
+        with contextlib.suppress(OverflowError):  # an integer past the float range
+            if len(parts) == (2 if pair else 1) and all(type(p) in (int, float) for p in parts):
+                return complex(*parts)
+        raise ValidationError(f"{label} has an entry that is not a number or [re, im] pair: {x!r}")
 
     flat = [entry(x) for row in rows for x in (row if isinstance(row, (list, tuple)) else [row])]
     side = int(round(math.sqrt(len(flat))))
@@ -433,8 +448,8 @@ def conjugacy_reduce(elements: list[GroupElement], spec: GroupSpec,
     class gets its witness's angle and twist trace; a hyperbolic one also
     gets the weight D and, from the ball elements that fix both ends of the
     witness's axis (``_axis_fixers``), its primitive length l0, its power and
-    v = 1/m.  Elliptic rows come by (theta, word), hyperbolic rows in
-    canonical order.
+    v = 1/m.  Elliptic rows come by (theta, word) and hyperbolic rows by
+    bucket; ``LengthSpectrum`` puts the hyperbolic rows in canonical order.
     """
     mats = np.array([el.matrix for el in elements], dtype=complex).reshape(-1, 2, 2)
     kind, length, angle = _classify(mats, spec.model)
@@ -475,16 +490,14 @@ def conjugacy_reduce(elements: list[GroupElement], spec: GroupSpec,
             w_len, w_angle, word = float(length[witness]), float(angle[witness]), words[witness]
             if kind[witness] == ELLIPTIC:
                 elliptic.append(("elliptic", 0.0, 0.0, 1, (w_angle,), math.nan, Fraction(1),
-                                 spec.chi_trace(word), word, ambiguous, 1.0))
+                                 spec.chi_trace(word), word, ambiguous))
             elif w_len <= cutoff:
                 power, prim_len, rotations = _axis_fixers(witness, axis_ball)
-                v = Fraction(1, rotations)
                 hyperbolic.append(("hyperbolic", w_len, prim_len, power, (w_angle,),
-                                   weight_D(w_len, (w_angle,), 1), v, spec.chi_trace(word),
-                                   word, ambiguous, float(v)))
+                                   weight_D(w_len, (w_angle,), 1), Fraction(1, rotations),
+                                   spec.chi_trace(word), word, ambiguous))
     elliptic.sort(key=lambda row: (row[4], row[8]))  # (angles, word)
-    columns = SpectrumColumns.from_rows(elliptic + hyperbolic)
-    return columns.take(columns.canonical_order())
+    return SpectrumColumns.from_rows(elliptic + hyperbolic)
 
 
 def _eigenvectors(w: np.ndarray) -> np.ndarray:
@@ -547,7 +560,9 @@ _INT64 = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
 
 class SpectrumColumns(NamedTuple):
     """The conjugacy classes of a spectrum as columns, one row per class,
-    with everything the zeta and trace layers need.
+    with everything the zeta and trace layers need, each value held once: v
+    only as exact Fractions, whose floats the zeta layer makes once per
+    spectrum and keeps in ``LengthSpectrum.derived``.
 
     ``angles`` is an (N, n) float matrix and ``word`` an (N, L) int64
     matrix; a row with fewer entries is padded with NaN and WORD_PAD.
@@ -568,13 +583,12 @@ class SpectrumColumns(NamedTuple):
     tr_chi: np.ndarray
     word: np.ndarray  # the witness word
     ambiguous: np.ndarray
-    v_float: np.ndarray  # the floats of v
 
     @classmethod
     def from_rows(cls, rows: list) -> "SpectrumColumns":
         """The columns of rows of field values in field order, ``D`` NaN
         where a class has none."""
-        kind, length, l0, power, angles, D, v, tr_chi, word, ambiguous, v_float = (
+        kind, length, l0, power, angles, D, v, tr_chi, word, ambiguous = (
             list(zip(*rows)) or [()] * len(cls._fields))
         return cls(
             np.array(kind, dtype=str), np.array(length, dtype=float),
@@ -582,21 +596,11 @@ class SpectrumColumns(NamedTuple):
             _padded(angles, float, np.nan), np.array(D, dtype=float),
             np.array(v, dtype=object), np.array(tr_chi, dtype=complex),
             _padded(word, np.int64, WORD_PAD), np.array(ambiguous, dtype=bool),
-            np.array(v_float, dtype=float),
         )
 
     def take(self, index) -> "SpectrumColumns":
         """The rows that a mask, slice or index array selects."""
         return SpectrumColumns(*(column[index] for column in self))
-
-    def canonical_order(self) -> np.ndarray:
-        """The row permutation into canonical order: rows that are not
-        hyperbolic first, as given, then the hyperbolic rows by
-        (l, angles, word) as tuples compare, ties as given."""
-        hyper = self.kind == "hyperbolic"
-        angles = np.where(np.isnan(self.angles), -np.inf, self.angles)  # shorter rows first
-        keys = [*self.word.T[::-1], *angles.T[::-1], self.length]
-        return np.lexsort([np.where(hyper, key, 0) for key in keys] + [hyper])
 
     def angles_of_rank(self, n: int) -> np.ndarray:
         """The (N, n) angle matrix; a ValidationError unless every row has n angles."""
@@ -678,18 +682,7 @@ def _spectrum_row(text: str, fractions: dict) -> tuple:
         raise ValidationError("v is too large for a float")
     if v_float <= 0:
         raise ValidationError("v must be positive")
-    return kind, length, prim, power, angles, dval, exact, tr_chi, letters, False, v_float
-
-
-def _text_lines(path, raw: bytes) -> list[str]:
-    """The lines of the bytes ``raw`` of the file ``path`` as UTF-8 text;
-    other bytes are a ValidationError naming the line.  The caller keeps
-    ``raw``: ``read_csv`` holds on to it as the key of its memo."""
-    try:
-        return raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        line = raw[: exc.start].count(b"\n") + 1
-        raise ValidationError(f"{path} line {line}: not UTF-8 text") from None
+    return kind, length, prim, power, angles, dval, exact, tr_chi, letters, False
 
 
 def _check_provenance(cutoff: float, model: str) -> None:
@@ -705,10 +698,10 @@ _last_read: tuple = (None, None, None)
 
 
 #: one class of a spectrum as an object, with the fields of ``SpectrumColumns``
-#: but ``v_float``, and ``D`` None for elliptic.  Only ``LengthSpectrum.records``
-#: builds it, for the benchmark tracer (``bench/tracer.py``), which counts
-#: classes through it; both go when the tracer counts with ``LengthSpectrum.count``.
-ConjClassRecord = make_dataclass("ConjClassRecord", SpectrumColumns._fields[:-1])
+#: and ``D`` None for elliptic.  Only ``LengthSpectrum.records`` builds it,
+#: for the benchmark tracer (``bench/tracer.py``), which counts classes
+#: through it; both go when the tracer counts with ``LengthSpectrum.count``.
+ConjClassRecord = make_dataclass("ConjClassRecord", SpectrumColumns._fields)
 
 
 class LengthSpectrum:
@@ -731,7 +724,11 @@ class LengthSpectrum:
     def __init__(self, columns: SpectrumColumns, spec_hash: str, cutoff: float,
                  max_word_len: int, model: str = "H3-complex-2x2"):
         _check_provenance(cutoff, model)
-        self.columns = columns.take(columns.canonical_order())
+        # canonical order: hyperbolic rows last, by (l, angles, word) as tuples compare
+        hyper = columns.kind == "hyperbolic"
+        angles = np.where(np.isnan(columns.angles), -np.inf, columns.angles)  # shorter rows first
+        keys = [*columns.word.T[::-1], *angles.T[::-1], columns.length]
+        self.columns = columns.take(np.lexsort([np.where(hyper, key, 0) for key in keys] + [hyper]))
         for column in self.columns:
             column.flags.writeable = False
         kind = self.columns.kind
@@ -764,7 +761,7 @@ class LengthSpectrum:
     def records(self) -> list[ConjClassRecord]:
         """One new ``ConjClassRecord`` per row, in canonical order; for the
         benchmark tracer only (see ``ConjClassRecord``)."""
-        cols = [column.tolist() for column in self.columns[:-1]]
+        cols = [column.tolist() for column in self.columns]
         cols[4], cols[8] = self.columns.angle_tuples(), self.columns.word_tuples()
         return [
             ConjClassRecord(kind, length, l0, power, angles, None if math.isnan(d) else d, *rest)
@@ -854,7 +851,11 @@ class LengthSpectrum:
             raw = fh.read()
         if _last_read[:2] == (cls, raw):
             return _last_read[2]
-        lines = _text_lines(path, raw)
+        try:
+            lines = raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            line = raw[: exc.start].count(b"\n") + 1
+            raise ValidationError(f"{path} line {line}: not UTF-8 text") from None
         if not lines or not lines[0].startswith("# selberg-spectrum"):
             raise ValidationError(f"{path} is not a length-spectrum file")
         try:

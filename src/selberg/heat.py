@@ -43,6 +43,10 @@ MODEL_NAMES = ("circle", "circle-reflection", "pillowcase")
 
 #: the most (bound, row) cells ``eigenvalue_count`` holds at once (128 KB float arrays)
 COUNT_BLOCK_CELLS = 2**14
+#: the most modes an axis may hold: far above every use (a pillowcase at rmax 1e6 has 1000)
+MAX_AXIS_MODES = 10**6
+#: the most lattice points ``exact_spectrum`` lists (an 80 MB float array)
+MAX_LATTICE_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -88,10 +92,19 @@ def make_model(name: str, radius: float = 1.0, sides=(2.0 * math.pi, 2.0 * math.
     raise ValidationError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
 
 
+def _modes(r: float, bound: float) -> float:
+    """r sqrt(bound), the highest mode m with (m / r)^2 <= bound, below MAX_AXIS_MODES."""
+    if not (modes := r * math.sqrt(bound)) < MAX_AXIS_MODES:
+        raise ValidationError(f"an axis of radius {r:g} would need over {MAX_AXIS_MODES} modes")
+    return modes
+
+
 def _squares(r: float, bound: float) -> np.ndarray:
     """(m / r)^2 <= bound for m = 0, 1, ...; every eigenvalue test sums these
     in axis order, so listing and counting decide boundary points alike."""
-    sq = (np.arange(math.floor(r * math.sqrt(bound)) + 2, dtype=float) / r) ** 2
+    count = math.floor(_modes(r, bound)) + 2
+    with np.errstate(over="ignore"):  # a square past the float range is past the bound
+        sq = (np.arange(count, dtype=float) / r) ** 2
     return sq[sq <= bound]
 
 
@@ -99,9 +112,11 @@ def exact_spectrum(model: FlatOrbifoldModel, cutoff: float) -> list[tuple[float,
     """Eigenvalues up to and including the cutoff, with multiplicities."""
     if cutoff <= 0:
         raise ValidationError("cutoff must be positive")
+    axes = [_squares(r, cutoff) for r in model.radii]
+    if math.prod(2 * len(sq) - 1 for sq in axes) > MAX_LATTICE_POINTS:
+        raise ValidationError(f"cutoff {cutoff:g} needs over {MAX_LATTICE_POINTS} lattice points")
     lam = np.zeros(1)
-    for r in model.radii:
-        sq = _squares(r, cutoff)
+    for sq in axes:
         lam = (lam[:, None] + np.concatenate([sq[:0:-1], sq])).ravel()
     values, counts = np.unique(lam[lam <= cutoff], return_counts=True)
     if model.folded:
@@ -121,9 +136,11 @@ def heat_trace(model: FlatOrbifoldModel, t: float) -> float:
     # = 1 + 2 h and (Theta + 1) / 2 = 1 + h; each axis takes h to
     # h + s_i + 2 h s_i, and every term is kept for one compensated sum
     terms: list = []
-    for r in model.radii:
-        m_max = int(math.ceil(r * math.sqrt(TAIL_EXPONENT / t))) + int(TAIL_SAFETY)
-        weights = np.exp(-t * (np.arange(1, m_max + 1, dtype=float) / r) ** 2).tolist()
+    sizes = [int(math.ceil(_modes(r, TAIL_EXPONENT / t))) + int(TAIL_SAFETY) for r in model.radii]
+    with np.errstate(over="ignore"):  # a square past the float range weighs 0
+        axes = [np.exp(-t * (np.arange(1, m_max + 1, dtype=float) / r) ** 2).tolist()
+                for r, m_max in zip(model.radii, sizes)]
+    for weights in axes:
         terms += [(2.0 * math.fsum(chain(*terms)) * math.fsum(weights),), weights]
     h = chain(*terms)
     return math.fsum(chain([1.0], h)) if model.folded else 2.0 * math.fsum(h) + 1.0
@@ -205,21 +222,23 @@ def eigenvalue_count(model: FlatOrbifoldModel, bounds) -> np.ndarray:
     bounds = np.array([float(b) for b in bounds], dtype=float)
     if not np.all((0.0 <= bounds) & (bounds < math.inf)):
         raise ValidationError("count bounds must be finite and nonnegative")
+    r = model.radii[-1]
+    if not r * math.sqrt(bounds.max(initial=0.0)) < 2.0**52:  # whole float steps would stall
+        raise ValidationError("the lattice radius r sqrt(bound) reaches 2^52")
     # rows p >= 0 of the first axis of two; v -> -v maps rows p < 0 onto p > 0
     rows = _squares(model.radii[0], bounds.max(initial=0.0)) if model.dim == 2 else np.zeros(1)
-    r = model.radii[-1]
     counts = np.empty(len(bounds), dtype=np.int64)
     step = max(1, COUNT_BLOCK_CELLS // len(rows))
     for start in range(0, len(bounds), step):
         b = bounds[start:start + step, None]
-        # row p holds |q| <= q[p]; q = 0 always fits a row with rows[p] <= b,
-        # and a row with rows[p] > b gets q = NaN, which passes no test
-        with np.errstate(invalid="ignore"):
+        # row p holds |q| <= q[p]; q = 0 always fits a row with rows[p] <= b, a row
+        # with rows[p] > b gets q = NaN, which passes no test, and so does an inf square
+        with np.errstate(invalid="ignore", over="ignore"):
             q = np.floor(r * np.sqrt(b - rows))
-        while np.any(over := rows + (q / r) ** 2 > b):
-            q[over] -= 1
-        while np.any(under := rows + ((q + 1) / r) ** 2 <= b):
-            q[under] += 1
+            while np.any(over := rows + (q / r) ** 2 > b):
+                q[over] -= 1
+            while np.any(under := rows + ((q + 1) / r) ** 2 <= b):
+                q[under] += 1
         per_row = 2.0 * np.fmax(q, -0.5) + 1.0  # 0 where q is NaN
         counts[start:start + step] = 2.0 * per_row.sum(axis=1) - per_row[:, 0]
     return (counts + 1) // 2 if model.folded else counts

@@ -211,6 +211,13 @@ def half_sum_positive_roots(n: int) -> WeightVector:
     return WeightVector(tuple(2 * (n - 1 - i) for i in range(n)))
 
 
+def weyl_group_order(n: int) -> int:
+    """2^{n-1} n!, the order of W(D_n), for the ranks ``weyl_group`` takes."""
+    if not 1 <= n <= MAX_WEYL_RANK:
+        raise ValidationError(f"rank must be between 1 and {MAX_WEYL_RANK}, got {n}")
+    return 2 ** (n - 1) * math.factorial(n)
+
+
 @lru_cache(maxsize=None)
 def weyl_group(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All 2^{n-1} n! elements of W(D_n) as read-only int8 arrays
@@ -223,8 +230,7 @@ def weyl_group(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order and, inside each, the even sign patterns in ``product((1, -1))``
     order.
     """
-    if not 1 <= n <= MAX_WEYL_RANK:
-        raise ValidationError(f"rank must be between 1 and {MAX_WEYL_RANK}, got {n}")
+    weyl_group_order(n)  # the rank check
     perms = np.array(list(permutations(range(n))), dtype=np.int8).reshape(-1, n)
     patterns = np.array(list(product((1, -1), repeat=n)), dtype=np.int8)
     patterns = patterns[np.count_nonzero(patterns < 0, axis=1) % 2 == 0]

@@ -27,19 +27,19 @@ term uses the conjugate, matching each formula's own display.
 
 Every public evaluator takes one point or a sequence of them.  The
 point-independent factors of each class (characters, adjoint determinants,
-twists, elliptic orbital polynomials) are built from the spectrum's columns
-once per spectrum and weight, with one character call per weight on the
-whole angle matrix, and kept read-only in the spectrum's ``derived`` dict
-for every later call; no per-class object is made.  The ambiguity refusal
-and the default-volume warning run on every call before any lookup, and a
-build that fails, as on a rank mismatch, stores nothing.  Each point is
-then one array expression over the classes, its exponential row shared by
-the two weights.  Each sum returns the correctly rounded sum of its real
-and of its imaginary parts over the classes in the spectrum's canonical
-order (what math.fsum returns), so results do not depend on how work is
-partitioned or on the order of the additions.  A log Z that is not
-finite, as where the exponential row overflows far left of the abscissa,
-is a numerical guard that names the point; so is a heat term that is not
+tr chi times the exact v, elliptic orbital polynomials) are built from the
+spectrum's columns once per spectrum and weight, with one character call
+per weight on the whole angle matrix, and kept read-only in the spectrum's
+``derived`` dict for every later call; no per-class object is made.  The
+ambiguity refusal and the default-volume warning run on every call before
+any lookup, and a build that fails, as on a rank mismatch, stores nothing.
+Each point is then one array expression over the classes, its exponential
+row shared by the two weights.  Each sum returns the correctly rounded sum
+of its real and of its imaginary parts over the classes in the spectrum's
+canonical order (what math.fsum returns), so results do not depend on how
+work is partitioned or on the order of the additions.  A log Z that is not
+finite, as where the exponential row overflows far left of the abscissa, is
+a numerical guard that names the point; so is a heat term that is not
 finite, as where a power of a tiny time t overflows, and it names t.
 """
 
@@ -49,7 +49,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -197,16 +196,6 @@ def _finite(value: complex, s, what: str = "zeta product") -> complex:
     return value
 
 
-def _log_zeta_sum(terms: np.ndarray, s) -> complex:
-    """log Z at point s from its class terms; a numerical guard if it is
-    not finite, as where an exponential or a term overflowed."""
-    try:
-        value = -_csum(terms)
-    except (ValueError, OverflowError):  # math.fsum met inf - inf, or overflowed
-        value = complex(math.nan)
-    return _finite(value, s, "log Z")
-
-
 def _refuse_ambiguous(ctx: ZetaTermContext, flags: np.ndarray) -> None:
     """Refuse flagged-ambiguity classes among the classes an evaluator sums,
     unless the context allows them."""
@@ -230,15 +219,6 @@ def _derived(spectrum: LengthSpectrum, key: tuple, build):
     return derived[key]
 
 
-class _ClassArrays(NamedTuple):
-    """Point-independent per-class factors, in canonical order.  ``traces``
-    holds tr sigma for sigma, then for w0 sigma when both were asked for."""
-
-    hyp: SpectrumColumns  # the hyperbolic classes
-    chi_v: np.ndarray  # tr chi * v
-    traces: list
-
-
 def _exp_or_inf(x: float) -> float:
     try:
         return math.exp(x)
@@ -246,21 +226,10 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _exps(x: np.ndarray) -> np.ndarray:
-    """math.exp of each entry, inf where it overflows.  The printed digits
-    depend on math.exp: np.exp differs from it in the last bit."""
-    values = x.tolist()
-    try:
-        return np.array([math.exp(v) for v in values], dtype=float)
-    except OverflowError:
-        return np.array([_exp_or_inf(v) for v in values], dtype=float)
-
-
-def _class_arrays(ctx: ZetaTermContext, both: bool) -> _ClassArrays:
-    """Per-class arrays for sigma, and for its flip w0 sigma too when
-    ``both``, from the hyperbolic columns; one character call per weight
-    and spectrum.  Refuses flagged-ambiguity classes unless the context
-    allows them."""
+def _class_arrays(ctx: ZetaTermContext, both: bool) -> tuple[SpectrumColumns, np.ndarray, list]:
+    """The hyperbolic columns, tr chi * v and [tr sigma], with tr w0 sigma
+    appended when ``both``, in canonical order; one character call per weight
+    and spectrum.  Refuses flagged-ambiguity classes unless allowed."""
     spectrum = ctx.spectrum
     hyp = spectrum.part("hyperbolic")
     _refuse_ambiguous(ctx, hyp.ambiguous)
@@ -268,14 +237,16 @@ def _class_arrays(ctx: ZetaTermContext, both: bool) -> _ClassArrays:
     traces = [_derived(spectrum, ("trace", w),
                        lambda w=w: weyl_character(w, hyp.angles_of_rank(w.rank)))
               for w in weights]
-    return _ClassArrays(hyp, _derived(spectrum, ("chi_v",), lambda: hyp.tr_chi * hyp.v_float), traces)
+    return hyp, _derived(spectrum, ("chi_v",), lambda: hyp.tr_chi * hyp.v.astype(float)), traces
 
 
 def _adjoint_determinants(hyp: SpectrumColumns, n: int) -> np.ndarray:
     """The zeta denominators power * e^{n l} * D; one beyond the float range
-    is a numerical guard."""
+    is a numerical guard.  The printed digits depend on math.exp: np.exp
+    differs from it in the last bit."""
+    exps = np.array([_exp_or_inf(x) for x in (n * hyp.length).tolist()], dtype=float)
     with np.errstate(over="ignore"):  # an infinite product is reported below
-        den = hyp.power * (_exps(n * hyp.length) * hyp.D)
+        den = hyp.power * (exps * hyp.D)
     overflow = np.flatnonzero(~np.isfinite(den))
     if overflow.size:
         i = int(overflow[0])
@@ -289,18 +260,22 @@ def _adjoint_determinants(hyp: SpectrumColumns, n: int) -> np.ndarray:
 def _log_zeta_values(ctx: ZetaTermContext, points: list, both: bool) -> list[list[complex]]:
     """log Z at each point for sigma, and for w0 sigma too when ``both``;
     one exponential row of the classes per point serves both weights."""
-    arrays = _class_arrays(ctx, both)
-    length = arrays.hyp.length
+    hyp, chi_v, traces = _class_arrays(ctx, both)
+    length = hyp.length
     if not len(length):
-        return [[0j] * len(points) for _ in arrays.traces]
-    den = _derived(ctx.spectrum, ("den", ctx.n), lambda: _adjoint_determinants(arrays.hyp, ctx.n))
-    nums = [arrays.chi_v * trace for trace in arrays.traces]
+        return [[0j] * len(points) for _ in traces]
+    den = _derived(ctx.spectrum, ("den", ctx.n), lambda: _adjoint_determinants(hyp, ctx.n))
+    nums = [chi_v * trace for trace in traces]
     values = [[] for _ in nums]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is a guard
         for s in points:
             decay = np.exp(-(s + ctx.n) * length)
             for row, num in zip(values, nums):
-                row.append(_log_zeta_sum(num * decay / den, s))
+                try:
+                    value = -_csum(num * decay / den)
+                except (ValueError, OverflowError):  # math.fsum met inf - inf, or overflowed
+                    value = complex(math.nan)
+                row.append(_finite(value, s, "log Z"))
     return values
 
 
@@ -454,10 +429,9 @@ def geometric_heat_terms(t, ctx: ZetaTermContext) -> HeatTerms | list[HeatTerms]
     if not all(0 < x < math.inf for x in times):
         raise ValidationError("heat time must be finite and positive")
     eps = epsilon_sigma(ctx.sigma)
-    arrays = _class_arrays(ctx, both=eps == 2)
-    hyp = arrays.hyp
-    heat = arrays.chi_v * hyp.primitive_length / (2.0 * math.pi * hyp.D)
-    coeff = sum(heat * trace.conj() for trace in arrays.traces)
+    hyp, chi_v, traces = _class_arrays(ctx, both=eps == 2)
+    heat = chi_v * hyp.primitive_length / (2.0 * math.pi * hyp.D)
+    coeff = sum(heat * trace.conj() for trace in traces)
     p_plancherel = plancherel_polynomial(ctx.sigma, ctx.n)
     ell = _elliptic_terms(ctx)
     values = []

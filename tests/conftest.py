@@ -190,16 +190,15 @@ class ClassRow(NamedTuple):
     tr_chi: complex
     word: tuple
     ambiguous: bool
-    v_float: float
 
 
 def class_row(kind, length, angles, power=1, primitive_length=None, D=None, v=1,
               tr_chi=1.0, word=(), ambiguous=False) -> ClassRow:
-    """A class row; l0 defaults to l / power, and v_float is float(v)."""
+    """A class row; l0 defaults to l / power."""
     v = Fraction(v)
     l0 = length / power if primitive_length is None else primitive_length
     return ClassRow(kind, length, l0, power, tuple(angles), D, v, complex(tr_chi), tuple(word),
-                    ambiguous, float(v))
+                    ambiguous)
 
 
 def synthetic_spectrum(rows=(), spec_hash="synthetic", cutoff=10.0, max_word_len=0,

@@ -22,6 +22,8 @@ from conftest import (
     small_h3_spectrum_csv,
     weyl_dn,
 )
+import selberg.cli
+import selberg.heat
 from selberg.cli import MAX_GRID_POINTS, _parse_grid, run
 from selberg.errors import NumericalGuardError, ValidationError
 from selberg.geometry import ConjClassRecord, LengthSpectrum, enumerate_elements
@@ -93,6 +95,18 @@ def test_weyl_rejects_rank_7(capsys):
     code, _, err = invoke(capsys, "lie", "weyl", "--n", "7")
     assert code == 2
     assert "between 1 and 6" in err
+
+
+def test_weyl_count_builds_no_group(capsys, monkeypatch):
+    """``--count`` prints |W(D_n)| without building W(D_n), and refuses the
+    ranks the listing refuses."""
+    monkeypatch.setattr(selberg.cli, "weyl_group", None)  # a build would fail
+    for n in range(1, 7):
+        assert invoke(capsys, "lie", "weyl", "--n", str(n), "--count") == (
+            0, f"{len(weyl_dn(n))}\n", "")
+    for n in (0, 7):
+        code, out, err = invoke(capsys, "lie", "weyl", "--n", str(n), "--count")
+        assert (code, out, err) == (2, "", f"error: rank must be between 1 and 6, got {n}\n")
 
 
 def test_character_rejects_non_dominant_weight(capsys):
@@ -400,11 +414,14 @@ HEAT_WEYL_FROZEN = [
      "2.0000541094153972,2,2.705470769859275e-05,401"),
     (("--model", "circle-reflection", "--rmax", "4e4"),
      "1.0028995563728162,1,0.0028995563728162477,201"),
+    # the lattice radius 3.2e15 lies just below the 2^52 refusal
+    (("--model", "circle", "--rmax", "1e31"), "2,2,0,6324555320336759"),
 ]
 
 
 @pytest.mark.parametrize("argv,row", HEAT_WEYL_FROZEN, ids=[
     "pillowcase-1e6", "pillowcase-1e4", "pillowcase-sides-1e3", "circle-4e4", "circle-reflection-4e4",
+    "circle-1e31",
 ])
 def test_heat_weyl_frozen_output(capsys, argv, row):
     code, out, _ = invoke(capsys, "heat", "weyl", *argv)
@@ -431,6 +448,45 @@ def test_heat_rejects_non_finite_or_nonpositive_input(capsys, argv):
     code, out, err = invoke(capsys, "heat", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+
+
+#: flat-model inputs that could not finish: a lattice radius r sqrt(rmax)
+#: of 2^52 or more, where the circle count stepped for ever, and axes of
+#: 6.7e150, 2.1e202 and 1.6e8 modes
+UNFINISHABLE_HEAT_INPUTS = {
+    "weyl-circle-rmax-1e33": (("weyl", "--model", "circle", "--rmax", "1e33"), "2^52"),
+    "trace-circle-t-1e-300": (("trace", "--model", "circle", "--t", "1e-300"), "modes"),
+    "fit-circle-radius-1e200": (("fit", "--model", "circle", "--radius", "1e200"), "modes"),
+    "weyl-pillowcase-sides-1e6": (("weyl", "--model", "pillowcase", "--sides", "1e6,1e6",
+                                   "--rmax", "1e6"), "modes"),
+}
+
+
+class _NoModeArrays:
+    """numpy for ``selberg.heat``, except that an array of modes or a
+    lattice step fails the test instead of running."""
+
+    def __getattr__(self, name):
+        if name in ("arange", "floor"):
+            raise AssertionError(f"np.{name} ran before the refusal")
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("argv,word", UNFINISHABLE_HEAT_INPUTS.values(),
+                         ids=UNFINISHABLE_HEAT_INPUTS.keys())
+def test_heat_refuses_input_that_cannot_finish(capsys, monkeypatch, argv, word):
+    monkeypatch.setattr(selberg.heat, "np", _NoModeArrays())
+    code, out, err = invoke(capsys, "heat", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and word in err
+
+
+def test_heat_trace_at_a_tiny_radius_warns_nothing(capsys):
+    """Squares (m / r)^2 past the float range weigh 0 without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert invoke(capsys, "heat", "trace", "--model", "pillowcase", "--sides", "1e-300,1",
+                      "--t", "1") == (0, "t,trace\n1,1\n", "")
 
 
 BAD_SPECTRUM_INPUTS = {
@@ -483,6 +539,60 @@ def test_bad_group_spec_exits_2(capsys, tmp_path, keys, error):
     code, out, err = invoke(capsys, "spectrum", "enumerate", "--group", str(path),
                             "--max-word-len", "2", "--cutoff", "5")
     assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+NOT_MATRICES = "group-spec key {!r} must list matrices as lists of rows"
+BAD_ENTRY = "{} has an entry that is not a number or [re, im] pair: {!r}"
+MALFORMED_GROUPS = {  # name -> (the group-spec JSON value, the error)
+    "no-generators": ({"model": GROUP_JSON["model"]}, "group spec needs the key 'generators'"),
+    "no-model": ({"generators": GROUP_JSON["generators"]}, "group spec needs the key 'model'"),
+    "generators-number": ({**GROUP_JSON, "generators": 5}, NOT_MATRICES.format("generators")),
+    "generators-list-of-number": ({**GROUP_JSON, "generators": [5]},
+                                  NOT_MATRICES.format("generators")),
+    "chi-number": ({**GROUP_JSON, "chi": 7}, NOT_MATRICES.format("chi")),
+    "entry-text": ({**GROUP_JSON, "generators": [[[math.e, "a"], [0.0, 1 / math.e]]]},
+                   BAD_ENTRY.format("generator 1", "a")),
+    "entry-null": ({**GROUP_JSON, "chi": [[[None]]]}, BAD_ENTRY.format("chi matrix 1", None)),
+    "entry-numeric-text": ({**GROUP_JSON, "chi": [[["1"]]]}, BAD_ENTRY.format("chi matrix 1", "1")),
+    "entry-complex-text": ({**GROUP_JSON, "chi": [[["1+2j"]]]},
+                           BAD_ENTRY.format("chi matrix 1", "1+2j")),
+    "entry-bool": ({**GROUP_JSON, "chi": [[[True]]]}, BAD_ENTRY.format("chi matrix 1", True)),
+    "entry-pair-text": ({**GROUP_JSON, "chi": [[[["1", 0]]]]},
+                        BAD_ENTRY.format("chi matrix 1", ["1", 0])),
+    "entry-triple": ({**GROUP_JSON, "chi": [[[[1, 0, 0]]]]},
+                     BAD_ENTRY.format("chi matrix 1", [1, 0, 0])),
+    "entry-huge-integer": ({**GROUP_JSON, "chi": [[[10**400]]]},
+                           BAD_ENTRY.format("chi matrix 1", 10**400)),
+    "top-level-array": ([1, 2], "group spec must be a JSON object"),
+    "chi-empty": ({**GROUP_JSON, "chi": [[]]}, "chi matrices must be square and not empty"),
+}
+
+
+@pytest.mark.parametrize("data,error", MALFORMED_GROUPS.values(), ids=MALFORMED_GROUPS.keys())
+def test_malformed_group_spec_exits_2(capsys, tmp_path, data, error):
+    """A spec of the wrong shape, with a key missing or an entry that is not
+    a number, exits 2 with one line naming the key or entry, through
+    ``spectrum enumerate`` and ``spectrum classify`` alike."""
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(data))
+    for argv in (("enumerate", "--max-word-len", "2", "--cutoff", "5"),
+                 ("classify", "--word", "1")):
+        code, out, err = invoke(capsys, "spectrum", *argv, "--group", str(path))
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+def test_enumerate_refuses_a_twist_trace_that_is_not_finite(capsys, tmp_path):
+    """chi(g) = 1e200 overflows along g.g: a numerical guard naming the word,
+    with no numpy warning, where rows of inf and nan were written."""
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"model": "H2-real-2x2", "generators": [[[3.0, 0.0], [0.0, 1 / 3]]],
+                                "chi": [[[1e200]]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, "spectrum", "enumerate", "--group", str(path),
+                                "--max-word-len", "3", "--cutoff", "10")
+    assert (code, out) == (3, "")
+    assert err == "numerical guard: twist trace is not finite along the word 1.1\n"
 
 
 @pytest.mark.parametrize("argv,message", [

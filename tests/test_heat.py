@@ -7,6 +7,7 @@ import pytest
 from selberg.errors import IllConditionedFitError, ValidationError
 from selberg.heat import (
     COUNT_BLOCK_CELLS,
+    MAX_LATTICE_POINTS,
     MODEL_NAMES,
     eigenvalue_count,
     exact_spectrum,
@@ -68,6 +69,13 @@ def test_exact_spectrum_guards():
         exact_spectrum(make_model("circle"), 0.0)
     with pytest.raises(ValidationError):
         make_model("moebius")
+
+
+def test_exact_spectrum_refuses_a_lattice_past_its_bound():
+    """Two axes of 10^4 modes each pass the per-axis bound, but their 4e8
+    lattice points would take GiBs: refused after the two short axis lists."""
+    with pytest.raises(ValidationError, match=f"over {MAX_LATTICE_POINTS} lattice points"):
+        exact_spectrum(make_model("pillowcase"), 1e8)
 
 
 def test_heat_trace_circle_reflection_value():

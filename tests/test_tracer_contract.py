@@ -77,3 +77,13 @@ def test_tracer_sees_each_class_factor_built_once(tracer, capsys, monkeypatch, t
         passes.append([tracer.stats[name][0] - b for name, b in zip(names, before)])
     capsys.readouterr()
     assert passes == [[2, elliptic], [0, 0]]
+
+
+def test_weyl_group_time_reads_zero_without_a_build(tracer, capsys):
+    """``bench/run.py --trace 1`` reads ``stats["lie.weyl_group"]`` after the
+    ``spectral-weyl`` warm-up, ``lie weyl --n 3..6 --count``.  That builds
+    no W(D_n), and the entry is there from install, at 0."""
+    for n in (3, 4, 5, 6):
+        assert selberg.cli.run(["lie", "weyl", "--n", str(n), "--count"]) == 0
+    capsys.readouterr()
+    assert tracer.stats["lie.weyl_group"] == [0, 0.0, 0.0]

@@ -776,15 +776,15 @@ def test_log_zeta_is_fsum_of_the_class_terms_bit_for_bit(tmp_path):
     path = tmp_path / "big.csv"
     path.write_text(small_h3_spectrum_csv(classes=2000))
     ctx = ZetaTermContext(sigma=SIGMA1, chi_dim=1, spectrum=LengthSpectrum.read_csv(path))
-    arrays = _class_arrays(ctx, both=False)
-    num = arrays.chi_v * arrays.traces[0]
-    den = _adjoint_determinants(arrays.hyp, ctx.n)
+    hyp, chi_v, (trace,) = _class_arrays(ctx, both=False)
+    num = chi_v * trace
+    den = _adjoint_determinants(hyp, ctx.n)
     points = BIG_SPECTRUM_GRID
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # points left of the abscissa
         got = log_zeta_truncated(points, ctx)
     for s, value in zip(points, got):
-        want = -_fsum_reference(num * np.exp(-(s + ctx.n) * arrays.hyp.length) / den)
+        want = -_fsum_reference(num * np.exp(-(s + ctx.n) * hyp.length) / den)
         assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex()), s
 
 
