@@ -24,11 +24,13 @@ radius, side, rmax, heat time, cutoff or volume that is not finite and
 positive is a validation error, and so are a chi dimension or element cap
 below 1, a group spec that is not an object with ``model`` and
 ``generators`` lists of matrices whose entries are finite JSON numbers or
-[re, im] pairs of them, a ``--s`` point that is not finite, and a flat
-model past ``MAX_AXIS_MODES`` modes on an axis or a lattice radius of
-2^52.  So are a missing or unwritable file, malformed JSON and a list or
-grid item that is not a number; each prints one ``error:`` line.  A twist
-trace that is not finite is a numerical guard.
+[re, im] pairs of them, a ``--s`` point that is not finite, a flat model
+past ``MAX_AXIS_MODES`` modes on an axis or a lattice radius of 2^52, a
+weight coordinate with |2k| >= 2^53 and a rank past ``lie.MAX_RANK``.  So
+are a missing or unwritable file, malformed JSON and a list or grid item
+that is not a number; each prints one ``error:`` line.  A twist trace that
+is not finite or a Plancherel coefficient past the float range is a
+numerical guard.
 
 ``--validate`` runs every check of the op, the computation included, and
 prints ``ok`` in place of the output lines, so its exit code and error line
@@ -47,6 +49,7 @@ from . import heat as heat_mod
 from . import zeta as zeta_mod
 from .errors import NumericalGuardError, ValidationError
 from .geometry import (
+    DEFAULT_ELEMENT_CAP,
     GroupSpec,
     LengthSpectrum,
     build_length_spectrum,
@@ -335,7 +338,7 @@ _COMMANDS = {
             _arg("--group", required=True, help="group spec JSON file"),
             _arg("--max-word-len", type=int, required=True),
             _arg("--cutoff", type=float, required=True),
-            _arg("--element-cap", type=int, default=200_000))),
+            _arg("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP))),
         "classify": ("classify one word", cmd_spectrum_classify, (
             _arg("--group", required=True),
             _arg("--word", required=True, help="comma-separated signed indices"))),

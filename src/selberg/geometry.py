@@ -11,15 +11,15 @@ primitive length and power, rotation angle, the adjoint-determinant weight
 D, the centralizer factor v, and the twist trace.  Each stack is
 classified once, in one numpy pass, and the whole reduction reads that.
 
-The centralizer of a hyperbolic class is read from the same ball: the
-elements that fix both ends of the witness's axis are the products
-P^-1 B P that are diagonal, P the witness's eigenvector matrix.  They are
-screw motions along the axis and the m rotations about it.  The shortest
-translation among them is l0, l / l0 is the power, and v = 1/m, so that
-l0 * v is the covolume of the centralizer (Elstrodt, Grunewald & Mennicke,
-Groups Acting on Hyperbolic Space, ch. 6).  Both count only what the ball
-holds: m counts the rotations in the ball, and a ball that misses the
-primitive screw motion gives a multiple of l0.
+The centralizer of a hyperbolic class is read from the same ball: it is
+the set of ball elements that commute with the class's witness, the test
+``_commuting`` makes.  For a loxodromic witness these are the elements that
+fix both ends of its axis: screw motions along the axis and the m rotations
+about it.  The shortest translation among them is l0, l / l0 is the power,
+and v = 1/m, so that l0 * v is the covolume of the centralizer (Elstrodt,
+Grunewald & Mennicke, Groups Acting on Hyperbolic Space, ch. 6).  Both
+count only what the ball holds: m counts the rotations in the ball, and a
+ball that misses the primitive screw motion gives a multiple of l0.
 
 "Same isometry" is decided only by ``projectively_close``, relative to the
 size of the product compared.  Products are not rescaled to determinant 1,
@@ -35,7 +35,7 @@ so classes with equal invariants but no certifying conjugator are flagged
 ambiguous rather than merged or dropped (not when the generators commute:
 conjugacy is equality there).  The search runs only on the buckets within
 the length cutoff, and the witness data only on the classes within it; the
-conjugators and axis fixers are still drawn from the whole ball.
+conjugators and the centralizer are still drawn from the whole ball.
 """
 
 from __future__ import annotations
@@ -446,8 +446,8 @@ def conjugacy_reduce(elements: list[GroupElement], spec: GroupSpec,
     class's witness is its minimal-word member, whose length is the class's,
     and a hyperbolic class is kept if that is within the cutoff.  A kept
     class gets its witness's angle and twist trace; a hyperbolic one also
-    gets the weight D and, from the ball elements that fix both ends of the
-    witness's axis (``_axis_fixers``), its primitive length l0, its power and
+    gets the weight D and, from the ball elements that commute with the
+    witness (``_axis_fixers``), its primitive length l0, its power and
     v = 1/m.  Elliptic rows come by (theta, word) and hyperbolic rows by
     bucket; ``LengthSpectrum`` puts the hyperbolic rows in canonical order.
     """
@@ -472,21 +472,19 @@ def conjugacy_reduce(elements: list[GroupElement], spec: GroupSpec,
 
     elliptic, hyperbolic = [], []
     for bucket in buckets:
-        unassigned = sorted(bucket.tolist(), key=lambda i: (len(words[i]), words[i]))
-        class_groups = []
-        while unassigned:
-            rep, rest = unassigned[0], unassigned[1:]
-            found = set()
+        # in (length, word) order, so the first member left is a class's witness
+        rest = sorted(bucket.tolist(), key=lambda i: (len(words[i]), words[i]))
+        witnesses = []
+        while rest:
+            rep, *rest = rest
+            witnesses.append(rep)
             if rest:
-                # spread the class through every conjugator in the ball at once
+                # drop the witness's class through every conjugator in the ball at once
                 images = _mul(_mul(mats, mats[rep]), inverses)
-                tols = MATRIX_TOL * size**2 * size[rep]
-                found = set(_matches(images, tols, mats[rest])[1].tolist())
-            class_groups.append([rep] + [m for j, m in enumerate(rest) if j in found])
-            unassigned = [m for j, m in enumerate(rest) if j not in found]
-        ambiguous = len(class_groups) > 1 and not abelian
-        for group in class_groups:
-            witness = group[0]  # the members are in (length, word) order
+                found = _matches(images, MATRIX_TOL * size**2 * size[rep], mats[rest])[1]
+                rest = np.delete(rest, found).tolist()
+        ambiguous = len(witnesses) > 1 and not abelian
+        for witness in witnesses:
             w_len, w_angle, word = float(length[witness]), float(angle[witness]), words[witness]
             if kind[witness] == ELLIPTIC:
                 elliptic.append(("elliptic", 0.0, 0.0, 1, (w_angle,), math.nan, Fraction(1),
@@ -500,35 +498,22 @@ def conjugacy_reduce(elements: list[GroupElement], spec: GroupSpec,
     return SpectrumColumns.from_rows(elliptic + hyperbolic)
 
 
-def _eigenvectors(w: np.ndarray) -> np.ndarray:
-    """The eigenvector matrix of a 2x2 matrix with distinct eigenvalues, in
-    entry arithmetic: for each eigenvalue lam, the longer of (b, lam - a)
-    and (lam - d, c)."""
-    (a, b), (c, d) = w.tolist()
-    root = cmath.sqrt((a + d) ** 2 - 4.0)
-    columns = []
-    for lam in ((a + d + root) / 2.0, (a + d - root) / 2.0):
-        u, v = (b, lam - a), (lam - d, c)
-        columns.append(u if abs(u[0]) + abs(u[1]) >= abs(v[0]) + abs(v[1]) else v)
-    return np.array(columns, dtype=complex).T
-
-
 def _axis_fixers(witness: int, axis_ball: tuple) -> tuple[int, float, int]:
     """Power k, primitive length l0 and rotation count m of the hyperbolic
-    ball element ``witness``, from the ball elements that fix both ends of
-    its axis.
+    ball element ``witness``, from the ball elements that commute with it.
 
     ``axis_ball`` is (matrices, lengths, the indices of the elements that
     are not hyperbolic, the indices of the hyperbolic ones by length, and
-    their lengths).  With
-    P the eigenvector matrix of the witness, P^-1 B P is diagonal exactly
-    when B fixes both ends.  Those fixers are the m rotations about the
-    axis, the identity included, and screw motions along it whose lengths
-    are the multiples of l0.  So the product is formed only for the
-    elements that are not hyperbolic and for the hyperbolic ones of length
-    l/k, k >= 2.  l0 is the length of the shortest of those fixers, or l if
-    there is none (the witness fixes its own axis), k = l/l0 rounded, and m
-    counts only the rotations in the ball.
+    their lengths).  An element B commutes with the loxodromic witness W
+    exactly when it fixes both ends of W's axis: W's eigenvalues differ, so
+    BW = WB keeps each of W's eigenlines, and BW = -WB would force tr W = 0.
+    Those elements are the m rotations about the axis, the identity
+    included, and screw motions along it whose lengths are the multiples of
+    l0.  So only the elements that are not hyperbolic and the hyperbolic
+    ones of length l/k, k >= 2, are tested.  l0 is the length of the
+    shortest of those screw motions, or l if there is none (the witness
+    commutes with itself), k = l/l0 rounded, and m counts only the rotations
+    in the ball.
     """
     mats, length, still, hyper, hyper_len = axis_ball
     w_len = float(length[witness])
@@ -537,11 +522,7 @@ def _axis_fixers(witness: int, axis_ball: tuple) -> tuple[int, float, int]:
     lo = np.searchsorted(hyper_len, targets - win, side="left")
     hi = np.searchsorted(hyper_len, targets + win, side="right")
     cand = np.concatenate([still] + [hyper[a:b] for a, b in zip(lo, hi)])
-    p = _eigenvectors(mats[witness])
-    p_inv = _inv2(p) / (p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0])
-    q = _mul(_mul(p_inv, mats[cand]), p)
-    off = np.maximum(abs(q[:, 0, 1]), abs(q[:, 1, 0]))
-    fixes = off <= CLASSIFY_TOL * _size(mats[cand]) * _size(p) * _size(p_inv)
+    fixes = _commuting(mats[cand], mats[witness])
     roots = length[cand[len(still):][fixes[len(still):]]]
     prim_len = float(roots.min()) if len(roots) else w_len
     return round(w_len / prim_len), prim_len, int(np.count_nonzero(fixes[: len(still)]))
@@ -570,8 +551,8 @@ class SpectrumColumns(NamedTuple):
 
     kind: np.ndarray  # "elliptic" or "hyperbolic"
     length: np.ndarray  # l(gamma); 0 for elliptic
-    # l0: the shortest length l/k, k = 1, 2, ..., of a ball element that fixes
-    # both ends of gamma's axis; 0 for elliptic
+    # l0: the shortest length l/k, k = 1, 2, ..., of a ball element that
+    # commutes with gamma; 0 for elliptic
     primitive_length: np.ndarray
     power: np.ndarray  # l / l0: gamma is gamma_0^power times a rotation about its axis
     angles: np.ndarray  # rotation angles of the compact part
@@ -781,8 +762,7 @@ class LengthSpectrum:
     def with_cutoff(self, cutoff: float) -> "LengthSpectrum":
         """The spectrum without its hyperbolic classes longer than ``cutoff``,
         with its cutoff lowered to ``cutoff``."""
-        if not 0 < cutoff < math.inf:
-            raise ValidationError("cutoff must be finite and positive")
+        _check_provenance(cutoff, self.model)
         keep = (self.columns.kind != "hyperbolic") | (self.columns.length <= cutoff)
         return LengthSpectrum(self.columns.take(keep), self.spec_hash,
                               min(self.cutoff, cutoff), self.max_word_len, self.model)
@@ -905,8 +885,7 @@ def build_length_spectrum(
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> LengthSpectrum:
     """Enumerate, classify and reduce a group into a cutoff length spectrum."""
-    if not 0 < cutoff < math.inf:
-        raise ValidationError("cutoff must be finite and positive")
+    _check_provenance(cutoff, spec.model)
     ball = enumerate_elements(spec, max_word_len, element_cap=element_cap)
     return LengthSpectrum(conjugacy_reduce(ball, spec, cutoff), spec.spec_hash(), cutoff,
                           max_word_len, spec.model)

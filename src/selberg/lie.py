@@ -40,6 +40,7 @@ from itertools import permutations, product
 import numpy as np
 
 from .errors import NonRegularElementError, ValidationError
+from .geometry import _fraction
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,6 +49,13 @@ REGULARITY_TOL = 1e-12
 
 #: largest rank of ``weyl_group`` (2^5 6! = 23040 elements) and of orbital polynomials
 MAX_WEYL_RANK = 6
+#: largest rank of delta, so of every character: far above the ranks evaluated
+#: (W(D_n) and orbital polynomials stop at MAX_WEYL_RANK), yet a character's
+#: n(n-1)/2 angle differences and n x n determinants stay a few MB per rotation
+MAX_RANK = 1000
+#: bound on a doubled weight coordinate 2k: floats are exact integers below it,
+#: so mu = sigma + delta is exact in floats
+MAX_DOUBLED = 2**53
 
 #: i^n, indexed by n mod 4
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -57,9 +65,9 @@ _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 class WeightVector:
     """Highest weight (k_2, ..., k_{n+1}) with entries in (1/2)Z.
 
-    ``doubled`` holds 2*k_j as plain integers; all entries must share one
-    parity (all even: integral SO(2n) weight, all odd: half-integral
-    spin-type weight, accepted but flagged).
+    ``doubled`` holds 2*k_j as plain integers below MAX_DOUBLED in absolute
+    value; all entries must share one parity (all even: integral SO(2n)
+    weight, all odd: half-integral spin-type weight, accepted but flagged).
     """
 
     doubled: tuple[int, ...]
@@ -69,6 +77,8 @@ class WeightVector:
             raise ValidationError("weight needs at least one coordinate")
         if not all(isinstance(d, int) for d in self.doubled):
             raise ValidationError("doubled coordinates must be integers")
+        if max(map(abs, self.doubled)) >= MAX_DOUBLED:
+            raise ValidationError("weight coordinates need |2k| < 2^53, the exact float range")
         parities = {d % 2 for d in self.doubled}
         if len(parities) > 1:
             raise ValidationError(
@@ -116,14 +126,16 @@ class WeightVector:
 
     @classmethod
     def parse(cls, text: str) -> "WeightVector":
-        """Parse a comma-separated half-integer string like ``3/2,1/2,-1/2``."""
+        """Parse a comma-separated half-integer string like ``3/2,1/2,-1/2``,
+        bounding a decimal exponent first as ``geometry._fraction`` does."""
         parts = [p.strip() for p in text.split(",")]
         if not parts or any(not p for p in parts):
             raise ValidationError(f"malformed weight string: {text!r}")
         try:
-            return cls.from_coords(Fraction(p) for p in parts)
+            coords = [_fraction(p) for p in parts]
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"malformed weight string: {text!r}") from exc
+        return cls.from_coords(coords)
 
 
 def format_half_integer(f: Fraction) -> str:
@@ -204,10 +216,11 @@ def parse_angle(token: str) -> float:
 def half_sum_positive_roots(n: int) -> WeightVector:
     """Half-sum of the positive roots of so(2n): coordinate j holds n+1-j.
 
-    In the e_2..e_{n+1} coordinates this is (n-1, n-2, ..., 1, 0).
+    In the e_2..e_{n+1} coordinates this is (n-1, n-2, ..., 1, 0).  A rank
+    outside 1..MAX_RANK is refused before anything is built.
     """
-    if n < 1:
-        raise ValidationError("rank must be at least 1")
+    if not 1 <= n <= MAX_RANK:
+        raise ValidationError(f"rank must be between 1 and {MAX_RANK}, got {n}")
     return WeightVector(tuple(2 * (n - 1 - i) for i in range(n)))
 
 
@@ -283,6 +296,7 @@ def weyl_character(
         raise ValidationError("rank mismatch between weight and angles")
     if not weight.is_dominant():
         raise ValidationError(f"weight {weight} is not dominant")
+    mu = 0.5 * np.array((weight + half_sum_positive_roots(n)).doubled, dtype=float)
     x = 2.0 * np.cos(phi)
     upper, lower = np.triu_indices(n, 1)
     den = np.prod(x[:, upper] - x[:, lower], axis=1)
@@ -294,7 +308,6 @@ def weyl_character(
             f"character denominator {abs(den[k]):.3e} below {REGULARITY_TOL:g}; "
             "perturb the angles or use a limit"
         )
-    mu = 0.5 * np.array((weight + half_sum_positive_roots(n)).doubled, dtype=float)
     cos_det, sin_det = _alternants(phi[:, :, None] * mu)  # arg[b, i, j] = mu_j phi_i
     values = 0.5 * (cos_det + _I_POWERS[n % 4] * sin_det) / den
     return values[0].item() if scalar else values

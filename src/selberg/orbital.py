@@ -30,15 +30,15 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import EvennessError, ValidationError
+from .errors import EvennessError, NumericalGuardError, ValidationError
 from .lie import (
-    MAX_WEYL_RANK,
     TWO_PI,
     EllipticAngles,
     WeightVector,
     _alternants,
     half_sum_positive_roots,
     w0_flip,
+    weyl_group_order,
 )
 
 #: Relative size above which odd-power residuals are treated as a real failure.
@@ -177,8 +177,7 @@ def orbital_polynomial(
         raise ValidationError("weight, angles and rank must agree")
     if not sigma.is_dominant():
         raise ValidationError(f"weight {sigma} is not dominant")
-    if not 1 <= n <= MAX_WEYL_RANK:
-        raise ValidationError(f"rank must be between 1 and {MAX_WEYL_RANK}, got {n}")
+    weyl_group_order(n)  # the rank check
     mu = np.add(sigma.doubled, half_sum_positive_roots(n).doubled) / 2.0
     roots = stabilizer_roots(angles, n)
     blocks = []  # the components of the slots that the roots join
@@ -236,7 +235,8 @@ def plancherel_polynomial(sigma: WeightVector, n: int) -> EvenPolynomial:
     transform of P at sigma = 0 the heat kernel of Delta - n^2 at the origin,
     k_t(0) of k_t(rho) = (-1/(2 pi sinh rho) d/d rho)^n (4 pi t)^{-1/2}
     e^{-rho^2/4t} (Davies and Mandouvalos, Proc. LMS 57, 1988); at n = 1,
-    P = (nu^2 + k^2) / (4 pi^2).  Only the product with C_n is rounded.
+    P = (nu^2 + k^2) / (4 pi^2).  Only the product with C_n is rounded; a
+    coefficient past the float range is a NumericalGuardError.
     """
     if sigma.rank != n:
         raise ValidationError(f"weight rank must match n = {n}")
@@ -251,7 +251,11 @@ def plancherel_polynomial(sigma: WeightVector, n: int) -> EvenPolynomial:
     for m in mu:
         coeffs = [x * Fraction(m * m, 4) + y for x, y in zip(coeffs + [0], [0] + coeffs)]
     c = math.factorial(n) / (2 * math.factorial(2 * n) * math.pi ** (n + 1))
-    return EvenPolynomial(tuple(complex(float(x) * c) for x in coeffs))
+    try:
+        return EvenPolynomial(tuple(complex(float(x) * c) for x in coeffs))
+    except OverflowError:
+        raise NumericalGuardError(
+            f"a Plancherel coefficient of weight {sigma} is past the float range") from None
 
 
 def weyl_A_invariance_gap(

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 import os
@@ -16,14 +17,17 @@ from conftest import (
     axis_fixer_oracle,
     coxeter_534_gram_normals,
     coxeter_534_spec,
+    cyclic_h3_spec,
     klein_tetrahedron_volume,
     orthoscheme_volume,
     schottky_spec,
     small_h3_spectrum_csv,
+    triangle_237_spec,
     weyl_dn,
 )
 import selberg.cli
 import selberg.heat
+import selberg.lie
 from selberg.cli import MAX_GRID_POINTS, _parse_grid, run
 from selberg.errors import NumericalGuardError, ValidationError
 from selberg.geometry import ConjClassRecord, LengthSpectrum, enumerate_elements
@@ -124,6 +128,82 @@ def test_character_rejects_non_dominant_weight(capsys):
     assert complex(re, im) == pytest.approx(want, abs=1e-14)
 
 
+# a weight coordinate with |2k| >= 2^53, past which mu = sigma + delta is not
+# exact in floats, on each path that parses a weight
+WEIGHT_PAST_FLOATS = {
+    "character": ("lie", "character", "--weight", "1e400", "--angles", "1"),
+    "character-xi": ("lie", "character", "--weight", "1e400", "--angles", "1", "--xi"),
+    "character-1e20": ("lie", "character", "--weight", "1e20", "--angles", "1"),
+    "poly": ("orbital", "poly", "--n", "1", "--sigma", "1e400", "--angles", "1"),
+    "poly-zero-angle": ("orbital", "poly", "--n", "1", "--sigma", "1e300", "--angles", "0"),
+    "plancherel": ("orbital", "plancherel", "--sigma", "1e400"),
+    "plancherel-rank-6": ("orbital", "plancherel", "--sigma", "6e15,5e15,4e15,3e15,2e15,1e15"),
+    "zeta-eval": ("zeta", "eval", "--s-grid", "3:4:1"),
+    "zeta-heat-terms": ("zeta", "heat-terms", "--t", "1"),
+}
+
+
+@pytest.mark.parametrize("argv", WEIGHT_PAST_FLOATS.values(), ids=WEIGHT_PAST_FLOATS.keys())
+def test_a_weight_past_the_exact_float_range_exits_2(capsys, tmp_path, argv):
+    if argv[0] == "zeta":
+        spec = tmp_path / "small.csv"
+        spec.write_text(small_h3_spectrum_csv())
+        argv += ("--spectrum", str(spec), "--sigma", "1e400", "--elliptic-vols", "0.5,0.75")
+    assert invoke(capsys, *argv) == (
+        2, "", "error: weight coordinates need |2k| < 2^53, the exact float range\n")
+
+
+def test_a_weight_exponent_is_judged_without_building_it(capsys):
+    """Fraction("1e3000000") builds 10**3000000, which takes seconds."""
+    start = time.perf_counter()
+    for weight in ("1e3000000", "-1e3000000", "1e-3000000"):
+        code, out, err = invoke(capsys, "lie", "character", f"--weight={weight}", "--angles", "1")
+        assert (code, out) == (2, "") and err.count("\n") == 1
+    # 0 whatever its exponent
+    assert invoke(capsys, "lie", "character", "--weight", "0e3000000", "--angles", "1") == (
+        0, "1,0\n", "")
+    # 2k = 2^53 - 1 is the largest coordinate taken
+    assert invoke(capsys, "lie", "character", "--weight", "4503599627370495.5", "--angles",
+                  "0", "--xi")[:2] == (0, "1,0\n")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_plancherel_past_the_float_range_is_a_numerical_guard(capsys):
+    """Each |2k| is below 2^53, but dim(sigma) is about 10^470."""
+    sigma = "4e15,3e15,2e15,1e15,5e14,1e14"
+    code, out, err = invoke(capsys, "orbital", "plancherel", "--sigma", sigma)
+    assert (code, out) == (3, "")
+    assert err == ("numerical guard: a Plancherel coefficient of weight 4000000000000000,"
+                   "3000000000000000,2000000000000000,1000000000000000,500000000000000,"
+                   "100000000000000 is past the float range\n")
+
+
+def test_delta_m_refuses_a_rank_past_the_bound(capsys, tmp_path, monkeypatch):
+    """A rank past MAX_RANK, from the command line or a config file, is
+    refused before delta is built."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 10**400}))
+    with monkeypatch.context() as patch:
+        patch.setattr(selberg.lie, "range", None, raising=False)  # a build would fail
+        for argv, n in ((("--n", "10000000"), 10**7), (("--config", str(cfg)), 10**400)):
+            code, out, err = invoke(capsys, "lie", "delta-m", *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: rank must be between 1 and ")
+            assert err.endswith(f", got {n}\n") and err.count("\n") == 1
+    bound = selberg.lie.MAX_RANK
+    assert invoke(capsys, "lie", "delta-m", "--n", str(bound))[0] == 0
+    assert invoke(capsys, "lie", "delta-m", "--n", str(bound + 1)) == (
+        2, "", f"error: rank must be between 1 and {bound}, got {bound + 1}\n")
+
+
+def test_character_refuses_a_rank_past_the_bound(capsys):
+    """The bound trips before the n(n-1)/2 angle differences are formed."""
+    n = selberg.lie.MAX_RANK + 1
+    angles = ",".join(f"{0.1 + 1e-3 * i:.4f}" for i in range(n))
+    assert invoke(capsys, "lie", "character", "--weight", ",".join(["0"] * n), "--angles",
+                  angles) == (2, "", f"error: rank must be between 1 and {n - 1}, got {n}\n")
+
+
 def test_character_output(capsys):
     code, out, _ = invoke(
         capsys, "lie", "character", "--weight", "1,0", "--angles", "pi/3,pi/5"
@@ -219,12 +299,15 @@ def test_spectrum_enumerate_rejects_torsion_free_subgroup(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1 and "torsion_free_subgroup" in err
 
 
-def _coxeter_534_group_file(path):
-    """Write the [5,3,4] fixture as a group-spec file at ``path``."""
-    spec = coxeter_534_spec()
-    path.write_text(json.dumps({"model": spec.model, "generators": [
-        [[[x.real, x.imag] for x in row] for row in g.tolist()] for g in spec.generators
-    ]}))
+def _group_file(path, spec):
+    """Write ``spec`` as a group-spec file at ``path``, entries as [re, im]."""
+    def rows(matrices):
+        return [[[[x.real, x.imag] for x in row] for row in m.tolist()] for m in matrices]
+
+    data = {"model": spec.model, "generators": rows(spec.generators)}
+    if spec.chi is not None:
+        data["chi"] = rows(spec.chi)
+    path.write_text(json.dumps(data))
     return path
 
 
@@ -235,7 +318,7 @@ def test_coxeter_534_hyperbolic_heat_term(capsys, tmp_path):
     and m from the fixed-point oracle, not from the spectrum file."""
     start = time.perf_counter()
     spec = coxeter_534_spec()
-    group, spectrum = _coxeter_534_group_file(tmp_path / "coxeter.json"), tmp_path / "coxeter.csv"
+    group, spectrum = _group_file(tmp_path / "coxeter.json", spec), tmp_path / "coxeter.csv"
     code, _, _ = invoke(capsys, "spectrum", "enumerate", "--group", str(group),
                         "--max-word-len", "10", "--cutoff", "3.5", "--out", str(spectrum))
     assert code == 0
@@ -269,7 +352,8 @@ def test_coxeter_534_covolume_and_identity_term(capsys, tmp_path):
     assert abs(lobachevsky - quadrature) < 1e-12
     assert lobachevsky == pytest.approx(0.0358850633, abs=1e-9)
     assert quadrature == pytest.approx(0.0358850633, abs=1e-9)
-    group, spectrum = _coxeter_534_group_file(tmp_path / "coxeter.json"), tmp_path / "coxeter.csv"
+    group = _group_file(tmp_path / "coxeter.json", coxeter_534_spec())
+    spectrum = tmp_path / "coxeter.csv"
     code, _, _ = invoke(capsys, "spectrum", "enumerate", "--group", str(group),
                         "--max-word-len", "4", "--cutoff", "3", "--out", str(spectrum))
     assert code == 0
@@ -781,6 +865,29 @@ def test_zeta_output_is_frozen(capsys, tmp_path, key):
                               "--vol", "1.5", "--elliptic-vols", "0.5,0.75", *extra[name])
         assert code == 0
         assert out == FROZEN["zeta"][key]
+
+
+#: the groups of FROZEN["enumerate"], by the first word of its keys
+ENUMERATE_GROUPS = {
+    "coxeter-534": coxeter_534_spec,
+    "schottky": schottky_spec,
+    # a twist that is not unitary
+    "schottky-chi": lambda: schottky_spec(chi=[np.array([[1.3, 0.4], [0.1, 0.8]]),
+                                                np.array([[0.9, -0.2], [0.3, 1.1]])]),
+    "triangle-237": triangle_237_spec,
+    "cyclic-h3": lambda: cyclic_h3_spec(1.3, 0.7),
+}
+
+
+# SHA-256 digests of the spectra frozen from the reduction that tested each
+# axis fixer in the witness's eigenbasis
+@pytest.mark.parametrize("key", FROZEN["enumerate"])
+def test_enumerate_output_is_frozen(capsys, tmp_path, key):
+    name, *argv = key.split()
+    group = _group_file(tmp_path / "group.json", ENUMERATE_GROUPS[name]())
+    code, out, err = invoke(capsys, "spectrum", "enumerate", "--group", str(group), *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN["enumerate"][key]
 
 
 # the benchmark's pillowcase inputs, frozen from the per-bound lattice counts

@@ -411,6 +411,38 @@ def test_axis_fixers_match_fixed_point_oracle():
         assert r.v == Fraction(1, 4)
 
 
+def test_centralizer_of_a_hand_built_h3_ball():
+    """A ball on the axis (0, inf): a screw S, the rotations R^k of order 4
+    about the axis, the witness W = S^2 R, a half-turn J that swaps the
+    axis's ends (J W J^-1 = W^-1) and a screw T of S's length that shares
+    only the end inf.  W's centralizer in the ball is the identity, R, R^2,
+    R^3 and S, so m = 4, l0 = l(S) and the power is 2; J and T are left out."""
+    length, turn = 1.1, 0.5
+    half = (length + 1j * turn) / 2.0
+    r = np.diag([cmath.exp(1j * math.pi / 4), cmath.exp(-1j * math.pi / 4)])
+    s = np.diag([cmath.exp(half), cmath.exp(-half)])
+    c = np.array([[1.0, 0.5], [0.0, 1.0]])  # moves the end 0 to 0.5
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    spec = GroupSpec(model="H3-complex-2x2", generators=[r, s, c, j])
+    words = [(), (1,), (1, 1), (-1,), (2,), (3, 2, -3), (4,), (2, 2, 1)]
+    ball = [GroupElement(spec.word_matrix(w), w) for w in words]
+    w = spec.word_matrix((2, 2, 1))
+    assert projectively_close(j @ w @ _inv2(j), _inv2(w), 1e-12)
+    assert not geometry._commuting(j[None], w)[0]
+
+    cols = conjugacy_reduce(ball, spec, cutoff=10.0)
+    rows = {r.word: r for r in spectrum_rows(cols) if r.kind == "hyperbolic"}
+    assert set(rows) == {(2,), (3, 2, -3), (2, 2, 1)}
+    witness = rows[(2, 2, 1)]
+    assert witness.length == pytest.approx(2 * length, rel=1e-12)
+    assert witness.angles[0] == pytest.approx(2 * turn + math.pi / 2, rel=1e-12)
+    assert witness.power == 2 and witness.v == Fraction(1, 4)
+    assert witness.primitive_length == pytest.approx(length, rel=1e-12)
+    # S has the same rotations and no shorter screw; T commutes with no rotation
+    assert (rows[(2,)].power, rows[(2,)].v) == (1, Fraction(1, 4))
+    assert (rows[(3, 2, -3)].power, rows[(3, 2, -3)].v) == (1, Fraction(1))
+
+
 def test_coxeter_534_elliptic_classes():
     """The [5,3,4] fixture at L=8 has 7 elliptic classes: the rotations of
     orders 5, 3 and 4 about the edges with dihedral angles pi/5, pi/3 and

@@ -286,3 +286,12 @@ def test_weight_vector_validation():
     with pytest.raises(ValidationError):
         WeightVector((1, 2))
     assert WeightVector((2, 4)).coords == (Fraction(1), Fraction(2))
+
+
+def test_weight_coordinates_stay_in_the_exact_float_range():
+    """|2k| < 2^53: below it every doubled coordinate, and so mu = sigma +
+    delta, is an exact float."""
+    assert WeightVector((2**53 - 1, -(2**53 - 1))).is_spin_type
+    for doubled in ((2**53,), (0, -(2**53)), (2**60, 2)):
+        with pytest.raises(ValidationError, match="2k"):
+            WeightVector(doubled)
