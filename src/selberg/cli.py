@@ -111,8 +111,13 @@ def _parse_grid(text: str) -> list[complex]:
         if not (step > 0 and all(map(math.isfinite, (start, stop, step)))):
             raise ValidationError("grid bounds must be finite and the step positive")
         # point i is start + i*step; the count is fixed once, so no drift.
-        # The cap keeps a huge or infinite span countable; it still fails below.
-        span = min((stop + 1e-12 * max(1.0, abs(stop)) - start) / step, MAX_GRID_POINTS)
+        # The slack takes in the rounding of decimal bounds, 2^-40 of the span
+        # (0:0.3:0.1 is 2.9999999999999996 steps) and an ulp of each bound,
+        # but never half a step, so start == stop is one point.  The cap keeps
+        # a huge or infinite span countable; it still fails below.
+        span = (stop - start) / step
+        slack = min(span * 2**-40 + (math.ulp(start) + math.ulp(stop)) / step, 0.5)
+        span = min(span + slack, MAX_GRID_POINTS)
         return start, step, max(math.floor(span) + 1, 0)
 
     parts = text.split(",")

@@ -34,13 +34,19 @@ per weight on the whole angle matrix, and kept read-only in the spectrum's
 ambiguity refusal and the default-volume warning run on every call before
 any lookup, and a build that fails, as on a rank mismatch, stores nothing.
 Each point is then one array expression over the classes, its exponential
-row shared by the two weights.  Each sum returns the correctly rounded sum
-of its real and of its imaginary parts over the classes in the spectrum's
-canonical order (what math.fsum returns), so results do not depend on how
-work is partitioned or on the order of the additions.  A log Z that is not
-finite, as where the exponential row overflows far left of the abscissa, is
-a numerical guard that names the point; so is a heat term that is not
-finite, as where a power of a tiny time t overflows, and it names t.
+row shared by the two weights.  Its terms are multiplied by the
+reciprocals of the adjoint determinants, made once per call: numpy divides
+by a real den as by den + 0j with Smith's algorithm, which multiplies by
+the rounded 1/den, so the product keeps the bits of the division.  Each sum
+returns the correctly rounded sum of its real and of its imaginary parts
+over the classes in the spectrum's canonical order (what math.fsum
+returns), so results do not depend on how work is partitioned or on the
+order of the additions: ``_csum`` takes one error-free extraction pass over
+both parts at a shared sigma, certified part by part, else math.fsum.  A
+log Z that is not finite, as where the exponential row overflows far left
+of the abscissa, is a numerical guard that names the point; so is a heat
+term that is not finite, as where a power of a tiny time t overflows, and
+it names t.
 """
 
 from __future__ import annotations
@@ -96,83 +102,79 @@ class ZetaTermContext:
 
 
 #: a one-pass total at least this large is far enough from the subnormal
-#: range for the rounding test of ``_exact_sum``
+#: range for the rounding test of ``_rounded``
 _NORMAL_ENOUGH = math.ldexp(1.0, -960)
 
 
 def _fsum(part: np.ndarray) -> float:
     """math.fsum of the entries of part: the sum of every part that the
-    one-pass rounding test of ``_exact_sum`` does not decide."""
+    one-pass rounding test of ``_rounded`` does not decide."""
     return math.fsum(part.tolist())
 
 
-def _exact_sum(part: np.ndarray, x: np.ndarray, q: np.ndarray) -> float:
-    """math.fsum(part), bit for bit, in the buffers x and q, each as long as
-    part: one extraction pass certified by a rounding test, else math.fsum.
+def _rounded(head: float, tail: float, n: int, e: int) -> float | None:
+    """head + tail where the rounding test shows it is the correctly rounded
+    sum of a part of n terms extracted at sigma = 2^e, else None.
+
+    T = head is exact, and R = tail errs in any order by less than
+    N^2 2^(e-105) for N < 2^26 (Higham, Accuracy and Stability of
+    Numerical Algorithms, eq. 4.4).  Let res = T + R, d its exact TwoSum
+    error (Knuth), h the smaller half-gap around res, a power of two, and B
+    the least power of two at least N^2 2^(e-105) and h 2^-53.  If |res| >=
+    2^-960, B < h and |d| < h - B, which is exact, then the exact sum lies
+    strictly within h of res, and res is what math.fsum returns.
+    """
+    total = head + tail
+    size = abs(total)
+    if size < _NORMAL_ENOUGH:  # a zero or tiny total, or nan
+        return None
+    back = total - head
+    error = (head - (total - back)) + (tail - back)  # TwoSum: head + tail - total
+    half_gap = (size - math.nextafter(size, 0.0)) / 2
+    bound = max(math.ldexp(1.0, (n * n - 1).bit_length() + e - 105), math.ldexp(half_gap, -53))
+    return total if bound < half_gap and abs(error) < half_gap - bound else None
+
+
+def _csum(values, scratch=None) -> complex:
+    """complex(math.fsum(re), math.fsum(im)) of the values, bit for bit: the
+    correctly rounded sum of each part, from one extraction pass over both.
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
     summation, Part I: faithful rounding", SIAM J. Sci. Comput. 31(1),
     2008, Lemma 3.3): let sigma = 2^e with e = (exponent of max|x|) + m,
-    where 2^m >= N + 2.  Then q = (x + sigma) - sigma rounds x to a
-    multiple of 2^-53 sigma, the residual r = x - q is exact with |r| <=
-    2^-53 sigma, and the q add up exactly in any order, because every
-    partial sum is such a multiple of modulus below sigma.
+    where 2^m >= N + 2 and the max runs over both parts.  Then q = (x +
+    sigma) - sigma rounds each part x to a multiple of 2^-53 sigma, the
+    residual r = x - q is exact with |r| <= 2^-53 sigma, and the q add up
+    exactly in any order, because every partial sum is such a multiple of
+    modulus below sigma.  A sigma larger than a part needs keeps all of
+    this, and the error bound of ``_rounded`` at its e, so one sigma serves
+    both parts, and q and r come from complex sweeps that add sigma to both
+    parts at once.  One pass usually settles the nearest float (Part II:
+    sign, K-fold faithful and rounding to nearest, SIAM J. Sci. Comput.
+    31(2), 2008); ``_rounded`` decides it for each part.
 
-    One pass usually settles the nearest float (Part II: sign, K-fold
-    faithful and rounding to nearest, SIAM J. Sci. Comput. 31(2), 2008).
-    T = sum q is exact, and R, the float sum of r, errs in any order by
-    less than N^2 2^(e-105) for N < 2^26 (Higham, Accuracy and Stability
-    of Numerical Algorithms, eq. 4.4).  Let res = T + R, d its exact
-    TwoSum error (Knuth), h the smaller half-gap around res, a power of
-    two, and B the least power of two at least N^2 2^(e-105) and h 2^-53.
-    If |res| >= 2^-960, B < h and |d| < h - B, which is exact, then the
-    exact sum lies strictly within h of res, and res is what math.fsum
-    returns.
-
-    Every other part goes to math.fsum: a tie, a zero or tiny total,
-    heavy cancellation, an inf or nan (so its inf, nan, ValueError or
-    OverflowError is math.fsum's), and max|x| >= 2^(1022 - m), where
-    sigma could overflow.  On the parts that reach it, which are mostly a
-    few terms on a tie, it is far cheaper than further extraction passes.
+    Each part that the test does not decide goes to math.fsum, the real
+    part first: a tie, a zero or tiny total, heavy cancellation, a part
+    far smaller than the other, an inf or nan (so its inf, nan,
+    ValueError or OverflowError is math.fsum's), and max|x| >=
+    2^(1022 - m), where sigma could overflow.  ``scratch``, two complex
+    rows as long as the values, spares a caller of many rows the allocation.
     """
-    np.copyto(x, part)  # contiguous sweeps beat strided reads of a complex part
-    n = len(x)
+    z = np.ascontiguousarray(values, dtype=complex)
+    n = len(z)
+    q, r = np.empty((2, n), dtype=complex) if scratch is None else scratch
     m = (n + 1).bit_length()  # the least m with 2^m >= N + 2
-    top = float(np.abs(x, out=q).max(initial=0.0))
+    top = float(np.abs(z.view(float), out=q.view(float)).max(initial=0.0))
+    re = im = None
     if 0.0 < top < math.ldexp(1.0, 1022 - m) and n < 1 << 26:  # not nan either
         e = math.frexp(top)[1] + m
-        sigma = math.ldexp(1.0, e)
-        np.add(x, sigma, out=q)
+        sigma = complex(math.ldexp(1.0, e), math.ldexp(1.0, e))
+        np.add(z, sigma, out=q)
         q -= sigma
-        x -= q
-        head, tail = float(q.sum()), float(x.sum())
-        total = head + tail
-        size = abs(total)
-        if size >= _NORMAL_ENOUGH:
-            back = total - head
-            error = (head - (total - back)) + (tail - back)  # TwoSum: head + tail - total
-            half_gap = (size - math.nextafter(size, 0.0)) / 2
-            # the least power of two >= N^2 2^(e-105) and >= h 2^-53
-            bound = max(math.ldexp(1.0, (n * n - 1).bit_length() + e - 105),
-                        math.ldexp(half_gap, -53))
-            if bound < half_gap and abs(error) < half_gap - bound:
-                return total
-    return _fsum(part)
-
-
-def _csum(values) -> complex:
-    """complex(math.fsum(re), math.fsum(im)) of the values, bit for bit: the
-    correctly rounded sum of each part.
-
-    Each part is summed by ``_exact_sum`` in two buffers made once per
-    call: one error-free extraction pass of numpy sweeps, whose rounded
-    total an exact TwoSum test certifies (Rump, Ogita and Oishi, SIAM J.
-    Sci. Comput. 31(1) and 31(2), 2008), and math.fsum itself where the
-    test cannot.
-    """
-    vals = np.asarray(values, dtype=complex)
-    x, q = np.empty((2, len(vals)))
-    return complex(_exact_sum(vals.real, x, q), _exact_sum(vals.imag, x, q))
+        np.subtract(z, q, out=r)
+        head, tail = complex(q.sum()), complex(r.sum())
+        re, im = _rounded(head.real, tail.real, n, e), _rounded(head.imag, tail.imag, n, e)
+    return complex(_fsum(z.real) if re is None else re, _fsum(z.imag) if im is None else im)
 
 
 def _points(x) -> tuple[list, bool]:
@@ -265,14 +267,19 @@ def _log_zeta_values(ctx: ZetaTermContext, points: list, both: bool) -> list[lis
     if not len(length):
         return [[0j] * len(points) for _ in traces]
     den = _derived(ctx.spectrum, ("den", ctx.n), lambda: _adjoint_determinants(hyp, ctx.n))
+    with np.errstate(over="ignore"):  # a subnormal den gives inf, which the guard reports
+        inv = (1.0 / den).astype(complex)
     nums = [chi_v * trace for trace in traces]
     values = [[] for _ in nums]
+    terms, *scratch = np.empty((3, len(length)), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is a guard
         for s in points:
             decay = np.exp(-(s + ctx.n) * length)
             for row, num in zip(values, nums):
+                np.multiply(num, decay, out=terms)
+                terms *= inv  # Smith's division by den + 0j multiplies by this 1/den
                 try:
-                    value = -_csum(num * decay / den)
+                    value = -_csum(terms, scratch)
                 except (ValueError, OverflowError):  # math.fsum met inf - inf, or overflowed
                     value = complex(math.nan)
                 row.append(_finite(value, s, "log Z"))

@@ -742,6 +742,31 @@ def test_parse_grid_has_no_drift():
     assert len(_parse_grid("1:2:0.5,0:1:0.25")) == 15
 
 
+def test_parse_grid_of_one_point_at_any_magnitude():
+    """start == stop is one point, however large the bounds are next to the step."""
+    for x in (0.0, 1.0, -7.25, 1e13, -1e15, 1e300, -1.7e308, 5e-324):
+        for step in (1e-9, 0.5, 1.0, 1e300):
+            assert _parse_grid(f"{x!r}:{x!r}:{step!r}") == [complex(x, 0.0)]
+            assert _parse_grid(f"0:0:1,{x!r}:{x!r}:{step!r}") == [complex(0.0, x)]
+
+
+@pytest.mark.parametrize("grid,count", [("0:1:0.1", 11), ("0:0.3:0.1", 4),
+                                        ("10000:10000.3:0.1", 4), ("100000:100001.2:0.1", 13),
+                                        ("1e13:10000000000005:0.5", 11),
+                                        ("1e15:1000000000000002:1", 3)])
+def test_parse_grid_counts_to_stop(grid, count):
+    """Decimal grids, large bounds included, end at stop: no point short, none past."""
+    assert len(_parse_grid(grid)) == count
+
+
+def test_parse_grid_counts_the_benchmark_grids():
+    """start:start+5:0.05, start rounded to two places, as the spectral-zeta
+    workload writes it, is 101 points for every start it can draw."""
+    for cents in range(200, 400):
+        start = round(cents / 100, 2)
+        assert len(_parse_grid(f"{start}:{start + 5.0}:{5.0 / 100}")) == 101, start
+
+
 @pytest.mark.parametrize("grid", ["0:1e9:1e-9", "0:1000:1,0:1000:1", "-1e308:1e308:1e-300"])
 def test_parse_grid_refuses_too_many_points(grid):
     with pytest.raises(ValidationError, match="more than 1000000 points"):

@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -739,6 +741,15 @@ def _csum_cases() -> dict:
     cases["inf-minus-inf"] = _complex(np.array([math.inf, 1.0, -math.inf]), np.zeros(3))
     cases["nan"] = _complex(np.array([1.0, math.nan]), np.array([math.nan, -math.inf]))
     cases["inf-and-nan"] = _complex(np.array([math.inf, math.nan]), np.ones(2))
+    # one sigma serves both halves, so a half far below the other, or empty,
+    # must still come out as math.fsum's
+    for n in (3, 62, 2000):
+        x, y = gen.standard_normal(n), gen.standard_normal(n)
+        cases[f"halves-2^40-apart-n{n}"] = _complex(x, np.ldexp(y, -40))
+        cases[f"halves-2^600-apart-n{n}"] = _complex(np.ldexp(x, -300), np.ldexp(y, 300))
+    cases["zero-imag-half"] = _complex(gen.standard_normal(500), np.zeros(500))
+    cases["zero-real-half"] = _complex(np.full(500, -0.0), gen.standard_normal(500))
+    cases["inf-imag-only"] = _complex(np.array([1.0, 2.5, -3.0]), np.array([0.5, math.inf, 2.0]))
     return cases
 
 
@@ -830,27 +841,136 @@ def _counting_fallback(monkeypatch) -> list:
 def test_one_pass_rounding_test_is_fsum_bit_for_bit(monkeypatch, part, decided):
     """The one-pass total is returned only where it is math.fsum's, and
     the cases next to a tie, a tiny total or heavy cancellation go to
-    math.fsum."""
+    math.fsum.  The part is put in both halves, so each half is decided,
+    or left to math.fsum, on its own."""
     calls = _counting_fallback(monkeypatch)
     part = np.asarray(part, dtype=float)
-    x, q = np.empty((2, len(part)))
-    assert zeta._exact_sum(part, x, q).hex() == math.fsum(part.tolist()).hex()
-    assert calls == ([] if decided else [len(part)])
+    want = math.fsum(part.tolist()).hex()
+    got = _csum(_complex(part, part))
+    assert (got.real.hex(), got.imag.hex()) == (want, want)
+    assert calls == ([] if decided else [len(part), len(part)])
+
+
+def _counting_parts(monkeypatch) -> list:
+    """Count the parts summed by ``_csum``: two entries, the values' length,
+    per call."""
+    parts = []
+    csum = zeta._csum
+
+    def counting(values, *scratch):
+        parts.extend([len(values)] * 2)
+        return csum(values, *scratch)
+
+    monkeypatch.setattr(zeta, "_csum", counting)
+    return parts
+
+
+def _big_spectrum_ctx(tmp_path) -> ZetaTermContext:
+    path = tmp_path / "big.csv"
+    path.write_text(small_h3_spectrum_csv(classes=2000))
+    return ZetaTermContext(sigma=SIGMA1, chi_dim=1, spectrum=LengthSpectrum.read_csv(path),
+                           elliptic_vols=[0.5, 0.75])
 
 
 def test_one_pass_decides_most_log_zeta_parts(monkeypatch, tmp_path):
     """On a 2000-class spectrum the rounding test decides at least 90 % of
     the parts of log Z over the grid, so a test that always falls back to
     math.fsum fails here."""
-    path = tmp_path / "big.csv"
-    path.write_text(small_h3_spectrum_csv(classes=2000))
-    ctx = ZetaTermContext(sigma=SIGMA1, chi_dim=1, spectrum=LengthSpectrum.read_csv(path))
+    ctx = _big_spectrum_ctx(tmp_path)
     points = BIG_SPECTRUM_GRID
     calls = _counting_fallback(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # points left of the abscissa
         log_zeta_truncated(points, ctx)
     assert len(calls) <= 0.1 * (2 * len(points))
+
+
+@pytest.mark.parametrize("evaluator,points", [
+    (xi_correction, np.linspace(4.0, 9.0, 31).tolist()),
+    (geometric_heat_terms, np.geomspace(0.05, 5.0, 31).tolist()),
+], ids=["xi", "heat"])
+def test_one_pass_decides_most_xi_and_heat_parts(monkeypatch, tmp_path, evaluator, points):
+    """The same for every part that xi (its log Z and elliptic sums) and the
+    heat terms (the hyperbolic and elliptic sums) add up on that spectrum,
+    so a sigma shared by both halves leaves few of them to math.fsum."""
+    ctx = _big_spectrum_ctx(tmp_path)
+    parts, calls = _counting_parts(monkeypatch), _counting_fallback(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # points left of the abscissa
+        evaluator(points, ctx)
+    assert len(parts) >= 2 * len(points)
+    assert len(calls) <= 0.1 * len(parts), (len(calls), len(parts))
+
+
+def _terms_oracle(ctx: ZetaTermContext, s) -> complex:
+    """-math.fsum of the class terms of log Z at s, each divided by its
+    adjoint determinant, with the point's own exponential."""
+    hyp, chi_v, (trace,) = _class_arrays(ctx, both=False)
+    den = _adjoint_determinants(hyp, ctx.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return -_fsum_reference(chi_v * trace * np.exp(-(s + ctx.n) * hyp.length) / den)
+
+
+EDGE_POINTS = [3.0, 7.5, complex(3.0, 2.5), complex(7.5, -40.0)]
+
+
+def test_product_by_the_reciprocal_is_the_division_where_it_is_subnormal():
+    """Adjoint determinants near 1.7e308 have subnormal reciprocals, with
+    fewer than 53 bits; log Z still has the bits of the terms divided by
+    them, at float and complex points."""
+    rows = [hyp_row(0.6 + 0.1 * i, (0.4 * i,), tr_chi=complex(1e22 * i, -3e21))
+            ._replace(D=1.7e308 / math.exp(0.6 + 0.1 * i) / (1 + 0.13 * i)) for i in range(1, 9)]
+    rows += [hyp_row(0.55 + 0.2 * i, (0.9,), tr_chi=1e-292j - 1e-293) for i in range(1, 4)]
+    ctx = make_ctx(rows, SIGMA1)
+    hyp = _class_arrays(ctx, both=False)[0]
+    assert (1.0 / _adjoint_determinants(hyp, ctx.n) < sys.float_info.min).sum() == 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # points left of the abscissa
+        warnings.simplefilter("error", RuntimeWarning)
+        got = log_zeta_truncated(EDGE_POINTS, ctx)
+    for s, value in zip(EDGE_POINTS, got):
+        want = _terms_oracle(ctx, s)
+        assert value != 0
+        assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex()), s
+
+
+def test_an_infinite_reciprocal_is_a_numerical_guard_without_a_warning():
+    """A subnormal adjoint determinant has the reciprocal inf, and the
+    division gives a term that is not finite too: log Z is a numerical guard
+    at every point, and numpy warns of nothing."""
+    rows = [hyp_row(0.7, (0.5,), tr_chi=2.0 + 1j)._replace(D=1e-310),
+            hyp_row(1.1, (0.8,), tr_chi=1.0 - 1j)]
+    ctx = make_ctx(rows, SIGMA1)
+    for s in EDGE_POINTS:
+        assert not cmath.isfinite(_terms_oracle(ctx, s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # points left of the abscissa
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalGuardError, match="log Z is not finite at s = "):
+                log_zeta_truncated(s, ctx)
+
+
+def _traced_peak(call) -> tuple:
+    """What call() returns, and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_log_zeta_scratch_memory_does_not_grow_with_the_points(tmp_path):
+    """The per-point buffers are made once per call: the traced peak of log
+    Z at 1000 points of a 2000-class spectrum exceeds that at one point by
+    less than the list of results and 256 KB, far below one row of terms
+    per point (32 KB each)."""
+    ctx = _big_spectrum_ctx(tmp_path)
+    points = [complex(6.0 + 0.005 * i, 0.5) for i in range(1000)]
+    log_zeta_truncated(points[:1], ctx)  # build the class factors kept on the spectrum
+    _, one = _traced_peak(lambda: log_zeta_truncated(points[:1], ctx))
+    values, many = _traced_peak(lambda: log_zeta_truncated(points, ctx))
+    results = sys.getsizeof(values) + sum(map(sys.getsizeof, values))
+    assert many - one < results + 256 * 1024, (many, one, results)
 
 
 # ---------------------------------------------------------------------------
