@@ -6,18 +6,18 @@ All output is plain CSV-ish text with full-precision (17 significant digit)
 floats and no locale dependence; identical configuration and inputs give
 bitwise-identical artifacts.
 
-Each invocation uses the parser for the subcommand its argv names: the
-top level lists every group, but only the invoked group gets its
-subcommands and only the invoked subcommand its arguments.  Help, usage and
-error text are those of the full tree.  Each such parser is built once per
-process: every argparse build leaves reference cycles behind, which only a
-full garbage collection frees.  Likewise, an in-process caller of ``run``
-whose ops read one spectrum file parses it once (``LengthSpectrum.read_csv``
-keeps the last spectrum read), and builds the zeta layer's class factors of
-a weight once, kept on that spectrum; a one-shot command gains nothing.  A
-``--config`` file's values are parsed like flags placed before the command
-line, so they pass the same types and choices, may supply a required
-option, and explicit flags win.
+An argv that begins with a group and its subcommand is parsed past them by
+that subcommand's own parser; any other argv by a tree whose top level
+lists every group, but only the invoked group its subcommands and only the
+invoked subcommand its arguments.  Help, usage and error text are those of
+the full tree.  Each parser is built once per process: every argparse build
+leaves reference cycles behind, which only a full garbage collection frees.
+Likewise, an in-process caller of ``run`` whose ops read one spectrum file
+parses it once (``LengthSpectrum.read_csv`` keeps the last spectrum read),
+and builds the zeta layer's class factors of a weight once, kept on that
+spectrum; a one-shot command gains nothing.  A ``--config`` file's values
+are parsed like flags placed before the command line, so they pass the same
+types and choices, may supply a required option, and explicit flags win.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-guard error.  A
 radius, side, rmax, heat time, cutoff or volume that is not finite and
@@ -44,6 +44,8 @@ import cmath
 import math
 import sys
 from functools import lru_cache
+
+import numpy as np
 
 from . import heat as heat_mod
 from . import zeta as zeta_mod
@@ -110,6 +112,8 @@ def _parse_grid(text: str) -> list[complex]:
         start, stop, step = map(_number, bits)
         if not (step > 0 and all(map(math.isfinite, (start, stop, step)))):
             raise ValidationError("grid bounds must be finite and the step positive")
+        if stop < start:
+            raise ValidationError(f"grid axis {part!r} has its stop below its start")
         # point i is start + i*step; the count is fixed once, so no drift.
         # The slack takes in the rounding of decimal bounds, 2^-40 of the span
         # (0:0.3:0.1 is 2.9999999999999996 steps) and an ulp of each bound,
@@ -118,7 +122,7 @@ def _parse_grid(text: str) -> list[complex]:
         span = (stop - start) / step
         slack = min(span * 2**-40 + (math.ulp(start) + math.ulp(stop)) / step, 0.5)
         span = min(span + slack, MAX_GRID_POINTS)
-        return start, step, max(math.floor(span) + 1, 0)
+        return start, step, math.floor(span) + 1
 
     parts = text.split(",")
     if len(parts) > 2:
@@ -266,12 +270,7 @@ def cmd_heat_trace(args) -> list[str]:
 
 def cmd_heat_fit(args) -> list[str]:
     model = _model(args)
-    if args.t_grid:
-        grid = _parse_values(args.t_grid)
-    else:
-        import numpy as np
-
-        grid = list(np.geomspace(0.001, 0.01, 12))
+    grid = _parse_values(args.t_grid) if args.t_grid else list(np.geomspace(0.001, 0.01, 12))
     fit = heat_mod.fit_expansion(model, grid)
     return [
         f"# expected_leading={fmt(fit.expected_leading)} residual={fmt(fit.residual)}",
@@ -376,9 +375,19 @@ def _named(argv: list[str]) -> tuple[str | None, str | None, int]:
 
 
 @lru_cache(maxsize=None)
+def _leaf_parser(group: str, leaf: str) -> argparse.ArgumentParser:
+    """Subcommand ``leaf``'s own parser, of the argv past ``group leaf``."""
+    parser = argparse.ArgumentParser(prog=f"selberg {group} {leaf}")
+    for flag, kwargs in _COMMANDS[group][1][leaf][2] + _COMMON:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(func=_COMMANDS[group][1][leaf][1])
+    return parser
+
+
+@lru_cache(maxsize=None)
 def _parser(group: str | None, leaf: str | None) -> argparse.ArgumentParser:
     """The top-level parser with every group; only ``group`` gets its
-    subcommands, and only ``leaf`` its arguments, with the full tree's text."""
+    subcommands, and only ``leaf`` the -h, arguments and handler of its own."""
     parser = argparse.ArgumentParser(
         prog="selberg",
         description="geometric side of the trace formula and truncated zeta "
@@ -390,21 +399,17 @@ def _parser(group: str | None, leaf: str | None) -> argparse.ArgumentParser:
         if name != group:
             continue
         subs = p.add_subparsers(dest="subcommand", required=True)
-        for sub, (text, fn, arguments) in leaves.items():
-            q = subs.add_parser(sub, **({} if text is None else {"help": text}))
-            if sub == leaf:
-                for flag, kwargs in arguments + _COMMON:
-                    q.add_argument(flag, **kwargs)
-                q.set_defaults(func=fn)
+        for sub, (text, _, _) in leaves.items():
+            own = {"parents": [_leaf_parser(group, leaf)], "add_help": False} if sub == leaf else {}
+            subs.add_parser(sub, **own, **({} if text is None else {"help": text}))
     return parser
 
 
-def _with_config(argv: list[str]) -> list[str]:
-    """``argv`` with the values of the ``--config`` file it names put before
-    the subcommand's arguments, so explicit flags win: ``--key=value``, or
-    ``--key`` for a flag set to true.  The file is found before any option
-    is required, so that it can supply a required one."""
-    group, leaf, at = _named(argv)
+def _with_config(argv: list[str], group: str | None, leaf: str | None, at: int) -> list[str]:
+    """``argv`` with the values of the ``--config`` file it names put at
+    ``at``, before the arguments of ``leaf``, so explicit flags win:
+    ``--key=value``, or ``--key`` for a flag set to true.  The file is found
+    before any option is required, so that it can supply a required one."""
     flags = (a.partition("=")[0] for a in argv[at:])
     # argparse takes --config and its prefixes from --c, each with or without =value
     if leaf is None or not any(len(f) > 2 and "--config".startswith(f) for f in flags):
@@ -438,9 +443,13 @@ def _with_config(argv: list[str]) -> list[str]:
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _parser(*_named(argv)[:2])
+    group, leaf, at = _named(argv)
     try:
-        args = parser.parse_args(_with_config(argv))
+        argv = _with_config(argv, group, leaf, at)
+        direct = argv[:at] == [group, leaf]
+        args, extra = _leaf_parser(group, leaf).parse_known_args(argv[at:]) if direct else (None, [])
+        if not direct or extra:  # the tree reports leftover tokens, as argparse does
+            args = _parser(group, leaf).parse_args(argv)
         lines = args.func(args)
         payload = "".join(f"{line}\n" for line in (["ok"] if args.validate else lines))
         if args.out:

@@ -28,7 +28,7 @@ from conftest import (
 import selberg.cli
 import selberg.heat
 import selberg.lie
-from selberg.cli import MAX_GRID_POINTS, _parse_grid, run
+from selberg.cli import _COMMANDS, MAX_GRID_POINTS, _leaf_parser, _parse_grid, _parser, run
 from selberg.errors import NumericalGuardError, ValidationError
 from selberg.geometry import ConjClassRecord, LengthSpectrum, enumerate_elements
 from selberg.lie import EllipticAngles, WeightVector
@@ -767,6 +767,23 @@ def test_parse_grid_counts_the_benchmark_grids():
         assert len(_parse_grid(f"{start}:{start + 5.0}:{5.0 / 100}")) == 101, start
 
 
+@pytest.mark.parametrize("grid", ["5:4:1", "0:1:0.5,1:0:0.5", "-1e-300:-2e-300:1", "1:0.5:1"])
+def test_parse_grid_refuses_a_reversed_axis(grid):
+    """An axis whose stop is below its start, the imaginary one too, has no
+    point; it is refused rather than giving an empty grid."""
+    with pytest.raises(ValidationError, match="stop below its start"):
+        _parse_grid(grid)
+
+
+def test_zeta_eval_refuses_a_reversed_grid(capsys, tmp_path):
+    spec = tmp_path / "small.csv"
+    spec.write_text(small_h3_spectrum_csv())
+    code, out, err = invoke(capsys, "zeta", "eval", "--spectrum", str(spec), "--sigma", "1",
+                            "--s-grid", "5:4:1")
+    assert (code, out) == (2, "")
+    assert err == "error: grid axis '5:4:1' has its stop below its start\n"
+
+
 @pytest.mark.parametrize("grid", ["0:1e9:1e-9", "0:1000:1,0:1000:1", "-1e308:1e308:1e-300"])
 def test_parse_grid_refuses_too_many_points(grid):
     with pytest.raises(ValidationError, match="more than 1000000 points"):
@@ -873,6 +890,66 @@ def test_usage_errors_are_frozen(capsys, monkeypatch, argv):
         code = exit_code(argv.split())
         captured = capsys.readouterr()
         assert [code, captured.out, captured.err] == FROZEN["errors"][argv]
+
+
+@frozen_argparse
+@pytest.mark.parametrize("argv", FROZEN["odd_argv"])
+def test_odd_argv_text_is_frozen(capsys, monkeypatch, argv):
+    """Argv that a subcommand's own parser does not parse alone, or not
+    whole: an option before the group or subcommand, tokens between them, a
+    token left over after a complete subcommand, and an option that lacks
+    its value.  Text frozen from the parser tree alone."""
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        code = exit_code(argv.split())
+        captured = capsys.readouterr()
+        assert [code, captured.out, captured.err] == FROZEN["odd_argv"][argv]
+
+
+def _valid_tokens(arguments, every: bool) -> list[str]:
+    """Tokens that give a valid value to each required argument, or to every
+    argument with ``every``."""
+    tokens = []
+    for flag, kwargs in arguments:
+        if not (every or kwargs.get("required")):
+            continue
+        if kwargs.get("action") == "store_true":
+            tokens.append(flag)
+        elif "choices" in kwargs:
+            tokens += [flag, kwargs["choices"][-1]]
+        else:
+            tokens += [flag, {int: "2", float: "1.5"}.get(kwargs.get("type"), "1,0")]
+    return tokens
+
+
+LEAVES = [(group, leaf) for group, (_, leaves) in _COMMANDS.items() for leaf in leaves]
+
+
+@pytest.mark.parametrize("every", [False, True], ids=["required", "every"])
+@pytest.mark.parametrize("group,leaf", LEAVES, ids=[" ".join(x) for x in LEAVES])
+def test_own_parser_and_tree_give_the_same_namespace(group, leaf, every):
+    """The parser of the argv past ``group leaf`` and the parser tree give
+    the same values of the same types, defaults and handler included; only
+    the tree records the group and subcommand it walked."""
+    _, fn, arguments = _COMMANDS[group][1][leaf]
+    tokens = _valid_tokens(arguments + selberg.cli._COMMON, every)
+    own = vars(_leaf_parser(group, leaf).parse_args(tokens))
+    tree = vars(_parser(group, leaf).parse_args([group, leaf, *tokens]))
+    assert (tree.pop("command"), tree.pop("subcommand")) == (group, leaf)
+    assert {k: (v, type(v)) for k, v in own.items()} == {k: (v, type(v)) for k, v in tree.items()}
+    assert own["func"] is fn
+
+
+def test_a_call_that_begins_with_its_subcommand_builds_no_tree(capsys, monkeypatch):
+    """The common argv goes to the subcommand's own parser alone; only a
+    leftover token sends it to the tree, which reports it."""
+    tree = selberg.cli._parser
+    calls = []
+    monkeypatch.setattr(selberg.cli, "_parser", lambda *key: calls.append(key) or tree(*key))
+    code, out, err = invoke(capsys, "lie", "character", "--weight", "1", "--angles", "0.3")
+    assert (code, err, calls) == (0, "", []) and out.count(",") == 1
+    assert exit_code(["lie", "character", "--weight", "1", "--angles", "0.3", "lie"]) == 2
+    assert calls and "unrecognized arguments: lie" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", FROZEN["zeta"])

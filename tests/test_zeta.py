@@ -27,6 +27,7 @@ from selberg.zeta import (
     _adjoint_determinants,
     _class_arrays,
     _csum,
+    _small_csum,
     antisymmetric_zeta,
     convergence_abscissa_estimate,
     epsilon_sigma,
@@ -771,10 +772,33 @@ CSUM_CASES = _csum_cases()
 
 @pytest.mark.parametrize("values", CSUM_CASES.values(), ids=CSUM_CASES.keys())
 def test_csum_is_fsum_bit_for_bit(values):
-    """The extraction kernel returns what math.fsum returns on each part, to
-    the bit, or raises the exception type it raises."""
+    """The extraction kernel, and the math.fsum pair that sums the few
+    elliptic terms, return what math.fsum returns on each part, to the bit,
+    or raise the exception type it raises."""
     assert _outcome(_csum, values) == _outcome(_fsum_reference, values)
     assert _outcome(_csum, values.tolist()) == _outcome(_fsum_reference, values)
+    assert _outcome(_small_csum, values.tolist()) == _outcome(_fsum_reference, values)
+
+
+#: xi and the heat terms, each with 31 points on the 2000-class spectrum
+XI_AND_HEAT = pytest.mark.parametrize("evaluator,points", [
+    (xi_correction, np.linspace(4.0, 9.0, 31).tolist()),
+    (geometric_heat_terms, np.geomspace(0.05, 5.0, 31).tolist()),
+], ids=["xi", "heat"])
+
+
+@XI_AND_HEAT
+def test_elliptic_sums_keep_the_bits_of_the_extraction_kernel(monkeypatch, tmp_path, evaluator,
+                                                              points):
+    """xi and the heat terms are bit-identical when their elliptic sums go
+    through ``_csum`` instead."""
+    ctx = _big_spectrum_ctx(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # points left of the abscissa
+        got = evaluator(points, ctx)
+        monkeypatch.setattr(zeta, "_small_csum", _csum)
+        want = evaluator(points, ctx)
+    assert repr(got) == repr(want)
 
 
 #: the points at which log Z over a 2000-class spectrum is checked
@@ -885,14 +909,11 @@ def test_one_pass_decides_most_log_zeta_parts(monkeypatch, tmp_path):
     assert len(calls) <= 0.1 * (2 * len(points))
 
 
-@pytest.mark.parametrize("evaluator,points", [
-    (xi_correction, np.linspace(4.0, 9.0, 31).tolist()),
-    (geometric_heat_terms, np.geomspace(0.05, 5.0, 31).tolist()),
-], ids=["xi", "heat"])
+@XI_AND_HEAT
 def test_one_pass_decides_most_xi_and_heat_parts(monkeypatch, tmp_path, evaluator, points):
-    """The same for every part that xi (its log Z and elliptic sums) and the
-    heat terms (the hyperbolic and elliptic sums) add up on that spectrum,
-    so a sigma shared by both halves leaves few of them to math.fsum."""
+    """The same for every part that xi (its log Z sums) and the heat terms
+    (the hyperbolic sums) add up through ``_csum`` on that spectrum, so a
+    sigma shared by both halves leaves few of them to math.fsum."""
     ctx = _big_spectrum_ctx(tmp_path)
     parts, calls = _counting_parts(monkeypatch), _counting_fallback(monkeypatch)
     with warnings.catch_warnings():
