@@ -6,12 +6,13 @@ All output is plain CSV-ish text with full-precision (17 significant digit)
 floats and no locale dependence; identical configuration and inputs give
 bitwise-identical artifacts.
 
-An argv that begins with a group and its subcommand is parsed past them by
-that subcommand's own parser; any other argv by a tree whose top level
-lists every group, but only the invoked group its subcommands and only the
-invoked subcommand its arguments.  Help, usage and error text are those of
-the full tree.  Each parser is built once per process: every argparse build
-leaves reference cycles behind, which only a full garbage collection frees.
+Only an argv that begins with a group and one of its subcommands can run a
+command, as the top-level and group parsers take no option but ``-h``; that
+subcommand's own parser parses the rest.  Any other argv, or one with tokens
+left over, goes whole to the full tree, which prints help or argparse's
+error.  Each parser is built once per process, the tree only when needed:
+every argparse build leaves reference cycles behind, which only a full
+garbage collection frees.
 Likewise, an in-process caller of ``run`` whose ops read one spectrum file
 parses it once (``LengthSpectrum.read_csv`` keeps the last spectrum read),
 and builds the zeta layer's class factors of a weight once, kept on that
@@ -29,8 +30,8 @@ past ``MAX_AXIS_MODES`` modes on an axis or a lattice radius of 2^52, a
 weight coordinate with |2k| >= 2^53 and a rank past ``lie.MAX_RANK``.  So
 are a missing or unwritable file, malformed JSON and a list or grid item
 that is not a number; each prints one ``error:`` line.  A twist trace that
-is not finite or a Plancherel coefficient past the float range is a
-numerical guard.
+is not finite, a Plancherel coefficient past the float range and a phase
+k*phi that may round past ``lie.PHASE_TOL`` are numerical guards.
 
 ``--validate`` runs every check of the op, the computation included, and
 prints ``ok`` in place of the output lines, so its exit code and error line
@@ -363,17 +364,6 @@ _COMMANDS = {
 }
 
 
-def _named(argv: list[str]) -> tuple[str | None, str | None, int]:
-    """The group and subcommand that ``argv`` invokes, and the index just
-    past the subcommand.  Only ``-h`` precedes them as an option, so each is
-    the first token that names one."""
-    group = next((a for a in argv if a in _COMMANDS), None)
-    at = argv.index(group) + 1 if group else 0
-    leaves = _COMMANDS[group][1] if group else {}
-    leaf = next((a for a in argv[at:] if a in leaves), None)
-    return group, leaf, argv.index(leaf, at) + 1 if leaf else at
-
-
 @lru_cache(maxsize=None)
 def _leaf_parser(group: str, leaf: str) -> argparse.ArgumentParser:
     """Subcommand ``leaf``'s own parser, of the argv past ``group leaf``."""
@@ -385,48 +375,46 @@ def _leaf_parser(group: str, leaf: str) -> argparse.ArgumentParser:
 
 
 @lru_cache(maxsize=None)
-def _parser(group: str | None, leaf: str | None) -> argparse.ArgumentParser:
-    """The top-level parser with every group; only ``group`` gets its
-    subcommands, and only ``leaf`` the -h, arguments and handler of its own."""
+def _parser() -> argparse.ArgumentParser:
+    """The whole tree: every group, and under it every subcommand with the
+    -h, arguments and handler of its own parser."""
     parser = argparse.ArgumentParser(
         prog="selberg",
         description="geometric side of the trace formula and truncated zeta "
         "functions on compact hyperbolic orbifolds",
     )
     groups = parser.add_subparsers(dest="command", required=True)
-    for name, (text, leaves) in _COMMANDS.items():
-        p = groups.add_parser(name, help=text)
-        if name != group:
-            continue
-        subs = p.add_subparsers(dest="subcommand", required=True)
-        for sub, (text, _, _) in leaves.items():
-            own = {"parents": [_leaf_parser(group, leaf)], "add_help": False} if sub == leaf else {}
-            subs.add_parser(sub, **own, **({} if text is None else {"help": text}))
+    for group, (text, leaves) in _COMMANDS.items():
+        subs = groups.add_parser(group, help=text).add_subparsers(dest="subcommand", required=True)
+        for leaf, (text, _, _) in leaves.items():
+            subs.add_parser(leaf, parents=[_leaf_parser(group, leaf)], add_help=False,
+                            **({} if text is None else {"help": text}))
     return parser
 
 
-def _with_config(argv: list[str], group: str | None, leaf: str | None, at: int) -> list[str]:
-    """``argv`` with the values of the ``--config`` file it names put at
-    ``at``, before the arguments of ``leaf``, so explicit flags win:
-    ``--key=value``, or ``--key`` for a flag set to true.  The file is found
-    before any option is required, so that it can supply a required one."""
-    flags = (a.partition("=")[0] for a in argv[at:])
-    # argparse takes --config and its prefixes from --c, each with or without =value
-    if leaf is None or not any(len(f) > 2 and "--config".startswith(f) for f in flags):
-        return argv
+def _with_config(group: str, leaf: str, tokens: list[str]) -> list[str]:
+    """The tokens past ``group leaf``, after the values of the ``--config``
+    file they name, so explicit flags win: ``--key=value``, or ``--key`` for
+    a flag set to true.  The file is found before any option is required, so
+    that it can supply a required one."""
+    options = dict(_COMMANDS[group][1][leaf][2] + _COMMON)
+    # --config or a prefix that begins no other option, as argparse reads them
+    flags = (a.partition("=")[0] for a in tokens)
+    named = [f for f in flags if len(f) > 2 and "--config".startswith(f)]
+    if not named or any(sum(o.startswith(f) for o in options) > 1 for f in named):
+        return tokens
     finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     finder.add_argument("--config")
     try:
-        path = finder.parse_known_args(argv[at:])[0].config
-    except argparse.ArgumentError:  # the full parser reports it
-        return argv
+        path = finder.parse_known_args(tokens)[0].config
+    except argparse.ArgumentError:  # the subcommand's parser reports it
+        return tokens
     if not path:
-        return argv
+        return tokens
     data = read_json(path)
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
-    options = dict(_COMMANDS[group][1][leaf][2] + _COMMON)
-    tokens = []
+    config = []
     for key, value in data.items():
         kwargs = options.get(f"--{key}")
         if kwargs is None:
@@ -437,19 +425,20 @@ def _with_config(argv: list[str], group: str | None, leaf: str | None, at: int) 
         kinds = bool if flag else (int, float) if "type" in kwargs else (int, float, str)
         if not isinstance(value, kinds) or (isinstance(value, bool) and not flag):
             raise ValidationError(f"config key {key!r} has a value of the wrong type")
-        tokens += [f"--{key}"] * value if flag else [f"--{key}={value}"]
-    return argv[:at] + tokens + argv[at:]
+        config += [f"--{key}"] * value if flag else [f"--{key}={value}"]
+    return config + tokens
 
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    group, leaf, at = _named(argv)
+    head, tokens = argv[:2], argv[2:]
+    direct = len(head) == 2 and head[1] in _COMMANDS.get(head[0], ("", {}))[1]
     try:
-        argv = _with_config(argv, group, leaf, at)
-        direct = argv[:at] == [group, leaf]
-        args, extra = _leaf_parser(group, leaf).parse_known_args(argv[at:]) if direct else (None, [])
-        if not direct or extra:  # the tree reports leftover tokens, as argparse does
-            args = _parser(group, leaf).parse_args(argv)
+        if direct:
+            tokens = _with_config(*head, tokens)
+            args, extra = _leaf_parser(*head).parse_known_args(tokens)
+        if not direct or extra:  # the tree prints help or the error, as argparse does
+            args = _parser().parse_args(head + tokens)
         lines = args.func(args)
         payload = "".join(f"{line}\n" for line in (["ok"] if args.validate else lines))
         if args.out:

@@ -39,7 +39,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .errors import NonRegularElementError, ValidationError
+from .errors import NonRegularElementError, NumericalGuardError, ValidationError
 from .geometry import _fraction
 
 TWO_PI = 2.0 * math.pi
@@ -56,6 +56,10 @@ MAX_RANK = 1000
 #: bound on a doubled weight coordinate 2k: floats are exact integers below it,
 #: so mu = sigma + delta is exact in floats
 MAX_DOUBLED = 2**53
+
+#: largest rounding, in radians, of a phase k*phi formed in floats, which is
+#: up to |k*phi| 2^-53: at angles near 2pi, |k| up to about 1.4e6 passes
+PHASE_TOL = 1e-9
 
 #: i^n, indexed by n mod 4
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -262,6 +266,14 @@ def w0_flip(w: WeightVector) -> WeightVector:
     return WeightVector(w.doubled[:-1] + (-w.doubled[-1],))
 
 
+def check_phases(k, top: float) -> None:
+    """A NumericalGuardError if phases k*phi at angles in [0, ``top``] may round past PHASE_TOL."""
+    error = float(max(map(abs, k))) * top * 2.0**-53
+    if error > PHASE_TOL:
+        raise NumericalGuardError(f"phases k*phi at angles up to {top:.17g} may be off by "
+                                  f"{error:.3e} rad, past {PHASE_TOL:g}")
+
+
 def torus_character(weight: WeightVector, angles: EllipticAngles) -> complex:
     """xi_Omega at a rotation: exp(i * sum_j k_j phi_j).
 
@@ -270,6 +282,7 @@ def torus_character(weight: WeightVector, angles: EllipticAngles) -> complex:
     """
     if weight.rank != len(angles):
         raise ValidationError("rank mismatch between weight and angles")
+    check_phases(weight.coords, max(angles.angles))
     phase = math.fsum(
         d * a for d, a in zip(weight.doubled, angles.angles)
     ) / 2.0
@@ -297,6 +310,7 @@ def weyl_character(
     if not weight.is_dominant():
         raise ValidationError(f"weight {weight} is not dominant")
     mu = 0.5 * np.array((weight + half_sum_positive_roots(n)).doubled, dtype=float)
+    check_phases(mu, float(phi.max(initial=0.0)))
     x = 2.0 * np.cos(phi)
     upper, lower = np.triu_indices(n, 1)
     den = np.prod(x[:, upper] - x[:, lower], axis=1)

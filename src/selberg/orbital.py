@@ -36,6 +36,7 @@ from .lie import (
     EllipticAngles,
     WeightVector,
     _alternants,
+    check_phases,
     half_sum_positive_roots,
     w0_flip,
     weyl_group_order,
@@ -179,6 +180,7 @@ def orbital_polynomial(
         raise ValidationError(f"weight {sigma} is not dominant")
     weyl_group_order(n)  # the rank check
     mu = np.add(sigma.doubled, half_sum_positive_roots(n).doubled) / 2.0
+    check_phases(mu, max(angles.angles))
     roots = stabilizer_roots(angles, n)
     blocks = []  # the components of the slots that the roots join
     for row in roots[:, 1:].tolist():

@@ -178,6 +178,19 @@ def test_plancherel_past_the_float_range_is_a_numerical_guard(capsys):
                    "100000000000000 is past the float range\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("lie", "character", "--weight", "4000000000000001", "--angles", "0.7"),
+    ("lie", "character", "--weight", "4000000000000001", "--angles", "0.7", "--xi"),
+    ("orbital", "poly", "--n", "1", "--sigma", "4000000000000001", "--angles", "0.7"),
+], ids=["character", "character-xi", "poly"])
+def test_a_phase_past_the_float_rounding_is_a_numerical_guard(capsys, argv):
+    """k*phi rounds by up to 0.31 rad here; the character printed 0.99233
+    where cos(k phi) is 0.98931."""
+    assert invoke(capsys, *argv) == (3, "", (
+        "numerical guard: phases k*phi at angles up to 0.69999999999999996 may be off by "
+        "3.109e-01 rad, past 1e-09\n"))
+
+
 def test_delta_m_refuses_a_rank_past_the_bound(capsys, tmp_path, monkeypatch):
     """A rank past MAX_RANK, from the command line or a config file, is
     refused before delta is built."""
@@ -934,7 +947,7 @@ def test_own_parser_and_tree_give_the_same_namespace(group, leaf, every):
     _, fn, arguments = _COMMANDS[group][1][leaf]
     tokens = _valid_tokens(arguments + selberg.cli._COMMON, every)
     own = vars(_leaf_parser(group, leaf).parse_args(tokens))
-    tree = vars(_parser(group, leaf).parse_args([group, leaf, *tokens]))
+    tree = vars(_parser().parse_args([group, leaf, *tokens]))
     assert (tree.pop("command"), tree.pop("subcommand")) == (group, leaf)
     assert {k: (v, type(v)) for k, v in own.items()} == {k: (v, type(v)) for k, v in tree.items()}
     assert own["func"] is fn
@@ -950,6 +963,57 @@ def test_a_call_that_begins_with_its_subcommand_builds_no_tree(capsys, monkeypat
     assert (code, err, calls) == (0, "", []) and out.count(",") == 1
     assert exit_code(["lie", "character", "--weight", "1", "--angles", "0.3", "lie"]) == 2
     assert calls and "unrecognized arguments: lie" in capsys.readouterr().err
+
+
+# argv that do not begin with a group and its subcommand -> exit code
+ODD_ARGV = {
+    "-h first": (["-h", "lie", "weyl", "--n", "3"], 0),
+    "--he first": (["--he", "lie", "weyl", "--n", "3"], 0),
+    "-h between": (["lie", "-h", "weyl", "--n", "3"], 0),
+    "token between": (["lie", "x", "weyl", "--n", "3"], 2),
+    "option between": (["lie", "--n", "3", "weyl"], 2),
+    "unknown option first": (["-x", "lie", "weyl", "--n", "3"], 2),
+    "-- first": (["--", "lie", "weyl", "--n", "3"], 2),
+    "-- between": (["lie", "--", "weyl", "--n", "3"], 2),
+    "empty": ([], 2),
+    "group alone": (["lie"], 2),
+}
+
+
+@pytest.mark.parametrize("config", [False, True], ids=["plain", "config"])
+@pytest.mark.parametrize("argv,code", ODD_ARGV.values(), ids=ODD_ARGV.keys())
+def test_only_an_argv_that_begins_with_its_subcommand_runs(capsys, monkeypatch, tmp_path,
+                                                          argv, code, config):
+    """The top-level and group parsers take no option but -h, so any other
+    argv ends in argparse's help (exit 0) or usage error (exit 2), with no
+    handler run and no --config file opened."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"count": True}))
+    monkeypatch.setattr(selberg.cli, "read_json", lambda path: pytest.fail(f"opened {path}"))
+    with pytest.raises(SystemExit) as exc:
+        run(argv + (["--config", str(cfg)] if config else []))
+    out, err = capsys.readouterr()
+    assert exc.value.code == code
+    if code:
+        assert out == "" and err.startswith("usage: selberg") and "error: " in err
+    else:
+        assert out.startswith("usage: selberg") and err == ""
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["zeta", "eval", "--s-grid", "3:4:1", "--sigma", "1", "--c", "3"],
+     "--c could match --chi-dim, --cutoff, --config"),
+    (["lie", "weyl", "--n", "3", "--c", "x.json"], "--c could match --count, --config"),
+    (["lie", "weyl", "--n", "3", "--co=x.json"], "--co=x.json could match --count, --config"),
+], ids=["zeta-c", "weyl-c", "weyl-co="])
+def test_an_ambiguous_config_prefix_is_the_parser_s_error(capsys, monkeypatch, argv, error):
+    """A prefix of --config that also begins another option of the
+    subcommand names no file: argparse reports it and nothing is opened."""
+    monkeypatch.setattr(selberg.cli, "read_json", lambda path: pytest.fail(f"opened {path}"))
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f": error: ambiguous option: {error}\n")
 
 
 @pytest.mark.parametrize("key", FROZEN["zeta"])
@@ -1020,6 +1084,25 @@ def test_in_process_runs_match_fresh_processes(capsys, tmp_path):
     outs = [p.communicate()[0].decode() for p in fresh]
     assert [(p.returncode, out) for p, out in zip(fresh, outs)] == in_process
     assert [code for code, _ in in_process] == [0] * 4 and in_process[0] != in_process[1]
+
+
+def test_the_console_entry_point_exits_with_the_code_of_run():
+    """``python -m selberg.cli`` runs ``main``, the ``selberg`` script: its
+    output and exit code are run's, argparse's usage error included."""
+    cases = [  # argv, exit code, stdout, start of stderr
+        (["lie", "delta-m", "--n", "3"], 0, "2,1,0\n", ""),
+        (["lie", "bogus"], 2, "", "usage: selberg lie [-h]"),
+        (["lie", "delta-m", "--n", "0"], 2, "", "error: rank must be between 1 and 1000, got 0\n"),
+        (["heat", "fit", "--model", "circle", "--t-grid", "0.001,0.001,0.001,0.002"], 3, "",
+         "numerical guard: fit design matrix has condition number "),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    procs = [subprocess.Popen([sys.executable, "-m", "selberg.cli", *argv], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for argv, *_ in cases]
+    for proc, (_, code, out, err) in zip(procs, cases):
+        got_out, got_err = proc.communicate(timeout=60)
+        assert (proc.returncode, got_out) == (code, out) and got_err.startswith(err)
 
 
 SPECTRUM_HEADER = "# selberg-spectrum spec_hash=x cutoff=5 max_word_len=0 model=H3-complex-2x2"

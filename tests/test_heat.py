@@ -188,6 +188,15 @@ def test_fit_expansion_window_guard():
         fit_expansion(make_model("circle"), [0.01, 0.02])  # too few points
 
 
+def test_fit_expansion_refuses_an_ill_conditioned_grid():
+    """Three equal times leave two distinct rows for three ladder terms."""
+    with pytest.raises(IllConditionedFitError) as exc:
+        fit_expansion(make_model("circle"), [0.001, 0.001, 0.001, 0.002])
+    cond = exc.value.condition_number
+    assert cond > 1e12
+    assert str(exc.value) == f"fit design matrix has condition number {cond:.3e}"
+
+
 def test_weyl_counting_circle_reflection():
     report = weyl_counting_check(make_model("circle-reflection"), 40000.0)
     assert report.eigenvalue_count >= 200

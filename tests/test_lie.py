@@ -13,8 +13,9 @@ from conftest import (
     weyl_act,
     weyl_dn,
 )
-from selberg.errors import NonRegularElementError, ValidationError
+from selberg.errors import NonRegularElementError, NumericalGuardError, ValidationError
 from selberg.lie import (
+    PHASE_TOL,
     EllipticAngles,
     WeightVector,
     half_sum_positive_roots,
@@ -24,6 +25,7 @@ from selberg.lie import (
     weyl_character,
     weyl_group,
 )
+from selberg.orbital import orbital_polynomial
 
 
 def test_half_sum_examples():
@@ -295,3 +297,26 @@ def test_weight_coordinates_stay_in_the_exact_float_range():
     for doubled in ((2**53,), (0, -(2**53)), (2**60, 2)):
         with pytest.raises(ValidationError, match="2k"):
             WeightVector(doubled)
+
+
+def test_phases_past_the_float_rounding_are_refused():
+    """k*phi is a float product, off by up to |k*phi| * 2^-53.  At k = 4e15
+    and phi = 0.7 that is 0.31 rad: each evaluator that forms such phases
+    refuses, where it printed 0.99233 for cos(k phi) = 0.98931.  An angle of
+    0 gives an exact phase.  Below the bound, the rank-1 character is within
+    PHASE_TOL of exp(i k phi) at 50 digits (mpmath, same float phi)."""
+    big, at = WeightVector.from_coords([4000000000000001]), EllipticAngles((0.7,))
+    evaluators = (torus_character, weyl_character,
+                  lambda w, a: weyl_character(w, np.array([a.angles])),
+                  lambda w, a: orbital_polynomial(w, a, 1))
+    for evaluate in evaluators:
+        with pytest.raises(NumericalGuardError, match=r"phases k\*phi .* past 1e-09"):
+            evaluate(big, at)
+    zero = EllipticAngles((0.0,))
+    assert torus_character(big, zero) == weyl_character(big, zero) == 1
+    k, phi = 1000000, 6.0  # |k phi| 2^-53 = 6.7e-10
+    with mpmath.workdps(50):
+        want = complex(mpmath.expj(mpmath.mpf(k) * mpmath.mpf(phi)))
+    for got in (torus_character(WeightVector.from_coords([k]), EllipticAngles((phi,))),
+                weyl_character(WeightVector.from_coords([k]), np.array([[phi]]))[0]):
+        assert abs(got - want) < PHASE_TOL

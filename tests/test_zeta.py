@@ -704,6 +704,22 @@ def test_overflowing_zeta_raises_numerical_guard():
             fn(4.0, ctx)
 
 
+def test_antisymmetric_refuses_a_vanished_flipped_zeta():
+    """One class at theta = pi/4 with tr chi = 2e5 e^{i pi/4}: the rank-1
+    characters e^{+-i theta} turn tr chi real for the flipped weight only,
+    so Re log Z(3, w0 sigma) is about -806, past exp's range, while
+    Z(3, sigma) has modulus 1."""
+    ctx = make_ctx([hyp_row(1.0, (math.pi / 4,), tr_chi=2e5 * cmath.exp(0.25j * math.pi))],
+                   SIGMA1)
+    flipped = log_zeta_truncated(3.0, ctx.with_sigma(w0_flip(SIGMA1)))
+    assert flipped.real < -800 and cmath.exp(flipped) == 0
+    assert abs(cmath.exp(log_zeta_truncated(3.0, ctx))) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(NumericalGuardError) as exc:
+        antisymmetric_zeta(3.0, ctx)
+    assert str(exc.value) == ("zeta value at the flipped weight vanished or overflowed at "
+                              "s = 3.0; the antisymmetric ratio is undefined here")
+
+
 def _complex(re, im) -> np.ndarray:
     """A complex array with the given parts, set apart so that inf stays inf."""
     z = np.empty(len(re), dtype=complex)
