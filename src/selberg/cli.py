@@ -53,6 +53,7 @@ from . import zeta as zeta_mod
 from .errors import NumericalGuardError, ValidationError
 from .geometry import (
     DEFAULT_ELEMENT_CAP,
+    KINDS,
     GroupSpec,
     LengthSpectrum,
     build_length_spectrum,
@@ -209,8 +210,8 @@ def cmd_spectrum_enumerate(args) -> list[str]:
 def cmd_spectrum_classify(args) -> list[str]:
     spec = GroupSpec.from_file(args.group)
     word = tuple(_parse_values(args.word, int))
-    c = classify(spec.word_matrix(word), spec.model)
-    return ["kind,l,theta", f"{c.kind},{fmt(c.length)},{fmt(c.angle)}"]
+    kind, length, angle = classify(spec.word_matrix(word), spec.model)
+    return ["kind,l,theta", f"{KINDS[kind[0]]},{fmt(length[0])},{fmt(angle[0])}"]
 
 
 def _abs_exp(z: complex) -> float:

@@ -337,21 +337,25 @@ def enumerate_elements(
 # classification
 
 
-#: kind names by the codes ``_classify`` returns, in record order
+#: kind names by the codes ``classify`` returns, in record order
 KINDS = ("identity", "elliptic", "hyperbolic")
 ELLIPTIC, HYPERBOLIC = 1, 2
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: str  # identity | elliptic | hyperbolic
-    length: float
-    angle: float
-
-
-def _classify(stack, model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def classify(stack, model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kind code (index into KINDS), length and angle of each matrix of a
-    stack, in one pass; ``classify`` is its one-element case."""
+    stack, in one pass, through its eigenvalue of largest modulus.
+
+    Hyperbolic: |lambda| > 1, translation length 2*ln|lambda| and rotation
+    angle 2*arg(lambda) mod 2pi (the orientation induced by the translation
+    direction makes this stable under lift sign and inversion).  Elliptic:
+    2*acos(tr/2) of a chosen lift.  In H2 it is the lift whose lower-left
+    entry is positive, so g and g^-1 get the labels theta and 2pi - theta
+    whatever the lift or conjugate; in H3 it is the given lift, and -m
+    gets 2pi - theta.  A trace within 1e-8 of +-2 on a non-identity
+    element means a (numerically) defective parabolic, which is rejected:
+    the groups of interest act cocompactly.
+    """
     m = np.asarray(stack, dtype=complex).reshape(-1, 2, 2)
     identity = projectively_close(m, np.eye(2), CLASSIFY_TOL)
     tr = m[:, 0, 0] + m[:, 1, 1]
@@ -374,23 +378,6 @@ def _classify(stack, model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         half_trace *= np.where(m[elliptic, 1, 0].real > 0, 1.0, -1.0)
     angle[elliptic] = 2.0 * np.arccos(np.clip(half_trace, -1.0, 1.0))
     return ELLIPTIC * elliptic + HYPERBOLIC * hyperbolic, length, angle
-
-
-def classify(matrix, model: str) -> Classification:
-    """Classify an isometry through its eigenvalue of largest modulus.
-
-    Hyperbolic: |lambda| > 1, translation length 2*ln|lambda| and rotation
-    angle 2*arg(lambda) mod 2pi (the orientation induced by the translation
-    direction makes this stable under lift sign and inversion).  Elliptic:
-    2*acos(tr/2) of a chosen lift.  In H2 it is the lift whose lower-left
-    entry is positive, so g and g^-1 get the labels theta and 2pi - theta
-    whatever the lift or conjugate; in H3 it is the given lift, and -m
-    gets 2pi - theta.  A trace within 1e-8 of +-2 on a non-identity
-    element means a (numerically) defective parabolic, which is rejected:
-    the groups of interest act cocompactly.
-    """
-    kind, length, angle = _classify(matrix, model)
-    return Classification(KINDS[kind[0]], float(length[0]), float(angle[0]))
 
 
 def weight_D(length: float, angles, n: int) -> float:
@@ -452,7 +439,7 @@ def conjugacy_reduce(elements: list[GroupElement], spec: GroupSpec,
     bucket; ``LengthSpectrum`` puts the hyperbolic rows in canonical order.
     """
     mats = np.array([el.matrix for el in elements], dtype=complex).reshape(-1, 2, 2)
-    kind, length, angle = _classify(mats, spec.model)
+    kind, length, angle = classify(mats, spec.model)
     words = [el.word for el in elements]
     fold = (kind == ELLIPTIC) & (spec.model == "H3-complex-2x2")
     label = np.where(fold, np.minimum(angle, TWO_PI - angle), angle)
@@ -531,9 +518,6 @@ def _axis_fixers(witness: int, axis_ball: tuple) -> tuple[int, float, int]:
 # ---------------------------------------------------------------------------
 # length spectrum container and CSV round trip
 
-#: pads the rows of a word matrix: it lies below every letter, so a word
-#: sorts before its extensions, as tuples do
-WORD_PAD = np.iinfo(np.int64).min
 _CSV_COLUMNS = "kind,l,l0,power,theta,D,v,re_trchi,im_trchi,word"
 #: the values of a power or word letter
 _INT64 = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
@@ -545,8 +529,9 @@ class SpectrumColumns(NamedTuple):
     only as exact Fractions, whose floats the zeta layer makes once per
     spectrum and keeps in ``LengthSpectrum.derived``.
 
-    ``angles`` is an (N, n) float matrix and ``word`` an (N, L) int64
-    matrix; a row with fewer entries is padded with NaN and WORD_PAD.
+    ``angles`` and ``word`` hold one tuple per class, the class's rotation
+    angles and its witness word; ``angles_of_rank`` gives the angles as a
+    float matrix.
     """
 
     kind: np.ndarray  # "elliptic" or "hyperbolic"
@@ -574,9 +559,9 @@ class SpectrumColumns(NamedTuple):
         return cls(
             np.array(kind, dtype=str), np.array(length, dtype=float),
             np.array(l0, dtype=float), np.array(power, dtype=np.int64),
-            _padded(angles, float, np.nan), np.array(D, dtype=float),
+            _tuples(angles), np.array(D, dtype=float),
             np.array(v, dtype=object), np.array(tr_chi, dtype=complex),
-            _padded(word, np.int64, WORD_PAD), np.array(ambiguous, dtype=bool),
+            _tuples(word), np.array(ambiguous, dtype=bool),
         )
 
     def take(self, index) -> "SpectrumColumns":
@@ -585,25 +570,15 @@ class SpectrumColumns(NamedTuple):
 
     def angles_of_rank(self, n: int) -> np.ndarray:
         """The (N, n) angle matrix; a ValidationError unless every row has n angles."""
-        if np.any(np.count_nonzero(~np.isnan(self.angles), axis=1) != n):
+        if any(len(angles) != n for angles in self.angles):
             raise ValidationError("rank mismatch between weight and angles")
-        return self.angles[:, :n].reshape(len(self.angles), n)
-
-    def angle_tuples(self) -> list[tuple]:
-        return [tuple(a for a in row if not math.isnan(a)) for row in self.angles.tolist()]
-
-    def word_tuples(self) -> list[tuple]:
-        return [tuple(x for x in row if x != WORD_PAD) for row in self.word.tolist()]
+        return np.array(self.angles.tolist(), dtype=float).reshape(len(self.angles), n)
 
 
-def _padded(rows, dtype, fill) -> np.ndarray:
-    """The ragged ``rows`` as a ``dtype`` matrix, each row padded with
-    ``fill`` to the longest."""
-    counts = np.array([len(row) for row in rows], dtype=np.intp)
-    present = np.arange(counts.max(initial=0)) < counts[:, None]
-    out = np.full(present.shape, fill, dtype=dtype)
-    out[present] = np.array([x for row in rows for x in row], dtype=dtype)
-    return out
+def _tuples(rows) -> np.ndarray:
+    """A 1-D object array of one tuple per row; ``np.array`` would make a
+    matrix of equal-length rows."""
+    return np.fromiter(map(tuple, rows), dtype=object, count=len(rows))
 
 
 #: the exponent of a decimal v text
@@ -690,11 +665,13 @@ class LengthSpectrum:
 
     ``columns`` holds one row per class in canonical order: the elliptic
     classes first, in the order given (centralizer volumes are listed in
-    it), then the hyperbolic classes by (l, angles, word), the order the
-    zeta sums run in.  A spectrum is built from ``SpectrumColumns`` and is
-    not changed afterwards: its column arrays are read-only, so one
-    spectrum can be shared, as ``read_csv`` shares it.  Every class is
-    elliptic or hyperbolic, so ``part`` and ``count`` read one block of rows.
+    it), then the hyperbolic classes by one stable ``sorted`` on (l, angles,
+    word), the order the zeta sums run in: a shorter tuple sorts before its
+    extensions, and ties keep the order given.  A spectrum is built from
+    ``SpectrumColumns`` and is not changed afterwards: its column arrays
+    are read-only, so one spectrum can be shared, as ``read_csv`` shares
+    it.  Every class is elliptic or hyperbolic, so ``part`` and ``count``
+    read one block of rows.
 
     ``derived`` holds values computed from the columns alone, such as the
     zeta layer's per-class factors of a weight, keyed by the layer that
@@ -705,11 +682,10 @@ class LengthSpectrum:
     def __init__(self, columns: SpectrumColumns, spec_hash: str, cutoff: float,
                  max_word_len: int, model: str = "H3-complex-2x2"):
         _check_provenance(cutoff, model)
-        # canonical order: hyperbolic rows last, by (l, angles, word) as tuples compare
         hyper = columns.kind == "hyperbolic"
-        angles = np.where(np.isnan(columns.angles), -np.inf, columns.angles)  # shorter rows first
-        keys = [*columns.word.T[::-1], *angles.T[::-1], columns.length]
-        self.columns = columns.take(np.lexsort([np.where(hyper, key, 0) for key in keys] + [hyper]))
+        length, angles, word = columns.length.tolist(), columns.angles, columns.word
+        self.columns = columns.take(np.flatnonzero(~hyper).tolist() + sorted(
+            np.flatnonzero(hyper).tolist(), key=lambda i: (length[i], angles[i], word[i])))
         for column in self.columns:
             column.flags.writeable = False
         kind = self.columns.kind
@@ -725,15 +701,12 @@ class LengthSpectrum:
         self.derived: dict = {}
 
     def __eq__(self, other):
-        """Equal provenance and rows, with NaN equal to NaN; the padding of
-        the angle and word matrices does not count."""
+        """Equal provenance and rows, with NaN equal to NaN."""
         if not isinstance(other, LengthSpectrum):
             return NotImplemented
-        a, b = self.columns, other.columns
-        return (self._provenance() == other._provenance() and len(a.kind) == len(b.kind)
-                and (a.angle_tuples(), a.word_tuples()) == (b.angle_tuples(), b.word_tuples())
-                and all(np.array_equal(x, y, equal_nan=x.dtype.kind in "fc")
-                        for x, y in zip(a, b) if x.ndim == 1))
+        return self._provenance() == other._provenance() and all(
+            np.array_equal(x, y, equal_nan=x.dtype.kind in "fc")
+            for x, y in zip(self.columns, other.columns))
 
     def _provenance(self) -> tuple:
         return self.spec_hash, self.cutoff, self.max_word_len, self.model
@@ -743,7 +716,6 @@ class LengthSpectrum:
         """One new ``ConjClassRecord`` per row, in canonical order; for the
         benchmark tracer only (see ``ConjClassRecord``)."""
         cols = [column.tolist() for column in self.columns]
-        cols[4], cols[8] = self.columns.angle_tuples(), self.columns.word_tuples()
         return [
             ConjClassRecord(kind, length, l0, power, angles, None if math.isnan(d) else d, *rest)
             for kind, length, l0, power, angles, d, *rest in zip(*cols)
@@ -780,8 +752,8 @@ class LengthSpectrum:
         lines.append(_CSV_COLUMNS)
         for kind, length, l0, power, angles, d, v, tr_chi, word in zip(
             cols.kind.tolist(), cols.length.tolist(), cols.primitive_length.tolist(),
-            cols.power.tolist(), cols.angle_tuples(), cols.D.tolist(), cols.v.tolist(),
-            cols.tr_chi.tolist(), cols.word_tuples(),
+            cols.power.tolist(), cols.angles.tolist(), cols.D.tolist(), cols.v.tolist(),
+            cols.tr_chi.tolist(), cols.word.tolist(),
         ):
             theta = "|".join(f"{a:.17g}" for a in angles)
             d = "" if math.isnan(d) else f"{d:.17g}"

@@ -179,13 +179,6 @@ class EllipticAngles:
     def __len__(self):
         return len(self.angles)
 
-    @property
-    def rank(self) -> int:
-        return len(self.angles)
-
-    def __str__(self) -> str:
-        return ",".join(f"{a:.17g}" for a in self.angles)
-
     @classmethod
     def parse(cls, text: str) -> "EllipticAngles":
         return cls(tuple(parse_angle(p) for p in text.split(",")))

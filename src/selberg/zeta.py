@@ -54,7 +54,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,9 +96,6 @@ class ZetaTermContext:
     @property
     def n(self) -> int:
         return self.sigma.rank
-
-    def with_sigma(self, sigma: WeightVector) -> "ZetaTermContext":
-        return replace(self, sigma=sigma)
 
 
 #: a one-pass total at least this large is far enough from the subnormal
@@ -259,7 +256,7 @@ def _adjoint_determinants(hyp: SpectrumColumns, n: int) -> np.ndarray:
         i = int(overflow[0])
         raise NumericalGuardError(
             f"adjoint determinant overflows for the hyperbolic class of length "
-            f"{hyp.length[i]:.17g} and word {'.'.join(map(str, hyp.word_tuples()[i]))}"
+            f"{hyp.length[i]:.17g} and word {'.'.join(map(str, hyp.word[i]))}"
         )
     return den
 
@@ -304,7 +301,7 @@ def _elliptic_terms(ctx: ZetaTermContext) -> list:
     vols = ctx.elliptic_vols or [1.0] * len(elliptic.kind)
     polys = _derived(ctx.spectrum, ("orbital", ctx.sigma), lambda: tuple(
         orbital_polynomial(ctx.sigma, EllipticAngles(angles), ctx.n)
-        for angles in elliptic.angle_tuples()))
+        for angles in elliptic.angles))
     return [(tr_chi * vol, poly) for tr_chi, vol, poly in zip(elliptic.tr_chi.tolist(), vols, polys)]
 
 

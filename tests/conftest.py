@@ -212,7 +212,6 @@ def synthetic_spectrum(rows=(), spec_hash="synthetic", cutoff=10.0, max_word_len
 def spectrum_rows(columns: SpectrumColumns) -> list[ClassRow]:
     """The rows of ``columns`` as ``ClassRow``, in their order."""
     fields = [column.tolist() for column in columns]
-    fields[4], fields[8] = columns.angle_tuples(), columns.word_tuples()
     fields[5] = [None if math.isnan(d) else d for d in fields[5]]
     return [ClassRow(*row) for row in zip(*fields)]
 

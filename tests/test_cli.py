@@ -343,12 +343,13 @@ def test_coxeter_534_hyperbolic_heat_term(capsys, tmp_path):
     re_h = float(dict(zip(header.split(","), row.split(",")))["re_H"])
     hyper = LengthSpectrum.read_csv(spectrum).part("hyperbolic")
     ball = [el.matrix for el in enumerate_elements(spec, 10)]
-    oracle = axis_fixer_oracle([spec.word_matrix(w) for w in hyper.word_tuples()], ball)
+    oracle = axis_fixer_oracle([spec.word_matrix(w) for w in hyper.word], ball)
     t = 0.1
     want = math.fsum(
         (l0 / m) * (4 * math.pi * t) ** -0.5 * math.exp(-length**2 / (4 * t))
         / (2 * (math.cosh(length) - math.cos(theta)))
-        for length, theta, (m, l0) in zip(hyper.length.tolist(), hyper.angles[:, 0].tolist(), oracle)
+        for length, theta, (m, l0)
+        in zip(hyper.length.tolist(), hyper.angles_of_rank(1)[:, 0].tolist(), oracle)
     )
     assert len(hyper.kind) == 156 and want == pytest.approx(0.25274, abs=5e-6)
     assert re_h == pytest.approx(want, rel=1e-9)
@@ -1416,19 +1417,83 @@ BAD_CLI_INPUTS = {
     "sides-text": ("heat", "fit", "--model", "pillowcase", "--sides", "a,b"),
     "s-grid-text": ("zeta", "eval", "--spectrum", "{spec}", "--sigma", "1", "--s-grid", "a:b:c"),
     "word-text": ("spectrum", "classify", "--group", "{group}", "--word", "a"),
+    "s-grid-two-fields": ("zeta", "eval", "--spectrum", "{spec}", "--sigma", "1",
+                          "--s-grid", "1:2"),
+    "s-grid-step-0": ("zeta", "eval", "--spectrum", "{spec}", "--sigma", "1", "--s-grid", "1:2:0"),
+    "s-grid-three-axes": ("zeta", "eval", "--spectrum", "{spec}", "--sigma", "1",
+                          "--s-grid", "1:2:1,0:1:1,0:1:1"),
+    "config-list": ("lie", "delta-m", "--n", "2", "--config", "{tmp}/list.json"),
+    "group-model-h4": ("spectrum", "classify", "--group", "{tmp}/h4.json", "--word", "1"),
+    "group-3x3": ("spectrum", "classify", "--group", "{tmp}/3x3.json", "--word", "1"),
+    "group-real-complex": ("spectrum", "classify", "--group", "{tmp}/complex.json", "--word", "1"),
+    "group-two-chi": ("spectrum", "classify", "--group", "{tmp}/two-chi.json", "--word", "1"),
+    "group-not-square": ("spectrum", "classify", "--group", "{tmp}/row.json", "--word", "1"),
+    "word-letter-3": ("spectrum", "classify", "--group", "{tmp}/two.json", "--word", "3"),
+    "spectrum-no-header": ("zeta", "xi", "--spectrum", "{tmp}/no-header.csv", "--sigma", "1",
+                           "--s", "3"),
+    "spectrum-bad-columns": ("zeta", "xi", "--spectrum", "{tmp}/bad-columns.csv", "--sigma", "1",
+                             "--s", "3"),
+    "weight-zero-denominator": ("lie", "character", "--weight", "1/0", "--angles", "0.5"),
+    "angles-zero-denominator": ("lie", "character", "--weight", "1", "--angles", "pi/0"),
+    "xi-rank-mismatch": ("lie", "character", "--xi", "--weight", "1,0", "--angles", "0.5"),
+}
+
+#: the files that BAD_CLI_INPUTS names under {tmp}
+BAD_CLI_FILES = {
+    "list.json": "[1]",
+    "h4.json": json.dumps({"model": "H4", "generators": [[[1, 0], [0, 1]]]}),
+    "3x3.json": json.dumps({"model": "H3-complex-2x2",
+                            "generators": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}),
+    "complex.json": json.dumps({"model": "H2-real-2x2", "generators": [[[1, [0, 1e-3]], [0, 1]]]}),
+    "two-chi.json": json.dumps({"model": "H3-complex-2x2", "generators": [[[1, 0], [0, 1]]],
+                                "chi": [[[1]], [[1]]]}),
+    "row.json": json.dumps({"model": "H3-complex-2x2", "generators": [[[2, 0, 0]]]}),
+    "two.json": json.dumps({"model": "H3-complex-2x2",
+                            "generators": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]}),
+    "no-header.csv": "kind,l,l0,power,theta,D,v,re_trchi,im_trchi,word\n",
+    "bad-columns.csv": "# selberg-spectrum spec_hash=x cutoff=1 max_word_len=1\nkind,l\n",
+}
+
+#: the guard each of these BAD_CLI_INPUTS trips, as its message names it
+BAD_CLI_GUARDS = {
+    "s-grid-two-fields": "grid axis '1:2' is not start:stop:step",
+    "s-grid-step-0": "grid bounds must be finite and the step positive",
+    "s-grid-three-axes": "grid must be one or two start:stop:step triples",
+    "config-list": "config file must hold a JSON object",
+    "group-model-h4": "unknown model 'H4'; ",
+    "group-3x3": "generators must be 2x2 matrices",
+    "group-real-complex": "real model requires real generator entries",
+    "group-two-chi": "chi must give one matrix per generator",
+    "group-not-square": "matrix data is not square",
+    "word-letter-3": "word letter 3 out of range",
+    "spectrum-no-header": "is not a length-spectrum file",
+    "spectrum-bad-columns": "line 2: unexpected length-spectrum header",
+    "weight-zero-denominator": "malformed weight string: '1/0'",
+    "angles-zero-denominator": "zero denominator in angle 'pi/0'",
+    "xi-rank-mismatch": "rank mismatch between weight and angles",
 }
 
 
-@pytest.mark.parametrize("argv", BAD_CLI_INPUTS.values(), ids=BAD_CLI_INPUTS.keys())
-def test_malformed_input_exits_2_with_one_line(capsys, group_file, tmp_path, argv):
+@pytest.mark.parametrize("name,argv", BAD_CLI_INPUTS.items(), ids=BAD_CLI_INPUTS.keys())
+def test_malformed_input_exits_2_with_one_line(capsys, group_file, tmp_path, name, argv):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text('{"n": 3,')
     spec = tmp_path / "small.csv"
     spec.write_text(small_h3_spectrum_csv())
+    for file, text in BAD_CLI_FILES.items():
+        (tmp_path / file).write_text(text)
     names = {"tmp": tmp_path, "bad_json": bad_json, "spec": spec, "group": group_file}
     code, out, err = invoke(capsys, *(a.format(**names) for a in argv))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+    assert BAD_CLI_GUARDS.get(name, "") in err
+
+
+def test_an_empty_config_is_no_config(capsys):
+    """``--config=`` names no file, so the run reads none."""
+    want = invoke(capsys, "lie", "delta-m", "--n", "2")
+    assert want[0] == 0
+    assert invoke(capsys, "lie", "delta-m", "--n", "2", "--config=") == want
 
 
 @pytest.mark.parametrize("config", [{"vol": "2"}, {"chi-dim": 2.5}, {"func": 1}],

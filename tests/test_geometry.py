@@ -30,6 +30,7 @@ from selberg.errors import (
     ValidationError,
 )
 from selberg.geometry import (
+    KINDS,
     GroupElement,
     GroupSpec,
     LengthSpectrum,
@@ -72,32 +73,38 @@ def test_enumerate_guards():
         enumerate_elements(schottky_spec(), 6, element_cap=100)
 
 
+def classify_one(matrix, model):
+    """(kind name, length, angle) of one matrix, from the stacked ``classify``."""
+    kind, length, angle = classify(matrix, model)
+    return KINDS[kind[0]], float(length[0]), float(angle[0])
+
+
 def test_classify_translation_against_displacement_oracle():
     g = np.diag([math.e, 1.0 / math.e])
-    c = classify(g, "H3-complex-2x2")
-    assert c.kind == "hyperbolic"
-    assert c.length == pytest.approx(2.0, abs=1e-12)
-    assert c.angle == 0.0
+    kind, length, angle = classify_one(g, "H3-complex-2x2")
+    assert kind == "hyperbolic"
+    assert length == pytest.approx(2.0, abs=1e-12)
+    assert angle == 0.0
     assert displacement_infimum(g) == pytest.approx(2.0, abs=1e-6)
 
 
 def test_classify_loxodromic_displacement():
     half = (1.4 + 1j * 2.1) / 2.0
     g = np.diag([cmath.exp(half), cmath.exp(-half)])
-    c = classify(g, "H3-complex-2x2")
-    assert c.kind == "hyperbolic"
-    assert c.length == pytest.approx(1.4, abs=1e-12)
-    assert c.angle == pytest.approx(2.1, abs=1e-12)
+    kind, length, angle = classify_one(g, "H3-complex-2x2")
+    assert kind == "hyperbolic"
+    assert length == pytest.approx(1.4, abs=1e-12)
+    assert angle == pytest.approx(2.1, abs=1e-12)
     assert displacement_infimum(g) == pytest.approx(1.4, abs=1e-6)
 
 
 def test_classify_elliptic_and_identity():
     m = elliptic_order3_matrix()
-    c = classify(m, "H3-complex-2x2")
-    assert c.kind == "elliptic"
-    assert c.angle == pytest.approx(2.0 * math.pi / 3.0, abs=1e-12)
-    assert classify(np.eye(2), "H3-complex-2x2").kind == "identity"
-    assert classify(-np.eye(2), "H3-complex-2x2").kind == "identity"
+    kind, _, angle = classify_one(m, "H3-complex-2x2")
+    assert kind == "elliptic"
+    assert angle == pytest.approx(2.0 * math.pi / 3.0, abs=1e-12)
+    assert classify_one(np.eye(2), "H3-complex-2x2")[0] == "identity"
+    assert classify_one(-np.eye(2), "H3-complex-2x2")[0] == "identity"
 
 
 def test_classify_parabolic_error():
@@ -113,13 +120,13 @@ def test_classification_conjugation_stable(rng):
     for _ in range(60):
         a = rng.choice(ball)
         h = rng.choice(ball)
-        ca = classify(a.matrix, tri.model)
-        cb = classify(h.matrix @ a.matrix @ _inv2(h.matrix), tri.model)
-        assert ca.kind == cb.kind
-        assert ca.length == pytest.approx(cb.length, abs=1e-8)
+        kind, length, angle = classify_one(a.matrix, tri.model)
+        kind_h, length_h, angle_h = classify_one(h.matrix @ a.matrix @ _inv2(h.matrix), tri.model)
+        assert kind == kind_h
+        assert length == pytest.approx(length_h, abs=1e-8)
         # in H2 the angle label depends neither on the conjugate nor on the lift
-        assert ca.angle == pytest.approx(cb.angle, abs=1e-8)
-        assert classify(-a.matrix, tri.model).angle == pytest.approx(ca.angle, abs=1e-12)
+        assert angle == pytest.approx(angle_h, abs=1e-8)
+        assert classify_one(-a.matrix, tri.model)[2] == pytest.approx(angle, abs=1e-12)
 
 
 def test_conjugacy_merges_explicit_conjugates():
@@ -129,8 +136,9 @@ def test_conjugacy_merges_explicit_conjugates():
     h = next(e for e in ball if len(e.word) == 2)
     conj = GroupElement(h.matrix @ g.matrix @ _inv2(h.matrix), h.word + g.word + tuple(-x for x in reversed(h.word)))
     recs = spectrum_rows(conjugacy_reduce([g, conj, h], tri, cutoff=10.0))
-    same = [r for r in recs if abs(r.length - classify(g.matrix, tri.model).length) < 1e-8
-            and r.kind == classify(g.matrix, tri.model).kind
+    kind, length, _ = classify_one(g.matrix, tri.model)
+    same = [r for r in recs if abs(r.length - length) < 1e-8
+            and r.kind == kind
             and not r.ambiguous]
     assert any(r.word == g.word for r in same)
 
@@ -143,7 +151,7 @@ def test_triangle_elliptic_classes_are_exact():
     elliptic = ls.part("elliptic")
     assert len(elliptic.kind) == 9
     assert not elliptic.ambiguous.any()
-    assert sorted(elliptic.angles[:, 0]) == pytest.approx(want, abs=1e-10)
+    assert sorted(elliptic.angles_of_rank(1)[:, 0]) == pytest.approx(want, abs=1e-10)
 
 
 def _rotation(a):
@@ -258,7 +266,7 @@ def test_h3_rotation_classes_are_counted_once(gens, max_len, order, folded, flag
     assert len(enumerate_elements(spec, max_len)) == order  # the whole group
     cols = build_length_spectrum(spec, max_len, cutoff=1.0).columns
     assert (cols.kind == "elliptic").all()
-    theta = cols.angles[:, 0]
+    theta = cols.angles_of_rank(1)[:, 0]
     fold = sorted(np.minimum(theta, 2 * math.pi - theta))
     assert fold == pytest.approx(sorted(folded), abs=1e-10)
     assert theta[cols.ambiguous].tolist() == pytest.approx(flagged, abs=1e-10)
@@ -268,7 +276,7 @@ def test_abelian_group_flags_no_class():
     """Conjugacy in an abelian group is equality, so the cyclic group's
     g^k and g^-k are two certified classes, hyperbolic or elliptic."""
     cols = build_length_spectrum(cyclic_h3_spec(2.0, 0.7), 3, cutoff=7.0).columns
-    assert cols.word_tuples() == [(-1,), (1,), (-1, -1), (1, 1), (-1, -1, -1), (1, 1, 1)]
+    assert cols.word.tolist() == [(-1,), (1,), (-1, -1), (1, 1), (-1, -1, -1), (1, 1, 1)]
     assert cols.power.tolist() == [1, 1, 2, 2, 3, 3]
     assert not cols.ambiguous.any()
     # a free group's g and g^-1 share their invariants and are not conjugate
@@ -452,7 +460,7 @@ def test_coxeter_534_elliptic_classes():
     The four that are not half-turns are unflagged."""
     elliptic = build_length_spectrum(coxeter_534_spec(), 8, cutoff=4.0).part("elliptic")
     assert len(elliptic.kind) == 7
-    theta = elliptic.angles[:, 0]
+    theta = elliptic.angles_of_rank(1)[:, 0]
     folded = sorted(np.minimum(theta, 2 * math.pi - theta))
     want = sorted([2 * math.pi / 5, 4 * math.pi / 5, 2 * math.pi / 3, math.pi / 2] + [math.pi] * 3)
     assert folded == pytest.approx(want, abs=1e-10)
@@ -566,8 +574,8 @@ def test_spectrum_csv_roundtrip_is_equal(tmp_path):
 
 
 def test_spectrum_equality_reads_the_columns():
-    """Spectra are equal when their rows are, NaN D and exact v included,
-    whatever the padding of their word matrices; one flag makes them differ."""
+    """Spectra are equal when their rows are, NaN D and exact v included;
+    one flag makes them differ."""
     rows = [
         class_row("elliptic", 0.0, (math.pi,), word=(-1,)),
         class_row("hyperbolic", 1.3, (0.5,), power=2, D=2.5, v=Fraction(1, 3), word=(1, 2, 1)),
@@ -576,7 +584,6 @@ def test_spectrum_equality_reads_the_columns():
     spectrum = synthetic_spectrum(rows, "eq", 3.0, 3)
     assert np.isnan(spectrum.columns.D[0]) and spectrum.columns.v[1] == Fraction(1, 3)
     assert spectrum == synthetic_spectrum(rows, "eq", 3.0, 3)
-    # the cut keeps a word matrix three letters wide for one-letter words
     assert spectrum.with_cutoff(1.0) == synthetic_spectrum(rows[:1], "eq", 1.0, 3)
     flagged = [rows[0], rows[1]._replace(ambiguous=True), rows[2]]
     assert spectrum != synthetic_spectrum(flagged, "eq", 3.0, 3)
@@ -620,6 +627,41 @@ def test_spectrum_is_stored_in_canonical_order(tmp_path):
     assert (cut.cutoff, spectrum_rows(cut.columns)) == (1.5, want[:4])
     with pytest.raises(ValidationError, match="cutoff"):
         spectrum.with_cutoff(math.nan)
+
+
+def test_canonical_order_against_a_written_out_table():
+    """The elliptic rows as given, then the hyperbolic rows by (l, angles,
+    word): a shorter tuple before its extensions, and a -0.0/0.0 tie in the
+    given order.  Rows given as lists make the same spectrum as tuples."""
+    rows = [  # (kind, l, angles, word)
+        ("hyperbolic", 2.0, (0.5,), (1, -2)),
+        ("elliptic", 0.0, (2.0,), (1,)),
+        ("hyperbolic", 1.0, (0.0, 1.0), (1,)),
+        ("hyperbolic", 2.0, (0.5,), (-2,)),
+        ("hyperbolic", 1.0, (0.0,), (2,)),
+        ("elliptic", 0.0, (1.0,), (2,)),
+        ("hyperbolic", 1.0, (-0.0,), (2,)),
+        ("hyperbolic", 2.0, (0.5,), (1,)),
+    ]
+    spectrum = synthetic_spectrum([class_row(k, l, a, word=w) for k, l, a, w in rows])
+    body = [line.split(",") for line in spectrum.to_csv().splitlines()[2:]]
+    assert [(f[0], f[1], f[4], f[9]) for f in body] == [
+        ("elliptic", "0", "2", "1"),
+        ("elliptic", "0", "1", "2"),
+        ("hyperbolic", "1", "0", "2"),
+        ("hyperbolic", "1", "-0", "2"),
+        ("hyperbolic", "1", "0|1", "1"),
+        ("hyperbolic", "2", "0.5", "-2"),
+        ("hyperbolic", "2", "0.5", "1"),
+        ("hyperbolic", "2", "0.5", "1.-2"),
+    ]
+    as_lists = synthetic_spectrum([class_row(k, l, a, word=w)._replace(angles=list(a), word=list(w))
+                                   for k, l, a, w in rows])
+    assert as_lists == spectrum and as_lists.to_csv() == spectrum.to_csv()
+    assert as_lists.columns.angles.shape == as_lists.columns.word.shape == (8,)
+    for n in (1, 2):
+        with pytest.raises(ValidationError, match="rank mismatch between weight and angles"):
+            spectrum.part("hyperbolic").angles_of_rank(n)
 
 
 def test_spectrum_csv_roundtrip_with_ragged_rows_in_later_chunks(tmp_path):

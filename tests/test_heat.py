@@ -172,6 +172,12 @@ def test_fit_expansion_circle_control_constant_vanishes():
     assert abs(fit.coefficient(0.5)) < 1e-6
 
 
+def test_fit_coefficient_refuses_an_exponent_off_the_ladder():
+    fit = fit_expansion(make_model("circle"), np.geomspace(0.001, 0.01, 10))
+    with pytest.raises(ValidationError, match="exponent 0.25 not in the fitted ladder"):
+        fit.coefficient(0.25)
+
+
 def test_fit_expansion_pillowcase():
     fit = fit_expansion(make_model("pillowcase"), np.geomspace(0.002, 0.02, 12))
     # leading: (4 pi)^{-1} * vol = pi/2; constant: four corner points

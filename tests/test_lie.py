@@ -290,6 +290,13 @@ def test_weight_vector_validation():
     assert WeightVector((2, 4)).coords == (Fraction(1), Fraction(2))
 
 
+def test_weight_vector_guards():
+    with pytest.raises(ValidationError, match="rank mismatch in weight addition"):
+        WeightVector((2, 0)) + WeightVector((2,))
+    with pytest.raises(ValidationError, match="doubled coordinates must be integers"):
+        WeightVector((1.0,))
+
+
 def test_weight_coordinates_stay_in_the_exact_float_range():
     """|2k| < 2^53: below it every doubled coordinate, and so mu = sigma +
     delta, is an exact float."""

@@ -52,6 +52,8 @@ def test_tracer_counts_the_spectrum_classes(tracer, capsys, tmp_path):
     assert metrics["geometry.ambiguous_classes"] == int(spectrum.columns.ambiguous.sum())
     assert metrics["zeta.class_terms"] == hyperbolic
     assert metrics["geometry.conjugacy_reduce.calls"] == metrics["zeta.log_zeta_truncated.calls"] == 1
+    # the one stacked classify of the ball
+    assert metrics["geometry.classify.calls"] == 1
 
 
 def test_tracer_sees_each_class_factor_built_once(tracer, capsys, monkeypatch, tmp_path):

@@ -145,7 +145,7 @@ def test_symmetric_zeta_trivial_weight_equals_zeta(rng):
 def test_symmetric_zeta_flip_symmetric(rng):
     recs = random_spectrum(rng)
     ctx = make_ctx(recs, SIGMA1)
-    ctx_flip = ctx.with_sigma(w0_flip(SIGMA1))
+    ctx_flip = replace(ctx, sigma=w0_flip(SIGMA1))
     s = 2.7 + 0.4j
     assert symmetric_zeta(s, ctx) == pytest.approx(symmetric_zeta(s, ctx_flip), rel=1e-12)
 
@@ -170,7 +170,7 @@ def test_antisymmetric_reciprocal(rng):
     ctx = make_ctx(recs, sigma)
     s = 3.3 + 0.2j
     a = antisymmetric_zeta(s, ctx)
-    b = antisymmetric_zeta(s, ctx.with_sigma(w0_flip(sigma)))
+    b = antisymmetric_zeta(s, replace(ctx, sigma=w0_flip(sigma)))
     assert a * b == pytest.approx(1.0 + 0j, rel=1e-12)
 
 
@@ -666,8 +666,8 @@ def test_heat_terms_laplace_transform_is_zeta_log_derivative(coords):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             derivative = sum(
-                (log_zeta_truncated(s - 2 + h, ctx.with_sigma(w))
-                 - log_zeta_truncated(s - 2 - h, ctx.with_sigma(w))) / (2 * h)
+                (log_zeta_truncated(s - 2 + h, replace(ctx, sigma=w))
+                 - log_zeta_truncated(s - 2 - h, replace(ctx, sigma=w))) / (2 * h)
                 for w in weights
             )
         want = derivative / (2 * s)
@@ -711,7 +711,7 @@ def test_antisymmetric_refuses_a_vanished_flipped_zeta():
     Z(3, sigma) has modulus 1."""
     ctx = make_ctx([hyp_row(1.0, (math.pi / 4,), tr_chi=2e5 * cmath.exp(0.25j * math.pi))],
                    SIGMA1)
-    flipped = log_zeta_truncated(3.0, ctx.with_sigma(w0_flip(SIGMA1)))
+    flipped = log_zeta_truncated(3.0, replace(ctx, sigma=w0_flip(SIGMA1)))
     assert flipped.real < -800 and cmath.exp(flipped) == 0
     assert abs(cmath.exp(log_zeta_truncated(3.0, ctx))) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(NumericalGuardError) as exc:
@@ -1101,7 +1101,7 @@ def test_guards_fire_on_warm_calls():
                 evaluator(0.5 if evaluator is geometric_heat_terms else 4.5, refusing)
 
     kept = dict(ctx.spectrum.derived)
-    rank2 = ctx.with_sigma(WeightVector.from_coords([1, 1]))
+    rank2 = replace(ctx, sigma=WeightVector.from_coords([1, 1]))
     for _ in range(2):
         for evaluator in (log_zeta_truncated, xi_correction, geometric_heat_terms):
             with warnings.catch_warnings(), pytest.raises(ValidationError, match="rank"):
