@@ -34,7 +34,9 @@ per weight on the whole angle matrix, and kept read-only in the spectrum's
 ambiguity refusal and the default-volume warning run on every call before
 any lookup, and a build that fails, as on a rank mismatch, stores nothing.
 Each point is then one array expression over the classes, its exponential
-row shared by the two weights.  Its terms are multiplied by the
+row shared by the two weights.  A point whose imaginary part is zero, of
+either sign, takes the real row of numpy's faithful exp, so x, x + 0j, x - 0j
+and np.float64(x) give the same bits.  Its terms are multiplied by the
 reciprocals of the adjoint determinants, made once per call: numpy divides
 by a real den as by den + 0j with Smith's algorithm, which multiplies by
 the rounded 1/den, so the product keeps the bits of the division.  Each sum
@@ -263,7 +265,8 @@ def _adjoint_determinants(hyp: SpectrumColumns, n: int) -> np.ndarray:
 
 def _log_zeta_values(ctx: ZetaTermContext, points: list, both: bool) -> list[list[complex]]:
     """log Z at each point for sigma, and for w0 sigma too when ``both``;
-    one exponential row of the classes per point serves both weights."""
+    one exponential row of the classes per point serves both weights, real
+    where the point's imaginary part is zero, whatever the point's type."""
     hyp, chi_v, traces = _class_arrays(ctx, both)
     length = hyp.length
     if not len(length):
@@ -276,7 +279,7 @@ def _log_zeta_values(ctx: ZetaTermContext, points: list, both: bool) -> list[lis
     terms, *scratch = np.empty((3, len(length)), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is a guard
         for s in points:
-            decay = np.exp(-(s + ctx.n) * length)
+            decay = np.exp(-((s.real if s.imag == 0 else s) + ctx.n) * length)
             for row, num in zip(values, nums):
                 np.multiply(num, decay, out=terms)
                 terms *= inv  # Smith's division by den + 0j multiplies by this 1/den

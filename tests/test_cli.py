@@ -10,6 +10,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -1032,6 +1033,38 @@ def test_zeta_output_is_frozen(capsys, tmp_path, key):
                               "--vol", "1.5", "--elliptic-vols", "0.5,0.75", *extra[name])
         assert code == 0
         assert out == FROZEN["zeta"][key]
+
+
+def _log_zeta_200_bits(hyp, k: int, s: float) -> mpmath.mpc:
+    """log Z at a real s for the rank-1 weight k, summed in 200-bit mpmath
+    from a spectrum's parsed columns: -sum tr chi v e^{ik theta}
+    e^{-(s+1) l} / (power e^l D)."""
+    mp = mpmath.mpf
+    with mpmath.workprec(200):
+        return -mpmath.fsum(
+            mpmath.mpc(chi.real, chi.imag) * mp(v.numerator) / v.denominator
+            * mpmath.expj(k * mp(theta)) * mpmath.exp(-(mp(s) + 1) * mp(length))
+            / (power * mpmath.exp(mp(length)) * mp(D))
+            for chi, v, theta, length, power, D in zip(
+                hyp.tr_chi.tolist(), hyp.v.tolist(), hyp.angles_of_rank(1)[:, 0].tolist(),
+                hyp.length.tolist(), hyp.power.tolist(), hyp.D.tolist()))
+
+
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_frozen_zeta_eval_is_within_4_ulp_of_a_200_bit_sum(tmp_path, sigma):
+    """Both parts of log Z in each real-axis row of the frozen ``zeta eval``
+    output lie within 4 ulp of the same class terms summed in mpmath."""
+    path = tmp_path / "small.csv"
+    path.write_text(small_h3_spectrum_csv())
+    hyp = LengthSpectrum.read_csv(path).part("hyperbolic")
+    _, *rows = FROZEN["zeta"][f"eval sigma={sigma}"].splitlines()
+    parsed = [[float(x) for x in row.split(",")] for row in rows]
+    real_axis = [row for row in parsed if row[1] == 0.0]
+    assert len(real_axis) == 3
+    for re_s, _, re_log, im_log, _ in real_axis:
+        exact = _log_zeta_200_bits(hyp, sigma, re_s)
+        for got, want in ((re_log, exact.real), (im_log, exact.imag)):
+            assert abs(mpmath.mpf(got) - want) <= 4 * math.ulp(float(want)), (re_s, got)
 
 
 #: the groups of FROZEN["enumerate"], by the first word of its keys

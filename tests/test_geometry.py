@@ -419,6 +419,20 @@ def test_axis_fixers_match_fixed_point_oracle():
         assert r.v == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("spec,max_len,cutoff,classes", [
+    (coxeter_534_spec(), 10, 3.5, 156), (schottky_spec(), 6, 12.0, 222),
+], ids=["coxeter-534", "schottky"])
+def test_weight_D_is_the_witness_trace_discriminant(spec, max_len, cutoff, classes):
+    """At n = 1 the weight of a class is D = |(tr W)^2 - 4| for its witness
+    matrix W: the eigenvalue lambda = e^{(l + i theta)/2} gives
+    |lambda - 1/lambda|^2 = 2 (cosh l - cos theta), and (lambda - 1/lambda)^2
+    = (tr W)^2 - 4.  The trace is read from the word, not from l and theta."""
+    hyp = build_length_spectrum(spec, max_len, cutoff).part("hyperbolic")
+    assert len(hyp.kind) == classes
+    want = np.abs(np.array([np.trace(spec.word_matrix(w)) for w in hyp.word]) ** 2 - 4)
+    assert (np.abs(hyp.D - want) / want).max() <= 1e-13
+
+
 def test_centralizer_of_a_hand_built_h3_ball():
     """A ball on the axis (0, inf): a screw S, the rotations R^k of order 4
     about the axis, the witness W = S^2 R, a half-turn J that swaps the

@@ -839,6 +839,33 @@ def test_log_zeta_is_fsum_of_the_class_terms_bit_for_bit(tmp_path):
         assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex()), s
 
 
+#: real points on both sides of the 2000-class spectrum's abscissa
+REAL_AXIS = np.linspace(1.0, 13.0, 61)
+
+
+@pytest.mark.parametrize("sigma", [SIGMA0, SIGMA1], ids=["sigma=0", "sigma=1"])
+def test_a_real_point_gives_the_same_bits_whatever_its_type(tmp_path, sigma):
+    """x, x + 0j, x - 0j and np.float64(x) are one point: log Z, the
+    symmetric and antisymmetric zetas and xi give the same bits at each.
+    log Z at x + 0j is -math.fsum of the class terms with the real
+    exponential, where the complex one rounds about 5 % of them otherwise."""
+    ctx = replace(_big_spectrum_ctx(tmp_path), sigma=sigma)
+    xs = REAL_AXIS.tolist()
+    kinds = [xs, [complex(x, 0.0) for x in xs], [complex(x, -0.0) for x in xs], list(REAL_AXIS)]
+    assert type(kinds[-1][0]) is np.float64
+    evaluators = [log_zeta_truncated, symmetric_zeta, xi_correction]
+    if sigma == SIGMA1:
+        evaluators.append(antisymmetric_zeta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # points left of the abscissa
+        want = [_terms_oracle(ctx, x) for x in xs]
+        assert _bits(log_zeta_truncated(kinds[1], ctx)) == _bits(want)
+        for evaluator in evaluators:
+            first, *rest = [_bits(evaluator(points, ctx)) for points in kinds]
+            for other in rest:
+                assert other == first, evaluator.__name__
+
+
 def _cancelled_to_2_pow_minus_40() -> np.ndarray:
     """About a thousand entries of size up to 1 whose sum is about 2^-40."""
     x = np.random.default_rng(20261018).uniform(-1.0, 1.0, 999)
