@@ -264,10 +264,9 @@ def _model(args) -> heat_mod.FlatOrbifoldModel:
 
 
 def cmd_heat_trace(args) -> list[str]:
-    model = _model(args)
-    return ["t,trace"] + [
-        f"{fmt(t)},{fmt(heat_mod.heat_trace(model, t))}" for t in _parse_values(args.t)
-    ]
+    model, times = _model(args), _parse_values(args.t)
+    traces = heat_mod.heat_trace(model, times)
+    return ["t,trace"] + [f"{fmt(t)},{fmt(trace)}" for t, trace in zip(times, traces)]
 
 
 def cmd_heat_fit(args) -> list[str]:

@@ -1,5 +1,5 @@
-"""Exactly solvable flat orbifold models: heat traces, small-time expansion
-fits and closed-form eigenvalue counting.
+"""Exactly solvable flat orbifold models: heat traces at one time or a grid of
+times, small-time expansion fits and closed-form eigenvalue counting.
 
 Each model is a flat torus T = R^d / (2 pi r_1 Z x ... x 2 pi r_d Z) or its
 quotient T / iota by the involution iota: v -> -v:
@@ -125,25 +125,33 @@ def exact_spectrum(model: FlatOrbifoldModel, cutoff: float) -> list[tuple[float,
     return [(float(v), int(c)) for v, c in zip(values, counts)]
 
 
-def heat_trace(model: FlatOrbifoldModel, t: float) -> float:
-    """Spectral heat trace with the tail below ~1e-15 absolute.
+def heat_trace(model: FlatOrbifoldModel, t) -> float | list[float]:
+    """Spectral heat trace with the tail below ~1e-15 absolute, at one time or,
+    as a list, at each of a sequence of times, all checked before any is summed.
 
-    Mode cutoffs come from a Gaussian tail bound with a safety factor.
+    Mode cutoffs come from a Gaussian tail bound with a safety factor.  Each
+    axis's squares (m / r)^2 are built once; each time weighs its own prefix.
     """
-    if not 0.0 < t < math.inf:
-        raise ValidationError("heat time must be finite and positive")
+    times = [t] if (scalar := np.ndim(t) == 0) else list(t)
+    sizes = []
+    for x in times:
+        if not 0.0 < x < math.inf:
+            raise ValidationError("heat time must be finite and positive")
+        sizes.append([math.ceil(_modes(r, TAIL_EXPONENT / x)) + int(TAIL_SAFETY) for r in model.radii])
     # with s_i = sum_{m >= 1} exp(-t (m / r_i)^2), Theta = prod_i (1 + 2 s_i)
     # = 1 + 2 h and (Theta + 1) / 2 = 1 + h; each axis takes h to
     # h + s_i + 2 h s_i, and every term is kept for one compensated sum
-    terms: list = []
-    sizes = [int(math.ceil(_modes(r, TAIL_EXPONENT / t))) + int(TAIL_SAFETY) for r in model.radii]
+    values = []
     with np.errstate(over="ignore"):  # a square past the float range weighs 0
-        axes = [np.exp(-t * (np.arange(1, m_max + 1, dtype=float) / r) ** 2).tolist()
-                for r, m_max in zip(model.radii, sizes)]
-    for weights in axes:
-        terms += [(2.0 * math.fsum(chain(*terms)) * math.fsum(weights),), weights]
-    h = chain(*terms)
-    return math.fsum(chain([1.0], h)) if model.folded else 2.0 * math.fsum(h) + 1.0
+        squares = [(np.arange(1, max(m) + 1, dtype=float) / r) ** 2
+                   for r, m in zip(model.radii, zip(*sizes))]
+        for x, per_axis in zip(times, sizes):
+            terms: list = []
+            for weights in (np.exp(-x * sq[:m]).tolist() for sq, m in zip(squares, per_axis)):
+                terms += [(2.0 * math.fsum(chain(*terms)) * math.fsum(weights),), weights]
+            h = chain(*terms)
+            values.append(math.fsum(chain([1.0], h)) if model.folded else 2.0 * math.fsum(h) + 1.0)
+    return values[0] if scalar else values
 
 
 @dataclass(frozen=True)
@@ -196,7 +204,7 @@ def fit_expansion(model: FlatOrbifoldModel, t_grid) -> HeatFit:
         raise IllConditionedFitError(
             f"fit design matrix has condition number {cond:.3e}", cond
         )
-    traces = np.array([heat_trace(model, x) for x in t])
+    traces = np.array(heat_trace(model, t))
     coeffs, *_ = np.linalg.lstsq(design, traces, rcond=None)
     residual = float(np.max(np.abs(design @ coeffs - traces) / np.abs(traces)))
     expected = (4.0 * math.pi) ** (-d / 2.0) * model.vol

@@ -63,6 +63,8 @@ PHASE_TOL = 1e-9
 
 #: i^n, indexed by n mod 4
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+#: a plain ASCII integer weight token, which ``int`` reads as ``Fraction`` would
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ class WeightVector:
     def from_coords(cls, values) -> "WeightVector":
         doubled = []
         for v in values:
-            f = Fraction(v) * 2
+            f = 2 * v if isinstance(v, int) else Fraction(v) * 2
             if f.denominator != 1:
                 raise ValidationError(f"coordinate {v} is not a half-integer")
             doubled.append(int(f))
@@ -130,13 +132,13 @@ class WeightVector:
 
     @classmethod
     def parse(cls, text: str) -> "WeightVector":
-        """Parse a comma-separated half-integer string like ``3/2,1/2,-1/2``,
-        bounding a decimal exponent first as ``geometry._fraction`` does."""
+        """Parse a comma-separated half-integer string like ``3/2,1/2,-1/2``: ``int``
+        reads a plain ASCII integer token, and ``geometry._fraction`` any other."""
         parts = [p.strip() for p in text.split(",")]
         if not parts or any(not p for p in parts):
             raise ValidationError(f"malformed weight string: {text!r}")
         try:
-            coords = [_fraction(p) for p in parts]
+            coords = [int(p) if _INTEGER.fullmatch(p) else _fraction(p) for p in parts]
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"malformed weight string: {text!r}") from exc
         return cls.from_coords(coords)
@@ -193,12 +195,7 @@ def parse_angle(token: str) -> float:
     m = _PI_RE.match(token)
     if m:
         coef_s, den_s = m.groups()
-        if coef_s in ("", "+"):
-            coef = 1
-        elif coef_s == "-":
-            coef = -1
-        else:
-            coef = int(coef_s)
+        coef = {"": 1, "+": 1, "-": -1}.get(coef_s) or int(coef_s)
         den = int(den_s) if den_s else 1
         if den == 0:
             raise ValidationError(f"zero denominator in angle {token!r}")
@@ -219,6 +216,14 @@ def half_sum_positive_roots(n: int) -> WeightVector:
     if not 1 <= n <= MAX_RANK:
         raise ValidationError(f"rank must be between 1 and {MAX_RANK}, got {n}")
     return WeightVector(tuple(2 * (n - 1 - i) for i in range(n)))
+
+
+@lru_cache(maxsize=8)  # a few ranks at once: the table at MAX_RANK holds 8 MB
+def _pairs(n: int) -> np.ndarray:
+    """The pairs i < j of range(n) as read-only index rows ``upper, lower``."""
+    pairs = np.array(np.triu_indices(n, 1))
+    pairs.flags.writeable = False
+    return pairs
 
 
 def weyl_group_order(n: int) -> int:
@@ -246,7 +251,7 @@ def weyl_group(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     patterns = patterns[np.count_nonzero(patterns < 0, axis=1) % 2 == 0]
     perm = np.repeat(perms, len(patterns), axis=0)
     signs = np.tile(patterns, (len(perms), 1))
-    upper, lower = np.triu_indices(n, 1)
+    upper, lower = _pairs(n)
     inversions = np.count_nonzero(perm[:, upper] > perm[:, lower], axis=1)
     det = np.where(inversions % 2 == 0, np.int8(1), np.int8(-1))
     for a in (perm, signs, det):
@@ -305,7 +310,7 @@ def weyl_character(
     mu = 0.5 * np.array((weight + half_sum_positive_roots(n)).doubled, dtype=float)
     check_phases(mu, float(phi.max(initial=0.0)))
     x = 2.0 * np.cos(phi)
-    upper, lower = np.triu_indices(n, 1)
+    upper, lower = _pairs(n)
     den = np.prod(x[:, upper] - x[:, lower], axis=1)
     singular = np.flatnonzero(np.abs(den) < REGULARITY_TOL)
     if singular.size:

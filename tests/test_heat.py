@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from selberg.errors import IllConditionedFitError, ValidationError
 from selberg.heat import (
     COUNT_BLOCK_CELLS,
+    MAX_AXIS_MODES,
     MAX_LATTICE_POINTS,
     MODEL_NAMES,
+    TAIL_EXPONENT,
     eigenvalue_count,
     exact_spectrum,
     fit_expansion,
@@ -143,6 +146,53 @@ def test_heat_trace_completely_monotone():
         diffs = np.diff(values)
         assert np.all(diffs < 0)  # decreasing in t
         assert np.all(np.diff(diffs) > 0)  # convex
+
+
+GRID_MODELS = [
+    *(pytest.param(make_model(name, radius=r, sides=(TWO_PI * r, TWO_PI * r)), id=f"{name}-{r}")
+      for name in MODEL_NAMES for r in (0.37, 1.0, 3.1)),
+    pytest.param(make_model("pillowcase", sides=(5.85037, 7.885084)), id="pillowcase-5.85037x7.885084"),
+]
+
+
+@pytest.mark.parametrize("model", GRID_MODELS)
+def test_a_time_grid_gives_each_time_s_bits(model):
+    """One call on a sequence of times returns, as a list, the bits of one
+    call per time, whatever the sequence type."""
+    times = np.geomspace(1e-4, 80.0, 60)
+    each = [heat_trace(model, t).hex() for t in times]
+    for grid in (times, list(times), tuple(float(t) for t in times)):
+        traces = heat_trace(model, grid)
+        assert isinstance(traces, list)
+        assert [x.hex() for x in traces] == each
+    assert isinstance(heat_trace(model, times[0]), float)
+    assert heat_trace(model, []) == []
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan, 1e-20])
+def test_a_bad_time_in_a_grid_raises_the_one_time_message(bad):
+    model = make_model("pillowcase")
+    with pytest.raises(ValidationError) as one:
+        heat_trace(model, bad)
+    with pytest.raises(ValidationError) as grid:
+        heat_trace(model, [0.1, 1.0, bad, 2.0])
+    assert str(grid.value) == str(one.value)
+
+
+def test_a_time_grid_holds_one_time_s_weights():
+    """500 times, one of them MAX_AXIS_MODES / 4 modes deep: a grid held as
+    a times x modes array would take 1 GB, one time's weights about 10 MB."""
+    model = make_model("circle")
+    deep = TAIL_EXPONENT / (MAX_AXIS_MODES / 4) ** 2
+    times = [*np.geomspace(1e-4, 80.0, 499), deep]
+    tracemalloc.start()
+    try:
+        traces = heat_trace(model, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert traces[-1] == pytest.approx(math.sqrt(math.pi / deep))  # Poisson: 2 pi r / sqrt(4 pi t)
 
 
 def test_fit_expansion_circle_reflection():

@@ -14,6 +14,7 @@ from conftest import (
     weyl_dn,
 )
 from selberg.errors import NonRegularElementError, NumericalGuardError, ValidationError
+from selberg.geometry import _fraction
 from selberg.lie import (
     PHASE_TOL,
     EllipticAngles,
@@ -267,6 +268,39 @@ def test_weight_parse_print_roundtrip():
         WeightVector.parse("1/3")
 
 
+WEIGHT_TOKENS = ("+4", "-0", "007", " 3 ", "4_0", "\u0663", "-\u0663", "3/2", "1.5", "1e0", "1/3",
+                 "1e-3000000", "9" * 20, "1" * 5000, "+-4", "0x10", "1 2", "", " ")
+
+
+def _fraction_route(text):
+    """``WeightVector.parse`` with every token read by ``Fraction``, as
+    ``from_coords`` reads it."""
+    parts = [p.strip() for p in text.split(",")]
+    if any(not p for p in parts):
+        raise ValidationError(f"malformed weight string: {text!r}")
+    try:
+        coords = [_fraction(p) for p in parts]
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"malformed weight string: {text!r}") from None
+    return WeightVector.from_coords(coords)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text", [*WEIGHT_TOKENS, *(f"5,{t}" for t in WEIGHT_TOKENS),
+                                  *(f"{t},1/2" for t in WEIGHT_TOKENS), "1,", ",", "2,,1"],
+                         ids=lambda t: repr(t) if len(t) < 30 else f"{t[:4]}...({len(t)} chars)")
+def test_weight_parse_matches_the_fraction_route(text):
+    """A plain integer token is read by ``int``; every weight and every error
+    message is the one the ``Fraction`` route gives."""
+    assert _outcome(WeightVector.parse, text) == _outcome(_fraction_route, text)
+
+
 def test_angle_parsing():
     assert parse_angle("2pi/3") == pytest.approx(2 * math.pi / 3)
     assert parse_angle("pi") == pytest.approx(math.pi)
@@ -280,6 +314,12 @@ def test_angle_parsing():
     # normalization into [0, 2pi) with exact-zero snapping
     assert EllipticAngles((-math.pi / 2,)).angles[0] == pytest.approx(3 * math.pi / 2)
     assert EllipticAngles((2 * math.pi,)).angles[0] == 0.0
+
+
+@pytest.mark.parametrize("token, coef, den", [("pi", 1, 1), ("+pi", 1, 1), ("-pi/2", -1, 2),
+                                               ("0pi", 0, 1), ("+3pi/4", 3, 4), ("-12pi/5", -12, 5)])
+def test_a_pi_multiple_takes_its_signed_coefficient(token, coef, den):
+    assert parse_angle(token) == math.pi * coef / den
 
 
 def test_weight_vector_validation():

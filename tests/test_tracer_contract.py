@@ -89,3 +89,26 @@ def test_weyl_group_time_reads_zero_without_a_build(tracer, capsys):
         assert selberg.cli.run(["lie", "weyl", "--n", str(n), "--count"]) == 0
     capsys.readouterr()
     assert tracer.stats["lie.weyl_group"] == [0, 0.0, 0.0]
+
+
+def test_tracer_times_the_spectral_weyl_ops(tracer, capsys):
+    """The ``spectral-weyl`` ops under the tracer: every rank's character and
+    orbital polynomial get a p50 entry, and one ``heat fit`` is one
+    ``fit_expansion`` that makes one ``heat_trace`` call for its whole grid."""
+    angles = (0.3, 0.9, 1.7, 2.2, 2.9, 0.5)
+    for n in (3, 4, 5, 6):
+        weight = ",".join(str(n - i) for i in range(n))
+        assert selberg.cli.run(["lie", "character", "--weight", weight,
+                                "--angles", ",".join(map(str, angles[:n]))]) == 0
+        assert selberg.cli.run(["orbital", "poly", "--n", str(n), "--sigma", weight,
+                                "--angles", ",".join(map(str, (0.0,) + angles[1:n]))]) == 0
+    assert selberg.cli.run(["heat", "weyl", "--model", "pillowcase", "--rmax", "1e4"]) == 0
+    assert selberg.cli.run(["heat", "fit", "--model", "pillowcase", "--sides", "5.85037,7.885084"]) == 0
+    capsys.readouterr()
+    metrics = tracer.metrics(1, 1.0)
+    assert metrics["heat.heat_trace.calls"] == metrics["heat.fit_expansion.calls"] == 1
+    assert metrics["heat.weyl_counting_check.calls"] == 1
+    for name in ("lie.weyl_character", "orbital.orbital_polynomial"):
+        assert metrics[f"{name}.calls"] == 4
+        for n in (3, 4, 5, 6):
+            assert metrics[f"{name}.n{n}.p50_s"] > 0
