@@ -15,7 +15,6 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
-    ConjClassRecord,
     GroupElement,
     GroupSpec,
     LengthSpectrum,

@@ -25,8 +25,8 @@ ball that misses the primitive screw motion gives a multiple of l0.
 size of the product compared.  Products are not rescaled to determinant 1,
 which would only add rounding: generator determinants are 1 to 1e-10.
 
-An elliptic angle is 2*acos(tr/2) of a chosen lift.  An H3 rotation axis
-has no orientation, so H3 rotations are bucketed by min(theta, 2pi - theta).
+Every invariant ``classify`` returns is a function of +-m, so no spectrum
+depends on the signs of the generators' lifts.
 
 Conjugacy is decided by invariants plus an explicit conjugator search
 inside the enumerated ball, one stacked product h g h^-1 over the ball per
@@ -45,7 +45,6 @@ import contextlib
 import hashlib
 import json
 import math
-import re
 from dataclasses import dataclass, make_dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -58,6 +57,7 @@ from .errors import (
     ParabolicElementError,
     ValidationError,
 )
+from .lie import _fraction
 
 MODELS = ("H2-real-2x2", "H3-complex-2x2")
 
@@ -347,14 +347,15 @@ def classify(stack, model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     stack, in one pass, through its eigenvalue of largest modulus.
 
     Hyperbolic: |lambda| > 1, translation length 2*ln|lambda| and rotation
-    angle 2*arg(lambda) mod 2pi (the orientation induced by the translation
-    direction makes this stable under lift sign and inversion).  Elliptic:
-    2*acos(tr/2) of a chosen lift.  In H2 it is the lift whose lower-left
-    entry is positive, so g and g^-1 get the labels theta and 2pi - theta
-    whatever the lift or conjugate; in H3 it is the given lift, and -m
-    gets 2pi - theta.  A trace within 1e-8 of +-2 on a non-identity
-    element means a (numerically) defective parabolic, which is rejected:
-    the groups of interest act cocompactly.
+    angle arg(lambda^2) mod 2pi (the orientation induced by the translation
+    direction makes this stable under inversion).  Elliptic: in H2,
+    2*acos(tr/2) of the lift whose lower-left entry is positive, so g and
+    g^-1 get the labels theta and 2pi - theta whatever the conjugate; in
+    H3, whose rotation axes have no orientation, 2*acos(|tr|/2) in [0, pi].
+    Each is the same for -m, whose eigenvalue here is -lambda to the bit.
+    A trace within 1e-8 of +-2 on a non-identity element means a
+    (numerically) defective parabolic, which is rejected: the groups of
+    interest act cocompactly.
     """
     m = np.asarray(stack, dtype=complex).reshape(-1, 2, 2)
     identity = projectively_close(m, np.eye(2), CLASSIFY_TOL)
@@ -371,11 +372,13 @@ def classify(stack, model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     elliptic = ~identity & ~hyperbolic
     length, angle = np.zeros(len(m)), np.zeros(len(m))
     length[hyperbolic] = 2.0 * np.log(abs(lam[hyperbolic]))
-    turn = (2.0 * np.angle(lam[hyperbolic])) % TWO_PI
+    turn = np.angle(lam[hyperbolic] ** 2) % TWO_PI
     angle[hyperbolic] = np.where(np.minimum(turn, TWO_PI - turn) < CLASSIFY_TOL, 0.0, turn)
     half_trace = tr.real[elliptic] / 2.0
     if model == "H2-real-2x2":
         half_trace *= np.where(m[elliptic, 1, 0].real > 0, 1.0, -1.0)
+    else:
+        half_trace = abs(half_trace)
     angle[elliptic] = 2.0 * np.arccos(np.clip(half_trace, -1.0, 1.0))
     return ELLIPTIC * elliptic + HYPERBOLIC * hyperbolic, length, angle
 
@@ -425,29 +428,28 @@ def conjugacy_reduce(elements: list[GroupElement], spec: GroupSpec,
     """The conjugacy classes of the enumerated elements as columns: every
     elliptic class, and the hyperbolic classes of length <= cutoff.
 
-    Elements are bucketed by (kind, length, angle) within the invariant
-    tolerance, H3 rotations by min(theta, 2pi - theta); a hyperbolic bucket
-    whose shortest member is longer than the cutoff is skipped.  A bucket of
-    several elements is split into classes by a conjugator search over the
-    whole ball, and flagged ambiguous unless the generators commute.  A
-    class's witness is its minimal-word member, whose length is the class's,
-    and a hyperbolic class is kept if that is within the cutoff.  A kept
-    class gets its witness's angle and twist trace; a hyperbolic one also
-    gets the weight D and, from the ball elements that commute with the
-    witness (``_axis_fixers``), its primitive length l0, its power and
-    v = 1/m.  Elliptic rows come by (theta, word) and hyperbolic rows by
-    bucket; ``LengthSpectrum`` puts the hyperbolic rows in canonical order.
+    The elements come in (length, word) order, as ``enumerate_elements``
+    returns them.  They are bucketed by (kind, length, angle) within the
+    invariant tolerance; a hyperbolic bucket whose shortest member is longer
+    than the cutoff is skipped.  A bucket of several elements is split into
+    classes by a conjugator search over the whole ball, and flagged
+    ambiguous unless the generators commute.  A class's witness is its
+    first member, whose length is the class's, and a hyperbolic class is
+    kept if that is within the cutoff.  A kept class gets its witness's
+    angle and twist trace; a hyperbolic one also gets the weight D and,
+    from the ball elements that commute with the witness
+    (``_axis_fixers``), its primitive length l0, its power and v = 1/m.
+    Elliptic rows come by (theta, word) and hyperbolic rows by bucket;
+    ``LengthSpectrum`` puts the hyperbolic rows in canonical order.
     """
     mats = np.array([el.matrix for el in elements], dtype=complex).reshape(-1, 2, 2)
     kind, length, angle = classify(mats, spec.model)
     words = [el.word for el in elements]
-    fold = (kind == ELLIPTIC) & (spec.model == "H3-complex-2x2")
-    label = np.where(fold, np.minimum(angle, TWO_PI - angle), angle)
     buckets = []
     for code in (ELLIPTIC, HYPERBOLIC):
         for chain in _chain(np.flatnonzero(kind == code), length):
             # a kind with no elements gives one empty chain
-            buckets += [bucket for bucket in _chain(chain, label) if len(bucket)
+            buckets += [bucket for bucket in _chain(chain, angle) if len(bucket)
                         and (code == ELLIPTIC or length[bucket].min() <= cutoff)]
     gens = np.array(spec.generators, dtype=complex).reshape(-1, 2, 2)
     abelian = all(_commuting(gens, g).all() for g in gens)
@@ -459,8 +461,8 @@ def conjugacy_reduce(elements: list[GroupElement], spec: GroupSpec,
 
     elliptic, hyperbolic = [], []
     for bucket in buckets:
-        # in (length, word) order, so the first member left is a class's witness
-        rest = sorted(bucket.tolist(), key=lambda i: (len(words[i]), words[i]))
+        # in ball order, so the first member left is a class's witness
+        rest = sorted(bucket.tolist())
         witnesses = []
         while rest:
             rep, *rest = rest
@@ -579,24 +581,6 @@ def _tuples(rows) -> np.ndarray:
     """A 1-D object array of one tuple per row; ``np.array`` would make a
     matrix of equal-length rows."""
     return np.fromiter(map(tuple, rows), dtype=object, count=len(rows))
-
-
-#: the exponent of a decimal v text
-_EXPONENT = re.compile(r"[eE]([-+]?)(\d+(?:_\d+)*)\s*\Z")
-#: the decimal exponent beyond which every float overflows or rounds to 0
-_FLOAT_EXPONENT = 400
-
-
-def _fraction(text: str) -> Fraction:
-    """``Fraction(text)``, but an exponent beyond the text's length plus
-    _FLOAT_EXPONENT is lowered to that bound first: past it a nonzero value
-    overflows a float or rounds to 0 whatever its digits, and ``Fraction``
-    would build 10**exponent, which takes seconds at 1e-3000000."""
-    match = _EXPONENT.search(text)
-    bound = len(text) + _FLOAT_EXPONENT
-    if match and int(match[2]) > bound:
-        text = f"{text[:match.start()]}e{match[1]}{bound}"
-    return Fraction(text)
 
 
 def _spectrum_row(text: str, fractions: dict) -> tuple:

@@ -20,7 +20,7 @@ iota, which fixes only v = 0 and whose 2^d fixed points carry 2^{-d-1} each.
 Because the spectra are exact, the fitted expansion coefficients can be
 checked against the predicted leading term (4 pi)^{-d/2} * vol, the
 stratum-driven constant terms, and the Weyl-law slope
-rk(E) * vol / ((4 pi)^{d/2} Gamma(d/2 + 1)).
+vol / ((4 pi)^{d/2} Gamma(d/2 + 1)) of the Laplacian on functions.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import ClassVar
 
 import numpy as np
 
@@ -53,24 +52,17 @@ MAX_LATTICE_POINTS = 10**7
 class FlatOrbifoldModel:
     """A flat torus with one radius per axis (one or two axes) or, when
     ``folded``, its quotient by v -> -v, which keeps one eigenfunction per
-    lattice orbit {v, -v}.  ``strata`` lists the singular strata as
-    (dimension, isotropy order): the 2^d fixed points of v -> -v if folded.
+    lattice orbit {v, -v}; its singular strata are the 2^d fixed points of
+    v -> -v, each of isotropy order 2.  The Laplacian acts on functions.
     """
 
-    name: str
     vol: float
     radii: tuple[float, ...]
     folded: bool
-    #: the Laplacian acts on functions, a line bundle
-    rank_e: ClassVar[int] = 1
 
     @property
     def dim(self) -> int:
         return len(self.radii)
-
-    @property
-    def strata(self) -> tuple[tuple[int, int], ...]:
-        return ((0, 2),) * 2**self.dim if self.folded else ()
 
 
 def _finite_positive(what: str, x: float) -> float:
@@ -84,11 +76,11 @@ def make_model(name: str, radius: float = 1.0, sides=(2.0 * math.pi, 2.0 * math.
     if name in ("circle", "circle-reflection"):
         r = _finite_positive("circle radius", radius)
         folded = name == "circle-reflection"
-        return FlatOrbifoldModel(name, math.pi * r if folded else 2.0 * math.pi * r, (r,), folded)
+        return FlatOrbifoldModel(math.pi * r if folded else 2.0 * math.pi * r, (r,), folded)
     if name == "pillowcase":
         a, b = (_finite_positive("pillowcase side", s) for s in sides[:2])
         radii = (a / (2.0 * math.pi), b / (2.0 * math.pi))
-        return FlatOrbifoldModel(name, a * b / 2.0, radii, True)
+        return FlatOrbifoldModel(a * b / 2.0, radii, True)
     raise ValidationError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
 
 
@@ -158,8 +150,6 @@ def heat_trace(model: FlatOrbifoldModel, t) -> float | list[float]:
 class HeatFit:
     """Least-squares fit of the small-time trace on a pinned exponent ladder."""
 
-    t_grid: tuple[float, ...]
-    traces: tuple[float, ...]
     exponents: tuple[float, ...]
     coefficients: tuple[float, ...]
     residual: float
@@ -208,14 +198,7 @@ def fit_expansion(model: FlatOrbifoldModel, t_grid) -> HeatFit:
     coeffs, *_ = np.linalg.lstsq(design, traces, rcond=None)
     residual = float(np.max(np.abs(design @ coeffs - traces) / np.abs(traces)))
     expected = (4.0 * math.pi) ** (-d / 2.0) * model.vol
-    return HeatFit(
-        t_grid=tuple(t),
-        traces=tuple(traces),
-        exponents=exponents,
-        coefficients=tuple(float(c) for c in coeffs),
-        residual=residual,
-        expected_leading=expected,
-    )
+    return HeatFit(exponents, tuple(float(c) for c in coeffs), residual, expected)
 
 
 def eigenvalue_count(model: FlatOrbifoldModel, bounds) -> np.ndarray:
@@ -273,7 +256,7 @@ def weyl_counting_check(model: FlatOrbifoldModel, r_max: float) -> WeylSlopeRepo
     basis = probes ** (model.dim / 2.0)
     fitted = float(np.dot(counts, basis) / np.dot(basis, basis))
     d = model.dim
-    predicted = model.rank_e * model.vol / (
+    predicted = model.vol / (
         (4.0 * math.pi) ** (d / 2.0) * math.gamma(d / 2.0 + 1.0)
     )
     rel = abs(fitted - predicted) / predicted

@@ -40,7 +40,6 @@ from itertools import permutations, product
 import numpy as np
 
 from .errors import NonRegularElementError, NumericalGuardError, ValidationError
-from .geometry import _fraction
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,6 +64,22 @@ PHASE_TOL = 1e-9
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 #: a plain ASCII integer weight token, which ``int`` reads as ``Fraction`` would
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+#: the exponent of a decimal text
+_EXPONENT = re.compile(r"[eE]([-+]?)(\d+(?:_\d+)*)\s*\Z")
+#: the decimal exponent beyond which every float overflows or rounds to 0
+_FLOAT_EXPONENT = 400
+
+
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``, but an exponent beyond the text's length plus
+    _FLOAT_EXPONENT is lowered to that bound first: past it a nonzero value
+    overflows a float or rounds to 0 whatever its digits, and ``Fraction``
+    would build 10**exponent, which takes seconds at 1e-3000000."""
+    match = _EXPONENT.search(text)
+    bound = len(text) + _FLOAT_EXPONENT
+    if match and int(match[2]) > bound:
+        text = f"{text[:match.start()]}e{match[1]}{bound}"
+    return Fraction(text)
 
 
 @dataclass(frozen=True)
@@ -73,7 +88,9 @@ class WeightVector:
 
     ``doubled`` holds 2*k_j as plain integers below MAX_DOUBLED in absolute
     value; all entries must share one parity (all even: integral SO(2n)
-    weight, all odd: half-integral spin-type weight, accepted but flagged).
+    weight, all odd: half-integral spin-type weight).  A spin-type weight
+    takes the same characters and orbital polynomials as an integral one;
+    ``is_spin_type`` tells the two apart, and no layer reads it.
     """
 
     doubled: tuple[int, ...]
@@ -133,7 +150,7 @@ class WeightVector:
     @classmethod
     def parse(cls, text: str) -> "WeightVector":
         """Parse a comma-separated half-integer string like ``3/2,1/2,-1/2``: ``int``
-        reads a plain ASCII integer token, and ``geometry._fraction`` any other."""
+        reads a plain ASCII integer token, and ``_fraction`` any other."""
         parts = [p.strip() for p in text.split(",")]
         if not parts or any(not p for p in parts):
             raise ValidationError(f"malformed weight string: {text!r}")

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import hashlib
 import json
@@ -21,6 +22,7 @@ from conftest import (
     cyclic_h3_spec,
     klein_tetrahedron_volume,
     orthoscheme_volume,
+    reduced_words,
     schottky_spec,
     small_h3_spectrum_csv,
     triangle_237_spec,
@@ -31,7 +33,13 @@ import selberg.heat
 import selberg.lie
 from selberg.cli import _COMMANDS, MAX_GRID_POINTS, _leaf_parser, _parse_grid, _parser, run
 from selberg.errors import NumericalGuardError, ValidationError
-from selberg.geometry import ConjClassRecord, LengthSpectrum, enumerate_elements
+from selberg.geometry import (
+    ConjClassRecord,
+    GroupSpec,
+    LengthSpectrum,
+    build_length_spectrum,
+    enumerate_elements,
+)
 from selberg.lie import EllipticAngles, WeightVector
 from selberg.orbital import orbital_polynomial
 from selberg.zeta import ZetaTermContext, log_zeta_truncated
@@ -41,6 +49,38 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+#: the package's modules from the bottom layer up
+LAYERS = ("errors", "lie", "orbital", "geometry", "zeta", "heat", "cli")
+
+
+def _package_imports(tree) -> set:
+    """The package modules an AST imports anywhere, by short name, and
+    ``selberg`` for the package itself."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("selberg." * node.level + (node.module or "")).rstrip(".")
+            names = [f"{module}.{alias.name}" if module == "selberg" else module
+                     for alias in node.names]
+        else:
+            continue
+        found |= {name.partition(".")[2] or name for name in names
+                  if name.partition(".")[0] == "selberg"}
+    return found
+
+
+def test_each_module_imports_only_earlier_layers():
+    """Every module of the package imports only modules before it in LAYERS,
+    so no layer reaches up: errors, lie, orbital, geometry, zeta, heat, cli."""
+    package = Path(selberg.cli.__file__).parent
+    assert sorted(path.stem for path in package.glob("*.py")) == sorted(LAYERS + ("__init__",))
+    for rank, name in enumerate(LAYERS):
+        imported = _package_imports(ast.parse((package / f"{name}.py").read_text()))
+        assert imported <= set(LAYERS[:rank]), (name, imported - set(LAYERS[:rank]))
 
 
 GROUP_JSON = {
@@ -1088,6 +1128,72 @@ def test_enumerate_output_is_frozen(capsys, tmp_path, key):
     code, out, err = invoke(capsys, "spectrum", "enumerate", "--group", str(group), *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN["enumerate"][key]
+
+
+def test_frozen_h3_spectra_hold_their_angles(capsys, tmp_path):
+    """The H3 spectra of FROZEN["enumerate"], checked apart from their
+    digests: the [5,3,4] rotation classes come at their angles in [0, pi]
+    as they are, and the cyclic group's g^k and g^-k at k * 0.7 mod 2pi."""
+    spectra = {}
+    for name in ("coxeter-534", "cyclic-h3"):
+        _, *argv = next(key for key in FROZEN["enumerate"] if key.split()[0] == name).split()
+        group = _group_file(tmp_path / f"{name}.json", ENUMERATE_GROUPS[name]())
+        out = tmp_path / f"{name}.csv"
+        assert invoke(capsys, "spectrum", "enumerate", "--group", str(group), *argv,
+                      "--out", str(out)) == (0, "", "")
+        spectra[name] = LengthSpectrum.read_csv(out)
+    theta = spectra["coxeter-534"].part("elliptic").angles_of_rank(1)[:, 0]
+    want = [2 * math.pi / 5, 4 * math.pi / 5, 2 * math.pi / 3, math.pi / 2] + [math.pi] * 3
+    assert sorted(theta) == pytest.approx(sorted(want), abs=1e-12)
+    hyper = spectra["cyclic-h3"].part("hyperbolic")
+    k = np.rint(hyper.length / 1.3)
+    assert len(k) == 16 and hyper.length == pytest.approx(1.3 * k, rel=1e-12)
+    assert hyper.angles_of_rank(1)[:, 0] == pytest.approx(np.mod(0.7 * k, 2 * math.pi), abs=1e-12)
+
+
+#: the word length and cutoff each group of ENUMERATE_GROUPS is reduced at
+#: with its generators' lifts negated
+LIFT_BALLS = {"coxeter-534": (8, 3.0), "schottky": (6, 12.0), "schottky-chi": (6, 12.0),
+              "triangle-237": (10, 6.0), "cyclic-h3": (8, 12.0)}
+
+
+@pytest.mark.parametrize("name", LIFT_BALLS)
+def test_spectra_do_not_depend_on_the_lift_signs(capsys, tmp_path, name):
+    """-g is the isometry g is: negating one generator, or every one,
+    changes a spectrum file only in its spec hash on line 1, and
+    ``spectrum classify`` prints the same for every word up to length 3."""
+    spec = ENUMERATE_GROUPS[name]()
+    count = len(spec.generators)
+    patterns = [(k,) for k in range(count)] + [tuple(range(count))]
+    lifts = [GroupSpec(spec.model, [-g if k in negated else g for k, g in
+                                    enumerate(spec.generators)], spec.chi)
+             for negated in [()] + patterns]
+    bodies = {build_length_spectrum(lift, *LIFT_BALLS[name]).to_csv().split("\n", 1)[1]
+              for lift in lifts}
+    assert len(bodies) == 1
+    groups = [str(_group_file(tmp_path / f"{k}.json", lift)) for k, lift in enumerate(lifts)]
+    for word in reduced_words(count, 3)[1:]:
+        argv = ("spectrum", "classify", f"--word={','.join(map(str, word))}", "--group")
+        outs = {invoke(capsys, *argv, group) for group in groups}
+        assert len(outs) == 1 and next(iter(outs))[0] == 0, word
+
+
+def test_coxeter_534_elliptic_heat_term_does_not_depend_on_the_lift(capsys, tmp_path):
+    """The elliptic heat term at sigma = 1 of the [5,3,4] fixture is the
+    same with generator 1 negated: its rotation angles are those of +-m."""
+    spec = coxeter_534_spec()
+    flipped = GroupSpec(spec.model, [-spec.generators[0], *spec.generators[1:]])
+    outs = []
+    for k, lift in enumerate((spec, flipped)):
+        group, spectrum = _group_file(tmp_path / f"{k}.json", lift), tmp_path / f"{k}.csv"
+        assert invoke(capsys, "spectrum", "enumerate", "--group", str(group), "--max-word-len",
+                      "8", "--cutoff", "3", "--out", str(spectrum))[0] == 0
+        with pytest.warns(UserWarning, match="no centralizer volumes"):
+            code, out, _ = invoke(capsys, "zeta", "heat-terms", "--spectrum", str(spectrum),
+                                  "--sigma", "1", "--t", "0.1", "--allow-ambiguous")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 # the benchmark's pillowcase inputs, frozen from the per-bound lattice counts

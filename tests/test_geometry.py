@@ -232,6 +232,9 @@ def test_conjugacy_power_decomposition():
 
 
 def test_conjugacy_elliptic_distinct_angles():
+    """m and m^2 = m^-1 (in PSL) are rotations by 2pi/3 about one axis,
+    with opposite orientations: one angle, and two certified classes of
+    the cyclic group."""
     m = elliptic_order3_matrix()
     spec = GroupSpec(model="H3-complex-2x2", generators=[m])
     els = [
@@ -239,9 +242,9 @@ def test_conjugacy_elliptic_distinct_angles():
         GroupElement(np.asarray(m @ m, dtype=complex), (1, 1)),
     ]
     recs = spectrum_rows(conjugacy_reduce(els, spec, cutoff=1.0))
-    angles = sorted(r.angles[0] for r in recs)
-    assert angles == pytest.approx([2 * math.pi / 3, 4 * math.pi / 3], abs=1e-10)
-    assert all(r.kind == "elliptic" and r.length == 0.0 for r in recs)
+    assert [r.word for r in recs] == [(1,), (1, 1)]
+    assert [r.angles[0] for r in recs] == pytest.approx([2 * math.pi / 3] * 2, abs=1e-10)
+    assert all(r.kind == "elliptic" and r.length == 0.0 and not r.ambiguous for r in recs)
 
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -251,24 +254,24 @@ Q3 = 0.5 * np.array([[1 + 1j, 1 + 1j], [-1 + 1j, 1 - 1j]])
 Q5 = np.array([[PHI / 2 + 0.5j, 1 / (2 * PHI)], [-1 / (2 * PHI), PHI / 2 - 0.5j]])
 
 
-@pytest.mark.parametrize("gens,max_len,order,folded,flagged", [
+@pytest.mark.parametrize("gens,max_len,order,angles,flagged", [
     # S4: 4-cycles, 3-cycles, and two classes of half-turns with equal angle
     ([Q4, Q3], 6, 24, [math.pi / 2, 2 * math.pi / 3, math.pi, math.pi], [math.pi, math.pi]),
     # A5: two classes of fifth-turns, third-turns, half-turns
-    ([Q5, Q3], 10, 60, [2 * math.pi / 5, 4 * math.pi / 5, 2 * math.pi / 3, math.pi], []),
+    ([Q5, Q3], 10, 60, [2 * math.pi / 5, 2 * math.pi / 3, 4 * math.pi / 5, math.pi], []),
     # cyclic of order 3: m and m^-1 are distinct classes, and certified so
     ([elliptic_order3_matrix()], 4, 3, [2 * math.pi / 3, 2 * math.pi / 3], []),
 ], ids=["S4", "A5", "cyclic-3"])
-def test_h3_rotation_classes_are_counted_once(gens, max_len, order, folded, flagged):
+def test_h3_rotation_classes_are_counted_once(gens, max_len, order, angles, flagged):
     """In H3 a rotation by theta is one by 2pi - theta about the reversed
-    axis; a finite rotation group has one record per non-identity class."""
+    axis, and gets the angle in [0, pi]; a finite rotation group has one
+    record per non-identity class, in angle order."""
     spec = GroupSpec(model="H3-complex-2x2", generators=gens)
     assert len(enumerate_elements(spec, max_len)) == order  # the whole group
     cols = build_length_spectrum(spec, max_len, cutoff=1.0).columns
     assert (cols.kind == "elliptic").all()
     theta = cols.angles_of_rank(1)[:, 0]
-    fold = sorted(np.minimum(theta, 2 * math.pi - theta))
-    assert fold == pytest.approx(sorted(folded), abs=1e-10)
+    assert theta.tolist() == pytest.approx(angles, abs=1e-10)
     assert theta[cols.ambiguous].tolist() == pytest.approx(flagged, abs=1e-10)
 
 
@@ -468,16 +471,15 @@ def test_centralizer_of_a_hand_built_h3_ball():
 def test_coxeter_534_elliptic_classes():
     """The [5,3,4] fixture at L=8 has 7 elliptic classes: the rotations of
     orders 5, 3 and 4 about the edges with dihedral angles pi/5, pi/3 and
-    pi/4 (folded angles 2pi/5, 4pi/5, 2pi/3 and pi/2), and three half-turn
+    pi/4 (angles 2pi/5, 4pi/5, 2pi/3 and pi/2), and three half-turn
     classes: the square of the order-4 rotation, the half-turn about edge
     (0,2), and the one about edges (0,3) and (1,3), which share one axis.
     The four that are not half-turns are unflagged."""
     elliptic = build_length_spectrum(coxeter_534_spec(), 8, cutoff=4.0).part("elliptic")
     assert len(elliptic.kind) == 7
     theta = elliptic.angles_of_rank(1)[:, 0]
-    folded = sorted(np.minimum(theta, 2 * math.pi - theta))
     want = sorted([2 * math.pi / 5, 4 * math.pi / 5, 2 * math.pi / 3, math.pi / 2] + [math.pi] * 3)
-    assert folded == pytest.approx(want, abs=1e-10)
+    assert theta.tolist() == pytest.approx(want, abs=1e-10)
     rotations = abs(theta - math.pi) > 1e-6
     assert rotations.sum() == 4 and not elliptic.ambiguous[rotations].any()
 

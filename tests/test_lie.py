@@ -14,7 +14,6 @@ from conftest import (
     weyl_dn,
 )
 from selberg.errors import NonRegularElementError, NumericalGuardError, ValidationError
-from selberg.geometry import _fraction
 from selberg.lie import (
     PHASE_TOL,
     EllipticAngles,
@@ -25,6 +24,7 @@ from selberg.lie import (
     w0_flip,
     weyl_character,
     weyl_group,
+    _fraction,
 )
 from selberg.orbital import orbital_polynomial
 
