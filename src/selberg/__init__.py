@@ -15,7 +15,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
-    GroupElement,
+    Ball,
     GroupSpec,
     LengthSpectrum,
     build_length_spectrum,

@@ -25,13 +25,15 @@ radius, side, rmax, heat time, cutoff or volume that is not finite and
 positive is a validation error, and so are a chi dimension or element cap
 below 1, a group spec that is not an object with ``model`` and
 ``generators`` lists of matrices whose entries are finite JSON numbers or
-[re, im] pairs of them, a ``--s`` point that is not finite, a flat model
-past ``MAX_AXIS_MODES`` modes on an axis or a lattice radius of 2^52, a
-weight coordinate with |2k| >= 2^53 and a rank past ``lie.MAX_RANK``.  So
-are a missing or unwritable file, malformed JSON and a list or grid item
-that is not a number; each prints one ``error:`` line.  A twist trace that
-is not finite, a Plancherel coefficient past the float range and a phase
-k*phi that may round past ``lie.PHASE_TOL`` are numerical guards.
+[re, im] pairs of them, a ``--s`` point that is not finite, a ``--s`` or
+``--t`` list with no value, a flat model past ``MAX_AXIS_MODES`` modes on
+an axis or a lattice radius of 2^52, a weight coordinate with |2k| >= 2^53,
+a rank past ``lie.MAX_RANK`` and an ``orbital`` ``--n`` that is not the
+rank of the weight and the angles.  So are a missing or unwritable file,
+malformed JSON and a list or grid item that is not a number; each prints
+one ``error:`` line.  A twist trace that is not finite, a Plancherel
+coefficient past the float range and a phase k*phi that may round past
+``lie.PHASE_TOL`` are numerical guards.
 
 ``--validate`` runs every check of the op, the computation included, and
 prints ``ok`` in place of the output lines, so its exit code and error line
@@ -97,9 +99,13 @@ def _number(text: str, kind=float):
         raise ValidationError(f"cannot parse number {text.strip()!r}") from None
 
 
-def _parse_values(text: str, kind=float) -> list:
-    """Comma-separated numbers of type ``kind``; empty items are skipped."""
-    return [_number(x, kind) for x in text.split(",") if x.strip()]
+def _parse_values(text: str, kind=float, flag: str = "") -> list:
+    """Comma-separated numbers of type ``kind``; empty items are skipped, and
+    a list of the option ``flag`` with no number is a ValidationError."""
+    values = [_number(x, kind) for x in text.split(",") if x.strip()]
+    if flag and not values:
+        raise ValidationError(f"{flag} needs at least one value")
+    return values
 
 
 def _parse_grid(text: str) -> list[complex]:
@@ -180,23 +186,28 @@ def cmd_lie_character(args) -> list[str]:
     return [f"{fmt(value.real)},{fmt(value.imag)}"]
 
 
-def cmd_orbital_poly(args) -> list[str]:
+def _weight_and_angles(args) -> tuple[WeightVector, EllipticAngles]:
+    """``--sigma`` and ``--angles``, whose ranks must both be ``--n``."""
     sigma = WeightVector.parse(args.sigma)
     angles = EllipticAngles.parse(args.angles)
-    poly = orbital_polynomial(sigma, angles, args.n)
+    if not sigma.rank == len(angles) == args.n:
+        raise ValidationError("weight, angles and rank must agree")
+    return sigma, angles
+
+
+def cmd_orbital_poly(args) -> list[str]:
+    poly = orbital_polynomial(*_weight_and_angles(args))
     return [",".join(fmt_complex(c) for c in poly.coeffs)]
 
 
 def cmd_orbital_plancherel(args) -> list[str]:
     sigma = WeightVector.parse(args.sigma)
-    poly = plancherel_polynomial(sigma, sigma.rank)
+    poly = plancherel_polynomial(sigma)
     return [",".join(fmt_complex(c) for c in poly.coeffs)]
 
 
 def cmd_orbital_gap(args) -> list[str]:
-    sigma = WeightVector.parse(args.sigma)
-    angles = EllipticAngles.parse(args.angles)
-    return [fmt(weyl_A_invariance_gap(sigma, angles, args.n))]
+    return [fmt(weyl_A_invariance_gap(*_weight_and_angles(args)))]
 
 
 def cmd_spectrum_enumerate(args) -> list[str]:
@@ -232,7 +243,7 @@ def cmd_zeta_eval(args) -> list[str]:
 
 def cmd_zeta_xi(args) -> list[str]:
     ctx = _load_context(args)
-    values = _parse_values(args.s)
+    values = _parse_values(args.s, flag="--s")
     if not all(map(math.isfinite, values)):
         raise ValidationError("--s points must be finite")
     points = [complex(x, 0.0) for x in values]
@@ -244,7 +255,7 @@ def cmd_zeta_xi(args) -> list[str]:
 
 def cmd_zeta_heat_terms(args) -> list[str]:
     ctx = _load_context(args)
-    times = _parse_values(args.t)
+    times = _parse_values(args.t, flag="--t")
     return ["t,re_I,im_I,re_E,im_E,re_H,im_H"] + [
         f"{fmt(t)},{fmt(terms.identity.real)},{fmt(terms.identity.imag)},"
         f"{fmt(terms.elliptic.real)},{fmt(terms.elliptic.imag)},"
@@ -264,7 +275,7 @@ def _model(args) -> heat_mod.FlatOrbifoldModel:
 
 
 def cmd_heat_trace(args) -> list[str]:
-    model, times = _model(args), _parse_values(args.t)
+    model, times = _model(args), _parse_values(args.t, flag="--t")
     traces = heat_mod.heat_trace(model, times)
     return ["t,trace"] + [f"{fmt(t)},{fmt(trace)}" for t, trace in zip(times, traces)]
 

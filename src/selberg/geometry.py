@@ -4,12 +4,13 @@ Groups are given by unit-determinant 2x2 generator matrices in one of two
 models: real matrices acting on the hyperbolic plane, or complex matrices
 acting on hyperbolic 3-space (the rank-1 case of the ambient theory).
 Elements are enumerated as reduced words up to a length bound, one word
-length at a time as a stack of products, classified through their
-eigenvalues, and collected into conjugacy classes with all the per-class
-quantities the zeta and trace-formula layers consume: geodesic length,
-primitive length and power, rotation angle, the adjoint-determinant weight
-D, the centralizer factor v, and the twist trace.  Each stack is
-classified once, in one numpy pass, and the whole reduction reads that.
+length at a time as a stack of products.  The ball is one ``Ball``: a
+read-only (N, 2, 2) matrix stack and its words, in (length, word) order.
+The stack is classified through its eigenvalues once, in one numpy pass,
+and collected into conjugacy classes with all the per-class quantities the
+zeta and trace-formula layers consume: geodesic length, primitive length
+and power, rotation angle, the adjoint-determinant weight D, the
+centralizer factor v, and the twist trace.
 
 The centralizer of a hyperbolic class is read from the same ball: it is
 the set of ball elements that commute with the class's witness, the test
@@ -57,7 +58,7 @@ from .errors import (
     ParabolicElementError,
     ValidationError,
 )
-from .lie import _fraction
+from .lie import TWO_PI, _fraction
 
 MODELS = ("H2-real-2x2", "H3-complex-2x2")
 
@@ -68,7 +69,6 @@ KEY_GRID = 1e-7
 MATRIX_TOL = 1e-12
 #: tolerance for classification invariants, relative for lengths and angles
 CLASSIFY_TOL = 1e-8
-TWO_PI = 2.0 * math.pi
 
 DEFAULT_MAX_WORD_LEN = 14
 DEFAULT_ELEMENT_CAP = 200_000
@@ -283,24 +283,31 @@ def _matches(queries: np.ndarray, tols: np.ndarray, refs: np.ndarray):
     return qi[hit], rj[hit]
 
 
-@dataclass
-class GroupElement:
-    matrix: np.ndarray
-    word: tuple
-
-
 # ---------------------------------------------------------------------------
 # enumeration
+
+
+@dataclass(frozen=True)
+class Ball:
+    """A word ball: the (N, 2, 2) stack of its elements' matrices and their
+    N words, in the same order; ``len`` is N."""
+
+    matrices: np.ndarray
+    words: tuple
+
+    def __len__(self) -> int:
+        return len(self.words)
 
 
 def enumerate_elements(
     spec: GroupSpec,
     max_word_len: int,
     element_cap: int = DEFAULT_ELEMENT_CAP,
-) -> list[GroupElement]:
+) -> Ball:
     """All distinct reduced generator words up to the length bound,
-    deduplicated up to overall matrix sign, in (length, word) order; each
-    word length is one stack of frontier x letter products."""
+    deduplicated up to overall matrix sign, as one read-only stack in
+    (length, word) order; each word length is one stack of frontier x letter
+    products."""
     if not 0 <= max_word_len <= DEFAULT_MAX_WORD_LEN:
         raise ValidationError(
             f"max_word_len must be between 0 and {DEFAULT_MAX_WORD_LEN}, got {max_word_len}"
@@ -328,9 +335,10 @@ def enumerate_elements(
         start = len(words) - len(levels[-1])  # the frontier's words
         words += [words[start + i] + (x,) for i, x in zip(f[keep].tolist(), last.tolist())]
         levels.append(cand[keep])
-    mats = np.concatenate(levels)
     order = sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
-    return [GroupElement(mats[i], words[i]) for i in order]
+    matrices = np.concatenate(levels)[order]
+    matrices.flags.writeable = False
+    return Ball(matrices, tuple(words[i] for i in order))
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +391,9 @@ def classify(stack, model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ELLIPTIC * elliptic + HYPERBOLIC * hyperbolic, length, angle
 
 
-def weight_D(length: float, angles, n: int) -> float:
-    """Adjoint-determinant weight of a hyperbolic class.
+def weight_D(length: float, angles) -> float:
+    """Adjoint-determinant weight of a hyperbolic class with one rotation
+    angle theta_j per rank.
 
     The adjoint action of the normal form on the 2n-dimensional nilpotent
     algebra has eigenvalues exp(l +- i*theta_j), so
@@ -395,9 +404,6 @@ def weight_D(length: float, angles, n: int) -> float:
     """
     if length <= 0:
         raise ValidationError("weight D is defined for hyperbolic classes only")
-    angles = tuple(angles)
-    if len(angles) != n:
-        raise ValidationError(f"need {n} rotation angles, got {len(angles)}")
     out = 1.0
     for theta in angles:
         out *= 4.0 * abs(cmath.sinh((length + 1j * theta) / 2.0)) ** 2
@@ -423,28 +429,27 @@ def _commuting(stack: np.ndarray, w: np.ndarray) -> np.ndarray:
     return projectively_close(_mul(stack, w), _mul(w, stack), tol)
 
 
-def conjugacy_reduce(elements: list[GroupElement], spec: GroupSpec,
-                     cutoff: float) -> SpectrumColumns:
-    """The conjugacy classes of the enumerated elements as columns: every
+def conjugacy_reduce(ball: Ball, spec: GroupSpec, cutoff: float) -> SpectrumColumns:
+    """The conjugacy classes of the ball's elements as columns: every
     elliptic class, and the hyperbolic classes of length <= cutoff.
 
     The elements come in (length, word) order, as ``enumerate_elements``
-    returns them.  They are bucketed by (kind, length, angle) within the
-    invariant tolerance; a hyperbolic bucket whose shortest member is longer
-    than the cutoff is skipped.  A bucket of several elements is split into
-    classes by a conjugator search over the whole ball, and flagged
-    ambiguous unless the generators commute.  A class's witness is its
-    first member, whose length is the class's, and a hyperbolic class is
-    kept if that is within the cutoff.  A kept class gets its witness's
-    angle and twist trace; a hyperbolic one also gets the weight D and,
-    from the ball elements that commute with the witness
-    (``_axis_fixers``), its primitive length l0, its power and v = 1/m.
-    Elliptic rows come by (theta, word) and hyperbolic rows by bucket;
-    ``LengthSpectrum`` puts the hyperbolic rows in canonical order.
+    returns them, and their stack is classified as given.  They are
+    bucketed by (kind, length, angle) within the invariant tolerance; a
+    hyperbolic bucket whose shortest member is longer than the cutoff is
+    skipped.  A bucket of several elements is split into classes by a
+    conjugator search over the whole ball, and flagged ambiguous unless the
+    generators commute.  A class's witness is its first member, whose
+    length is the class's, and a hyperbolic class is kept if that is within
+    the cutoff.  A kept class gets its witness's angle and twist trace; a
+    hyperbolic one also gets the weight D and, from the ball elements that
+    commute with the witness (``_axis_fixers``), its primitive length l0,
+    its power and v = 1/m.  Elliptic rows come by (theta, word) and
+    hyperbolic rows by bucket; ``LengthSpectrum`` puts the hyperbolic rows
+    in canonical order.
     """
-    mats = np.array([el.matrix for el in elements], dtype=complex).reshape(-1, 2, 2)
+    mats, words = ball.matrices, ball.words
     kind, length, angle = classify(mats, spec.model)
-    words = [el.word for el in elements]
     buckets = []
     for code in (ELLIPTIC, HYPERBOLIC):
         for chain in _chain(np.flatnonzero(kind == code), length):
@@ -481,7 +486,7 @@ def conjugacy_reduce(elements: list[GroupElement], spec: GroupSpec,
             elif w_len <= cutoff:
                 power, prim_len, rotations = _axis_fixers(witness, axis_ball)
                 hyperbolic.append(("hyperbolic", w_len, prim_len, power, (w_angle,),
-                                   weight_D(w_len, (w_angle,), 1), Fraction(1, rotations),
+                                   weight_D(w_len, (w_angle,)), Fraction(1, rotations),
                                    spec.chi_trace(word), word, ambiguous))
     elliptic.sort(key=lambda row: (row[4], row[8]))  # (angles, word)
     return SpectrumColumns.from_rows(elliptic + hyperbolic)
@@ -746,10 +751,6 @@ class LengthSpectrum:
                 f"{tr_chi.real:.17g},{tr_chi.imag:.17g},{'.'.join(map(str, word))}"
             )
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv())
 
     @classmethod
     def read_csv(cls, path) -> "LengthSpectrum":

@@ -161,14 +161,6 @@ class HeatFit:
                 return c
         raise ValidationError(f"exponent {exponent} not in the fitted ladder")
 
-    @property
-    def leading_coefficient(self) -> float:
-        return self.coefficients[0]
-
-    @property
-    def constant_term(self) -> float:
-        return self.coefficient(0.0)
-
 
 def fit_expansion(model: FlatOrbifoldModel, t_grid) -> HeatFit:
     """Fit sum_k c_k t^{(k-d)/2}, k = 0..d+1, to the heat trace.

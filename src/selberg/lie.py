@@ -89,8 +89,8 @@ class WeightVector:
     ``doubled`` holds 2*k_j as plain integers below MAX_DOUBLED in absolute
     value; all entries must share one parity (all even: integral SO(2n)
     weight, all odd: half-integral spin-type weight).  A spin-type weight
-    takes the same characters and orbital polynomials as an integral one;
-    ``is_spin_type`` tells the two apart, and no layer reads it.
+    takes the same characters and orbital polynomials as an integral one,
+    and no layer tells the two apart.
     """
 
     doubled: tuple[int, ...]
@@ -112,10 +112,6 @@ class WeightVector:
     @property
     def rank(self) -> int:
         return len(self.doubled)
-
-    @property
-    def is_spin_type(self) -> bool:
-        return self.doubled[0] % 2 == 1
 
     @property
     def coords(self) -> tuple[Fraction, ...]:

@@ -101,9 +101,6 @@ class EvenPolynomial:
             for k, c in enumerate(self.coeffs)
         )
 
-    def max_abs_coeff(self) -> float:
-        return max(abs(c) for c in self.coeffs)
-
     def coeff_gap(self, other: "EvenPolynomial") -> float:
         """Max coefficientwise absolute difference."""
         m = max(len(self.coeffs), len(other.coeffs))
@@ -122,13 +119,11 @@ def ambient_positive_roots(n: int) -> np.ndarray:
     return roots
 
 
-def stabilizer_roots(angles: EllipticAngles, n: int) -> np.ndarray:
-    """The rows of ``ambient_positive_roots`` whose pairing with
-    (0, phi_2, ..., phi_{n+1}) lies in 2*pi*Z; these are the directions
-    along which the rotation fails to be regular."""
-    if len(angles) != n:
-        raise ValidationError("angle tuple must have length n")
-    roots = ambient_positive_roots(n)
+def stabilizer_roots(angles: EllipticAngles) -> np.ndarray:
+    """The rows of ``ambient_positive_roots``, n the number of angles, whose
+    pairing with (0, phi_2, ..., phi_{n+1}) lies in 2*pi*Z; these are the
+    directions along which the rotation fails to be regular."""
+    roots = ambient_positive_roots(len(angles))
     pairing = roots[:, 1:] @ np.array(angles.angles)
     fixed = np.abs(pairing - TWO_PI * np.rint(pairing / TWO_PI)) < STABILIZER_TOL
     return roots[fixed]
@@ -154,11 +149,9 @@ def _block_rows(n: int, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return rows
 
 
-def orbital_polynomial(
-    sigma: WeightVector, angles: EllipticAngles, n: int
-) -> EvenPolynomial:
+def orbital_polynomial(sigma: WeightVector, angles: EllipticAngles) -> EvenPolynomial:
     """Even polynomial weighting the principal-series characters in the
-    contribution of one elliptic rotation class.
+    contribution of one elliptic rotation class, at the weight's rank n.
 
     For each Weyl element s, the reflected shifted weight k = s(sigma+delta)
     is paired against every stabilizer root (with the noncompact component
@@ -174,14 +167,15 @@ def orbital_polynomial(
     Raises :class:`EvennessError` if the odd-power residuals of the expanded
     sum exceed ``EVENNESS_TOL`` relative to the largest coefficient.
     """
-    if sigma.rank != n or len(angles) != n:
+    n = sigma.rank
+    if len(angles) != n:
         raise ValidationError("weight, angles and rank must agree")
     if not sigma.is_dominant():
         raise ValidationError(f"weight {sigma} is not dominant")
     weyl_group_order(n)  # the rank check
     mu = np.add(sigma.doubled, half_sum_positive_roots(n).doubled) / 2.0
     check_phases(mu, max(angles.angles))
-    roots = stabilizer_roots(angles, n)
+    roots = stabilizer_roots(angles)
     blocks = []  # the components of the slots that the roots join
     for row in roots[:, 1:].tolist():
         ends = {j for j, c in enumerate(row) if c}
@@ -225,9 +219,9 @@ def orbital_polynomial(
     return EvenPolynomial(tuple(even[:last]), residual)
 
 
-def plancherel_polynomial(sigma: WeightVector, n: int) -> EvenPolynomial:
+def plancherel_polynomial(sigma: WeightVector) -> EvenPolynomial:
     """Plancherel density polynomial for the identity contribution on
-    H^{2n+1}, at every rank:
+    H^{2n+1}, n the weight's rank, at every rank:
 
         P(nu) = C_n dim(sigma) prod_a (nu^2 + mu_a^2),  mu = sigma + delta,
 
@@ -240,8 +234,7 @@ def plancherel_polynomial(sigma: WeightVector, n: int) -> EvenPolynomial:
     P = (nu^2 + k^2) / (4 pi^2).  Only the product with C_n is rounded; a
     coefficient past the float range is a NumericalGuardError.
     """
-    if sigma.rank != n:
-        raise ValidationError(f"weight rank must match n = {n}")
+    n = sigma.rank
     if not sigma.is_dominant():
         raise ValidationError(f"weight {sigma} is not dominant")
     # doubled coordinates: each pair's factor 4 cancels in dim(sigma)
@@ -260,11 +253,9 @@ def plancherel_polynomial(sigma: WeightVector, n: int) -> EvenPolynomial:
             f"a Plancherel coefficient of weight {sigma} is past the float range") from None
 
 
-def weyl_A_invariance_gap(
-    sigma: WeightVector, angles: EllipticAngles, n: int
-) -> float:
+def weyl_A_invariance_gap(sigma: WeightVector, angles: EllipticAngles) -> float:
     """Max coefficientwise difference between the orbital polynomials of a
     weight and of its last-coordinate flip."""
-    p = orbital_polynomial(sigma, angles, n)
-    q = orbital_polynomial(w0_flip(sigma), angles, n)
+    p = orbital_polynomial(sigma, angles)
+    q = orbital_polynomial(w0_flip(sigma), angles)
     return p.coeff_gap(q)

@@ -303,7 +303,7 @@ def _elliptic_terms(ctx: ZetaTermContext) -> list:
         )
     vols = ctx.elliptic_vols or [1.0] * len(elliptic.kind)
     polys = _derived(ctx.spectrum, ("orbital", ctx.sigma), lambda: tuple(
-        orbital_polynomial(ctx.sigma, EllipticAngles(angles), ctx.n)
+        orbital_polynomial(ctx.sigma, EllipticAngles(angles))
         for angles in elliptic.angles))
     return [(tr_chi * vol, poly) for tr_chi, vol, poly in zip(elliptic.tr_chi.tolist(), vols, polys)]
 
@@ -328,11 +328,6 @@ def convergence_abscissa_estimate(ctx: ZetaTermContext):
         mags = np.maximum(np.abs(hyp.tr_chi), 1e-300)
         k_fit = max(_slope(lengths, np.log(mags)), 0.0)
     if len(lengths) < 5:
-        warnings.warn(
-            "spectrum too small to fit a growth rate; using the conservative "
-            "default abscissa",
-            stacklevel=2,
-        )
         return AbscissaEstimate(2 * ctx.n + k_fit, k_fit, float("nan"), conservative=True)
     counts = np.arange(1, len(lengths) + 1, dtype=float)
     entropy = max(_slope(lengths, np.log(counts)), 0.0)
@@ -367,9 +362,7 @@ def log_zeta_truncated(s, ctx: ZetaTermContext) -> complex | list[complex]:
     if not ctx.spectrum.count("hyperbolic"):
         warnings.warn("empty hyperbolic spectrum; Z = 1", stacklevel=2)
     else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            est = convergence_abscissa_estimate(ctx)
+        est = convergence_abscissa_estimate(ctx)
         below = [complex(p).real for p in points if complex(p).real <= est.c]
         if below:
             warnings.warn(
@@ -444,7 +437,7 @@ def geometric_heat_terms(t, ctx: ZetaTermContext) -> HeatTerms | list[HeatTerms]
     hyp, chi_v, traces = _class_arrays(ctx, both=eps == 2)
     heat = chi_v * hyp.primitive_length / (2.0 * math.pi * hyp.D)
     coeff = sum(heat * trace.conj() for trace in traces)
-    p_plancherel = plancherel_polynomial(ctx.sigma, ctx.n)
+    p_plancherel = plancherel_polynomial(ctx.sigma)
     ell = _elliptic_terms(ctx)
     minus_length_sq = -hyp.length**2
     values = []
@@ -468,7 +461,7 @@ def xi_correction(s, ctx: ZetaTermContext) -> complex | list[complex]:
     that absorbs the identity and elliptic contributions; a list for a
     sequence of points."""
     points, scalar = _points(s)
-    p_plancherel = plancherel_polynomial(ctx.sigma, ctx.n)
+    p_plancherel = plancherel_polynomial(ctx.sigma)
     eps = epsilon_sigma(ctx.sigma)
     ell = _elliptic_terms(ctx)
     values = []

@@ -276,11 +276,7 @@ def test_orbital_poly_output(capsys):
     )
     assert code == 0
     values = [complex(x.strip("()")) for x in out.strip().split(",")]
-    poly = orbital_polynomial(
-        WeightVector.from_coords([1, 1]),
-        EllipticAngles((0.0, math.pi / 2)),
-        2,
-    )
+    poly = orbital_polynomial(WeightVector.from_coords([1, 1]), EllipticAngles((0.0, math.pi / 2)))
     assert len(values) == len(poly.coeffs)
     for got, want in zip(values, poly.coeffs):
         assert got == pytest.approx(want, abs=1e-14)
@@ -383,7 +379,7 @@ def test_coxeter_534_hyperbolic_heat_term(capsys, tmp_path):
     header, row = out.splitlines()
     re_h = float(dict(zip(header.split(","), row.split(",")))["re_H"])
     hyper = LengthSpectrum.read_csv(spectrum).part("hyperbolic")
-    ball = [el.matrix for el in enumerate_elements(spec, 10)]
+    ball = list(enumerate_elements(spec, 10).matrices)
     oracle = axis_fixer_oracle([spec.word_matrix(w) for w in hyper.word], ball)
     t = 0.1
     want = math.fsum(
@@ -447,7 +443,7 @@ def test_zeta_eval_roundtrip_bitwise(capsys, group_file, tmp_path):
     # spectrum written then re-read gives bitwise-identical zeta values
     spectrum = LengthSpectrum.read_csv(spec_path)
     rewritten = tmp_path / "spec2.csv"
-    spectrum.write_csv(rewritten)
+    rewritten.write_text(spectrum.to_csv(), encoding="utf-8")
     out3 = tmp_path / "eval3.csv"
     code3, _, _ = invoke(
         capsys, "zeta", "eval", "--spectrum", str(rewritten), "--sigma", "0",
@@ -1575,6 +1571,14 @@ BAD_CLI_INPUTS = {
     "weight-zero-denominator": ("lie", "character", "--weight", "1/0", "--angles", "0.5"),
     "angles-zero-denominator": ("lie", "character", "--weight", "1", "--angles", "pi/0"),
     "xi-rank-mismatch": ("lie", "character", "--xi", "--weight", "1,0", "--angles", "0.5"),
+    "xi-s-empty": ("zeta", "xi", "--spectrum", "{spec}", "--sigma", "1", "--s", ""),
+    "heat-terms-t-empty": ("zeta", "heat-terms", "--spectrum", "{spec}", "--sigma", "1",
+                           "--t", ""),
+    "heat-trace-t-commas": ("heat", "trace", "--model", "circle", "--t", ","),
+    "poly-n-above-rank": ("orbital", "poly", "--n", "3", "--sigma", "1,0", "--angles", "0.1,0.2"),
+    "poly-angles-below-rank": ("orbital", "poly", "--n", "2", "--sigma", "1,0", "--angles", "0.1"),
+    "gap-n-below-rank": ("orbital", "gap", "--n", "2", "--sigma", "1,0,0",
+                         "--angles", "0.1,0.2,0.3"),
 }
 
 #: the files that BAD_CLI_INPUTS names under {tmp}
@@ -1610,6 +1614,12 @@ BAD_CLI_GUARDS = {
     "weight-zero-denominator": "malformed weight string: '1/0'",
     "angles-zero-denominator": "zero denominator in angle 'pi/0'",
     "xi-rank-mismatch": "rank mismatch between weight and angles",
+    "xi-s-empty": "--s needs at least one value",
+    "heat-terms-t-empty": "--t needs at least one value",
+    "heat-trace-t-commas": "--t needs at least one value",
+    "poly-n-above-rank": "weight, angles and rank must agree",
+    "poly-angles-below-rank": "weight, angles and rank must agree",
+    "gap-n-below-rank": "weight, angles and rank must agree",
 }
 
 

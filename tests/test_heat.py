@@ -200,9 +200,9 @@ def test_fit_expansion_circle_reflection():
     fit = fit_expansion(model, np.geomspace(0.001, 0.01, 10))
     assert fit.exponents == (-0.5, 0.0, 0.5)
     assert fit.expected_leading == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-15)
-    assert fit.leading_coefficient == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-3)
+    assert fit.coefficients[0] == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-3)
     # the two mirror points, of isotropy order 2, contribute 1/4 each
-    assert fit.constant_term == pytest.approx(0.5, abs=1e-6)
+    assert fit.coefficient(0.0) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_fit_expansion_exact_halves_identity():
@@ -216,8 +216,8 @@ def test_fit_expansion_exact_halves_identity():
 
 def test_fit_expansion_circle_control_constant_vanishes():
     fit = fit_expansion(make_model("circle"), np.geomspace(0.001, 0.01, 10))
-    assert fit.leading_coefficient == pytest.approx(math.sqrt(math.pi), rel=1e-3)
-    assert abs(fit.constant_term) < 1e-8
+    assert fit.coefficients[0] == pytest.approx(math.sqrt(math.pi), rel=1e-3)
+    assert abs(fit.coefficient(0.0)) < 1e-8
     assert abs(fit.coefficient(0.5)) < 1e-6
 
 
@@ -231,8 +231,8 @@ def test_fit_expansion_pillowcase():
     fit = fit_expansion(make_model("pillowcase"), np.geomspace(0.002, 0.02, 12))
     # leading: (4 pi)^{-1} * vol = pi/2; constant: four corner points
     assert fit.expected_leading == pytest.approx(math.pi / 2.0, rel=1e-15)
-    assert fit.leading_coefficient == pytest.approx(math.pi / 2.0, rel=1e-3)
-    assert fit.constant_term == pytest.approx(0.5, abs=1e-5)
+    assert fit.coefficients[0] == pytest.approx(math.pi / 2.0, rel=1e-3)
+    assert fit.coefficient(0.0) == pytest.approx(0.5, abs=1e-5)
     assert fit.residual < 1e-8
 
 

@@ -37,33 +37,33 @@ E1P_E2 = (1, 1, 0)
 E2M_E3 = (0, 1, -1)
 
 
-def root_set(angles, n):
-    return {tuple(r) for r in stabilizer_roots(angles, n).tolist()}
+def root_set(angles):
+    return {tuple(r) for r in stabilizer_roots(angles).tolist()}
 
 
 def test_stabilizer_roots_regular():
-    assert stabilizer_roots(EllipticAngles((0.7, 2.3)), 2).shape == (0, 3)
+    assert stabilizer_roots(EllipticAngles((0.7, 2.3))).shape == (0, 3)
 
 
 def test_stabilizer_roots_zero_angle():
-    assert root_set(EllipticAngles((0.0, 1.234)), 2) == {E1M_E2, E1P_E2}
+    assert root_set(EllipticAngles((0.0, 1.234))) == {E1M_E2, E1P_E2}
 
 
 def test_stabilizer_roots_equal_angles():
-    assert root_set(EllipticAngles((1.234, 1.234)), 2) == {E2M_E3}
+    assert root_set(EllipticAngles((1.234, 1.234))) == {E2M_E3}
 
 
 def test_stabilizer_roots_supplementary_angles():
     # angles summing to 2 pi fix exactly the compact sum root
     theta = 1.1
-    assert root_set(EllipticAngles((theta, 2 * math.pi - theta)), 2) == {(0, 1, 1)}
+    assert root_set(EllipticAngles((theta, 2 * math.pi - theta))) == {(0, 1, 1)}
 
 
 def test_orbital_rank1_ratio():
     phi = 1.37
     for k in (1, 2, 5):
-        pk = orbital_polynomial(WeightVector.from_coords([k]), EllipticAngles((phi,)), 1)
-        p0 = orbital_polynomial(WeightVector.from_coords([0]), EllipticAngles((phi,)), 1)
+        pk = orbital_polynomial(WeightVector.from_coords([k]), EllipticAngles((phi,)))
+        p0 = orbital_polynomial(WeightVector.from_coords([0]), EllipticAngles((phi,)))
         assert pk.degree == 0 and p0.degree == 0
         ratio = pk.coeffs[0] / p0.coeffs[0]
         assert abs(ratio - cmath.exp(-1j * k * phi)) < 1e-12
@@ -72,9 +72,7 @@ def test_orbital_rank1_ratio():
 def test_orbital_identity_block_structure():
     # one zero angle, trivial weight: the paired noncompact roots force a
     # -(nu^2 + k^2)-type factor per zero slot
-    poly = orbital_polynomial(
-        WeightVector.from_coords([0, 0]), EllipticAngles((0.0, 1.9)), 2
-    )
+    poly = orbital_polynomial(WeightVector.from_coords([0, 0]), EllipticAngles((0.0, 1.9)))
     assert poly.degree == 2
     assert poly.even_residual < 1e-12
 
@@ -85,7 +83,7 @@ def test_orbital_evenness_is_postcondition(rng):
         sigma = random_dominant(rng, n, spin=rng.random() < 0.3)
         angles = random_angles(rng, n, zero_slots=rng.choice((0, 0, 1, n)),
                                degenerate=True)
-        poly = orbital_polynomial(sigma, angles, n)
+        poly = orbital_polynomial(sigma, angles)
         assert poly.even_residual < 1e-10
 
 
@@ -94,8 +92,8 @@ def test_orbital_degree_law(rng):
         n = rng.choice((1, 2, 3))
         sigma = random_dominant(rng, n)
         angles = random_angles(rng, n, zero_slots=rng.choice((0, 1, n)))
-        noncompact = sum(1 for r in stabilizer_roots(angles, n) if r[0] != 0)
-        poly = orbital_polynomial(sigma, angles, n)
+        noncompact = sum(1 for r in stabilizer_roots(angles) if r[0] != 0)
+        poly = orbital_polynomial(sigma, angles)
         assert poly.degree == noncompact
 
 
@@ -105,9 +103,9 @@ def test_orbital_regular_limit(rng):
         n = rng.choice((2, 3))
         sigma = random_dominant(rng, n)
         angles = random_angles(rng, n)
-        if len(stabilizer_roots(angles, n)):
+        if len(stabilizer_roots(angles)):
             continue
-        poly = orbital_polynomial(sigma, angles, n)
+        poly = orbital_polynomial(sigma, angles)
         assert poly.degree == 0
         shifted = [d / 2 for d in (sigma + half_sum_positive_roots(n)).doubled]
         bare = 0j
@@ -119,9 +117,7 @@ def test_orbital_regular_limit(rng):
 
 def test_orbital_rejects_non_dominant():
     with pytest.raises(ValidationError):
-        orbital_polynomial(
-            WeightVector.from_coords([0, 1]), EllipticAngles((0.3, 0.9)), 2
-        )
+        orbital_polynomial(WeightVector.from_coords([0, 1]), EllipticAngles((0.3, 0.9)))
 
 
 def test_orbital_brute_force_oracle(rng):
@@ -131,7 +127,7 @@ def test_orbital_brute_force_oracle(rng):
         sigma = random_dominant(rng, n)
         angles = random_angles(rng, n, zero_slots=rng.choice((0, 1, n)),
                                degenerate=True)
-        poly = orbital_polynomial(sigma, angles, n)
+        poly = orbital_polynomial(sigma, angles)
         samples = 2 * (poly.degree // 2 + 1)
         for i in range(samples):
             nu = -2.5 + i * 1.6180339887
@@ -186,12 +182,12 @@ def test_orbital_higher_rank_oracle(rng, n, shape):
         else:
             phi[b] = TWO_PI - phi[a]
             want = {compact_root(n, a, b, 1)}
-        assert root_set(EllipticAngles(tuple(phi)), n) == want
+        assert root_set(EllipticAngles(tuple(phi))) == want
     else:
         for slot in rng.sample(range(n), 1 if shape == "one-zero" else 2):
             phi[slot] = 0.0
     angles = EllipticAngles(tuple(phi))
-    poly = orbital_polynomial(sigma, angles, n)
+    poly = orbital_polynomial(sigma, angles)
     nus = (0.3, 1.1, 2.7)
     for nu, want in zip(nus, brute_orbital_values(sigma, angles.angles, n, nus)):
         assert abs(poly(nu) - want) <= 1e-10 * abs(want), (sigma, phi, nu)
@@ -222,7 +218,7 @@ def test_orbital_closed_form_at_identity(rng, n):
     ]
     for sigma in sigmas:
         want = [float(c) for c in identity_closed_form(sigma)]
-        got = orbital_polynomial(sigma, EllipticAngles((0.0,) * n), n).coeffs
+        got = orbital_polynomial(sigma, EllipticAngles((0.0,) * n)).coeffs
         assert len(got) == len(want), sigma
         scale = max(map(abs, want))
         for g, w in zip(got, want):
@@ -239,7 +235,7 @@ def test_identity_closed_form_small_ranks():
 def test_orbital_polynomial_does_not_enumerate_weyl_group(rng):
     before = weyl_group.cache_info()
     angles = EllipticAngles((0.0, 0.0, 0.7, 1.9, 2.5, 4.0))
-    orbital_polynomial(random_dominant(rng, 6), angles, 6)
+    orbital_polynomial(random_dominant(rng, 6), angles)
     after = weyl_group.cache_info()
     assert after.hits + after.misses == before.hits + before.misses
 
@@ -252,7 +248,7 @@ def test_flip_invariance_fixed_weight(rng):
             + (0,)
         ) if n > 1 else WeightVector((0,))
         angles = random_angles(rng, n, degenerate=True)
-        assert weyl_A_invariance_gap(sigma, angles, n) == 0.0
+        assert weyl_A_invariance_gap(sigma, angles) == 0.0
 
 
 def test_flip_invariance_with_zero_angle(rng):
@@ -260,34 +256,32 @@ def test_flip_invariance_with_zero_angle(rng):
         n = rng.choice((2, 3))
         sigma = random_flip_moved_dominant(rng, n)
         angles = random_angles(rng, n, zero_slots=1)
-        gap = weyl_A_invariance_gap(sigma, angles, n)
-        scale = max(orbital_polynomial(sigma, angles, n).max_abs_coeff(), 1.0)
+        gap = weyl_A_invariance_gap(sigma, angles)
+        scale = max(max(map(abs, orbital_polynomial(sigma, angles).coeffs)), 1.0)
         assert gap < 1e-10 * scale
 
 
 def test_flip_invariance_known_counterexample():
     # without a zero compact angle the flip moves the polynomial; this pins
     # the measured gap so the domain of the invariance stays documented
-    gap = weyl_A_invariance_gap(
-        WeightVector.from_coords([1, 1]), EllipticAngles((1.3, 1.3)), 2
-    )
+    gap = weyl_A_invariance_gap(WeightVector.from_coords([1, 1]), EllipticAngles((1.3, 1.3)))
     theta = 1.3
     expected = abs(4 * math.sin(3 * theta) - 12 * math.sin(theta))
     assert gap == pytest.approx(expected, rel=1e-12)
 
     phi = 1.1
-    gap1 = weyl_A_invariance_gap(WeightVector.from_coords([1]), EllipticAngles((phi,)), 1)
+    gap1 = weyl_A_invariance_gap(WeightVector.from_coords([1]), EllipticAngles((phi,)))
     assert gap1 == pytest.approx(2 * abs(math.sin(phi)), rel=1e-12)
 
 
 def test_plancherel_values():
     c = 1.0 / (4.0 * math.pi**2)
-    p0 = plancherel_polynomial(WeightVector.from_coords([0]), 1)
+    p0 = plancherel_polynomial(WeightVector.from_coords([0]))
     assert p0.coeffs == (0j, complex(c))
-    p1 = plancherel_polynomial(WeightVector.from_coords([1]), 1)
+    p1 = plancherel_polynomial(WeightVector.from_coords([1]))
     assert p1.coeffs == (complex(c), complex(c))
     for k in (1.5, 5.0):  # (nu^2 + k^2) / (4 pi^2), bit for bit
-        assert plancherel_polynomial(WeightVector.from_coords([k]), 1).coeffs == (
+        assert plancherel_polynomial(WeightVector.from_coords([k])).coeffs == (
             complex(k * k * c), complex(c))
     assert p1(2.0) == pytest.approx((4.0 + 1.0) * c)
     assert p1(-2.0) == p1(2.0)
@@ -298,7 +292,7 @@ def test_plancherel_calibration_oracle():
     # free heat coefficient (4 pi t)^{-3/2}
     from scipy.integrate import quad
 
-    p0 = plancherel_polynomial(WeightVector.from_coords([0]), 1)
+    p0 = plancherel_polynomial(WeightVector.from_coords([0]))
     for t in (0.1, 1.0, 10.0):
         integral, err = quad(
             lambda nu: p0(nu).real * math.exp(-t * nu * nu),
@@ -311,7 +305,7 @@ def test_plancherel_calibration_oracle():
 def test_plancherel_shift_structure_oracle():
     from scipy.integrate import quad
 
-    p1 = plancherel_polynomial(WeightVector.from_coords([1]), 1)
+    p1 = plancherel_polynomial(WeightVector.from_coords([1]))
     t = 0.7
     integral, _ = quad(
         lambda nu: p1(nu).real * math.exp(-t * nu * nu),
@@ -349,8 +343,8 @@ def test_identity_heat_term_matches_kernel_at_origin(rng):
             random_dominant(rng, n, spin=spin) for spin in (False, True) for _ in range(4)
         ]
         for sigma in sigmas:
-            got = plancherel_polynomial(sigma, n).coeffs
-            ref = orbital_polynomial(sigma, EllipticAngles((0.0,) * n), n).coeffs
+            got = plancherel_polynomial(sigma).coeffs
+            ref = orbital_polynomial(sigma, EllipticAngles((0.0,) * n)).coeffs
             assert len(got) == len(ref) == n + 1, sigma
             scale = max(map(abs, ref))
             for g, r in zip(got, ref):
@@ -363,9 +357,7 @@ def test_identity_heat_term_matches_kernel_at_origin(rng):
 
 def test_plancherel_rejects_non_dominant_weight():
     with pytest.raises(ValidationError, match="is not dominant"):
-        plancherel_polynomial(WeightVector.from_coords([0, 1]), 2)
-    with pytest.raises(ValidationError):
-        plancherel_polynomial(WeightVector.from_coords([1, 0]), 3)
+        plancherel_polynomial(WeightVector.from_coords([0, 1]))
 
 
 def test_even_polynomial_helpers():

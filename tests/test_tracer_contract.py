@@ -13,7 +13,7 @@ import pytest
 import selberg.cli
 import selberg.geometry
 from conftest import schottky_spec, small_h3_spectrum_csv
-from selberg.geometry import LengthSpectrum
+from selberg.geometry import LengthSpectrum, enumerate_elements
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -52,8 +52,10 @@ def test_tracer_counts_the_spectrum_classes(tracer, capsys, tmp_path):
     assert metrics["geometry.ambiguous_classes"] == int(spectrum.columns.ambiguous.sum())
     assert metrics["zeta.class_terms"] == hyperbolic
     assert metrics["geometry.conjugacy_reduce.calls"] == metrics["zeta.log_zeta_truncated.calls"] == 1
-    # the one stacked classify of the ball
+    # the one stacked classify of the ball, whose size the tracer reads off ``len``
     assert metrics["geometry.classify.calls"] == 1
+    assert metrics["geometry.enumerate_elements.calls"] == 1
+    assert metrics["geometry.ball_elements"] == len(enumerate_elements(spec, 4))
 
 
 def test_tracer_sees_each_class_factor_built_once(tracer, capsys, monkeypatch, tmp_path):

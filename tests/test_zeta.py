@@ -40,7 +40,7 @@ from selberg.zeta import (
 
 def hyp_row(length, angles=(0.0,), power=1, l0=None, tr_chi=1.0 + 0j, v=1, n=1):
     return class_row("hyperbolic", length, angles, power=power, primitive_length=l0,
-                     D=weight_D(length, tuple(angles), n), v=v, tr_chi=tr_chi)
+                     D=weight_D(length, tuple(angles)), v=v, tr_chi=tr_chi)
 
 
 def ell_row(angles, tr_chi=1.0 + 0j):
@@ -276,7 +276,7 @@ def test_heat_elliptic_term_with_volumes(rng):
     ctx = make_ctx([], sigma, elliptic=[rec], elliptic_vols=[2.5])
     t = 0.6
     terms = geometric_heat_terms(t, ctx)
-    poly = orbital_polynomial(sigma, EllipticAngles((1.2,)), 1)
+    poly = orbital_polynomial(sigma, EllipticAngles((1.2,)))
     integral_re, _ = quad(lambda x: poly(x).real * math.exp(-t * x * x), -np.inf, np.inf)
     integral_im, _ = quad(lambda x: poly(x).imag * math.exp(-t * x * x), -np.inf, np.inf)
     expected = 2 * (0.5 + 0.25j) * 2.5 * complex(integral_re, integral_im)
@@ -391,11 +391,19 @@ def test_xi_prefactor_is_odd_in_s(rng):
 
 
 def test_abscissa_estimate_small_spectrum_defaults():
-    ctx = make_ctx([hyp_row(1.0)], SIGMA0)
-    with pytest.warns(UserWarning):
-        est = convergence_abscissa_estimate(ctx)
+    est = convergence_abscissa_estimate(make_ctx([hyp_row(1.0)], SIGMA0))
     assert est.conservative
     assert est.c == pytest.approx(2.0)  # 2n with unitary-size chi
+
+
+def test_abscissa_estimate_reports_without_warning():
+    """Too few classes to fit a growth rate: ``conservative`` says so, and
+    nothing warns."""
+    ctx = make_ctx([hyp_row(length) for length in (1.0, 1.5, 2.5)], SIGMA0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = convergence_abscissa_estimate(ctx)
+    assert est.conservative and est.c == 2.0
 
 
 def test_abscissa_estimate_geometric_spectrum():
@@ -437,8 +445,7 @@ def test_abscissa_slopes_match_polyfit(count):
 
 
 def test_abscissa_slope_of_one_length_is_zero():
-    with pytest.warns(UserWarning):
-        est = convergence_abscissa_estimate(make_ctx([hyp_row(1.0, tr_chi=2.0)] * 3, SIGMA0))
+    est = convergence_abscissa_estimate(make_ctx([hyp_row(1.0, tr_chi=2.0)] * 3, SIGMA0))
     assert est.chi_rate == 0.0 and est.c == 2.0
 
 
